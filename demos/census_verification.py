@@ -1,11 +1,12 @@
 """Brute force agrees with the formula, exactly, field by field.
 
-Nothing here is approximate: the census enumerates every monic degree-d
-polynomial over F_q, factors it by trial division, and averages the
-statistic as an exact rational.  The formula side never touches a
-polynomial: it sums the statistic against the splitting measure.  The two
-must match at u = 1/q -- including over genuine prime-power fields like
-F_4, where the arithmetic runs in an extension field.
+Nothing here is approximate: the census builds every monic degree-d
+polynomial over F_q as a product of irreducibles, checking that none is
+reached twice, and averages the statistic as an exact rational.  The
+formula side never touches a polynomial: it sums the statistic against
+the splitting measure.  The two must match at u = 1/q -- including over
+genuine prime-power fields like F_4, where the arithmetic runs in an
+extension field.
 """
 
 from fractions import Fraction

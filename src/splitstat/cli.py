@@ -30,7 +30,14 @@ from .expect import (
     expected_sf,
     stable_limit,
 )
-from .gf import DEFAULT_BUDGET, census, irreducibles, make_field
+from .gf import (
+    DEFAULT_BUDGET,
+    census,
+    check_census_budget,
+    check_sieve_budget,
+    irreducibles,
+    make_field,
+)
 from .lie_chars import phi_table, psi_table
 from .measures import necklace, sf_splitting_measure, splitting_measure
 from .partitions import Partition, partitions_of
@@ -238,6 +245,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p, n = _parse_q(args.q)
+    if n > 0 and args.d > 0:  # make_field or census reject other shapes at once
+        check_census_budget(p**n, args.d, args.budget)
     field = make_field(p, n)
     P = resolve_stat(args.stat, args.d)
     ok = True
@@ -284,6 +293,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_irreducibles(args: argparse.Namespace) -> int:
     p, n = _parse_q(args.q)
+    if n > 0:  # make_field rejects other shapes at once
+        check_sieve_budget(p**n, args.max_degree, args.budget)
     field = make_field(p, n)
     table = irreducibles(field, args.max_degree, budget=args.budget)
     counts = {deg: len(table[deg]) for deg in sorted(table)}
@@ -368,7 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", required=True, help="field size, p or p^n")
     s.add_argument("--stat", required=True)
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility: enumeration is single-threaded "
+        "and the value never changes a result",
+    )
 
     s = add("irreducibles", cmd_irreducibles, "sieve monic irreducibles and check counts")
     s.add_argument("--q", required=True, help="field size, p or p^n")

@@ -1,11 +1,20 @@
 """Brute-force ground truth over finite fields.
 
-Constructs F_q for prime powers q, enumerates and factors every monic
-polynomial of a given degree by trial division against a sieved table of
-irreducibles, and computes exact census averages of factorization
-statistics.  This module is an oracle, not a performance artifact:
-everything is deterministic and exact, and enumeration is capped by an
-explicit budget (default 10**7 polynomials).
+Constructs F_q for prime powers q and builds every monic polynomial of
+degree n as a product of lower-degree irreducibles, multiplying actual
+polynomials over F_q.  Each product is marked in a seen-map of all q**n
+monic candidates; a second mark would mean two factorizations of one
+polynomial, so unique factorization is checked explicitly and a failure
+raises ConsistencyError.  The unmarked candidates are the degree-n
+irreducibles, and the factor degrees of the products (with and without
+repeated factors) give the census histogram, from which exact census
+averages of factorization statistics follow.  `factorization_type` still
+factors a single polynomial by trial division against the sieved
+irreducibles.
+
+This module is an oracle, not a performance artifact: everything is
+deterministic and exact, enumeration is single-threaded, and it is capped
+by an explicit budget (default 10**7 polynomials).
 
 Field elements are encoded as integers 0..q-1.  For a prime field the
 integer is the residue itself; for F_{p^n} it encodes the length-n
@@ -15,12 +24,11 @@ power of the residue class of x modulo the field's defining polynomial).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import BudgetExceeded, DegreeMismatch, InvalidCharacteristic
+from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
 from .partitions import Partition
 from .sym_chars import ClassFunction
 
@@ -41,55 +49,6 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-# --- polynomial helpers over the prime field (coefficients are ints mod p) --
-
-def _pf_rem(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # den is monic; returns num mod den with trailing zeros stripped
-    rem = list(num)
-    dd = len(den) - 1
-    for shift in range(len(rem) - len(den), -1, -1):
-        c = rem[shift + dd]
-        if c:
-            for i, dc in enumerate(den):
-                rem[shift + i] = (rem[shift + i] - c * dc) % p
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(rem)
-
-
-def _pf_irreducibles(p: int, max_deg: int) -> dict[int, list[tuple[int, ...]]]:
-    # Sieve of monic irreducibles over F_p by increasing degree.
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for deg in range(1, max_deg + 1):
-        found = []
-        for tail in product(range(p), repeat=deg):
-            cand = tail + (1,)
-            if any(
-                not _pf_rem(cand, irr, p)
-                for dd in range(1, deg // 2 + 1)
-                for irr in table[dd]
-            ):
-                continue
-            found.append(cand)
-        table[deg] = found
-    return table
-
-
-def _lex_min_irreducible(p: int, n: int) -> tuple[int, ...]:
-    # Smallest monic irreducible of degree n over F_p, candidates compared
-    # low-to-high coefficient (constant term most significant).
-    lower = _pf_irreducibles(p, n // 2)
-    for tail in product(range(p), repeat=n):
-        cand = tail + (1,)
-        if all(
-            _pf_rem(cand, irr, p)
-            for dd in range(1, n // 2 + 1)
-            for irr in lower[dd]
-        ):
-            return cand
-    raise AssertionError(f"no irreducible of degree {n} over F_{p}")  # unreachable
-
-
 class FqField:
     """The field with q = p**n elements.
 
@@ -97,13 +56,15 @@ class FqField:
     the modulus is a valid monic irreducible.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_add", "_mul", "_inv", "_irr", "_hist")
+    __slots__ = ("p", "n", "q", "modulus", "_base", "_add", "_mul", "_inv", "_irr", "_hist")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]) -> None:
         self.p = p
         self.n = n
         self.q = p**n
         self.modulus = modulus
+        # the prime subfield, whose arithmetic reduces products modulo `modulus`
+        self._base = None if n == 1 else FqField(p, 1, (0, 1))
         self._irr: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._hist: dict[int, tuple[dict, dict]] = {}
         self._add = self._mul = self._inv = None
@@ -137,7 +98,7 @@ class FqField:
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = list(_pf_rem(tuple(prod), self.modulus, self.p))
+        rem = list(_divrem(self._base, tuple(prod), self.modulus)[1])
         rem += [0] * (self.n - len(rem))
         return self._encode(rem)
 
@@ -173,6 +134,8 @@ class FqField:
         return self._encode([(-x) % self.p for x in self._decode(a)])
 
     def sub(self, a: int, b: int) -> int:
+        if self.n == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -216,6 +179,20 @@ class FqField:
         return f"FqField(q={self.p}^{self.n})" if self.n > 1 else f"FqField(q={self.p})"
 
 
+def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
+    # The first monic irreducible of degree n over F_p in sieve order
+    # (constant coefficient most significant): the first candidate with no
+    # factor among the irreducibles of degree at most n // 2.
+    base = FqField(p, 1, (0, 1))
+    _sieve(base, n // 2)
+    lower = [g for k in range(1, n // 2 + 1) for g in base._irr[k]]
+    for tail in product(range(p), repeat=n):
+        cand = tail + (1,)
+        if all(_divrem(base, cand, g)[1] for g in lower):
+            return cand
+    raise AssertionError(f"no irreducible of degree {n} over F_{p}")  # unreachable
+
+
 def make_field(p: int, n: int = 1) -> FqField:
     """Construct F_{p^n}.
 
@@ -227,7 +204,7 @@ def make_field(p: int, n: int = 1) -> FqField:
         raise InvalidCharacteristic(f"{p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be at least 1")
-    modulus = (0, 1) if n == 1 else _lex_min_irreducible(p, n)
+    modulus = (0, 1) if n == 1 else _first_irreducible(p, n)
     return FqField(p, n, modulus)
 
 
@@ -286,27 +263,138 @@ def _divrem(F: FqField, num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tup
     return tuple(quo), tuple(rem)
 
 
-def _check_budget(q: int, degree: int, budget: int, what: str) -> None:
-    total = sum(q**j for j in range(1, degree + 1))
+def check_sieve_budget(q: int, max_degree: int, budget: int) -> None:
+    """Raise BudgetExceeded if sieving F_q to max_degree would pass the budget."""
+    total = sum(q**j for j in range(1, max_degree + 1))
     if total > budget:
         raise BudgetExceeded(
-            f"{what} needs {total} polynomial enumerations over F_{q}, "
-            f"above the budget of {budget}; raise the budget to proceed"
+            f"sieving irreducibles to degree {max_degree} needs {total} polynomial "
+            f"enumerations over F_{q}, above the budget of {budget}; raise the "
+            "budget to proceed"
         )
 
 
+def check_census_budget(q: int, d: int, budget: int) -> None:
+    """Raise BudgetExceeded if a degree-d census over F_q would pass the budget."""
+    if q**d > budget:
+        raise BudgetExceeded(
+            f"census of q^d = {q**d} polynomials is above the budget of "
+            f"{budget}; raise the budget to proceed"
+        )
+
+
+def _multiplier(field: FqField):
+    # Product of two coefficient tuples over the field, in the cheapest
+    # arithmetic it has: residues mod p, the lookup tables, or its methods.
+    if field.n == 1:
+        p = field.p
+
+        def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return tuple([c % p for c in out])
+
+        return mul
+    if field._mul is not None:
+        add_t, mul_t = field._add, field._mul
+
+        def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    row = mul_t[x]
+                    for j, y in enumerate(b, i):
+                        out[j] = add_t[out[j]][row[y]]
+            return tuple(out)
+
+        return mul
+    f_add, f_mul = field.add, field.mul
+
+    def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = f_add(out[j], f_mul(x, y))
+        return tuple(out)
+
+    return mul
+
+
+def _walk(field: FqField, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[dict, dict]]:
+    # Build every reducible monic polynomial of degree n as a product of a
+    # nondecreasing (degree, sieve order) multiset of irreducibles of
+    # degree < n, which field._irr must hold.  Returns the degree-n
+    # irreducibles in sieve order and the (all, squarefree) type histograms.
+    q = field.q
+    irr = field._irr
+    mul = _multiplier(field)
+    # seen[i] marks the candidate whose coefficients c_0..c_{n-1}, read as
+    # base-q digits with c_0 most significant, spell i: sieve order.
+    seen = bytearray(q**n)
+    all_counts: dict[tuple[int, ...], int] = {}
+    sf_counts: dict[tuple[int, ...], int] = {}
+
+    def mark(f: tuple[int, ...]) -> None:
+        index = 0
+        for c in f[:n]:
+            index = index * q + c
+        if seen[index]:
+            raise ConsistencyError(
+                f"{FqPoly(field, f)} over F_{q} arises from two different "
+                "factorizations into irreducibles"
+            )
+        seen[index] = 1
+
+    def extend(prod, degs, last_k, last_i, left, squarefree) -> None:
+        # prod ends in factor last_i of degree last_k; multiply on factors
+        # at or after it in (degree, sieve) order until `left` is used up.
+        for k in range(last_k, left // 2 + 1):
+            pool = irr[k]
+            for i in range(last_i if k == last_k else 0, len(pool)):
+                repeat = k == last_k and i == last_i
+                extend(mul(prod, pool[i]), degs + (k,), k, i, left - k, squarefree and not repeat)
+        if left < last_k:
+            return
+        first = last_i if left == last_k else 0
+        pool = irr[left]
+        for g in pool[first:]:
+            mark(mul(prod, g))
+        key = degs + (left,)
+        count = len(pool) - first
+        all_counts[key] = all_counts.get(key, 0) + count
+        if squarefree and left == last_k:
+            count -= 1  # the first final factor repeats the last one
+        if squarefree and count:
+            sf_counts[key] = sf_counts.get(key, 0) + count
+
+    for k in range(1, n // 2 + 1):
+        for i, g in enumerate(irr[k]):
+            extend(g, (k,), k, i, n - k, True)
+
+    found = tuple(
+        tail + (1,) for tail, hit in zip(product(range(q), repeat=n), seen) if not hit
+    )
+    all_counts[(n,)] = sf_counts[(n,)] = len(found)
+
+    hist_all = {Partition(degs): c for degs, c in all_counts.items()}
+    hist_sf = {Partition(degs): c for degs, c in sf_counts.items()}
+    return found, (hist_all, hist_sf)
+
+
+def _sieve(field: FqField, max_degree: int) -> None:
+    # Fill field._irr and field._hist for every degree up to max_degree.
+    for n in range(1, max_degree + 1):
+        if n not in field._irr:
+            field._irr[n], field._hist[n] = _walk(field, n)
+
+
 def _irreducibles_raw(field: FqField, max_degree: int, budget: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    _check_budget(field.q, max_degree, budget, f"sieving irreducibles to degree {max_degree}")
-    for deg in range(1, max_degree + 1):
-        if deg in field._irr:
-            continue
-        found = []
-        lower = [irr for dd in range(1, deg // 2 + 1) for irr in field._irr[dd]]
-        for tail in product(field.elements(), repeat=deg):
-            cand = tail + (1,)
-            if all(_divrem(field, cand, irr)[1] for irr in lower):
-                found.append(cand)
-        field._irr[deg] = tuple(found)
+    check_sieve_budget(field.q, max_degree, budget)
+    _sieve(field, max_degree)
     return {deg: field._irr[deg] for deg in range(1, max_degree + 1)}
 
 
@@ -316,8 +404,8 @@ def irreducibles(
     """All monic irreducibles of degree 1..max_degree, grouped by degree.
 
     Sieve order: polynomials are enumerated with the constant coefficient
-    most significant, and anything divisible by a lower-degree
-    irreducible is discarded.
+    most significant, and every product of lower-degree irreducibles is
+    discarded.
     """
     raw = _irreducibles_raw(field, max_degree, budget)
     return {deg: tuple(FqPoly(field, c) for c in raw[deg]) for deg in raw}
@@ -370,50 +458,12 @@ def factorization_type(f: FqPoly, budget: int = DEFAULT_BUDGET) -> Partition:
     return Partition(degs)
 
 
-def _histograms(
-    field: FqField, d: int, budget: int, threads: int
-) -> tuple[dict[Partition, int], dict[Partition, int]]:
+def _histograms(field: FqField, d: int, budget: int) -> tuple[dict[Partition, int], dict[Partition, int]]:
     if d in field._hist:
         return field._hist[d]
-    if field.q**d > budget:
-        raise BudgetExceeded(
-            f"census of q^d = {field.q**d} polynomials is above the budget of "
-            f"{budget}; raise the budget to proceed"
-        )
-    irr = _irreducibles_raw(field, d // 2, budget)
-    q = field.q
-
-    def block(lead: int) -> tuple[dict, dict]:
-        # One enumeration block: all monic f with fixed coefficient of x**(d-1).
-        all_counts: dict[tuple[int, ...], int] = {}
-        sf_counts: dict[tuple[int, ...], int] = {}
-        for tail in product(range(q), repeat=d - 1):
-            coeffs = tail + (lead, 1)
-            degs, squarefree = _type_and_squarefree(field, coeffs, irr)
-            all_counts[degs] = all_counts.get(degs, 0) + 1
-            if squarefree:
-                sf_counts[degs] = sf_counts.get(degs, 0) + 1
-        return all_counts, sf_counts
-
-    leads = list(field.elements())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(block, leads))
-    else:
-        results = [block(lead) for lead in leads]
-
-    # Merge per-block partial counts in block order.
-    merged_all: dict[Partition, int] = {}
-    merged_sf: dict[Partition, int] = {}
-    for all_counts, sf_counts in results:
-        for degs, c in all_counts.items():
-            lam = Partition(degs)
-            merged_all[lam] = merged_all.get(lam, 0) + c
-        for degs, c in sf_counts.items():
-            lam = Partition(degs)
-            merged_sf[lam] = merged_sf.get(lam, 0) + c
-    field._hist[d] = (merged_all, merged_sf)
-    return merged_all, merged_sf
+    check_census_budget(field.q, d, budget)
+    _sieve(field, d)
+    return field._hist[d]
 
 
 def census(
@@ -428,13 +478,14 @@ def census(
 
     With squarefree_only, the sum is restricted to polynomials with no
     repeated irreducible factor (the q**d normalization is kept).  The
-    result is exact and independent of the thread count.
+    result is exact.  Enumeration is single-threaded: ``threads`` is
+    accepted for compatibility and never changes a result.
     """
     if d < 1:
         raise ValueError("census needs degree at least 1")
     if stat.d != d:
         raise DegreeMismatch(f"statistic is for degree {stat.d}, census is for {d}")
-    all_counts, sf_counts = _histograms(field, d, budget, threads)
+    all_counts, sf_counts = _histograms(field, d, budget)
     counts = sf_counts if squarefree_only else all_counts
     total = Fraction(0)
     for lam, c in counts.items():
@@ -449,8 +500,12 @@ def type_counts(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> dict[Partition, int]:
-    """Exact histogram of factorization types among monic degree-d polynomials."""
+    """Exact histogram of factorization types among monic degree-d polynomials.
+
+    Enumeration is single-threaded: ``threads`` is accepted for
+    compatibility and never changes a result.
+    """
     if d < 1:
         raise ValueError("census needs degree at least 1")
-    all_counts, sf_counts = _histograms(field, d, budget, threads)
+    all_counts, sf_counts = _histograms(field, d, budget)
     return dict(sf_counts if squarefree_only else all_counts)

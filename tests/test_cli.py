@@ -2,7 +2,9 @@
 
 import json
 
+from splitstat import cli
 from splitstat.cli import main
+from splitstat.gf import make_field
 
 
 def run(capsys, *argv):
@@ -170,6 +172,29 @@ def test_budget_exceeded_is_usage_error(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+def test_budget_checked_before_field_construction(capsys, monkeypatch):
+    def no_field(p, n=1):
+        raise AssertionError("make_field called before the budget check")
+
+    monkeypatch.setattr(cli, "make_field", no_field)
+    for argv in (
+        ("irreducibles", "--q", "7^9", "--max-degree", "2"),
+        ("verify", "--d", "2", "--q", "7^9", "--stat", "R"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "budget" in err
+
+
+def test_verify_reports_broken_unique_factorization(capsys, monkeypatch):
+    field = make_field(3)
+    field._irr[1] = ((0, 1), (0, 1), (1, 1), (2, 1))  # x listed twice
+    monkeypatch.setattr(cli, "make_field", lambda p, n=1: field)
+    code, _, err = run(capsys, "verify", "--d", "2", "--q", "3", "--stat", "R")
+    assert code == 1
+    assert "internal consistency failure" in err
 
 
 def test_nonstabilized_limit_is_usage_error(capsys):

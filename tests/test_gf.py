@@ -6,8 +6,17 @@ from itertools import product
 
 import pytest
 
-from splitstat.errors import BudgetExceeded, DegreeMismatch, InvalidCharacteristic
-from splitstat.gf import FqPoly, census, factorization_type, irreducibles, make_field, type_counts
+from splitstat.errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
+from splitstat.gf import (
+    FqPoly,
+    _irreducibles_raw,
+    _type_and_squarefree,
+    census,
+    factorization_type,
+    irreducibles,
+    make_field,
+    type_counts,
+)
 from splitstat.partitions import Partition
 from splitstat.sym_chars import indicator, one, roots
 
@@ -58,6 +67,25 @@ def test_f9_modulus_is_lex_first():
             first = (c0, c1, 1)
             break
     assert make_field(3, 2).modulus == first == (1, 0, 1)
+    # pinned moduli; below degree 4 each is the first rootless candidate
+    pinned = {
+        (2, 2): (1, 1, 1),
+        (2, 3): (1, 0, 1, 1),
+        (3, 2): (1, 0, 1),
+        (2, 4): (1, 0, 0, 1, 1),
+        (5, 2): (1, 1, 1),
+        (3, 3): (1, 0, 2, 1),
+    }
+    for (p, n), modulus in pinned.items():
+        assert make_field(p, n).modulus == modulus
+        if n < 4:
+            fp = make_field(p)
+            rootless = (
+                tail + (1,)
+                for tail in product(range(p), repeat=n)
+                if all(FqPoly(fp, tail + (1,)).evaluate(x) != 0 for x in range(p))
+            )
+            assert next(rootless) == modulus
 
 
 def test_field_axioms_spot_checks():
@@ -182,3 +210,28 @@ def test_type_counts_add_up():
     sf = type_counts(F, 3, squarefree_only=True)
     assert sum(sf.values()) == 27 - 9
     assert all(sf[lam] <= counts[lam] for lam in sf)
+
+
+def test_type_counts_match_trial_division_reference():
+    # reference: classify every monic polynomial by trial division
+    for (p, n), max_d in (((2, 1), 8), ((3, 1), 5), ((2, 2), 4), ((3, 2), 3)):
+        F = make_field(p, n)
+        ref_field = make_field(p, n)  # separate caches
+        for d in range(1, max_d + 1):
+            irr = _irreducibles_raw(ref_field, d // 2, 10**7)
+            ref_all, ref_sf = {}, {}
+            for tail in product(range(F.q), repeat=d):
+                degs, squarefree = _type_and_squarefree(ref_field, tail + (1,), irr)
+                lam = Partition(degs)
+                ref_all[lam] = ref_all.get(lam, 0) + 1
+                if squarefree:
+                    ref_sf[lam] = ref_sf.get(lam, 0) + 1
+            assert type_counts(F, d) == ref_all, (F, d)
+            assert type_counts(F, d, squarefree_only=True) == ref_sf, (F, d)
+
+
+def test_repeated_irreducible_breaks_unique_factorization():
+    F = make_field(3)
+    F._irr[1] = ((0, 1), (0, 1), (1, 1), (2, 1))  # x listed twice
+    with pytest.raises(ConsistencyError):
+        type_counts(F, 2)
