@@ -19,7 +19,6 @@ from .errors import (
     DegreeMismatch,
     InvalidCharacteristic,
     NotStabilized,
-    SeriesError,
     UnknownStatistic,
 )
 from .exact import UPoly, format_rational, parse_rational
@@ -79,6 +78,10 @@ def resolve_stat(spec: str, d: int) -> ClassFunction:
     if s.startswith("@"):
         with open(s[1:], encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise UnknownStatistic(
+                f"{s[1:]} must hold a JSON object mapping type labels to rationals"
+            )
         values = {
             Partition.parse(key): parse_rational(str(v)) for key, v in raw.items()
         }
@@ -187,9 +190,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
 def cmd_sf_expect(args: argparse.Namespace) -> int:
     normalization = NORM_SF_COUNT if args.normalization == "sfcount" else NORM_Q_POWER
     P = resolve_stat(args.stat, args.d)
-    result = expected_sf(
-        args.d, P, normalization=normalization, series_order=args.order, name=args.stat
-    )
+    result = expected_sf(args.d, P, normalization=normalization, name=args.stat)
     payload = {
         "d": result.d,
         "stat": result.statistic,
@@ -198,10 +199,7 @@ def cmd_sf_expect(args: argparse.Namespace) -> int:
         "route": result.route,
         "checks": list(result.checks),
     }
-    if result.truncated_at is not None:
-        payload["truncated_at"] = result.truncated_at
-    suffix = " (truncated series)" if result.truncated_at is not None else ""
-    lines = [f"{args.d:>3} | {format_inverse_powers(result.value)}{suffix}"]
+    lines = [f"{args.d:>3} | {format_inverse_powers(result.value)}"]
     _emit(args, payload, lines)
     return 0
 
@@ -362,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--normalization", choices=("qpower", "sfcount"), default="qpower",
         help="divide by q^d (qpower) or by the squarefree count (sfcount)",
     )
-    s.add_argument("--order", type=int, default=None,
-                   help="series order when sfcount division is not exact")
 
     s = add("decompose", cmd_decompose, "decompose a statistic into irreducibles")
     s.add_argument("--d", type=int, required=True)
@@ -409,7 +405,6 @@ def main(argv: list[str] | None = None) -> int:
         UnknownStatistic,
         BudgetExceeded,
         NotStabilized,
-        SeriesError,
         DegreeMismatch,
         InvalidCharacteristic,
     ) as exc:

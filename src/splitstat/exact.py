@@ -224,4 +224,7 @@ def format_rational(x: Scalar) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse an "a/b" or "a" string; the inverse of :func:`format_rational`."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

@@ -1,13 +1,14 @@
-"""Expected values of factorization statistics, by every available route.
+"""Expected values of factorization statistics.
 
-The expected value of a statistic P over monic degree-d polynomials can
-be computed two ways: summing P(lam) against the splitting measure, or
-summing inner products against the cohomology characters.  Their
-agreement is the central identity of the subject, so it is asserted on
-every call rather than tested once.  The squarefree variant has the same
-dual structure (with alternating signs on the character side) plus a
-choice of normalization: by q**d, or by the actual squarefree count,
-which divides out a factor of 1 - u.
+The expected value of a statistic P over monic degree-d polynomials is
+sum over lam of P(lam) nu(lam), summed against the splitting measure nu.
+The cohomology characters give no second route: they are defined by
+coefficient inversion, psi_d^k(lam) = z_lam [u**k] nu(lam), so
+sum_k <P, psi_d^k> u**k is the same sum term by term (the tests check
+this identity; the census in `gf` is the independent check).  The
+squarefree variant sums against the squarefree measure, under a choice
+of normalization: by q**d, or by the actual squarefree count, which
+divides out the squarefree density (1 - u for d >= 2, 1 at d = 1).
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, DegreeMismatch, NotStabilized, SeriesError
+from .errors import ConsistencyError, DegreeMismatch, NotStabilized
 from .exact import U_VAR, UPoly, divmod_poly, monomial, series_expand
-from .lie_chars import phi_table, psi_table
 from .measures import SplittingMeasure, sf_splitting_measure, splitting_measure
 from .partitions import partitions_of
-from .sym_chars import CharacterPolynomial, ClassFunction, inner
+from .sym_chars import CharacterPolynomial, ClassFunction
 
 VIA_MEASURE = "measure"
-VIA_PSI = "psi"
-VIA_PHI_SIGNED = "phi_signed"
 
 NORM_Q_POWER = "q_power"
 NORM_SF_COUNT = "sf_count"
@@ -32,7 +30,10 @@ NORM_SF_COUNT = "sf_count"
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """An exact expected value as a polynomial in u = 1/q."""
+    """An exact expected value as a polynomial in u = 1/q.
+
+    `checks` names the checks that ran while computing it.
+    """
 
     d: int
     statistic: str
@@ -40,7 +41,6 @@ class ExpectationResult:
     route: str
     normalization: str | None = None
     checks: tuple[str, ...] = ()
-    truncated_at: int | None = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -52,42 +52,40 @@ class ExpectationResult:
 
 
 def _measure_sum(P: ClassFunction, measure: SplittingMeasure) -> UPoly:
-    out = UPoly(U_VAR, ())
+    # A measure value is a q-degree-d product divided by q**d, so its
+    # u-degree is at most d.
+    total = [Fraction(0)] * (measure.d + 1)
     for lam in partitions_of(measure.d):
         c = P.value(lam)
         if c:
-            out = out + measure.value(lam) * c
-    return out
+            for k, a in enumerate(measure.value(lam).coeffs):
+                total[k] += a * c
+    return UPoly(U_VAR, tuple(total))
 
 
 def _stat_name(P: ClassFunction, name: str | None) -> str:
     return name if name is not None else (P.name or "stat")
 
 
-def expected(d: int, P: ClassFunction, name: str | None = None) -> ExpectationResult:
-    """E_d(P): the mean of P over all monic degree-d polynomials.
-
-    Computed from the splitting measure and cross-checked against the
-    character route sum_k <P, psi_d^k> u**k; the two must agree exactly.
-    """
+def _check_args(d: int, P: ClassFunction) -> None:
     if d < 1:
         raise ValueError("expected values start at degree 1")
     if P.d != d:
         raise DegreeMismatch(f"statistic is for degree {P.d}, not {d}")
-    value = _measure_sum(P, splitting_measure(d))
-    psi = psi_table(d)
-    via_chars = UPoly(U_VAR, tuple(inner(P, psi.row(k)) for k in range(d)))
-    if value != via_chars:
-        raise ConsistencyError(
-            f"measure route {value} and character route {via_chars} disagree "
-            f"for {_stat_name(P, name)} at d={d}"
-        )
+
+
+def expected(d: int, P: ClassFunction, name: str | None = None) -> ExpectationResult:
+    """E_d(P): the mean of P over all monic degree-d polynomials.
+
+    Summed against the splitting measure; its u**k coefficient equals
+    <P, psi_d^k> by the definition of psi.
+    """
+    _check_args(d, P)
     return ExpectationResult(
         d=d,
         statistic=_stat_name(P, name),
-        value=value,
+        value=_measure_sum(P, splitting_measure(d)),
         route=VIA_MEASURE,
-        checks=("psi_route_equal",),
     )
 
 
@@ -95,59 +93,40 @@ def expected_sf(
     d: int,
     P: ClassFunction,
     normalization: str = NORM_Q_POWER,
-    series_order: int | None = None,
     name: str | None = None,
 ) -> ExpectationResult:
     """Squarefree expected value of P, under a choice of normalization.
 
-    NORM_Q_POWER divides the squarefree sum by q**d (so the all-types and
-    squarefree results are directly comparable); NORM_SF_COUNT divides by
-    the squarefree count, giving a true conditional mean.  The second is
-    the first divided by 1 - u; when that division is not exact (it is
-    exact for every d >= 2) the result is a truncated series and
-    series_order must be given.
+    Summed against the squarefree measure; its u**k coefficient equals
+    (-1)**k <P, phi_d^k> by the definition of phi.  NORM_Q_POWER divides
+    the squarefree sum by q**d (so the all-types and squarefree results
+    are directly comparable); NORM_SF_COUNT divides by the squarefree
+    count, giving a true conditional mean.  The second is the first
+    divided by the squarefree density, 1 - u for d >= 2 and 1 at d = 1;
+    that division is always exact, which the "exact_division" check
+    asserts.
     """
-    if d < 1:
-        raise ValueError("expected values start at degree 1")
-    if P.d != d:
-        raise DegreeMismatch(f"statistic is for degree {P.d}, not {d}")
+    _check_args(d, P)
     if normalization not in (NORM_Q_POWER, NORM_SF_COUNT):
         raise ValueError(f"unknown normalization {normalization!r}")
     value = _measure_sum(P, sf_splitting_measure(d))
-    phi = phi_table(d)
-    via_chars = UPoly(
-        U_VAR, tuple(inner(P, phi.row(k)) * (-1) ** k for k in range(d))
-    )
-    if value != via_chars:
-        raise ConsistencyError(
-            f"measure route {value} and character route {via_chars} disagree "
-            f"for squarefree {_stat_name(P, name)} at d={d}"
-        )
-    checks = ["phi_route_equal"]
-    truncated_at = None
+    checks: tuple[str, ...] = ()
     if normalization == NORM_SF_COUNT:
-        density = UPoly(U_VAR, (Fraction(1), Fraction(-1)))  # 1 - u
-        quo, rem = divmod_poly(value, density)
-        if rem.is_zero():
-            value = quo
-            checks.append("exact_division")
-        elif series_order is not None:
-            value = UPoly(U_VAR, tuple(series_expand(value, density, series_order)))
-            truncated_at = series_order
-            checks.append(f"series_to_order_{series_order}")
-        else:
-            raise SeriesError(
-                f"squarefree-count normalization is not an exact polynomial at d={d}; "
-                "pass series_order for a truncated expansion"
+        density = UPoly(U_VAR, (1,) if d == 1 else (1, -1))
+        value, rem = divmod_poly(value, density)
+        if not rem.is_zero():
+            raise ConsistencyError(
+                f"squarefree sum for {_stat_name(P, name)} at d={d} is not "
+                f"divisible by the squarefree density {density}"
             )
+        checks = ("exact_division",)
     return ExpectationResult(
         d=d,
         statistic=_stat_name(P, name),
         value=value,
         route=VIA_MEASURE,
         normalization=normalization,
-        checks=tuple(checks),
-        truncated_at=truncated_at,
+        checks=checks,
     )
 
 

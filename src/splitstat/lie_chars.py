@@ -15,7 +15,6 @@ correctness failure and raises loudly rather than rounding.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -33,15 +32,18 @@ class CharTable:
     """Character values indexed by cohomological degree k and partition.
 
     Rows run over k = 0..d-1; cohomology vanishes beyond that range, and
-    table construction checks it.
+    table construction checks it.  Values are stored as one integer
+    column per partition; `row(k)` builds a class function on request.
     """
 
-    __slots__ = ("d", "kind", "_rows")
+    __slots__ = ("d", "kind", "_columns")
 
-    def __init__(self, d: int, kind: str, rows: dict[int, ClassFunction]) -> None:
+    def __init__(
+        self, d: int, kind: str, columns: dict[Partition, tuple[int, ...]]
+    ) -> None:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_columns", columns)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("CharTable is immutable")
@@ -51,11 +53,16 @@ class CharTable:
         return range(self.d)
 
     def row(self, k: int) -> ClassFunction:
-        return self._rows[k]
+        return ClassFunction(
+            self.d,
+            {lam: self.value(k, lam) for lam in partitions_of(self.d)},
+            name=f"{self.kind}[{self.d},{k}]",
+        )
 
     def value(self, k: int, lam: Partition) -> int:
-        v = self._rows[k].value(lam)
-        return int(v)
+        if k not in self.degrees:
+            raise KeyError(f"degree {k} is outside 0..{self.d - 1}")
+        return self._columns[lam][k]
 
     def to_json(self) -> dict[str, dict[str, int]]:
         return {
@@ -70,7 +77,7 @@ class CharTable:
 def _invert(measure: SplittingMeasure, kind: str) -> CharTable:
     d = measure.d
     sign = -1 if kind == KIND_PHI else 1
-    columns: dict[Partition, list[int]] = {}
+    columns: dict[Partition, tuple[int, ...]] = {}
     for lam in partitions_of(d):
         poly: UPoly = measure.value(lam)
         if poly.degree > d - 1:
@@ -87,16 +94,8 @@ def _invert(measure: SplittingMeasure, kind: str) -> CharTable:
                     f"non-integer character value {v} at k={k}, lam={lam}"
                 )
             col.append(int(v))
-        columns[lam] = col
-    rows = {
-        k: ClassFunction(
-            d,
-            {lam: Fraction(columns[lam][k]) for lam in partitions_of(d)},
-            name=f"{kind}[{d},{k}]",
-        )
-        for k in range(d)
-    }
-    return CharTable(d, kind, rows)
+        columns[lam] = tuple(col)
+    return CharTable(d, kind, columns)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ def test_expect_json_golden_row(capsys):
     assert got["d"] == 3
     assert got["stat"] == "Q"
     assert got["route"] == "measure"
-    assert "psi_route_equal" in got["checks"]
+    assert got["checks"] == []
 
 
 def test_expect_text_mirrors_table_layout(capsys):
@@ -100,6 +100,35 @@ def test_sf_expect_default_normalization(capsys):
     assert got["normalization"] == "q_power"
 
 
+def test_sf_expect_degree_one_conditional_mean_is_one(capsys):
+    code, out, err = run(
+        capsys, "sf-expect", "--d", "1", "--stat", "one", "--normalization", "sfcount"
+    )
+    assert code == 0, err
+    assert out == "  1 | 1\n"
+    got = run_json(
+        capsys, "sf-expect", "--d", "1", "--stat", "one",
+        "--normalization", "sfcount", "--json",
+    )
+    assert got["coeffs"] == ["1"]
+    assert got["checks"] == ["exact_division"]
+    assert "truncated_at" not in got
+
+
+def test_sf_expect_checks_name_only_what_ran(capsys):
+    got = run_json(capsys, "sf-expect", "--d", "3", "--stat", "R", "--json")
+    assert got["checks"] == []
+
+
+def test_sf_expect_order_flag_is_gone(capsys):
+    code, _, err = run(
+        capsys, "sf-expect", "--d", "1", "--stat", "one",
+        "--normalization", "sfcount", "--order", "3",
+    )
+    assert code == 2
+    assert "--order" in err
+
+
 def test_decompose_roots(capsys):
     got = run_json(capsys, "decompose", "--d", "4", "--stat", "R", "--json")
     assert got["components"] == {"[4]": "1", "[3,1]": "1"}
@@ -152,6 +181,24 @@ def test_stat_from_json_file(capsys, tmp_path):
     table.write_text(json.dumps({"[2]": "1", "[1,1]": "0"}))
     got = run_json(capsys, "expect", "--d", "2", "--stat", f"@{table}", "--json")
     assert got["coeffs"] == ["1/2", "-1/2"]
+
+
+def test_stat_file_must_hold_an_object(capsys, tmp_path):
+    table = tmp_path / "stat.json"
+    table.write_text(json.dumps([1, 2]))
+    code, _, err = run(capsys, "expect", "--d", "2", "--stat", f"@{table}")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "JSON object" in err
+
+
+def test_stat_file_zero_denominator_is_usage_error(capsys, tmp_path):
+    table = tmp_path / "stat.json"
+    table.write_text(json.dumps({"[2]": "1/0"}))
+    code, _, err = run(capsys, "expect", "--d", "2", "--stat", f"@{table}")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "zero denominator" in err
 
 
 def test_unknown_statistic_is_usage_error(capsys):

@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from splitstat.errors import DegreeMismatch, NotStabilized, SeriesError
-from splitstat.exact import U_VAR, poly
+from splitstat.errors import DegreeMismatch, NotStabilized
+from splitstat.exact import U_VAR, UPoly, poly
 from splitstat.expect import (
     NORM_SF_COUNT,
     VIA_MEASURE,
@@ -18,11 +18,15 @@ from splitstat.expect import (
     trivial_coeff,
 )
 from splitstat.gf import census, make_field
+from splitstat.lie_chars import phi_table, psi_table
+from splitstat.partitions import partitions_of
 from splitstat.sym_chars import (
     CharacterPolynomial,
     builtin,
     builtin_polynomial,
     even_type,
+    indicator,
+    inner,
     one,
     parse_character_polynomial,
     quadratic_excess,
@@ -47,7 +51,7 @@ def test_quadratic_excess_golden_rows():
 def test_result_metadata():
     r = expected(3, quadratic_excess(3))
     assert (r.d, r.statistic, r.route) == (3, "Q", VIA_MEASURE)
-    assert "psi_route_equal" in r.checks
+    assert r.checks == ()
     assert r.normalization is None
 
 
@@ -124,24 +128,52 @@ def test_squarefree_roots_conditional_mean_is_alternating_geometric():
 
 def test_squarefree_values_match_census():
     F = make_field(3)
-    for d in (2, 3, 4):
+    for d in (1, 2, 3, 4):
+        density = 1 if d == 1 else 1 - Fraction(1, 3)
         for name in ("one", "sgn", "ET", "R", "Q"):
             P = builtin(name, d)
             sf_census = census(F, d, P, squarefree_only=True)
             assert expected_sf(d, P).at_q(3) == sf_census
             conditional = expected_sf(d, P, NORM_SF_COUNT).at_q(3)
-            assert conditional * (1 - Fraction(1, 3)) == sf_census
+            assert conditional * density == sf_census
 
 
 def test_squarefree_degree_one():
     r = expected_sf(1, one(1))
     assert r.value == poly(U_VAR, [1])
-    # dividing by the squarefree density is not exact at d = 1
-    with pytest.raises(SeriesError):
-        expected_sf(1, one(1), NORM_SF_COUNT)
-    truncated = expected_sf(1, one(1), NORM_SF_COUNT, series_order=4)
-    assert truncated.value == poly(U_VAR, [1, 1, 1, 1, 1])
-    assert truncated.truncated_at == 4
+    # every monic linear polynomial is squarefree: the density is 1, so the
+    # conditional mean of the constant 1 is 1
+    conditional = expected_sf(1, one(1), NORM_SF_COUNT)
+    assert conditional.value == poly(U_VAR, [1])
+    assert conditional.checks == ("exact_division",)
+    with pytest.raises(TypeError):
+        expected_sf(1, one(1), NORM_SF_COUNT, series_order=4)
+
+
+def test_expected_values_are_character_inner_products():
+    # psi and phi are defined by inverting the measures, so the measure sum
+    # and the inner products with the character rows agree term by term
+    for d in range(1, 10):
+        stats = [builtin(name, d) for name in ("one", "sgn", "ET", "R", "Q")]
+        stats += [
+            parse_character_polynomial(e).class_function(d) for e in ("x1*x2", "x1^2-x2")
+        ]
+        if d <= 6:
+            stats += [indicator(lam) for lam in partitions_of(d)]
+        psi, phi = psi_table(d), phi_table(d)
+        for P in stats:
+            via_psi = UPoly(U_VAR, tuple(inner(P, psi.row(k)) for k in range(d)))
+            assert via_psi == expected(d, P).value
+            via_phi = UPoly(
+                U_VAR, tuple((-1) ** k * inner(P, phi.row(k)) for k in range(d))
+            )
+            assert via_phi == expected_sf(d, P).value
+
+
+def test_checks_name_only_what_ran():
+    assert expected(4, roots(4)).checks == ()
+    assert expected_sf(4, roots(4)).checks == ()
+    assert expected_sf(4, roots(4), NORM_SF_COUNT).checks == ("exact_division",)
 
 
 def test_main_theorem_census_sweep_subset():
