@@ -25,7 +25,7 @@ for d in range(3, 14):
 
 limit = stable_limit(Q, 9)
 print(f"\nstable limit:  {[int(c) for c in limit.coeffs]}")
-print(f"witnessed at d: {list(limit.stabilized_at)} (first of three agreeing degrees)")
+print(f"stable from d:  {list(limit.stabilized_at)} (each coefficient holds from there on)")
 
 closed = q_limit_closed_form(9)
 print(f"closed form:   {[int(c) for c in closed]}")

@@ -29,9 +29,5 @@ class ConsistencyError(SplitstatError):
     """An identity that must hold internally failed; this signals a bug."""
 
 
-class NotStabilized(SplitstatError):
-    """A limiting coefficient did not settle within the degree cap."""
-
-
 class UnknownStatistic(SplitstatError):
     """A statistic name or expression could not be resolved."""

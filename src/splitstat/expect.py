@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import ConsistencyError, DegreeMismatch, NotStabilized
+from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
 from .exact import U_VAR, UPoly, divmod_poly, monomial, series_expand
-from .measures import SplittingMeasure, sf_splitting_measure, splitting_measure
-from .partitions import partitions_of
+from .measures import SplittingMeasure, _measure_value, sf_splitting_measure, splitting_measure
+from .partitions import Partition, partitions_of
 from .sym_chars import CharacterPolynomial, ClassFunction
 
 VIA_MEASURE = "measure"
@@ -152,9 +153,8 @@ def trivial_coeff(d: int, P: ClassFunction) -> Fraction:
 class StableLimit:
     """Coefficientwise limit of E_d(P) as d grows, with witnesses.
 
-    coeffs[k] is the stable value of the u**k coefficient;
-    stabilized_at[k] is the first d of the run of three consecutive
-    degrees on which that value was observed.
+    coeffs[k] is the limit of the u**k coefficient; stabilized_at[k] is
+    the least d > k from which that coefficient of E_d(P) equals it.
     """
 
     statistic: str
@@ -163,55 +163,86 @@ class StableLimit:
     stabilized_at: tuple[int, ...]
 
 
-def stable_limit(
-    P: CharacterPolynomial, order: int, d_cap: int = 30
-) -> StableLimit:
+# Cap on _limit_cost: about 1.5 s of work on a 2-core host.
+LIMIT_BUDGET = 5_000_000
+
+
+def _limit_cost(P: CharacterPolynomial, order: int) -> int:
+    # A monomial prod_j x_j**e_j of weight w has at most prod_j e_j
+    # binomial terms, each a measure product of e_j factors of degree j
+    # plus passes over w + 1 Fraction coefficients, then prefix sums and
+    # a convolution up to u**order; weights fit the slowest timed inputs.
+    cost = 0
+    for mono, _ in P.terms:
+        terms, parts, w, product = 1, 0, 0, 0
+        for j, e in mono:
+            product += (j + 1) * (e * (w + 1) + j * e * (e - 1) // 2)
+            terms, parts, w = terms * e, parts + e, w + j * e
+        cost += terms * (8 * product + 128 * (w + 1) + (parts + min(w, order) + 1) * (order + 1))
+    return cost
+
+
+def _binomial_terms(P: CharacterPolynomial) -> dict[Partition, Fraction]:
+    # P in the basis prod_j C(x_j, m_j), keyed by the partition with m_j
+    # parts j; x*C(x,m) = m*C(x,m) + (m+1)*C(x,m+1) expands each x_j**e.
+    out: dict[tuple[int, ...], Fraction] = {}
+    for mono, c in P.terms:
+        partial = {(): c}
+        for j, e in mono:
+            a = [1]
+            for _ in range(e):
+                a = [m * (x + y) for m, (x, y) in enumerate(zip(a + [0], [0] + a))]
+            partial = {
+                k + (j,) * m: v * am for k, v in partial.items() for m, am in enumerate(a) if am
+            }
+        for k, v in partial.items():
+            out[k] = out.get(k, 0) + v
+    return {Partition(k): v for k, v in out.items() if v}
+
+
+def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
     """Limit of the first `order`+1 coefficients of E_d(P) as d grows.
 
-    A statistic given by a character polynomial has eventually constant
-    coefficients; each coefficient is accepted once it agrees for three
-    consecutive d (sampled only for d > k, where the coefficient is a
-    genuine character multiplicity rather than a vanishing artifact).
+    For lam with m_j parts j and weight w, unique factorization gives
+    E_d(prod_j C(x_j, m_j)) = nu_w(lam) * [prod_j (1 - u**j)**(-m_j)],
+    the series truncated after u**(d - w), with nu_w the splitting
+    measure (the point counting of Church-Ellenberg-Farb,
+    arXiv:1309.6038).  The limit drops the truncation.  Each degree adds
+    one series coefficient per term, so stabilized_at[k] is the larger
+    of k + 1 and the last d whose summed u**k increment is nonzero.
+    Raises BudgetExceeded when _limit_cost exceeds LIMIT_BUDGET.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if d_cap < 3:
-        raise ValueError("d_cap must allow at least three degrees")
-    pending = set(range(order + 1))
-    settled_value: dict[int, Fraction] = {}
-    settled_at: dict[int, int] = {}
-    last: dict[int, Fraction] = {}
-    run_start: dict[int, int] = {}
-    run_len: dict[int, int] = {}
-    for d in range(1, d_cap + 1):
-        e = expected(d, P.class_function(d), name=P.name or str(P))
-        for k in sorted(pending):
-            if d < k + 1:
-                continue
-            v = e.value.coeff(k)
-            if k in last and v == last[k] and run_start[k] + run_len[k] == d:
-                run_len[k] += 1
-            else:
-                run_start[k] = d
-                run_len[k] = 1
-            last[k] = v
-            if run_len[k] == 3:
-                settled_value[k] = v
-                settled_at[k] = run_start[k]
-                pending.discard(k)
-        if not pending:
-            break
-    if pending:
-        k = min(pending)
-        raise NotStabilized(
-            f"coefficient of u^{k} for {P.name or P} did not settle on three "
-            f"consecutive degrees by d_cap={d_cap}; raise the cap"
+    name = P.name or str(P)
+    if (cost := _limit_cost(P, order)) > LIMIT_BUDGET:
+        raise BudgetExceeded(
+            f"limit of {name} to order {order} needs about {cost} work units, "
+            f"over the cap of {LIMIT_BUDGET}"
         )
+    terms = [
+        (lam, [c * a for a in _measure_value(lam, with_repetition=True).coeffs[: order + 1]])
+        for lam, c in _binomial_terms(P).items()
+    ]
+    den = lcm(*(a.denominator for _, nu in terms for a in nu))
+    # incr[k][d]: den times the change in [u**k] E_d(P) from d - 1 to d
+    incr: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for lam, nu in terms:
+        b = [1] + [0] * order
+        for j in lam.parts:
+            for s in range(j, order + 1):
+                b[s] += b[s - j]
+        nums = [a.numerator * (den // a.denominator) for a in nu]
+        for s, bs in enumerate(b):
+            for i, a in enumerate(nums[: order + 1 - s]):
+                incr[i + s][lam.d + s] = incr[i + s].get(lam.d + s, 0) + a * bs
     return StableLimit(
-        statistic=P.name or str(P),
+        statistic=name,
         order=order,
-        coeffs=tuple(settled_value[k] for k in range(order + 1)),
-        stabilized_at=tuple(settled_at[k] for k in range(order + 1)),
+        coeffs=tuple(Fraction(sum(row.values()), den) for row in incr),
+        stabilized_at=tuple(
+            max([k + 1] + [d for d, x in row.items() if x]) for k, row in enumerate(incr)
+        ),
     )
 
 

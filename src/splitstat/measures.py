@@ -16,43 +16,29 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import ConsistencyError
-from .exact import Q_VAR, UPoly, monomial, over_q_power
+from .exact import Q_VAR, UPoly, over_q_power
 from .partitions import Partition, partitions_of
 
 FLAVOR_ALL = "all"
 FLAVOR_SQUAREFREE = "squarefree"
 
 
-def _mobius(m: int) -> int:
-    if m == 1:
-        return 1
-    result = 1
-    i = 2
-    while i * i <= m:
-        if m % i == 0:
-            m //= i
-            if m % i == 0:
-                return 0
-            result = -result
-        i += 1
-    if m > 1:
-        result = -result
-    return result
-
-
 @lru_cache(maxsize=None)
 def necklace(d: int) -> UPoly:
     """Number of monic irreducible degree-d polynomials, as a polynomial in q.
 
-    (1/d) * sum over e | d of mu(e) * q**(d/e).
+    Unique factorization counts the q**d monic polynomials of degree d
+    by their irreducible factors: q**d = sum over e | d of e * necklace(e).
     """
     if d < 1:
         raise ValueError("necklace polynomials start at degree 1")
-    total = UPoly(Q_VAR, ())
-    for e in range(1, d + 1):
+    coeffs = [0] * d + [1]
+    for e in range(1, d):
         if d % e == 0:
-            total = total + monomial(Q_VAR, d // e, _mobius(e))
-    return total * Fraction(1, d)
+            for k, c in enumerate(necklace(e).coeffs):
+                if c:
+                    coeffs[k] -= e * c
+    return UPoly(Q_VAR, tuple(Fraction(c, d) for c in coeffs))
 
 
 class SplittingMeasure:

@@ -308,25 +308,14 @@ class CharacterPolynomial:
         """C(x_j, b) expanded into monomials in x_j."""
         if b < 0:
             raise ValueError("binomial order must be nonnegative")
-        # Falling factorial x(x-1)...(x-b+1) as dense coefficients in x.
-        coeffs = [Fraction(1)]
+        out = cls.constant(1)
         for i in range(b):
-            shifted = [Fraction(0)] + coeffs
-            coeffs = [s - i * c for s, c in zip(shifted, coeffs + [Fraction(0)])]
-        table: dict[Monomial, Fraction] = {}
-        fb = factorial(b)
-        for e, c in enumerate(coeffs):
-            if c:
-                mono: Monomial = () if e == 0 else ((j, e),)
-                table[mono] = c / fb
-        return cls(_norm_terms(table))
-
-    def _table(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
+            out = out * (cls.variable(j) - i)
+        return out * Fraction(1, factorial(b))
 
     def __add__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
         o = other if isinstance(other, CharacterPolynomial) else CharacterPolynomial.constant(other)
-        table = self._table()
+        table = dict(self.terms)
         for m, c in o.terms:
             table[m] = table.get(m, Fraction(0)) + c
         return CharacterPolynomial(_norm_terms(table))
@@ -361,8 +350,12 @@ class CharacterPolynomial:
         if e < 0:
             raise ValueError("negative exponents are not defined")
         out = CharacterPolynomial.constant(1)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
         return out
 
     def evaluate(self, lam: Partition) -> Fraction:
@@ -507,11 +500,11 @@ class _Parser:
             rhs = self.unary()
             if op == "*":
                 result = result * rhs
+            elif not rhs.terms:
+                raise UnknownStatistic(f"division by zero in {self.text!r}")
+            elif len(rhs.terms) != 1 or rhs.terms[0][0] != ():
+                raise UnknownStatistic(f"division is only defined by constants in {self.text!r}")
             else:
-                if len(rhs.terms) != 1 or rhs.terms[0][0] != ():
-                    raise UnknownStatistic(
-                        f"division is only defined by constants in {self.text!r}"
-                    )
                 result = result * (1 / rhs.terms[0][1])
         return result
 

@@ -151,11 +151,11 @@ def test_c08_measure_identities():
 
 def test_c09_stable_limits():
     with criterion("criterion 9: coefficientwise stable limits"):
-        limit = stable_limit(builtin_polynomial("Q"), 9, d_cap=30)
+        limit = stable_limit(builtin_polynomial("Q"), 9)
         assert list(limit.coeffs) == [0, 2, 2, 4, 4, 6, 6, 8, 8, 10]
         assert limit.coeffs == tuple(q_limit_closed_form(9))
         assert all(d <= 30 for d in limit.stabilized_at)
-        ones = stable_limit(builtin_polynomial("R"), 8, d_cap=30)
+        ones = stable_limit(builtin_polynomial("R"), 8)
         assert list(ones.coeffs) == [1] * 9
         assert all(d <= 30 for d in ones.stabilized_at)
 

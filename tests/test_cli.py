@@ -1,6 +1,9 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 
 import json
+import time
+
+import pytest
 
 from splitstat import cli
 from splitstat.cli import main
@@ -152,6 +155,20 @@ def test_limit_accepts_expressions(capsys):
     assert got["coeffs"] == ["0", "2", "2", "4"]
 
 
+def test_limit_below_weight(capsys):
+    got = run_json(capsys, "limit", "--stat", "x4", "--order", "0", "--json")
+    assert got["coeffs"] == ["1/4"]
+    assert got["stabilized_at"] == {"0": 4}
+    code, out, _ = run(capsys, "limit", "--stat", "x4", "--order", "0")
+    assert code == 0
+    assert "k=0: 1/4  (stable from d=4)" in out
+
+
+def test_limit_high_order(capsys):
+    got = run_json(capsys, "limit", "--stat", "Q", "--order", "40", "--json")
+    assert got["coeffs"][39:] == ["40", "40"]
+
+
 def test_irreducibles_counts(capsys):
     got = run_json(capsys, "irreducibles", "--q", "2", "--max-degree", "4", "--json")
     assert got["counts"] == {"1": 2, "2": 1, "3": 2, "4": 3}
@@ -244,12 +261,6 @@ def test_verify_reports_broken_unique_factorization(capsys, monkeypatch):
     assert "internal consistency failure" in err
 
 
-def test_nonstabilized_limit_is_usage_error(capsys):
-    code, _, err = run(capsys, "limit", "--stat", "Q", "--order", "5", "--d-cap", "4")
-    assert code == 2
-    assert "settle" in err
-
-
 def test_limit_rejects_non_polynomial_statistics(capsys):
     code, _, err = run(capsys, "limit", "--stat", "sgn", "--order", "2")
     assert code == 2
@@ -269,3 +280,26 @@ def test_byte_identical_reruns(capsys):
     first = run(capsys, "psi", "--d", "4", "--json")
     second = run(capsys, "psi", "--d", "4", "--json")
     assert first == second
+
+
+# Bad inputs, each with a fragment of the message it must give.
+BAD_INPUTS = {
+    "expect-division-by-zero": (("expect", "--d", "3", "--stat", "x1/0"), "division by zero"),
+    "limit-division-by-zero": (("limit", "--stat", "x1/0", "--order", "1"), "division by zero"),
+    "limit-dangling-power": (("limit", "--stat", "x1^", "--order", "1"), "unexpected end"),
+    "limit-negative-order": (("limit", "--stat", "Q", "--order", "-1"), "nonnegative"),
+    "limit-d-cap": (("limit", "--stat", "Q", "--order", "3", "--d-cap", "30"), "--d-cap"),
+    "limit-sign": (("limit", "--stat", "sgn", "--order", "2"), "character polynomial"),
+    "limit-huge-power": (("limit", "--stat", "x1^100000000", "--order", "1"), "cap of"),
+    "limit-huge-order": (("limit", "--stat", "Q", "--order", "10000000"), "cap of"),
+}
+
+
+@pytest.mark.parametrize("argv,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_fast(capsys, argv, message):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err

@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from splitstat.errors import DegreeMismatch, NotStabilized
+from splitstat import expect
+from splitstat.errors import BudgetExceeded, DegreeMismatch
 from splitstat.exact import U_VAR, UPoly, poly
 from splitstat.expect import (
     NORM_SF_COUNT,
@@ -19,6 +20,7 @@ from splitstat.expect import (
 )
 from splitstat.gf import census, make_field
 from splitstat.lie_chars import phi_table, psi_table
+from splitstat.measures import splitting_measure
 from splitstat.partitions import partitions_of
 from splitstat.sym_chars import (
     CharacterPolynomial,
@@ -209,11 +211,6 @@ def test_stable_limit_reports_witnesses():
         assert d_seen >= k + 1
 
 
-def test_stable_limit_cap_error_names_coefficient():
-    with pytest.raises(NotStabilized, match="u\\^1"):
-        stable_limit(builtin_polynomial("Q"), 1, d_cap=3)
-
-
 def test_closed_form_prefix():
     assert q_limit_closed_form(0) == [0]
     assert q_limit_closed_form(2) == [0, 2, 2]
@@ -226,3 +223,61 @@ def test_stable_limit_of_higher_binomial():
     limit = stable_limit(cp, 3)
     e20 = expected(20, cp.class_function(20)).value
     assert limit.coeffs == tuple(e20.coeff(k) for k in range(4))
+
+
+# The five limit statistics of the benchmark, the built-ins, and
+# statistics that vanish below their weight, where agreement on a run of
+# small degrees says nothing about the limit.
+ROUTE_STATS = (
+    "one", "R", "Q", "x2", "x4", "x5", "x1*x3", "x1*x2*x3", "x1^3",
+    "x1*x2", "2*x1*x2", "x1*x2-x2", "(x1-1)*x2", "x1*x2+x1",
+)
+
+
+@pytest.mark.parametrize("spec", ROUTE_STATS)
+def test_stable_limit_matches_partition_route(spec):
+    # The limit comes from the generating function; each E_d here is the
+    # sum against the splitting measure.  From stabilized_at[k] on, the
+    # u**k coefficient equals the limit; one degree earlier it differs,
+    # unless that degree is k or less.
+    order = 8
+    if spec in ("one", "R", "Q"):
+        P = builtin_polynomial(spec)
+    else:
+        P = parse_character_polynomial(spec)
+    limit = stable_limit(P, order)
+    top = max(limit.stabilized_at) + 2
+    values = {d: expected(d, P.class_function(d)).value for d in range(1, top + 1)}
+    for k, (c, start) in enumerate(zip(limit.coeffs, limit.stabilized_at)):
+        assert start >= k + 1
+        for d in range(start, top + 1):
+            assert values[d].coeff(k) == c, (k, d)
+        if start - 1 > k:
+            assert values[start - 1].coeff(k) != c, (k, start)
+
+
+def test_stable_limit_below_weight():
+    # x4 vanishes for d < 4, but E_d(x4) has constant term 1/4 from d = 4
+    limit = stable_limit(parse_character_polynomial("x4"), 2)
+    assert limit.coeffs == (Fraction(1, 4), 0, Fraction(-1, 4))
+    assert limit.stabilized_at == (4, 2, 4)
+
+
+def test_stable_limit_builds_no_measure_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stable_limit must not sample E_d")
+
+    monkeypatch.setattr(expect, "expected", forbidden)
+    monkeypatch.setattr(expect, "splitting_measure", forbidden)
+    sizes = (splitting_measure.cache_info().currsize, partitions_of.cache_info().currsize)
+    limit = stable_limit(builtin_polynomial("Q"), 40)
+    assert (splitting_measure.cache_info().currsize, partitions_of.cache_info().currsize) == sizes
+    assert limit.coeffs == tuple(q_limit_closed_form(40))
+    assert limit.stabilized_at[40] == 42
+
+
+def test_stable_limit_cost_cap():
+    with pytest.raises(BudgetExceeded, match=f"cap of {expect.LIMIT_BUDGET}"):
+        stable_limit(parse_character_polynomial("x1^100000000"), 1)
+    with pytest.raises(BudgetExceeded, match="order 10000000"):
+        stable_limit(builtin_polynomial("Q"), 10_000_000)

@@ -220,6 +220,22 @@ def test_parse_rejects_bad_expressions():
             parse_character_polynomial(bad)
 
 
+def test_parse_names_division_by_zero():
+    for bad in ("x1/0", "x1/(x2-x2)", "1/(1-1)"):
+        with pytest.raises(UnknownStatistic, match="division by zero"):
+            parse_character_polynomial(bad)
+
+
+def test_power_squares_repeatedly():
+    huge = parse_character_polynomial("x1^100000000")
+    assert huge.terms == ((((1, 100000000),), Fraction(1)),)
+    p = parse_character_polynomial("x1 + 2*x2 - 1/3")
+    product = CharacterPolynomial.constant(1)
+    for e in range(8):
+        assert (p**e).terms == product.terms
+        product = product * p
+
+
 def test_character_polynomial_str_roundtrip():
     cp = builtin_polynomial("Q")
     again = parse_character_polynomial(str(cp))
