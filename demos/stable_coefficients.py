@@ -7,12 +7,9 @@ computed in closed form as a rational function of q; for the quadratic
 excess the two computations agree to every order we ask for.
 """
 
-from splitstat import (
-    builtin_polynomial,
-    expected,
-    q_limit_closed_form,
-    stable_limit,
-)
+from fractions import Fraction
+
+from splitstat import builtin_polynomial, expected, stable_limit
 from splitstat.cli import format_inverse_powers
 
 Q = builtin_polynomial("Q")
@@ -27,7 +24,9 @@ limit = stable_limit(Q, 9)
 print(f"\nstable limit:  {[int(c) for c in limit.coeffs]}")
 print(f"stable from d:  {list(limit.stabilized_at)} (each coefficient holds from there on)")
 
-closed = q_limit_closed_form(9)
+# (1/2)(1 + u)/(1 - u)^2 - (1/2)(1 - u)/(1 - u^2) has u^k coefficient
+# ((2k + 1) - (-1)^k)/2.
+closed = [Fraction((2 * k + 1) - (-1) ** k, 2) for k in range(10)]
 print(f"closed form:   {[int(c) for c in closed]}")
 assert list(limit.coeffs) == closed
 

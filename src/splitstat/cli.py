@@ -3,8 +3,9 @@
 Every command is pure with respect to its arguments and prints
 deterministic output; rationals are rendered as "a/b" strings, never
 floats.  Exit codes: 0 on success, 2 on usage errors (unknown statistic,
-exceeded budget or limit cost cap, bad flags), 1 on an internal
-consistency failure, i.e. a violated identity that should never occur.
+a statistic over a parse or print-size cap, exceeded budget or limit
+cost cap, bad flags), 1 on an internal consistency failure, i.e. a
+violated identity that should never occur.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     InvalidCharacteristic,
     UnknownStatistic,
 )
-from .exact import UPoly, format_rational, parse_rational
+from .exact import UPoly, format_rational
 from .expect import (
     NORM_Q_POWER,
     NORM_SF_COUNT,
@@ -38,16 +39,9 @@ from .gf import (
 )
 from .lie_chars import phi_table, psi_table
 from .measures import necklace, sf_splitting_measure, splitting_measure
-from .partitions import Partition, partitions_of
-from .sym_chars import (
-    ClassFunction,
-    builtin,
-    builtin_names,
-    builtin_polynomial,
-    decompose,
-    indicator,
-    parse_character_polynomial,
-)
+from .partitions import partitions_of
+from .sym_chars import decompose, polynomial_statistic
+from .sym_chars import resolve as resolve_stat  # a --stat argument at degree d
 
 
 def _parse_q(text: str) -> tuple[int, int]:
@@ -60,44 +54,6 @@ def _parse_q(text: str) -> tuple[int, int]:
         return int(p_str), int(n_str)
     except ValueError:
         raise UnknownStatistic(f"--q expects p or p^n, got {text!r}") from None
-
-
-def resolve_stat(spec: str, d: int) -> ClassFunction:
-    """Resolve a --stat argument into a class function on partitions of d."""
-    s = spec.strip()
-    if s in builtin_names() or s == "1":
-        return builtin(s, d)
-    if s.startswith("ind:"):
-        lam = Partition.parse(s[len("ind:"):])
-        if lam.d != d:
-            raise UnknownStatistic(
-                f"indicator partition {lam.label()} has size {lam.d}, not d={d}"
-            )
-        return indicator(lam)
-    if s.startswith("@"):
-        with open(s[1:], encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise UnknownStatistic(
-                f"{s[1:]} must hold a JSON object mapping type labels to rationals"
-            )
-        values = {
-            Partition.parse(key): parse_rational(str(v)) for key, v in raw.items()
-        }
-        return ClassFunction(d, values, name=s)
-    return parse_character_polynomial(s).class_function(d)
-
-
-def _resolve_polynomial_stat(spec: str):
-    s = spec.strip()
-    if s in ("one", "1", "R", "Q"):
-        return builtin_polynomial(s)
-    if s in ("sgn", "ET") or s.startswith(("ind:", "@")):
-        raise UnknownStatistic(
-            f"limits need a statistic defined uniformly in d: {s!r} is not "
-            "a character polynomial (use one, R, Q, or an expression in x1, x2, ...)"
-        )
-    return parse_character_polynomial(s)
 
 
 def format_inverse_powers(p: UPoly) -> str:
@@ -222,7 +178,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
-    P = _resolve_polynomial_stat(args.stat)
+    P = polynomial_statistic(args.stat)
     result = stable_limit(P, args.order)
     payload = {
         "stat": result.statistic,

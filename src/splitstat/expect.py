@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
-from .exact import U_VAR, UPoly, divmod_poly, monomial, series_expand
+from .exact import U_VAR, UPoly, divmod_poly
 from .measures import SplittingMeasure, _measure_value, sf_splitting_measure, splitting_measure
 from .partitions import Partition, partitions_of
 from .sym_chars import CharacterPolynomial, ClassFunction
@@ -245,21 +245,3 @@ def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
         ),
     )
 
-
-def q_limit_closed_form(order: int) -> list[Fraction]:
-    """Series coefficients of the closed-form large-d limit for the
-    quadratic-excess statistic:
-
-        (1/2)(1 + u)/(1 - u)**2 - (1/2)(1 - u)/(1 - u**2),
-
-    expanded exactly to the requested order.
-    """
-    one = UPoly(U_VAR, (Fraction(1),))
-    u = monomial(U_VAR, 1)
-    num1 = (one + u) * Fraction(1, 2)
-    den1 = (one - u) ** 2
-    num2 = (one - u) * Fraction(1, 2)
-    den2 = one - u * u
-    numer = num1 * den2 - num2 * den1
-    denom = den1 * den2
-    return series_expand(numer, denom, order)

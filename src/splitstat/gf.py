@@ -86,9 +86,6 @@ class FqField:
             e = e * self.p + c
         return e
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _ext_mul(self, a: int, b: int) -> int:

@@ -4,20 +4,25 @@ A factorization statistic is exactly a rational-valued class function:
 its value on a polynomial depends only on the factorization type, i.e.
 on a partition of d.  This module provides the inner product, irreducible
 characters via border-strip (Murnaghan-Nakayama) recursion, hook-length
-dimensions, decomposition into irreducibles, the built-in statistics,
-and character polynomials (statistics defined uniformly in d as
-polynomials in the part-count functions x_1, x_2, ...).
+dimensions, decomposition into irreducibles, character polynomials
+(statistics defined uniformly in d as polynomials in the part-count
+functions x_1, x_2, ...), the built-in statistics, and `statistic`, which
+decides what a statistic spec such as "Q", "ind:[2,1]" or "x1^2 - x2"
+means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property, lru_cache, partial
+from math import factorial, lcm
 from typing import Callable, Iterable, Mapping
 
-from .errors import DegreeMismatch, UnknownStatistic
+from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
+from .exact import parse_rational
 from .partitions import Partition, partitions_of
 
 Scalar = Fraction | int
@@ -38,7 +43,7 @@ class ClassFunction:
         for lam, v in values.items():
             if lam.d != d:
                 raise DegreeMismatch(f"partition {lam} does not have size {d}")
-            table[lam] = Fraction(v)
+            table[lam] = v if isinstance(v, Fraction) else Fraction(v)
         for lam in partitions_of(d):
             table.setdefault(lam, Fraction(0))
         object.__setattr__(self, "d", d)
@@ -207,69 +212,6 @@ def reconstruct(d: int, coefficients: Mapping[Partition, Scalar]) -> ClassFuncti
 
 
 # ---------------------------------------------------------------------------
-# Built-in statistics
-# ---------------------------------------------------------------------------
-
-def one(d: int) -> ClassFunction:
-    """The trivial character."""
-    return ClassFunction.from_function(d, lambda lam: 1, name="one")
-
-
-def sgn(d: int) -> ClassFunction:
-    """The sign character."""
-    return ClassFunction.from_function(d, lambda lam: lam.sign(), name="sgn")
-
-
-def roots(d: int) -> ClassFunction:
-    """R: number of roots in the base field, with multiplicity (= x_1)."""
-    return ClassFunction.from_function(d, lambda lam: lam.mult(1), name="R")
-
-
-def quadratic_excess(d: int) -> ClassFunction:
-    """Q: reducible minus irreducible quadratic factors, C(x_1, 2) - x_2."""
-    return ClassFunction.from_function(
-        d, lambda lam: Fraction(lam.mult(1) * (lam.mult(1) - 1), 2) - lam.mult(2), name="Q"
-    )
-
-
-def even_type(d: int) -> ClassFunction:
-    """ET: indicator of even factorization type, (1 + sgn)/2."""
-    return ClassFunction.from_function(
-        d, lambda lam: Fraction(1 + lam.sign(), 2), name="ET"
-    )
-
-
-def indicator(lam0: Partition) -> ClassFunction:
-    """The statistic that is 1 on one factorization type and 0 elsewhere."""
-    return ClassFunction(lam0.d, {lam0: Fraction(1)}, name=f"ind:{lam0.label()}")
-
-
-_BUILTINS: dict[str, Callable[[int], ClassFunction]] = {
-    "one": one,
-    "1": one,
-    "sgn": sgn,
-    "ET": even_type,
-    "R": roots,
-    "Q": quadratic_excess,
-}
-
-
-def builtin(name: str, d: int) -> ClassFunction:
-    """Look up a built-in statistic by name ("one", "sgn", "ET", "R", "Q")."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
-        raise UnknownStatistic(
-            f"unknown statistic {name!r}; known names: one, sgn, ET, R, Q"
-        ) from None
-    return factory(d)
-
-
-def builtin_names() -> tuple[str, ...]:
-    return ("one", "sgn", "ET", "R", "Q")
-
-
-# ---------------------------------------------------------------------------
 # Character polynomials
 # ---------------------------------------------------------------------------
 
@@ -334,45 +276,72 @@ class CharacterPolynomial:
 
     def __mul__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
         o = other if isinstance(other, CharacterPolynomial) else CharacterPolynomial.constant(other)
-        table: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in o.terms:
+        den1, terms1 = self._integer_terms
+        den2, terms2 = o._integer_terms
+        table: dict[Monomial, int] = {}
+        for m1, c1 in terms1:
+            for m2, c2 in terms2:
                 exps: dict[int, int] = dict(m1)
                 for j, e in m2:
                     exps[j] = exps.get(j, 0) + e
                 mono = tuple(sorted(exps.items()))
-                table[mono] = table.get(mono, Fraction(0)) + c1 * c2
-        return CharacterPolynomial(_norm_terms(table))
+                table[mono] = table.get(mono, 0) + c1 * c2
+        den = den1 * den2
+        return CharacterPolynomial(_norm_terms({m: Fraction(c, den) for m, c in table.items()}))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "CharacterPolynomial":
-        if e < 0:
-            raise ValueError("negative exponents are not defined")
-        out = CharacterPolynomial.constant(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, CharacterPolynomial.__mul__)
+
+    @cached_property
+    def _integer_terms(self) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
+        # One common denominator, so products and values multiply integers.
+        den = lcm(*(c.denominator for _, c in self.terms))
+        return den, tuple((m, c.numerator * (den // c.denominator)) for m, c in self.terms)
 
     def evaluate(self, lam: Partition) -> Fraction:
         """Value at one partition (substitute the part counts of lam)."""
-        total = Fraction(0)
-        for mono, c in self.terms:
-            term = c
+        den, terms = self._integer_terms
+        total = 0
+        for mono, n in terms:
             for j, e in mono:
-                term *= Fraction(lam.mult(j)) ** e
-            total += term
-        return total
+                n *= lam.mult(j) ** e
+            total += n
+        return Fraction(total, den)
 
     def class_function(self, d: int) -> ClassFunction:
-        """The statistic this expression defines on partitions of d."""
+        """The statistic this expression defines on partitions of d.
+
+        Raises BudgetExceeded, before evaluating anything, when a value
+        at d could have more digits than Python prints
+        (sys.get_int_max_str_digits()).
+        """
         if d < 0:
             raise ValueError("d must be nonnegative")
-        return ClassFunction.from_function(d, self.evaluate, name=self.name or str(self))
+        name = self.name or str(self)
+        if (bits := _print_bits()) and not self._printable(d, bits):
+            raise BudgetExceeded(
+                f"values of {name} at d={d} can exceed {sys.get_int_max_str_digits()} "
+                "digits, the limit for printing integers"
+            )
+        return ClassFunction.from_function(d, self.evaluate, name=name)
+
+    def _printable(self, d: int, bits: int) -> bool:
+        # Every value at d is at most the sum over terms of |numerator| times
+        # prod_j (d // j)**e_j, over the common denominator, as x_j <= d // j;
+        # a bit-length screen refuses huge powers before computing them.
+        den, terms = self._integer_terms
+        bound = 0
+        for mono, n in terms:
+            size = abs(n)
+            for j, e in mono:
+                m = d // j
+                if size and size.bit_length() + e * (m.bit_length() - 1) > bits:
+                    return False
+                size *= m**e
+            bound += size
+        return max(bound, den).bit_length() <= bits
 
     def __str__(self) -> str:
         if not self.terms:
@@ -394,38 +363,6 @@ class CharacterPolynomial:
         for chunk in chunks[1:]:
             text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
         return text
-
-
-def cp_one() -> CharacterPolynomial:
-    return CharacterPolynomial.constant(1, name="one")
-
-
-def cp_roots() -> CharacterPolynomial:
-    return CharacterPolynomial.variable(1, name="R")
-
-
-def cp_quadratic_excess() -> CharacterPolynomial:
-    p = CharacterPolynomial.binomial(1, 2) - CharacterPolynomial.binomial(2, 1)
-    return CharacterPolynomial(p.terms, name="Q")
-
-
-_BUILTIN_POLYNOMIALS: dict[str, Callable[[], CharacterPolynomial]] = {
-    "one": cp_one,
-    "1": cp_one,
-    "R": cp_roots,
-    "Q": cp_quadratic_excess,
-}
-
-
-def builtin_polynomial(name: str) -> CharacterPolynomial:
-    """Built-in statistics expressible as character polynomials."""
-    try:
-        return _BUILTIN_POLYNOMIALS[name]()
-    except KeyError:
-        raise UnknownStatistic(
-            f"{name!r} is not a character-polynomial statistic; "
-            "use one, R, Q, or an expression in x1, x2, ..."
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +398,37 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _power(p: CharacterPolynomial, e: int, mul) -> CharacterPolynomial:
+    # Square and multiply with `mul`, skipping the square after the top bit.
+    if e < 0:
+        raise ValueError("negative exponents are not defined")
+    out = CharacterPolynomial.constant(1)
+    while e:
+        if e & 1:
+            out = mul(out, p)
+        e >>= 1
+        if e:
+            p = mul(p, p)
+    return out
+
+
+# Caps on parsing an expression: parenthesis depth (the parser recurses
+# once per level), and the work of expanding products and powers.  A
+# product counts 16 units plus, per pair of terms, 2 units, 2 per
+# variable of the widest monomial and 1 per 256 coefficient bits; a unit
+# is under 1.5 us on a 2-core host, so the cap is about 0.3 s of work.
+MAX_NESTING = 150
+PARSE_BUDGET = 200_000
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+        self.work = 0
+        self.bits = _print_bits()
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -485,59 +448,102 @@ class _Parser:
             )
         return result
 
+    def mul(self, a: CharacterPolynomial, b: CharacterPolynomial) -> CharacterPolynomial:
+        """a * b, refused before multiplying when over a cap."""
+        bits = _coefficient_bits(a, self.bits) + _coefficient_bits(b, self.bits)
+        if self.bits and bits > self.bits:
+            raise BudgetExceeded(
+                f"coefficients of {self.text!r} can exceed {sys.get_int_max_str_digits()} "
+                "digits, the limit for printing integers"
+            )
+        width = max((len(m) for m, _ in a.terms + b.terms), default=0)
+        self.work += 16 + len(a.terms) * len(b.terms) * (2 + 2 * width + bits // 256)
+        if self.work > PARSE_BUDGET:
+            raise BudgetExceeded(
+                f"expanding {self.text!r} needs more than the cap of {PARSE_BUDGET} "
+                "work units (pairs of terms multiplied, weighted by their size)"
+            )
+        return a * b
+
     def expr(self) -> CharacterPolynomial:
-        result = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
+        # One table for the whole sum, so a long sum costs linear time.
+        table: dict[Monomial, Fraction] = {}
+        sign = 1
+        while True:
+            for m, c in self.term().terms:
+                table[m] = table.get(m, 0) + sign * c
+            if self.peek() not in ("+", "-"):
+                return CharacterPolynomial(_norm_terms(table))
+            sign = 1 if self.take() == "+" else -1
 
     def term(self) -> CharacterPolynomial:
-        result = self.unary()
+        result = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()
-            rhs = self.unary()
+            rhs = self.factor()
             if op == "*":
-                result = result * rhs
+                result = self.mul(result, rhs)
             elif not rhs.terms:
                 raise UnknownStatistic(f"division by zero in {self.text!r}")
             elif len(rhs.terms) != 1 or rhs.terms[0][0] != ():
                 raise UnknownStatistic(f"division is only defined by constants in {self.text!r}")
             else:
-                result = result * (1 / rhs.terms[0][1])
+                result = self.mul(result, CharacterPolynomial.constant(1 / rhs.terms[0][1]))
         return result
 
-    def unary(self) -> CharacterPolynomial:
+    def factor(self) -> CharacterPolynomial:
+        # Signs, then an atom, then an optional ^ with an integer exponent.
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        result = self.power()
-        return result if sign == 1 else -result
-
-    def power(self) -> CharacterPolynomial:
-        base = self.atom()
+        result = self.atom()
         if self.peek() == "^":
             self.take()
             tok = self.take()
             if not tok.isdigit():
                 raise UnknownStatistic(f"exponent must be a nonnegative integer in {self.text!r}")
-            return base ** int(tok)
-        return base
+            result = _power(result, int(tok), self.mul)
+        return result if sign == 1 else -result
 
     def atom(self) -> CharacterPolynomial:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise UnknownStatistic(
+                    f"statistic nests parentheses deeper than {MAX_NESTING} levels"
+                )
             inside = self.expr()
             if self.take() != ")":
                 raise UnknownStatistic(f"unbalanced parentheses in {self.text!r}")
+            self.depth -= 1
             return inside
         if tok.isdigit():
             return CharacterPolynomial.constant(int(tok))
         if tok.startswith("x"):
             return CharacterPolynomial.variable(int(tok[1:]))
         raise UnknownStatistic(f"unexpected token {tok!r} in statistic {self.text!r}")
+
+
+def _coefficient_bits(p: CharacterPolynomial, cap: int) -> int:
+    # The bits of the common denominator plus those of the largest
+    # numerator bound those of every integer in p's integer form.  The
+    # lcm stops past `cap` bits, before many large denominators make it
+    # slow.
+    den = 1
+    for _, c in p.terms:
+        den = lcm(den, c.denominator)
+        if den.bit_length() > cap:
+            break
+    return den.bit_length() + max((abs(c.numerator).bit_length() for _, c in p.terms), default=0)
+
+
+def _print_bits() -> int:
+    # Integers of at most this many bits have at most
+    # sys.get_int_max_str_digits() digits, as 3.3219 < log2(10); 0 when
+    # printing has no limit.
+    return sys.get_int_max_str_digits() * 33219 // 10000
 
 
 def parse_character_polynomial(text: str) -> CharacterPolynomial:
@@ -548,3 +554,133 @@ def parse_character_polynomial(text: str) -> CharacterPolynomial:
     """
     p = _Parser(text).parse()
     return CharacterPolynomial(p.terms, name=text.strip())
+
+
+# ---------------------------------------------------------------------------
+# Built-in statistics and statistic specs
+# ---------------------------------------------------------------------------
+
+# Each built-in statistic's one definition: a character polynomial, or a
+# rule on partitions for those that have none.  A str value makes its key
+# an alias of that name.
+_BUILTINS: dict[str, CharacterPolynomial | Callable[[Partition], Scalar] | str] = {
+    "one": CharacterPolynomial.constant(1, name="one"),
+    "1": "one",
+    "sgn": Partition.sign,
+    "ET": lambda lam: Fraction(1 + lam.sign(), 2),
+    "R": CharacterPolynomial.variable(1, name="R"),
+    "Q": replace(
+        CharacterPolynomial.binomial(1, 2) - CharacterPolynomial.variable(2), name="Q"
+    ),
+}
+
+
+def builtin_names() -> tuple[str, ...]:
+    """The built-in statistics' names, without the alias 1 for one."""
+    return tuple(name for name, stat in _BUILTINS.items() if not isinstance(stat, str))
+
+
+def _check_builtin(name: str) -> None:
+    if name not in _BUILTINS:
+        raise UnknownStatistic(
+            f"unknown statistic {name!r}; known names: {', '.join(builtin_names())}"
+        )
+
+
+def builtin(name: str, d: int) -> ClassFunction:
+    """A built-in statistic (one of builtin_names(), or 1) on partitions of d."""
+    _check_builtin(name)
+    return resolve(name, d)
+
+
+def builtin_polynomial(name: str) -> CharacterPolynomial:
+    """A built-in statistic's character polynomial: one (alias 1), R or Q."""
+    _check_builtin(name)
+    return polynomial_statistic(name)
+
+
+def one(d: int) -> ClassFunction:
+    """The trivial character."""
+    return builtin("one", d)
+
+
+def sgn(d: int) -> ClassFunction:
+    """The sign character."""
+    return builtin("sgn", d)
+
+
+def roots(d: int) -> ClassFunction:
+    """R: number of roots in the base field, with multiplicity (= x_1)."""
+    return builtin("R", d)
+
+
+def quadratic_excess(d: int) -> ClassFunction:
+    """Q: reducible minus irreducible quadratic factors, C(x_1, 2) - x_2."""
+    return builtin("Q", d)
+
+
+def even_type(d: int) -> ClassFunction:
+    """ET: indicator of even factorization type, (1 + sgn)/2."""
+    return builtin("ET", d)
+
+
+def indicator(lam0: Partition) -> ClassFunction:
+    """The statistic that is 1 on one factorization type and 0 elsewhere."""
+    return ClassFunction(lam0.d, {lam0: Fraction(1)}, name=f"ind:{lam0.label()}")
+
+
+def _indicator_spec(label: str, d: int) -> ClassFunction:
+    lam = Partition.parse(label)
+    if lam.d != d:
+        raise UnknownStatistic(
+            f"indicator partition {lam.label()} has size {lam.d}, not d={d}"
+        )
+    return indicator(lam)
+
+
+def _table_spec(path: str, d: int) -> ClassFunction:
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise UnknownStatistic(
+            f"{path} must hold a JSON object mapping type labels to rationals"
+        )
+    values = {Partition.parse(key): parse_rational(str(v)) for key, v in raw.items()}
+    return ClassFunction(d, values, name=f"@{path}")
+
+
+def statistic(spec: str) -> CharacterPolynomial | Callable[[int], ClassFunction]:
+    """What a statistic spec (the CLI's --stat) means: a character
+    polynomial (one, 1, R, Q, expressions in x1, x2, ...), or a function of
+    d for sgn, ET, "ind:[3,1,1]" and "@table.json" (labels to rationals)."""
+    s = spec.strip()
+    stat = _BUILTINS.get(s)
+    if isinstance(stat, str):
+        stat = _BUILTINS[stat]
+    if isinstance(stat, CharacterPolynomial):
+        return stat
+    if stat is not None:
+        return partial(ClassFunction.from_function, fn=stat, name=s)
+    if s.startswith("ind:"):
+        return partial(_indicator_spec, s[len("ind:"):])
+    if s.startswith("@"):
+        return partial(_table_spec, s[1:])
+    return parse_character_polynomial(s)
+
+
+def resolve(spec: str, d: int) -> ClassFunction:
+    """The class function on partitions of d that a statistic spec names."""
+    stat = statistic(spec)
+    return stat.class_function(d) if isinstance(stat, CharacterPolynomial) else stat(d)
+
+
+def polynomial_statistic(spec: str) -> CharacterPolynomial:
+    """The character polynomial a statistic spec names; refuses the others."""
+    stat = statistic(spec)
+    if isinstance(stat, CharacterPolynomial):
+        return stat
+    names = ", ".join(n for n, s in _BUILTINS.items() if isinstance(s, CharacterPolynomial))
+    raise UnknownStatistic(
+        f"limits need a statistic defined uniformly in d: {spec.strip()!r} is not "
+        f"a character polynomial (use {names}, or an expression in x1, x2, ...)"
+    )

@@ -1,7 +1,11 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from splitstat import cli
 from splitstat.cli import main
 from splitstat.gf import make_field
 
+ROOT = Path(__file__).resolve().parent.parent
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -292,6 +297,34 @@ BAD_INPUTS = {
     "limit-sign": (("limit", "--stat", "sgn", "--order", "2"), "character polynomial"),
     "limit-huge-power": (("limit", "--stat", "x1^100000000", "--order", "1"), "cap of"),
     "limit-huge-order": (("limit", "--stat", "Q", "--order", "10000000"), "cap of"),
+    "expect-deep-nesting": (
+        ("expect", "--d", "3", "--stat", "(" * 200 + "x1" + ")" * 200),
+        "deeper than 150 levels",
+    ),
+    "expect-power-of-sum": (
+        ("expect", "--d", "3", "--stat", "(x1+x2)^2000"),
+        "'(x1+x2)^2000' needs more than the cap of 200000 work units",
+    ),
+    "limit-power-of-sum": (
+        ("limit", "--stat", "(x1+x2)^2000", "--order", "1"),
+        "'(x1+x2)^2000' needs more than the cap of 200000 work units",
+    ),
+    "limit-huge-power-of-sum": (
+        ("limit", "--stat", "(x1+x2)^100000", "--order", "1"),
+        "needs more than the cap of 200000 work units",
+    ),
+    "expect-huge-power": (
+        ("expect", "--d", "3", "--stat", "x1^100000000"),
+        "values of x1^100000000 at d=3 can exceed",
+    ),
+    "expect-unprintable-power": (
+        ("expect", "--d", "3", "--stat", "x1^10000"),
+        "values of x1^10000 at d=3 can exceed",
+    ),
+    "expect-huge-coefficient": (
+        ("expect", "--d", "3", "--stat", "2^100000000"),
+        "coefficients of '2^100000000' can exceed",
+    ),
 }
 
 
@@ -303,3 +336,26 @@ def test_bad_input_exits_2_fast(capsys, argv, message):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+def test_values_just_within_the_print_limit(capsys):
+    # x1^9000 at d = 3 has values up to 3^9000 (4294 digits); its constant
+    # term is <x1^9000, 1> = 3^9000/3! + 1^9000/2
+    got = run_json(capsys, "expect", "--d", "3", "--stat", "x1^9000", "--json")
+    assert got["coeffs"][0] == f"{(3**9000 + 3) // 6}"
+
+
+def test_python_dash_m_splitstat_matches_the_cli_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for argv, code in ((["psi", "--d", "3", "--json"], 0), (["expect", "--d", "3"], 2)):
+        package, module = (
+            subprocess.run(
+                [sys.executable, "-m", target, *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            for target in ("splitstat", "splitstat.cli")
+        )
+        assert (package.returncode, package.stdout) == (module.returncode, module.stdout)
+        assert package.returncode == code
+        assert package.stderr == module.stderr

@@ -14,7 +14,6 @@ from splitstat.expect import (
     eval_q1,
     expected,
     expected_sf,
-    q_limit_closed_form,
     stable_limit,
     trivial_coeff,
 )
@@ -35,6 +34,13 @@ from splitstat.sym_chars import (
     roots,
     sgn,
 )
+
+def q_limit_closed_form(order):
+    """The large-d limit of E_d(Q), derived by hand: the u**k coefficient
+    of (1/2)(1 + u)/(1 - u)**2 - (1/2)(1 - u)/(1 - u**2) is
+    ((2k + 1) - (-1)**k)/2."""
+    return [Fraction((2 * k + 1) - (-1) ** k, 2) for k in range(order + 1)]
+
 
 GOLDEN_QUADRATIC_EXCESS = {
     3: [0, 2, 1],

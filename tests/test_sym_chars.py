@@ -1,15 +1,19 @@
 """Class functions, irreducible characters, and character polynomials."""
 
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
-from splitstat.errors import DegreeMismatch, UnknownStatistic
+from splitstat.errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import (
+    MAX_NESTING,
+    PARSE_BUDGET,
     CharacterPolynomial,
     ClassFunction,
     builtin,
@@ -23,10 +27,12 @@ from splitstat.sym_chars import (
     mn_character,
     one,
     parse_character_polynomial,
+    polynomial_statistic,
     quadratic_excess,
     reconstruct,
     roots,
     sgn,
+    statistic,
 )
 
 
@@ -117,8 +123,9 @@ def test_builtin_dispatch():
     assert builtin("ET", 4) == even_type(4)
     assert builtin("one", 4) == one(4)
     assert builtin("sgn", 4) == sgn(4)
-    with pytest.raises(UnknownStatistic):
+    with pytest.raises(UnknownStatistic, match="known names: one, sgn, ET, R, Q$"):
         builtin("nope", 4)
+    assert builtin("1", 4) == one(4)
 
 
 def test_quadratic_excess_matches_exterior_square_trace():
@@ -195,13 +202,38 @@ def test_character_polynomial_binomial_expansion():
         assert cp.evaluate(lam) == comb(x, 2)
 
 
-def test_builtin_polynomials_match_class_functions():
-    for d in range(1, 9):
-        assert builtin_polynomial("R").class_function(d) == roots(d)
-        assert builtin_polynomial("Q").class_function(d) == quadratic_excess(d)
-        assert builtin_polynomial("one").class_function(d) == one(d)
-    with pytest.raises(UnknownStatistic):
+def test_builtin_polynomials_match_direct_formulas():
+    # one = 1, R = m_1 and Q = C(m_1, 2) - m_2, with m_j the parts of size j
+    for d in range(1, 11):
+        stats = {name: builtin(name, d) for name in ("one", "1", "R", "Q")}
+        for lam in partitions_of(d):
+            m1 = sum(1 for part in lam.parts if part == 1)
+            m2 = sum(1 for part in lam.parts if part == 2)
+            want = {"one": 1, "1": 1, "R": m1, "Q": comb(m1, 2) - m2}
+            for name, value in want.items():
+                assert stats[name].value(lam) == value
+                assert builtin_polynomial(name).evaluate(lam) == value
+    with pytest.raises(UnknownStatistic, match=r"\(use one, R, Q, or an expression"):
         builtin_polynomial("sgn")
+
+
+def test_statistic_resolves_every_spec_form(tmp_path):
+    for spec in ("one", "1", "R", "Q", "x1^2 - x2"):
+        assert isinstance(statistic(spec), CharacterPolynomial)
+    assert statistic(" 1 ") == statistic("one") == builtin_polynomial("1")
+    table = tmp_path / "stat.json"
+    table.write_text('{"[2]": "1/3"}')
+    for spec, d, want in (
+        ("sgn", 3, sgn(3)),
+        ("ET", 3, even_type(3)),
+        ("ind:[2,1]", 3, indicator(Partition([2, 1]))),
+        (f"@{table}", 2, ClassFunction(2, {Partition([2]): Fraction(1, 3)})),
+    ):
+        stat = statistic(spec)
+        assert not isinstance(stat, CharacterPolynomial)
+        assert stat(d) == want
+    with pytest.raises(UnknownStatistic, match="'ind:\\[2\\]' is not a character polynomial"):
+        polynomial_statistic("ind:[2]")
 
 
 def test_parse_character_polynomial():
@@ -224,6 +256,65 @@ def test_parse_names_division_by_zero():
     for bad in ("x1/0", "x1/(x2-x2)", "1/(1-1)"):
         with pytest.raises(UnknownStatistic, match="division by zero"):
             parse_character_polynomial(bad)
+
+
+def test_parse_nesting_limit():
+    deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_character_polynomial(deep).terms == ((((1, 1),), Fraction(1)),)
+    with pytest.raises(UnknownStatistic, match=f"deeper than {MAX_NESTING} levels"):
+        parse_character_polynomial("(" + deep + ")")
+
+
+def test_parse_work_cap():
+    with pytest.raises(BudgetExceeded, match=f"cap of {PARSE_BUDGET}"):
+        parse_character_polynomial("(x1+x2)^2000")
+    with pytest.raises(BudgetExceeded, match="cap of"):
+        parse_character_polynomial("*".join(f"x{i}" for i in range(1, 2000)))
+    with pytest.raises(BudgetExceeded, match="coefficients of '2\\^100000000'"):
+        parse_character_polynomial("2^100000000")
+    assert len(parse_character_polynomial("(x1+x2)^200").terms) == 201
+
+
+def test_long_sums_parse_in_linear_time():
+    # adding term by term copied the whole sum each time: minutes for this
+    text = "+".join(f"x{i}" for i in range(1, 20001))
+    start = time.perf_counter()
+    assert len(parse_character_polynomial(text).terms) == 20000
+    assert time.perf_counter() - start < 5
+
+
+def test_class_function_refuses_unprintable_values():
+    limit = sys.get_int_max_str_digits()
+    assert parse_character_polynomial("x1^9000").class_function(3).value(
+        Partition([1, 1, 1])
+    ) == 3**9000
+    for text in ("x1^10000", "x1^100000000"):
+        with pytest.raises(BudgetExceeded, match=f"can exceed {limit} digits"):
+            parse_character_polynomial(text).class_function(3)
+    # x2 vanishes at d = 1, so its size there does not matter
+    assert parse_character_polynomial("x2^100000000").class_function(1) == ClassFunction(1, {})
+
+
+def test_products_and_values_match_fraction_arithmetic():
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b = (
+            parse_character_polynomial(
+                " + ".join(
+                    f"{rng.randrange(-9, 10)}/{rng.randrange(1, 7)}*x{rng.randrange(1, 4)}"
+                    f"^{rng.randrange(0, 3)}"
+                    for _ in range(rng.randrange(1, 5))
+                )
+            )
+            for _ in range(2)
+        )
+        for lam in partitions_of(6):
+            ref_a = sum(
+                (c * prod(Fraction(lam.mult(j)) ** e for j, e in mono) for mono, c in a.terms),
+                Fraction(0),
+            )
+            assert a.evaluate(lam) == ref_a
+            assert (a * b).evaluate(lam) == ref_a * b.evaluate(lam)
 
 
 def test_power_squares_repeatedly():
