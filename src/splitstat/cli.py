@@ -21,7 +21,7 @@ from .errors import (
     InvalidCharacteristic,
     UnknownStatistic,
 )
-from .exact import UPoly, format_rational
+from .exact import UPoly, format_rational, join_signed
 from .expect import (
     NORM_Q_POWER,
     NORM_SF_COUNT,
@@ -31,10 +31,11 @@ from .expect import (
 )
 from .gf import (
     DEFAULT_BUDGET,
+    FqPoly,
+    _irreducibles_raw,
     census,
     check_census_budget,
     check_sieve_budget,
-    irreducibles,
     make_field,
 )
 from .lie_chars import phi_table, psi_table
@@ -58,8 +59,6 @@ def _parse_q(text: str) -> tuple[int, int]:
 
 def format_inverse_powers(p: UPoly) -> str:
     """Render a u-polynomial in the 1/q table style: "2/q + 1/q^2"."""
-    if p.is_zero():
-        return "0"
     parts = []
     for k, c in enumerate(p.coeffs):
         if c == 0:
@@ -76,10 +75,7 @@ def format_inverse_powers(p: UPoly) -> str:
             if c < 0:
                 term = "-" + term
         parts.append(term)
-    text = parts[0]
-    for term in parts[1:]:
-        text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return text
+    return join_signed(parts)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -105,7 +101,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_char_table(args: argparse.Namespace, kind: str) -> int:
+def cmd_char_table(args: argparse.Namespace) -> int:
+    kind = args.command
     table = psi_table(args.d) if kind == "psi" else phi_table(args.d)
     payload = table.to_json()
     lams = partitions_of(args.d)
@@ -119,41 +116,19 @@ def _cmd_char_table(args: argparse.Namespace, kind: str) -> int:
     return 0
 
 
-def cmd_psi(args: argparse.Namespace) -> int:
-    return _cmd_char_table(args, "psi")
-
-
-def cmd_phi(args: argparse.Namespace) -> int:
-    return _cmd_char_table(args, "phi")
-
-
 def cmd_expect(args: argparse.Namespace) -> int:
     P = resolve_stat(args.stat, args.d)
-    result = expected(args.d, P, name=args.stat)
-    payload = {
-        "d": result.d,
-        "stat": result.statistic,
-        "coeffs": result.value.json_coeffs(),
-        "route": result.route,
-        "checks": list(result.checks),
-    }
-    lines = [f"{args.d:>3} | {format_inverse_powers(result.value)}"]
-    _emit(args, payload, lines)
-    return 0
-
-
-def cmd_sf_expect(args: argparse.Namespace) -> int:
-    normalization = NORM_SF_COUNT if args.normalization == "sfcount" else NORM_Q_POWER
-    P = resolve_stat(args.stat, args.d)
-    result = expected_sf(args.d, P, normalization=normalization, name=args.stat)
-    payload = {
-        "d": result.d,
-        "stat": result.statistic,
-        "normalization": result.normalization,
-        "coeffs": result.value.json_coeffs(),
-        "route": result.route,
-        "checks": list(result.checks),
-    }
+    if args.command == "expect":
+        result = expected(args.d, P, name=args.stat)
+    else:
+        normalization = NORM_SF_COUNT if args.normalization == "sfcount" else NORM_Q_POWER
+        result = expected_sf(args.d, P, normalization=normalization, name=args.stat)
+    payload = {"d": result.d, "stat": result.statistic}
+    if result.normalization is not None:
+        payload["normalization"] = result.normalization
+    payload.update(
+        coeffs=result.value.json_coeffs(), route=result.route, checks=list(result.checks)
+    )
     lines = [f"{args.d:>3} | {format_inverse_powers(result.value)}"]
     _emit(args, payload, lines)
     return 0
@@ -195,7 +170,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p, n = _parse_q(args.q)
-    if n > 0 and args.d > 0:  # make_field or census reject other shapes at once
+    if n > 0:  # make_field rejects other shapes at once
         check_census_budget(p**n, args.d, args.budget)
     field = make_field(p, n)
     P = resolve_stat(args.stat, args.d)
@@ -242,11 +217,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_irreducibles(args: argparse.Namespace) -> int:
+    if args.max_degree < 1:
+        raise ValueError("census needs degree at least 1")
     p, n = _parse_q(args.q)
     if n > 0:  # make_field rejects other shapes at once
         check_sieve_budget(p**n, args.max_degree, args.budget)
     field = make_field(p, n)
-    table = irreducibles(field, args.max_degree, budget=args.budget)
+    table = _irreducibles_raw(field, args.max_degree, args.budget)  # FqPoly only for --list
     counts = {deg: len(table[deg]) for deg in sorted(table)}
     match = all(
         counts[deg] == necklace(deg).evaluate(field.q) for deg in counts
@@ -261,12 +238,10 @@ def cmd_irreducibles(args: argparse.Namespace) -> int:
         lines.append(f"  degree {deg}: {counts[deg]}")
     lines.append(f"  counts match the count polynomial: {'yes' if match else 'NO'}")
     if args.list:
-        payload["polys"] = {
-            str(deg): [list(f.coeffs) for f in table[deg]] for deg in counts
-        }
+        payload["polys"] = {str(deg): [list(f) for f in table[deg]] for deg in counts}
         for deg in counts:
             for f in table[deg]:
-                lines.append(f"    {f}")
+                lines.append(f"    {FqPoly(field, f)}")
     _emit(args, payload, lines)
     if not match:
         print("irreducible counts disagree with the count polynomial", file=sys.stderr)
@@ -295,17 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--sf", action="store_true", help="squarefree flavor")
 
-    s = add("psi", cmd_psi, "character table of configuration-space cohomology (R^3)")
+    s = add("psi", cmd_char_table, "character table of configuration-space cohomology (R^3)")
     s.add_argument("--d", type=int, required=True)
 
-    s = add("phi", cmd_phi, "character table of configuration-space cohomology (R^2)")
+    s = add("phi", cmd_char_table, "character table of configuration-space cohomology (R^2)")
     s.add_argument("--d", type=int, required=True)
 
     s = add("expect", cmd_expect, "expected value of a statistic")
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--stat", required=True)
 
-    s = add("sf-expect", cmd_sf_expect, "squarefree expected value of a statistic")
+    s = add("sf-expect", cmd_expect, "squarefree expected value of a statistic")
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--stat", required=True)
     s.add_argument(
@@ -341,10 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_stat_values(argv: list[str]) -> list[str]:
+    # argparse reads a value such as "-x1+3" after --stat as an unknown
+    # flag; written as "--stat=-x1+3" it is unambiguous.
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--stat" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_stat_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

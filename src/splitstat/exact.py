@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import SeriesError, VariableTagMismatch
 
@@ -25,6 +25,7 @@ Q_VAR = "q"
 U_VAR = "u"
 
 Scalar = Fraction | int
+T = TypeVar("T")
 
 
 def _normalized(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
@@ -100,16 +101,7 @@ class UPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> UPoly:
-        if e < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = UPoly(self.var, (Fraction(1),))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, UPoly.__mul__, UPoly(self.var, (Fraction(1),)))
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -124,8 +116,6 @@ class UPoly:
         return [format_rational(c) for c in self.coeffs]
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
@@ -138,10 +128,7 @@ class UPoly:
                 if c < 0:
                     term = "-" + term
             parts.append(term)
-        text = parts[0]
-        for term in parts[1:]:
-            text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return text
+        return join_signed(parts)
 
 
 def poly(var: str, coeffs: Iterable[Scalar]) -> UPoly:
@@ -212,6 +199,29 @@ def over_q_power(p: UPoly, d: int) -> UPoly:
     if p.degree > d:
         raise ValueError(f"degree {p.degree} exceeds q-power {d}; quotient not polynomial in u")
     return UPoly(U_VAR, tuple(p.coeff(d - k) for k in range(d + 1)))
+
+
+def power(x: T, e: int, mul: Callable[[T, T], T], one: T) -> T:
+    """x**e by repeated squaring with `mul`, skipping the square after the top bit."""
+    if e < 0:
+        raise ValueError("negative exponents are not defined")
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return out
+
+
+def join_signed(terms: list[str]) -> str:
+    """Join terms as "a + b - c", a later term's leading "-" becoming " - "; "0" if none."""
+    if not terms:
+        return "0"
+    return terms[0] + "".join(
+        f" - {term[1:]}" if term.startswith("-") else f" + {term}" for term in terms[1:]
+    )
 
 
 def format_rational(x: Scalar) -> str:

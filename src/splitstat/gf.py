@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
+from .exact import power
 from .partitions import Partition
 from .sym_chars import ClassFunction
 
@@ -152,14 +153,7 @@ class FqField:
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(a, e, self.mul, 1)
 
     # -- identity ------------------------------------------------------------
 
@@ -179,11 +173,12 @@ class FqField:
 def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
     # The first monic irreducible of degree n over F_p in sieve order
     # (constant coefficient most significant): the first candidate with no
-    # factor among the irreducibles of degree at most n // 2.
+    # factor among the irreducibles of degree at most n // 2.  Candidates
+    # with c_0 = 0 are divisible by x, so the scan starts at c_0 = 1.
     base = FqField(p, 1, (0, 1))
     _sieve(base, n // 2)
     lower = [g for k in range(1, n // 2 + 1) for g in base._irr[k]]
-    for tail in product(range(p), repeat=n):
+    for tail in product(range(1, p), *[range(p)] * (n - 1)):
         cand = tail + (1,)
         if all(_divrem(base, cand, g)[1] for g in lower):
             return cand
@@ -272,7 +267,12 @@ def check_sieve_budget(q: int, max_degree: int, budget: int) -> None:
 
 
 def check_census_budget(q: int, d: int, budget: int) -> None:
-    """Raise BudgetExceeded if a degree-d census over F_q would pass the budget."""
+    """Raise BudgetExceeded if a degree-d census over F_q would pass the budget.
+
+    A degree below 1 raises ValueError first, before any field work.
+    """
+    if d < 1:
+        raise ValueError("census needs degree at least 1")
     if q**d > budget:
         raise BudgetExceeded(
             f"census of q^d = {q**d} polynomials is above the budget of "
@@ -455,14 +455,6 @@ def factorization_type(f: FqPoly, budget: int = DEFAULT_BUDGET) -> Partition:
     return Partition(degs)
 
 
-def _histograms(field: FqField, d: int, budget: int) -> tuple[dict[Partition, int], dict[Partition, int]]:
-    if d in field._hist:
-        return field._hist[d]
-    check_census_budget(field.q, d, budget)
-    _sieve(field, d)
-    return field._hist[d]
-
-
 def census(
     field: FqField,
     d: int,
@@ -478,15 +470,10 @@ def census(
     result is exact.  Enumeration is single-threaded: ``threads`` is
     accepted for compatibility and never changes a result.
     """
-    if d < 1:
-        raise ValueError("census needs degree at least 1")
     if stat.d != d:
         raise DegreeMismatch(f"statistic is for degree {stat.d}, census is for {d}")
-    all_counts, sf_counts = _histograms(field, d, budget)
-    counts = sf_counts if squarefree_only else all_counts
-    total = Fraction(0)
-    for lam, c in counts.items():
-        total += stat.value(lam) * c
+    counts = type_counts(field, d, squarefree_only, budget, threads)
+    total = sum((stat.value(lam) * c for lam, c in counts.items()), Fraction(0))
     return total / Fraction(field.q) ** d
 
 
@@ -502,7 +489,8 @@ def type_counts(
     Enumeration is single-threaded: ``threads`` is accepted for
     compatibility and never changes a result.
     """
-    if d < 1:
-        raise ValueError("census needs degree at least 1")
-    all_counts, sf_counts = _histograms(field, d, budget)
+    if d not in field._hist:
+        check_census_budget(field.q, d, budget)
+        _sieve(field, d)
+    all_counts, sf_counts = field._hist[d]
     return dict(sf_counts if squarefree_only else all_counts)

@@ -22,7 +22,7 @@ from math import factorial, lcm
 from typing import Callable, Iterable, Mapping
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
-from .exact import parse_rational
+from .exact import join_signed, parse_rational, power
 from .partitions import Partition, partitions_of
 
 Scalar = Fraction | int
@@ -292,7 +292,7 @@ class CharacterPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "CharacterPolynomial":
-        return _power(self, e, CharacterPolynomial.__mul__)
+        return power(self, e, CharacterPolynomial.__mul__, CharacterPolynomial.constant(1))
 
     @cached_property
     def _integer_terms(self) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
@@ -313,19 +313,22 @@ class CharacterPolynomial:
     def class_function(self, d: int) -> ClassFunction:
         """The statistic this expression defines on partitions of d.
 
-        Raises BudgetExceeded, before evaluating anything, when a value
-        at d could have more digits than Python prints
+        Monomials in some x_j with j > d vanish there and are dropped
+        first.  Raises BudgetExceeded, before evaluating anything, when a
+        value at d could have more digits than Python prints
         (sys.get_int_max_str_digits()).
         """
         if d < 0:
             raise ValueError("d must be nonnegative")
         name = self.name or str(self)
-        if (bits := _print_bits()) and not self._printable(d, bits):
+        live = tuple((m, c) for m, c in self.terms if all(j <= d for j, _ in m))
+        p = self if len(live) == len(self.terms) else CharacterPolynomial(live)
+        if (bits := _print_bits()) and not p._printable(d, bits):
             raise BudgetExceeded(
                 f"values of {name} at d={d} can exceed {sys.get_int_max_str_digits()} "
                 "digits, the limit for printing integers"
             )
-        return ClassFunction.from_function(d, self.evaluate, name=name)
+        return ClassFunction.from_function(d, p.evaluate, name=name)
 
     def _printable(self, d: int, bits: int) -> bool:
         # Every value at d is at most the sum over terms of |numerator| times
@@ -344,8 +347,6 @@ class CharacterPolynomial:
         return max(bound, den).bit_length() <= bits
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         chunks = []
         for mono, c in self.terms:
             body = "*".join(
@@ -359,10 +360,7 @@ class CharacterPolynomial:
                 chunks.append(f"-{body}")
             else:
                 chunks.append(f"{c}*{body}")
-        text = chunks[0]
-        for chunk in chunks[1:]:
-            text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return text
+        return join_signed(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +394,6 @@ def _tokenize(text: str) -> list[str]:
         else:
             raise UnknownStatistic(f"unexpected character {ch!r} in statistic {text!r}")
     return tokens
-
-
-def _power(p: CharacterPolynomial, e: int, mul) -> CharacterPolynomial:
-    # Square and multiply with `mul`, skipping the square after the top bit.
-    if e < 0:
-        raise ValueError("negative exponents are not defined")
-    out = CharacterPolynomial.constant(1)
-    while e:
-        if e & 1:
-            out = mul(out, p)
-        e >>= 1
-        if e:
-            p = mul(p, p)
-    return out
 
 
 # Caps on parsing an expression: parenthesis depth (the parser recurses
@@ -503,7 +487,7 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise UnknownStatistic(f"exponent must be a nonnegative integer in {self.text!r}")
-            result = _power(result, int(tok), self.mul)
+            result = power(result, int(tok), self.mul, CharacterPolynomial.constant(1))
         return result if sign == 1 else -result
 
     def atom(self) -> CharacterPolynomial:

@@ -11,7 +11,7 @@ import pytest
 
 from splitstat import cli
 from splitstat.cli import main
-from splitstat.gf import make_field
+from splitstat.gf import FqPoly, make_field
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -257,6 +257,38 @@ def test_budget_checked_before_field_construction(capsys, monkeypatch):
         assert "budget" in err
 
 
+def test_irreducible_counts_do_not_build_polynomials(capsys, monkeypatch):
+    def no_poly(self):
+        raise AssertionError("FqPoly built without --list")
+
+    monkeypatch.setattr(FqPoly, "__post_init__", no_poly)
+    code, out, err = run(capsys, "irreducibles", "--q", "2", "--max-degree", "4")
+    assert code == 0, err
+    assert "degree 4: 3" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("expect", "--d", "3"),
+    ("sf-expect", "--d", "3"),
+    ("sf-expect", "--d", "3", "--normalization", "sfcount"),
+    ("decompose", "--d", "3"),
+    ("limit", "--order", "3"),
+    ("verify", "--d", "3", "--q", "3"),
+], ids=["expect", "sf-expect", "sf-expect-sfcount", "decompose", "limit", "verify"])
+def test_stat_value_may_start_with_a_minus(capsys, argv):
+    attached = run(capsys, *argv, "--stat=-x1+3")
+    assert attached[0] == 0, attached[2]
+    assert run(capsys, *argv, "--stat", "-x1+3") == attached
+    assert run(capsys, *argv, "--stat", "-x1+3", "--json") == run(
+        capsys, *argv, "--stat=-x1+3", "--json"
+    )
+
+
+def test_negative_stat_expected_value(capsys):
+    code, out, err = run(capsys, "expect", "--d", "3", "--stat", "-x1+3")
+    assert (code, out, err) == (0, "  3 | 2 - 1/q - 1/q^2\n", "")
+
+
 def test_verify_reports_broken_unique_factorization(capsys, monkeypatch):
     field = make_field(3)
     field._irr[1] = ((0, 1), (0, 1), (1, 1), (2, 1))  # x listed twice
@@ -324,6 +356,18 @@ BAD_INPUTS = {
     "expect-huge-coefficient": (
         ("expect", "--d", "3", "--stat", "2^100000000"),
         "coefficients of '2^100000000' can exceed",
+    ),
+    "verify-degree-0": (
+        ("verify", "--d", "0", "--q", "2^36", "--stat", "R"),
+        "census needs degree at least 1",
+    ),
+    "verify-negative-degree": (
+        ("verify", "--d", "-1", "--q", "2^36", "--stat", "R"),
+        "census needs degree at least 1",
+    ),
+    "irreducibles-degree-0": (
+        ("irreducibles", "--q", "2^36", "--max-degree", "0"),
+        "census needs degree at least 1",
     ),
 }
 

@@ -12,10 +12,12 @@ from splitstat.exact import (
     UPoly,
     divmod_poly,
     format_rational,
+    join_signed,
     monomial,
     over_q_power,
     parse_rational,
     poly,
+    power,
     series_expand,
 )
 
@@ -183,3 +185,31 @@ def test_rational_serialization():
 def test_json_coeffs():
     p = poly(U_VAR, [0, 2, Fraction(1, 2)])
     assert p.json_coeffs() == ["0", "2", "1/2"]
+
+
+def test_power_matches_repeated_multiplication():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for e in range(40):
+        calls.clear()
+        assert power(3, e, mul, 1) == 3**e
+        # one square per bit below the top one, one multiply per set bit
+        assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
+    u = poly(U_VAR, [1, Fraction(-1, 2)])
+    assert u**5 == u * u * u * u * u
+    assert u**0 == poly(U_VAR, [1])
+    with pytest.raises(ValueError, match="negative exponents are not defined"):
+        u ** -1
+
+
+def test_signed_sums_print_one_way():
+    assert join_signed([]) == "0"
+    assert join_signed(["-a", "b", "-2*c", "1/2"]) == "-a + b - 2*c + 1/2"
+    assert str(poly(Q_VAR, [])) == "0"
+    assert str(poly(Q_VAR, [0, -1, Fraction(1, 2)])) == "-q + 1/2*q^2"
+    assert str(poly(Q_VAR, [Fraction(-3, 2), 1, 0, -2])) == "-3/2 + q - 2*q^3"
+    assert str(poly(U_VAR, [1, Fraction(-1, 3)])) == "1 - 1/3*u"

@@ -1,6 +1,7 @@
 """Finite field construction, factoring, and the census oracle."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -86,6 +87,19 @@ def test_f9_modulus_is_lex_first():
                 if all(FqPoly(fp, tail + (1,)).evaluate(x) != 0 for x in range(p))
             )
             assert next(rootless) == modulus
+
+
+def test_large_extension_moduli_are_found_fast():
+    # candidates with c_0 = 0 are divisible by x; the scan skips them
+    pinned = {
+        (2, 20): (1,) + (0,) * 16 + (1, 0, 0, 1),
+        (7, 9): (1,) + (0,) * 7 + (1, 1),
+        (3, 14): (1,) + (0,) * 11 + (1, 1, 1),
+    }
+    for (p, n), modulus in pinned.items():
+        start = time.perf_counter()
+        assert make_field(p, n).modulus == modulus
+        assert time.perf_counter() - start < 1.0, (p, n)
 
 
 def test_field_axioms_spot_checks():

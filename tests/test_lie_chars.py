@@ -52,6 +52,19 @@ def test_identity_column_sums_to_factorial():
         assert sum(dims) == factorial(d)
 
 
+def test_identity_column_is_the_configuration_space_poincare_polynomial():
+    # independent of the measures: the Poincare polynomial of d ordered
+    # points in R^2 (and, in t = u^2, in R^3) is prod_{i<d} (1 + i*t), and
+    # the identity class carries the dimensions of the cohomology groups
+    for d in range(1, 13):
+        poincare = [1]
+        for i in range(1, d):
+            poincare = [a + i * b for a, b in zip(poincare + [0], [0] + poincare)]
+        identity = Partition([1] * d)
+        for table in (psi_table(d), phi_table(d)):
+            assert [table.value(k, identity) for k in table.degrees] == poincare
+
+
 def test_phi_degree_two():
     t = phi_table(2)
     assert all(t.value(k, lam) == 1 for k in (0, 1) for lam in partitions_of(2))
