@@ -88,13 +88,14 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 def cmd_measure(args: argparse.Namespace) -> int:
     m = sf_splitting_measure(args.d) if args.sf else splitting_measure(args.d)
+    flavor = "squarefree" if args.sf else "all"
     payload = {
-        "d": m.d,
-        "flavor": m.flavor,
+        "d": args.d,
+        "flavor": flavor,
         "values": {lam.label(): poly.json_coeffs() for lam, poly in m.items()},
     }
-    lines = [f"splitting measure, d={m.d}, flavor={m.flavor}"]
-    width = max(len(lam.label()) for lam in partitions_of(m.d))
+    lines = [f"splitting measure, d={args.d}, flavor={flavor}"]
+    width = max(len(lam.label()) for lam in m)
     for lam, poly in m.items():
         lines.append(f"  {lam.label():<{width}}  {format_inverse_powers(poly)}")
     _emit(args, payload, lines)
@@ -171,7 +172,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     p, n = _parse_q(args.q)
     if n > 0:  # make_field rejects other shapes at once
-        check_census_budget(p**n, args.d, args.budget)
+        check_census_budget(p, n, args.d, args.budget)
     field = make_field(p, n)
     P = resolve_stat(args.stat, args.d)
     ok = True
@@ -221,7 +222,7 @@ def cmd_irreducibles(args: argparse.Namespace) -> int:
         raise ValueError("census needs degree at least 1")
     p, n = _parse_q(args.q)
     if n > 0:  # make_field rejects other shapes at once
-        check_sieve_budget(p**n, args.max_degree, args.budget)
+        check_sieve_budget(p, n, args.max_degree, args.budget)
     field = make_field(p, n)
     table = _irreducibles_raw(field, args.max_degree, args.budget)  # FqPoly only for --list
     counts = {deg: len(table[deg]) for deg in sorted(table)}

@@ -2,10 +2,12 @@
 
 The expected value of a statistic P over monic degree-d polynomials is
 sum over lam of P(lam) nu(lam), summed against the splitting measure nu.
-The cohomology characters give no second route: they are defined by
-coefficient inversion, psi_d^k(lam) = z_lam [u**k] nu(lam), so
-sum_k <P, psi_d^k> u**k is the same sum term by term (the tests check
-this identity; the census in `gf` is the independent check).  The
+It is read from the stored integer columns z_lam nu(lam) of
+`measures.measure_columns`, weighted by P(lam) / z_lam over one common
+denominator.  Those columns are the characters psi_d^k, so the cohomology
+gives no second route: sum_k <P, psi_d^k> u**k is the same sum term by
+term (the tests check this identity; the census in `gf` is the
+independent check).  The
 squarefree variant sums against the squarefree measure, under a choice
 of normalization: by q**d, or by the actual squarefree count, which
 divides out the squarefree density (1 - u for d >= 2, 1 at d = 1).
@@ -19,8 +21,8 @@ from math import lcm
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
 from .exact import U_VAR, UPoly, divmod_poly
-from .measures import SplittingMeasure, _measure_value, sf_splitting_measure, splitting_measure
-from .partitions import Partition, partitions_of
+from .measures import _measure_value, measure_columns
+from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction
 
 VIA_MEASURE = "measure"
@@ -52,16 +54,19 @@ class ExpectationResult:
         return self.value.evaluate(Fraction(1, q))
 
 
-def _measure_sum(P: ClassFunction, measure: SplittingMeasure) -> UPoly:
-    # A measure value is a q-degree-d product divided by q**d, so its
-    # u-degree is at most d.
-    total = [Fraction(0)] * (measure.d + 1)
-    for lam in partitions_of(measure.d):
-        c = P.value(lam)
-        if c:
-            for k, a in enumerate(measure.value(lam).coeffs):
-                total[k] += a * c
-    return UPoly(U_VAR, tuple(total))
+def _measure_sum(P: ClassFunction, squarefree: bool) -> UPoly:
+    # nu(lam) = column / z_lam, so the sum is over the integer columns
+    # weighted by P(lam) / z_lam, put over one common denominator.
+    columns = measure_columns(P.d, squarefree=squarefree)
+    weights = {lam: Fraction(P.value(lam)) / lam.centralizer_order() for lam in columns}
+    den = lcm(*(w.denominator for w in weights.values()))
+    total = [0] * P.d
+    for lam, column in columns.items():
+        if w := weights[lam]:
+            scaled = w.numerator * (den // w.denominator)
+            for k, c in enumerate(column):
+                total[k] += scaled * c
+    return UPoly(U_VAR, tuple(Fraction(t, den) for t in total))
 
 
 def _stat_name(P: ClassFunction, name: str | None) -> str:
@@ -85,7 +90,7 @@ def expected(d: int, P: ClassFunction, name: str | None = None) -> ExpectationRe
     return ExpectationResult(
         d=d,
         statistic=_stat_name(P, name),
-        value=_measure_sum(P, splitting_measure(d)),
+        value=_measure_sum(P, squarefree=False),
         route=VIA_MEASURE,
     )
 
@@ -110,7 +115,7 @@ def expected_sf(
     _check_args(d, P)
     if normalization not in (NORM_Q_POWER, NORM_SF_COUNT):
         raise ValueError(f"unknown normalization {normalization!r}")
-    value = _measure_sum(P, sf_splitting_measure(d))
+    value = _measure_sum(P, squarefree=True)
     checks: tuple[str, ...] = ()
     if normalization == NORM_SF_COUNT:
         density = UPoly(U_VAR, (1,) if d == 1 else (1, -1))

@@ -255,27 +255,42 @@ def _divrem(F: FqField, num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tup
     return tuple(quo), tuple(rem)
 
 
-def check_sieve_budget(q: int, max_degree: int, budget: int) -> None:
-    """Raise BudgetExceeded if sieving F_q to max_degree would pass the budget."""
-    total = sum(q**j for j in range(1, max_degree + 1))
-    if total > budget:
-        raise BudgetExceeded(
-            f"sieving irreducibles to degree {max_degree} needs {total} polynomial "
-            f"enumerations over F_{q}, above the budget of {budget}; raise the "
-            "budget to proceed"
-        )
+def _power_within(p: int, e: int, budget: int) -> int | None:
+    # p**e, or None when its bit length alone puts it over the budget:
+    # sizes such as 2**(10**8) are never built.
+    return None if (p.bit_length() - 1) * e > budget.bit_length() else p**e
 
 
-def check_census_budget(q: int, d: int, budget: int) -> None:
-    """Raise BudgetExceeded if a degree-d census over F_q would pass the budget.
+def check_sieve_budget(p: int, n: int, max_degree: int, budget: int) -> None:
+    """Raise BudgetExceeded if sieving F_{p^n} to max_degree would pass the budget.
 
-    A degree below 1 raises ValueError first, before any field work.
+    A base below 2 is no field size; make_field rejects it.
+    """
+    if p < 2:
+        return
+    if _power_within(p, n * max_degree, budget) is None:
+        needs = f"at least q^{max_degree} = {p}^{n * max_degree}"
+    elif (needs := sum(p ** (n * j) for j in range(1, max_degree + 1))) <= budget:
+        return
+    raise BudgetExceeded(
+        f"sieving irreducibles to degree {max_degree} needs {needs} polynomial "
+        f"enumerations over F_{p}{f'^{n}' if n > 1 else ''}, above the budget of "
+        f"{budget}; raise the budget to proceed"
+    )
+
+
+def check_census_budget(p: int, n: int, d: int, budget: int) -> None:
+    """Raise BudgetExceeded if a degree-d census over F_{p^n} would pass the budget.
+
+    A degree below 1 raises ValueError first, before any field work.  The
+    message writes q^d in exponent form; it is never built when too large.
     """
     if d < 1:
         raise ValueError("census needs degree at least 1")
-    if q**d > budget:
+    size = _power_within(p, n * d, budget)
+    if size is None or size > budget:
         raise BudgetExceeded(
-            f"census of q^d = {q**d} polynomials is above the budget of "
+            f"census of q^d = {p}^{n * d} polynomials is above the budget of "
             f"{budget}; raise the budget to proceed"
         )
 
@@ -390,7 +405,7 @@ def _sieve(field: FqField, max_degree: int) -> None:
 
 
 def _irreducibles_raw(field: FqField, max_degree: int, budget: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    check_sieve_budget(field.q, max_degree, budget)
+    check_sieve_budget(field.p, field.n, max_degree, budget)
     _sieve(field, max_degree)
     return {deg: field._irr[deg] for deg in range(1, max_degree + 1)}
 
@@ -490,7 +505,7 @@ def type_counts(
     compatibility and never changes a result.
     """
     if d not in field._hist:
-        check_census_budget(field.q, d, budget)
+        check_census_budget(field.p, field.n, d, budget)
         _sieve(field, d)
     all_counts, sf_counts = field._hist[d]
     return dict(sf_counts if squarefree_only else all_counts)

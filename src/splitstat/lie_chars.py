@@ -3,24 +3,22 @@
 The splitting measure of type lam is (1/z_lam) * sum over k of
 psi_d^k(lam) u**k, where psi_d^k is the character of the S_d-action on
 H^{2k} of the configuration space of d ordered points in R^3 (the higher
-Lie character).  Inverting coefficientwise recovers the characters from
-the measure: psi_d^k(lam) = z_lam * [u**k] nu(lam).  The squarefree
+Lie character).  So psi_d^k(lam) = z_lam * [u**k] nu(lam) is exactly
+the integer column that `measures.measure_columns` stores, and a table
+here wraps those columns without an inversion pass.  The squarefree
 measure likewise encodes the characters phi_d^k of H^k of configurations
 in the plane, with an alternating sign: phi_d^k(lam) =
-(-1)**k * z_lam * [u**k] nu_sf(lam).
-
-Every value produced this way must be an integer; a non-integer is a
-correctness failure and raises loudly rather than rounding.
+(-1)**k * z_lam * [u**k] nu_sf(lam), the sign applied when a value is
+read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from math import factorial
 
-from .errors import ConsistencyError
-from .exact import UPoly
-from .measures import SplittingMeasure, sf_splitting_measure, splitting_measure
+from .measures import measure_columns
 from .partitions import Partition, partitions_of
 from .sym_chars import ClassFunction
 
@@ -32,14 +30,15 @@ class CharTable:
     """Character values indexed by cohomological degree k and partition.
 
     Rows run over k = 0..d-1; cohomology vanishes beyond that range, and
-    table construction checks it.  Values are stored as one integer
-    column per partition; `row(k)` builds a class function on request.
+    `measure_columns` checks it.  Values are read from the measure's
+    integer columns, with the sign (-1)**k applied for phi; `row(k)`
+    builds a class function on request.
     """
 
     __slots__ = ("d", "kind", "_columns")
 
     def __init__(
-        self, d: int, kind: str, columns: dict[Partition, tuple[int, ...]]
+        self, d: int, kind: str, columns: Mapping[Partition, tuple[int, ...]]
     ) -> None:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "kind", kind)
@@ -62,7 +61,8 @@ class CharTable:
     def value(self, k: int, lam: Partition) -> int:
         if k not in self.degrees:
             raise KeyError(f"degree {k} is outside 0..{self.d - 1}")
-        return self._columns[lam][k]
+        v = self._columns[lam][k]
+        return -v if self.kind == KIND_PHI and k % 2 else v
 
     def to_json(self) -> dict[str, dict[str, int]]:
         return {
@@ -74,36 +74,12 @@ class CharTable:
         return f"<CharTable {self.kind} d={self.d}>"
 
 
-def _invert(measure: SplittingMeasure, kind: str) -> CharTable:
-    d = measure.d
-    sign = -1 if kind == KIND_PHI else 1
-    columns: dict[Partition, tuple[int, ...]] = {}
-    for lam in partitions_of(d):
-        poly: UPoly = measure.value(lam)
-        if poly.degree > d - 1:
-            raise ConsistencyError(
-                f"measure value for {lam} has u-degree {poly.degree}, "
-                f"beyond the cohomological range {d - 1}"
-            )
-        z = lam.centralizer_order()
-        col = []
-        for k in range(d):
-            v = poly.coeff(k) * z * (sign**k)
-            if v.denominator != 1:
-                raise ConsistencyError(
-                    f"non-integer character value {v} at k={k}, lam={lam}"
-                )
-            col.append(int(v))
-        columns[lam] = tuple(col)
-    return CharTable(d, kind, columns)
-
-
 @lru_cache(maxsize=None)
 def psi_table(d: int) -> CharTable:
     """Characters of H^{2k} of d ordered points in R^3, k = 0..d-1."""
     if d < 1:
         raise ValueError("character tables start at degree 1")
-    return _invert(splitting_measure(d), KIND_PSI)
+    return CharTable(d, KIND_PSI, measure_columns(d, squarefree=False))
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +87,7 @@ def phi_table(d: int) -> CharTable:
     """Characters of H^k of d ordered points in the plane, k = 0..d-1."""
     if d < 1:
         raise ValueError("character tables start at degree 1")
-    return _invert(sf_splitting_measure(d), KIND_PHI)
+    return CharTable(d, KIND_PHI, measure_columns(d, squarefree=True))
 
 
 def regular_check(d: int) -> bool:

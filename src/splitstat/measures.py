@@ -7,20 +7,24 @@ polynomial has factorization type lam is a product of polynomial
 binomial coefficients divided by q**d, i.e. a polynomial in u = 1/q.
 Choosing factors with repetition allowed gives the measure over all
 polynomials; without repetition, the squarefree variant.
+
+The one stored object per (degree, flavor) is `measure_columns`, the
+integer columns z_lam * nu(lam).  The measure is nu(lam) = column / z_lam,
+the `lie_chars` tables read the same columns, and `expect` sums over
+them; no inversion pass converts one form into another.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from .errors import ConsistencyError
-from .exact import Q_VAR, UPoly, over_q_power
+from .exact import Q_VAR, U_VAR, UPoly, over_q_power
 from .partitions import Partition, partitions_of
-
-FLAVOR_ALL = "all"
-FLAVOR_SQUAREFREE = "squarefree"
 
 
 @lru_cache(maxsize=None)
@@ -39,35 +43,6 @@ def necklace(d: int) -> UPoly:
                 if c:
                     coeffs[k] -= e * c
     return UPoly(Q_VAR, tuple(Fraction(c, d) for c in coeffs))
-
-
-class SplittingMeasure:
-    """Factorization-type probabilities for one degree, as u-polynomials."""
-
-    __slots__ = ("d", "flavor", "_values")
-
-    def __init__(self, d: int, flavor: str, values: dict[Partition, UPoly]) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "_values", values)
-
-    def __setattr__(self, attr: str, value: object) -> None:
-        raise AttributeError("SplittingMeasure is immutable")
-
-    def value(self, lam: Partition) -> UPoly:
-        return self._values[lam]
-
-    def items(self) -> tuple[tuple[Partition, UPoly], ...]:
-        return tuple((lam, self._values[lam]) for lam in partitions_of(self.d))
-
-    def total(self) -> UPoly:
-        out = UPoly("u", ())
-        for lam in partitions_of(self.d):
-            out = out + self._values[lam]
-        return out
-
-    def __repr__(self) -> str:
-        return f"<SplittingMeasure d={self.d} flavor={self.flavor}>"
 
 
 def _measure_value(lam: Partition, with_repetition: bool) -> UPoly:
@@ -90,25 +65,58 @@ def _measure_value(lam: Partition, with_repetition: bool) -> UPoly:
 
 
 @lru_cache(maxsize=None)
-def splitting_measure(d: int) -> SplittingMeasure:
-    """Measure of factorization types among all monic degree-d polynomials.
+def measure_columns(d: int, /, *, squarefree: bool) -> Mapping[Partition, tuple[int, ...]]:
+    """The integers z_lam * [u**k] nu(lam), k = 0..d-1, per lam in partition order.
 
-    Values sum to 1 as a polynomial identity.
+    nu is the measure over all monic polynomials, or with `squarefree` the
+    q**d-normalized squarefree one; the columns are psi_d^k(lam), and
+    (-1)**k phi_d^k(lam) when squarefree.  A u-degree beyond d-1 or a
+    non-integer raises ConsistencyError.  The flag is keyword-only so
+    that every caller shares one cache entry.
     """
     if d < 1:
         raise ValueError("splitting measures start at degree 1")
-    values = {lam: _measure_value(lam, with_repetition=True) for lam in partitions_of(d)}
-    return SplittingMeasure(d, FLAVOR_ALL, values)
+    columns: dict[Partition, tuple[int, ...]] = {}
+    for lam in partitions_of(d):
+        nu = _measure_value(lam, with_repetition=not squarefree)
+        if nu.degree > d - 1:
+            raise ConsistencyError(
+                f"measure value for {lam} has u-degree {nu.degree}, "
+                f"beyond the cohomological range {d - 1}"
+            )
+        z = lam.centralizer_order()
+        column = tuple(nu.coeff(k) * z for k in range(d))
+        for k, v in enumerate(column):
+            if v.denominator != 1:
+                raise ConsistencyError(f"non-integer character value {v} at k={k}, lam={lam}")
+        columns[lam] = tuple(v.numerator for v in column)
+    return MappingProxyType(columns)
+
+
+def _as_measure(d: int, squarefree: bool) -> Mapping[Partition, UPoly]:
+    # nu(lam) = column / z_lam, read back as u-polynomials.
+    return MappingProxyType({
+        lam: UPoly(U_VAR, tuple(Fraction(c, lam.centralizer_order()) for c in column))
+        for lam, column in measure_columns(d, squarefree=squarefree).items()
+    })
 
 
 @lru_cache(maxsize=None)
-def sf_splitting_measure(d: int) -> SplittingMeasure:
+def splitting_measure(d: int) -> Mapping[Partition, UPoly]:
+    """Measure of factorization types among all monic degree-d polynomials.
+
+    A read-only mapping from partitions, in partition order, to
+    u-polynomials.  Values sum to 1 as a polynomial identity.
+    """
+    return _as_measure(d, squarefree=False)
+
+
+@lru_cache(maxsize=None)
+def sf_splitting_measure(d: int) -> Mapping[Partition, UPoly]:
     """q**d-normalized measure of factorization types among squarefree polynomials.
 
-    Values sum to the squarefree density: 1 - u for d >= 2, and 1 for
-    d = 1 (every monic linear polynomial is squarefree).
+    A read-only mapping like `splitting_measure`.  Values sum to the
+    squarefree density: 1 - u for d >= 2, and 1 for d = 1 (every monic
+    linear polynomial is squarefree).
     """
-    if d < 1:
-        raise ValueError("splitting measures start at degree 1")
-    values = {lam: _measure_value(lam, with_repetition=False) for lam in partitions_of(d)}
-    return SplittingMeasure(d, FLAVOR_SQUAREFREE, values)
+    return _as_measure(d, squarefree=True)

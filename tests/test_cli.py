@@ -369,6 +369,22 @@ BAD_INPUTS = {
         ("irreducibles", "--q", "2^36", "--max-degree", "0"),
         "census needs degree at least 1",
     ),
+    "verify-huge-degree": (
+        ("verify", "--d", "1000000", "--q", "2", "--stat", "R"),
+        "census of q^d = 2^1000000 polynomials is above the budget of 10000000",
+    ),
+    "verify-huge-field": (
+        ("verify", "--d", "1", "--q", "2^100000000", "--stat", "R"),
+        "census of q^d = 2^100000000 polynomials is above the budget of 10000000",
+    ),
+    "irreducibles-huge-field": (
+        ("irreducibles", "--q", "3^10000000", "--max-degree", "1"),
+        "needs at least q^1 = 3^10000000 polynomial enumerations over F_3^10000000",
+    ),
+    "irreducibles-base-one": (
+        ("irreducibles", "--q", "1", "--max-degree", "1000000000"),
+        "1 is not prime",
+    ),
 }
 
 

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from splitstat import expect
+from splitstat import expect, measures
 from splitstat.errors import BudgetExceeded, DegreeMismatch
 from splitstat.exact import U_VAR, UPoly, poly
 from splitstat.expect import (
@@ -19,7 +19,7 @@ from splitstat.expect import (
 )
 from splitstat.gf import census, make_field
 from splitstat.lie_chars import phi_table, psi_table
-from splitstat.measures import splitting_measure
+from splitstat.measures import measure_columns, sf_splitting_measure, splitting_measure
 from splitstat.partitions import partitions_of
 from splitstat.sym_chars import (
     CharacterPolynomial,
@@ -159,8 +159,8 @@ def test_squarefree_degree_one():
 
 
 def test_expected_values_are_character_inner_products():
-    # psi and phi are defined by inverting the measures, so the measure sum
-    # and the inner products with the character rows agree term by term
+    # psi and phi read the same integer columns as the measure sum, so the
+    # sum and the inner products with the character rows agree term by term
     for d in range(1, 10):
         stats = [builtin(name, d) for name in ("one", "sgn", "ET", "R", "Q")]
         stats += [
@@ -274,12 +274,31 @@ def test_stable_limit_builds_no_measure_table(monkeypatch):
         raise AssertionError("stable_limit must not sample E_d")
 
     monkeypatch.setattr(expect, "expected", forbidden)
-    monkeypatch.setattr(expect, "splitting_measure", forbidden)
-    sizes = (splitting_measure.cache_info().currsize, partitions_of.cache_info().currsize)
+    monkeypatch.setattr(expect, "measure_columns", forbidden)
+    sizes = (measure_columns.cache_info().currsize, partitions_of.cache_info().currsize)
     limit = stable_limit(builtin_polynomial("Q"), 40)
-    assert (splitting_measure.cache_info().currsize, partitions_of.cache_info().currsize) == sizes
+    assert (measure_columns.cache_info().currsize, partitions_of.cache_info().currsize) == sizes
     assert limit.coeffs == tuple(q_limit_closed_form(40))
     assert limit.stabilized_at[40] == 42
+
+
+def test_expectations_sum_the_integer_columns(monkeypatch):
+    # values pinned from the Fraction-measure sum; no measure is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("expectations must read measure_columns")
+
+    monkeypatch.setattr(measures, "splitting_measure", forbidden)
+    monkeypatch.setattr(measures, "sf_splitting_measure", forbidden)
+    sizes = (splitting_measure.cache_info().currsize, sf_splitting_measure.cache_info().currsize)
+    assert expected(22, quadratic_excess(22)).value.json_coeffs() == [
+        "0", "2", "2", "4", "4", "6", "6", "8", "8", "10", "10",
+        "12", "12", "14", "14", "16", "16", "18", "18", "20", "20", "11",
+    ]
+    assert expected_sf(20, quadratic_excess(20), NORM_SF_COUNT).value.json_coeffs() == [
+        "0", "-1", "3", "-4", "4", "-5", "7", "-8", "8", "-9",
+        "11", "-12", "12", "-13", "15", "-16", "16", "-17", "10",
+    ]
+    assert (splitting_measure.cache_info().currsize, sf_splitting_measure.cache_info().currsize) == sizes
 
 
 def test_stable_limit_cost_cap():

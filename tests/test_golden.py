@@ -1,0 +1,58 @@
+"""Golden digests of whole CLI payloads.
+
+Each case runs one command with --json and hashes (exit code, stdout,
+stderr); the digests in cli_golden.json pin every byte of those runs
+across d.  To re-record after a deliberate output change, run this file
+as a script: `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from splitstat.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+
+STATS = ("one", "sgn", "ET", "R", "Q", "x1*x3", "ind:[2,1]")
+
+# group name -> (argv before --d, degrees)
+GROUPS = {
+    "measure": (("measure",), range(1, 11)),
+    "measure --sf": (("measure", "--sf"), range(1, 11)),
+    "psi": (("psi",), range(1, 11)),
+    "phi": (("phi",), range(1, 11)),
+}
+for _stat in STATS:
+    GROUPS[f"expect {_stat}"] = (("expect", "--stat", _stat), range(1, 9))
+    for _norm in ("qpower", "sfcount"):
+        GROUPS[f"sf-expect {_norm} {_stat}"] = (
+            ("sf-expect", "--normalization", _norm, "--stat", _stat),
+            range(1, 9),
+        )
+
+
+def digest(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    run = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(run.encode()).hexdigest()
+
+
+def digests(group: str) -> dict[str, str]:
+    prefix, degrees = GROUPS[group]
+    return {str(d): digest([*prefix, "--d", str(d), "--json"]) for d in degrees}
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_cli_json_matches_golden(group):
+    assert digests(group) == json.loads(GOLDEN.read_text())[group]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({g: digests(g) for g in GROUPS}, indent=1) + "\n")

@@ -4,10 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from splitstat.errors import ConsistencyError
 from splitstat.exact import Q_VAR, U_VAR, over_q_power, poly
 from splitstat.gf import irreducibles, make_field, type_counts
-from splitstat.measures import necklace, sf_splitting_measure, splitting_measure
+from splitstat.measures import measure_columns, necklace, sf_splitting_measure, splitting_measure
 from splitstat.partitions import Partition, partitions_of
+
+
+def total(measure):
+    return sum(measure.values(), poly(U_VAR, []))
 
 
 def test_necklace_small_degrees():
@@ -34,31 +39,31 @@ def test_necklace_counts_match_sieve():
 
 def test_measure_degree_two():
     m = splitting_measure(2)
-    assert m.value(Partition([1, 1])) == poly(U_VAR, [Fraction(1, 2), Fraction(1, 2)])
-    assert m.value(Partition([2])) == poly(U_VAR, [Fraction(1, 2), Fraction(-1, 2)])
+    assert m[Partition([1, 1])] == poly(U_VAR, [Fraction(1, 2), Fraction(1, 2)])
+    assert m[Partition([2])] == poly(U_VAR, [Fraction(1, 2), Fraction(-1, 2)])
 
 
 def test_sf_measure_degree_two():
     m = sf_splitting_measure(2)
     half = Fraction(1, 2)
-    assert m.value(Partition([1, 1])) == poly(U_VAR, [half, -half])
-    assert m.value(Partition([2])) == poly(U_VAR, [half, -half])
+    assert m[Partition([1, 1])] == poly(U_VAR, [half, -half])
+    assert m[Partition([2])] == poly(U_VAR, [half, -half])
 
 
 def test_degree_one_measures():
-    assert splitting_measure(1).value(Partition([1])) == poly(U_VAR, [1])
-    assert sf_splitting_measure(1).value(Partition([1])) == poly(U_VAR, [1])
+    assert splitting_measure(1)[Partition([1])] == poly(U_VAR, [1])
+    assert sf_splitting_measure(1)[Partition([1])] == poly(U_VAR, [1])
 
 
 def test_measure_normalization_identities():
     one = poly(U_VAR, [1])
     density = poly(U_VAR, [1, -1])
     for d in range(1, 13):
-        assert splitting_measure(d).total() == one
+        assert total(splitting_measure(d)) == one
         # squarefree: every monic linear polynomial is squarefree, so the
         # d = 1 mass is 1; from d = 2 on the density is 1 - u
         expected = one if d == 1 else density
-        assert sf_splitting_measure(d).total() == expected
+        assert total(sf_splitting_measure(d)) == expected
 
 
 def test_measure_at_u_equals_one_is_point_mass():
@@ -82,7 +87,7 @@ def test_u_degree_bounded_by_cohomological_range():
         m = splitting_measure(d)
         for lam, p in m.items():
             assert p.degree <= d - 1
-        assert m.value(Partition([1] * d)).degree == d - 1
+        assert m[Partition([1] * d)].degree == d - 1
 
 
 def test_measure_matches_census_frequencies():
@@ -93,7 +98,7 @@ def test_measure_matches_census_frequencies():
         m = splitting_measure(d)
         for lam in partitions_of(d):
             freq = Fraction(counts.get(lam, 0), F.q**d)
-            assert m.value(lam).evaluate(u) == freq
+            assert m[lam].evaluate(u) == freq
 
 
 def test_sf_measure_matches_census_frequencies():
@@ -104,11 +109,44 @@ def test_sf_measure_matches_census_frequencies():
         m = sf_splitting_measure(d)
         for lam in partitions_of(d):
             freq = Fraction(counts.get(lam, 0), F.q**d)
-            assert m.value(lam).evaluate(u) == freq
+            assert m[lam].evaluate(u) == freq
 
 
 def test_measures_reject_nonpositive_degree():
     with pytest.raises(ValueError):
         splitting_measure(0)
     with pytest.raises(ValueError):
+        measure_columns(0, squarefree=False)
+    with pytest.raises(ValueError):
         necklace(0)
+
+
+def test_measure_is_a_read_only_mapping_in_partition_order():
+    for measure in (splitting_measure(5), sf_splitting_measure(5)):
+        assert tuple(measure) == partitions_of(5)
+        with pytest.raises(TypeError):
+            measure[Partition([5])] = poly(U_VAR, [1])
+
+
+def test_measure_is_column_over_centralizer_order():
+    for squarefree, measure in ((False, splitting_measure(7)), (True, sf_splitting_measure(7))):
+        columns = measure_columns(7, squarefree=squarefree)
+        assert tuple(columns) == partitions_of(7)
+        for lam, column in columns.items():
+            assert len(column) == 7 and all(type(c) is int for c in column)
+            z = lam.centralizer_order()
+            assert measure[lam] == poly(U_VAR, [Fraction(c, z) for c in column])
+
+
+def test_columns_check_degree_and_integrality(monkeypatch):
+    import splitstat.measures as measures
+
+    real = measures._measure_value
+    cases = (
+        (lambda lam, **kw: real(lam, **kw) + poly(U_VAR, [0, 0, 0, 1]), "u-degree 3"),
+        (lambda lam, **kw: real(lam, **kw) + poly(U_VAR, [Fraction(1, 7)]), "non-integer"),
+    )
+    for fake, message in cases:
+        monkeypatch.setattr(measures, "_measure_value", fake)
+        with pytest.raises(ConsistencyError, match=message):
+            measures.measure_columns.__wrapped__(3, squarefree=False)
