@@ -3,8 +3,8 @@
 Every command is pure with respect to its arguments and prints
 deterministic output; rationals are rendered as "a/b" strings, never
 floats.  Exit codes: 0 on success, 2 on usage errors (unknown statistic,
-a statistic over a parse or print-size cap, exceeded budget or limit
-cost cap, bad flags), 1 on an internal consistency failure, i.e. a
+a statistic over a parse or print-size cap, exceeded budget, limit or
+decompose cost cap, bad flags), 1 on an internal consistency failure, i.e. a
 violated identity that should never occur.
 """
 
@@ -41,7 +41,7 @@ from .gf import (
 from .lie_chars import phi_table, psi_table
 from .measures import necklace, sf_splitting_measure, splitting_measure
 from .partitions import partitions_of
-from .sym_chars import decompose, polynomial_statistic
+from .sym_chars import check_decompose_budget, decompose, polynomial_statistic
 from .sym_chars import resolve as resolve_stat  # a --stat argument at degree d
 
 
@@ -136,6 +136,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    check_decompose_budget(args.d)  # before resolve_stat enumerates the partitions of d
     P = resolve_stat(args.stat, args.d)
     components = decompose(P)
     ordered = [(shape, components[shape]) for shape in partitions_of(args.d) if shape in components]

@@ -3,14 +3,16 @@
 The expected value of a statistic P over monic degree-d polynomials is
 sum over lam of P(lam) nu(lam), summed against the splitting measure nu.
 It is read from the stored integer columns z_lam nu(lam) of
-`measures.measure_columns`, weighted by P(lam) / z_lam over one common
-denominator.  Those columns are the characters psi_d^k, so the cohomology
-gives no second route: sum_k <P, psi_d^k> u**k is the same sum term by
-term (the tests check this identity; the census in `gf` is the
-independent check).  The
-squarefree variant sums against the squarefree measure, under a choice
-of normalization: by q**d, or by the actual squarefree count, which
-divides out the squarefree density (1 - u for d >= 2, 1 at d = 1).
+`measures.measure_columns`: each u**k coefficient is one integer dot
+product of `sym_chars.class_weights(P)`, the integers W_lam with
+P(lam) / z_lam = W_lam / D, with the k-th entries of the columns, over
+the one denominator D.  Those columns are the characters psi_d^k, so the
+cohomology gives no second route: sum_k <P, psi_d^k> u**k is the same sum
+term by term (the tests check this identity; the census in `gf` is the
+independent check).  The squarefree variant sums against the squarefree
+measure, under a choice of normalization: by q**d, or by the actual
+squarefree count, which divides out the squarefree density (1 - u for
+d >= 2, 1 at d = 1).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
 from .exact import U_VAR, UPoly, divmod_poly
 from .measures import _measure_value, measure_columns
 from .partitions import Partition
-from .sym_chars import CharacterPolynomial, ClassFunction
+from .sym_chars import CharacterPolynomial, ClassFunction, class_weights
 
 VIA_MEASURE = "measure"
 
@@ -56,16 +58,13 @@ class ExpectationResult:
 
 def _measure_sum(P: ClassFunction, squarefree: bool) -> UPoly:
     # nu(lam) = column / z_lam, so the sum is over the integer columns
-    # weighted by P(lam) / z_lam, put over one common denominator.
-    columns = measure_columns(P.d, squarefree=squarefree)
-    weights = {lam: Fraction(P.value(lam)) / lam.centralizer_order() for lam in columns}
-    den = lcm(*(w.denominator for w in weights.values()))
+    # (in partition order) weighted by P(lam) / z_lam = W_lam / D.
+    weights, den = class_weights(P)
     total = [0] * P.d
-    for lam, column in columns.items():
-        if w := weights[lam]:
-            scaled = w.numerator * (den // w.denominator)
+    for w, column in zip(weights, measure_columns(P.d, squarefree=squarefree).values()):
+        if w:
             for k, c in enumerate(column):
-                total[k] += scaled * c
+                total[k] += w * c
     return UPoly(U_VAR, tuple(Fraction(t, den) for t in total))
 
 

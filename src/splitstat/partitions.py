@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 class Partition:
     """A weakly decreasing tuple of positive integers, with multiplicity access."""
 
-    __slots__ = ("parts", "d", "_mults")
+    __slots__ = ("parts", "d", "_mults", "_z")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         ps = sorted((int(p) for p in parts), reverse=True)
@@ -29,6 +29,7 @@ class Partition:
         object.__setattr__(self, "parts", tuple(ps))
         object.__setattr__(self, "d", sum(ps))
         object.__setattr__(self, "_mults", mults)
+        object.__setattr__(self, "_z", 0)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Partition is immutable")
@@ -49,10 +50,12 @@ class Partition:
 
     def centralizer_order(self) -> int:
         """prod_j j**m_j * m_j!; the conjugacy class has size d!/this."""
-        z = 1
-        for j, m in self._mults.items():
-            z *= j**m * factorial(m)
-        return z
+        if not self._z:  # computed once per partition
+            z = 1
+            for j, m in self._mults.items():
+                z *= j**m * factorial(m)
+            object.__setattr__(self, "_z", z)
+        return self._z
 
     def sign(self) -> int:
         """+1 iff this is the cycle type of an even permutation."""

@@ -385,6 +385,15 @@ BAD_INPUTS = {
         ("irreducibles", "--q", "1", "--max-degree", "1000000000"),
         "1 is not prime",
     ),
+    "decompose-over-cap": (
+        ("decompose", "--d", "22", "--stat", "Q"),
+        "decompose at d=22 needs p(d)^2 (shape, class) pairs of character values, "
+        "more than the cap of 150000",
+    ),
+    "decompose-huge-degree": (
+        ("decompose", "--d", "1000000000", "--stat", "Q"),
+        "more than the cap of 150000",
+    ),
 }
 
 

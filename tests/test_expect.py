@@ -1,5 +1,6 @@
 """Expected values: dual routes, specializations, squarefree variants, limits."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -23,6 +24,7 @@ from splitstat.measures import measure_columns, sf_splitting_measure, splitting_
 from splitstat.partitions import partitions_of
 from splitstat.sym_chars import (
     CharacterPolynomial,
+    ClassFunction,
     builtin,
     builtin_polynomial,
     even_type,
@@ -176,6 +178,32 @@ def test_expected_values_are_character_inner_products():
                 U_VAR, tuple((-1) ** k * inner(P, phi.row(k)) for k in range(d))
             )
             assert via_phi == expected_sf(d, P).value
+
+
+def test_expectations_match_the_fraction_measure_sum():
+    # the reference: sum over lam of P(lam) nu(lam) in Fractions, against
+    # the measures read back from the columns as u-polynomials
+    rng = random.Random(12)
+    for d in range(1, 13):
+        stats = [builtin(name, d) for name in ("one", "sgn", "ET", "R", "Q")]
+        stats += [
+            parse_character_polynomial(e).class_function(d)
+            for e in ("x1^3/7", "2/3*x1*x2 - 5/4*x3 + 1/6")
+        ]
+        stats.append(ClassFunction(d, {
+            lam: Fraction(rng.randrange(-30, 31), rng.randrange(1, 13))
+            for lam in partitions_of(d)
+        }))
+        for P in stats:
+            for measure, result in (
+                (splitting_measure(d), expected(d, P)),
+                (sf_splitting_measure(d), expected_sf(d, P)),
+            ):
+                want = sum(
+                    (measure[lam] * P.value(lam) for lam in partitions_of(d)),
+                    poly(U_VAR, []),
+                )
+                assert result.value == want
 
 
 def test_checks_name_only_what_ran():

@@ -1,9 +1,10 @@
 """Golden digests of whole CLI payloads.
 
-Each case runs one command with --json and hashes (exit code, stdout,
-stderr); the digests in cli_golden.json pin every byte of those runs
-across d.  To re-record after a deliberate output change, run this file
-as a script: `PYTHONPATH=src python tests/test_golden.py`.
+Each case runs one command and hashes (exit code, stdout, stderr); the
+digests in cli_golden.json pin every byte of those runs across d.  Most
+groups run with --json; the decompose groups pin the text output too.
+To re-record after a deliberate output change, run this file as a
+script: `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import contextlib
@@ -20,20 +21,26 @@ GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
 STATS = ("one", "sgn", "ET", "R", "Q", "x1*x3", "ind:[2,1]")
 
+# decompose also runs these: a square, and non-integer coefficients
+DECOMPOSE_STATS = STATS + ("x1^2-x2", "(x1-1)*x1/2", "x1^3/7")
+
 # group name -> (argv before --d, degrees)
 GROUPS = {
-    "measure": (("measure",), range(1, 11)),
-    "measure --sf": (("measure", "--sf"), range(1, 11)),
-    "psi": (("psi",), range(1, 11)),
-    "phi": (("phi",), range(1, 11)),
+    "measure": (("measure", "--json"), range(1, 11)),
+    "measure --sf": (("measure", "--sf", "--json"), range(1, 11)),
+    "psi": (("psi", "--json"), range(1, 11)),
+    "phi": (("phi", "--json"), range(1, 11)),
 }
 for _stat in STATS:
-    GROUPS[f"expect {_stat}"] = (("expect", "--stat", _stat), range(1, 9))
+    GROUPS[f"expect {_stat}"] = (("expect", "--stat", _stat, "--json"), range(1, 9))
     for _norm in ("qpower", "sfcount"):
         GROUPS[f"sf-expect {_norm} {_stat}"] = (
-            ("sf-expect", "--normalization", _norm, "--stat", _stat),
+            ("sf-expect", "--normalization", _norm, "--stat", _stat, "--json"),
             range(1, 9),
         )
+for _stat in DECOMPOSE_STATS:
+    GROUPS[f"decompose {_stat}"] = (("decompose", "--stat", _stat, "--json"), range(1, 13))
+    GROUPS[f"decompose text {_stat}"] = (("decompose", "--stat", _stat), range(1, 13))
 
 
 def digest(argv: list[str]) -> str:
@@ -46,7 +53,7 @@ def digest(argv: list[str]) -> str:
 
 def digests(group: str) -> dict[str, str]:
     prefix, degrees = GROUPS[group]
-    return {str(d): digest([*prefix, "--d", str(d), "--json"]) for d in degrees}
+    return {str(d): digest([*prefix, "--d", str(d)]) for d in degrees}
 
 
 @pytest.mark.parametrize("group", GROUPS)

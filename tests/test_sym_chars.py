@@ -1,6 +1,6 @@
 """Class functions, irreducible characters, and character polynomials."""
 
-import gc
+import json
 import random
 import sys
 import time
@@ -13,12 +13,15 @@ import pytest
 from splitstat.errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import (
+    DECOMPOSE_BUDGET,
     MAX_NESTING,
     PARSE_BUDGET,
     CharacterPolynomial,
     ClassFunction,
     builtin,
     builtin_polynomial,
+    check_decompose_budget,
+    class_weights,
     decompose,
     even_type,
     indicator,
@@ -189,6 +192,59 @@ def test_decompose_reconstruct_roundtrip():
             assert reconstruct(d, decompose(X)) == X
 
 
+def fraction_inner(P, X):
+    # the pairing summed in Fractions, one partition at a time: the
+    # reference for the integer dot products of inner and decompose
+    return sum(
+        (P.value(lam) * X.value(lam) / lam.centralizer_order() for lam in partitions_of(P.d)),
+        Fraction(0),
+    )
+
+
+def test_integer_pairings_match_the_fraction_sum(tmp_path):
+    rng = random.Random(9)
+    for d in range(1, 11):
+        table = tmp_path / f"stat{d}.json"
+        table.write_text(json.dumps({
+            lam.label(): f"{rng.randrange(-30, 31)}/{rng.randrange(1, 13)}"
+            for lam in rng.sample(partitions_of(d), min(5, len(partitions_of(d))))
+        }))
+        stats = [resolve(spec, d) for spec in ("one", "sgn", "ET", "R", "Q", f"@{table}")]
+        stats += [
+            parse_character_polynomial(e).class_function(d)
+            for e in ("x1^2-x2", "(x1-1)*x1/2", "x1^3/7", "2/3*x1*x2 - 5/4*x3 + 1/6")
+        ]
+        characters = [irreducible_character(shape) for shape in partitions_of(d)]
+        for P in stats:
+            want = {
+                shape: a
+                for shape, chi in zip(partitions_of(d), characters)
+                if (a := fraction_inner(P, chi)) != 0
+            }
+            assert decompose(P) == want
+            for X in stats[::3] + characters[:3]:
+                assert inner(P, X) == fraction_inner(P, X)
+
+
+def test_class_weights_put_every_value_over_one_denominator():
+    P = parse_character_polynomial("x1^3/7 - 1/2*x2").class_function(6)
+    weights, den = class_weights(P)
+    assert len(weights) == len(partitions_of(6))
+    for lam, w in zip(partitions_of(6), weights):
+        assert Fraction(w, den) == P.value(lam) / lam.centralizer_order()
+        assert isinstance(w, int)
+
+
+def test_decompose_cap_admits_d_18_and_refuses_d_19():
+    assert len(partitions_of(18)) ** 2 <= DECOMPOSE_BUDGET < len(partitions_of(19)) ** 2
+    check_decompose_budget(18)
+    for d in (19, 22, 10**9):
+        with pytest.raises(BudgetExceeded, match=f"cap of {DECOMPOSE_BUDGET}"):
+            check_decompose_budget(d)
+    with pytest.raises(BudgetExceeded, match="d=19"):
+        decompose(one(19))
+
+
 def test_class_function_degree_checks():
     with pytest.raises(DegreeMismatch):
         ClassFunction(3, {Partition([2]): 1})
@@ -297,23 +353,27 @@ def test_class_function_refuses_unprintable_values():
     assert parse_character_polynomial("x2^100000000").class_function(1) == ClassFunction(1, {})
 
 
-def test_vanishing_monomials_are_dropped_before_evaluation():
+def test_vanishing_monomials_are_dropped_before_evaluation(monkeypatch):
     wide = "(" + "+".join(f"x{j}" for j in range(1, 61)) + ")^2"
     narrow = "(" + "+".join(f"x{j}" for j in range(1, 21)) + ")^2"
     assert resolve(wide, 20) == resolve(narrow, 20)
-    # the x21..x60 monomials are zero at d = 20, so they cost no evaluation;
-    # interleaved runs with the collector paused keep host noise out of the ratio
-    seconds = {wide: [], narrow: []}
-    gc.disable()
-    try:
-        for _ in range(5):
-            for spec in seconds:
-                start = time.perf_counter()
-                resolve(spec, 20)
-                seconds[spec].append(time.perf_counter() - start)
-    finally:
-        gc.enable()
-    assert min(seconds[wide]) <= 2 * min(seconds[narrow]), seconds
+    # the x21..x60 monomials are zero at d = 20, so none of them is evaluated:
+    # both squares evaluate the 210 monomials in x1..x20 at each of the 627
+    # partitions of 20
+    evaluated = []
+    evaluate = CharacterPolynomial.evaluate
+
+    def counting(self, lam):
+        evaluated.append(len(self.terms))
+        return evaluate(self, lam)
+
+    monkeypatch.setattr(CharacterPolynomial, "evaluate", counting)
+    counts = {}
+    for spec in (wide, narrow):
+        evaluated.clear()
+        resolve(spec, 20)
+        counts[spec] = sum(evaluated)
+    assert counts[wide] == counts[narrow] == 210 * len(partitions_of(20))
 
 
 def test_products_and_values_match_fraction_arithmetic():
