@@ -3,9 +3,9 @@
 Every command is pure with respect to its arguments and prints
 deterministic output; rationals are rendered as "a/b" strings, never
 floats.  Exit codes: 0 on success, 2 on usage errors (unknown statistic,
-a statistic over a parse or print-size cap, exceeded budget, limit or
-decompose cost cap, bad flags), 1 on an internal consistency failure, i.e. a
-violated identity that should never occur.
+a statistic over a parse or print-size cap, exceeded budget, limit,
+decompose or partition-route cost cap, bad flags), 1 on an internal
+consistency failure, i.e. a violated identity that should never occur.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .gf import (
     make_field,
 )
 from .lie_chars import phi_table, psi_table
-from .measures import necklace, sf_splitting_measure, splitting_measure
+from .measures import check_partition_budget, necklace, sf_splitting_measure, splitting_measure
 from .partitions import partitions_of
 from .sym_chars import check_decompose_budget, decompose, polynomial_statistic
 from .sym_chars import resolve as resolve_stat  # a --stat argument at degree d
@@ -118,6 +118,7 @@ def cmd_char_table(args: argparse.Namespace) -> int:
 
 
 def cmd_expect(args: argparse.Namespace) -> int:
+    check_partition_budget(args.d)  # before resolve_stat enumerates the partitions of d
     P = resolve_stat(args.stat, args.d)
     if args.command == "expect":
         result = expected(args.d, P, name=args.stat)
@@ -175,6 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if n > 0:  # make_field rejects other shapes at once
         check_census_budget(p, n, args.d, args.budget)
     field = make_field(p, n)
+    check_partition_budget(args.d)
     P = resolve_stat(args.stat, args.d)
     ok = True
     rows = []

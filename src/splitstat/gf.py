@@ -30,7 +30,7 @@ from itertools import product
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
 from .exact import power
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 from .sym_chars import ClassFunction
 
 DEFAULT_BUDGET = 10**7
@@ -488,8 +488,8 @@ def census(
     if stat.d != d:
         raise DegreeMismatch(f"statistic is for degree {stat.d}, census is for {d}")
     counts = type_counts(field, d, squarefree_only, budget, threads)
-    total = sum((stat.value(lam) * c for lam, c in counts.items()), Fraction(0))
-    return total / Fraction(field.q) ** d
+    total = sum(n * counts.get(lam, 0) for lam, n in zip(partitions_of(d), stat.numerators))
+    return Fraction(total, stat.denominator * field.q**d)
 
 
 def type_counts(

@@ -52,11 +52,8 @@ class CharTable:
         return range(self.d)
 
     def row(self, k: int) -> ClassFunction:
-        return ClassFunction(
-            self.d,
-            {lam: self.value(k, lam) for lam in partitions_of(self.d)},
-            name=f"{self.kind}[{self.d},{k}]",
-        )
+        values = [self.value(k, lam) for lam in self._columns]
+        return ClassFunction.from_integers(self.d, values, name=f"{self.kind}[{self.d},{k}]")
 
     def value(self, k: int, lam: Partition) -> int:
         if k not in self.degrees:

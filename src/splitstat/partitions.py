@@ -115,3 +115,20 @@ def partitions_of(d: int) -> tuple[Partition, ...]:
     if d < 0:
         raise ValueError("d must be nonnegative")
     return tuple(Partition(parts) for parts in _descending_parts(d, d if d else 1))
+
+
+def partition_count_exceeds(d: int, cap: int) -> bool:
+    """Whether p(d), the number of partitions of d, is above cap.
+
+    Counts p(0), p(1), ... by Euler's pentagonal number recurrence, with
+    no partition enumerated.  p(n) grows with n, so the count stops at the
+    first n over the cap: a huge d costs no more than a small one.
+    """
+    counts = [1]
+    while len(counts) <= d and counts[-1] <= cap:
+        n, p, k = len(counts), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            pair = counts[n - g] + (counts[n - g - k] if g + k <= n else 0)
+            p, k = p + (pair if k % 2 else -pair), k + 1
+        counts.append(p)
+    return counts[-1] > cap

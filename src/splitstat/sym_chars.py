@@ -10,11 +10,15 @@ functions x_1, x_2, ...), the built-in statistics, and `statistic`, which
 decides what a statistic spec such as "Q", "ind:[2,1]" or "x1^2 - x2"
 means.
 
-Every pairing sum over lam of P(lam) X(lam) / z_lam is an integer dot
-product over one denominator: `class_weights` writes P(lam) / z_lam as
-integers W_lam over one D, and X's values are integers over one
-denominator (1 for characters).  `inner`, `decompose` and the
-expectation sum in `expect` all pair this way.
+A class function is stored in one form: its values in partition order
+as integers over one positive denominator, in lowest terms.  Character
+polynomials, irreducible characters and character-table rows hand their
+integers over as they are (`ClassFunction.from_integers`), with no
+Fraction per partition.  Every pairing sum over lam of P(lam) X(lam) /
+z_lam is then an integer dot product over one denominator:
+`class_weights` writes P(lam) / z_lam as integers W_lam over one D, and
+X's stored integers are read as they are.  `inner`, `decompose`, the
+expectation sum in `expect` and the census in `gf` all read this form.
 """
 
 from __future__ import annotations
@@ -24,42 +28,46 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import factorial, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from .exact import join_signed, parse_rational, power
-from .partitions import Partition, partitions_of
+from .partitions import Partition, partition_count_exceeds, partitions_of
 
 Scalar = Fraction | int
 
 
 class ClassFunction:
-    """A rational-valued function on the partitions of d."""
+    """A rational-valued function on the partitions of d.
 
-    __slots__ = ("d", "name", "_values", "_integers")
+    Stored in one form: `numerators`, the values at the partitions of d in
+    partition order as integers over one positive `denominator`, in
+    lowest terms, so equal functions store equal integers.
+    """
 
-    def __init__(
-        self,
-        d: int,
-        values: Mapping[Partition, Scalar],
-        name: str = "",
-    ) -> None:
-        table: dict[Partition, Fraction] = {}
-        for lam, v in values.items():
-            if lam.d != d:
-                raise DegreeMismatch(f"partition {lam} does not have size {d}")
-            table[lam] = v if isinstance(v, Fraction) else Fraction(v)
-        for lam in partitions_of(d):
-            table.setdefault(lam, Fraction(0))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_values", table)
-        object.__setattr__(self, "_integers", None)
+    __slots__ = ("d", "name", "numerators", "denominator")
 
-    def __setattr__(self, attr: str, value: object) -> None:
-        raise AttributeError("ClassFunction is immutable")
+    def __init__(self, d: int, values: Mapping[Partition, Scalar], name: str = "") -> None:
+        if wrong := [lam for lam in values if lam.d != d]:
+            raise DegreeMismatch(f"partition {wrong[0]} does not have size {d}")
+        row = [values.get(lam, 0) for lam in partitions_of(d)]
+        den = lcm(*(v.denominator for v in row))
+        self._store(d, [v.numerator * (den // v.denominator) for v in row], den, name)
+
+    @classmethod
+    def from_integers(
+        cls, d: int, numerators: Iterable[int], denominator: int = 1, name: str = ""
+    ) -> "ClassFunction":
+        """The class function numerators[i] / denominator at the i-th
+        partition of d in partition order."""
+        nums = list(numerators)
+        if len(nums) != len(partitions_of(d)) or denominator < 1:
+            raise ValueError(f"need p({d}) numerators over a positive denominator")
+        out = cls.__new__(cls)
+        out._store(d, nums, denominator, name)
+        return out
 
     @classmethod
     def from_function(
@@ -67,62 +75,62 @@ class ClassFunction:
     ) -> "ClassFunction":
         return cls(d, {lam: fn(lam) for lam in partitions_of(d)}, name=name)
 
+    def _store(self, d: int, nums: list[int], den: int, name: str) -> None:
+        if den != 1 and (g := gcd(den, *nums)) != 1:
+            nums, den = [n // g for n in nums], den // g
+        for attr, v in zip(self.__slots__, (d, name, tuple(nums), den)):
+            object.__setattr__(self, attr, v)
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError("ClassFunction is immutable")
+
     def value(self, lam: Partition) -> Fraction:
         if lam.d != self.d:
             raise DegreeMismatch(f"partition {lam} does not have size {self.d}")
-        return self._values[lam]
+        return Fraction(self.numerators[_positions(self.d)[lam]], self.denominator)
 
     __call__ = value
 
     def items(self) -> Iterable[tuple[Partition, Fraction]]:
         """(partition, value) pairs in canonical partition order."""
-        return ((lam, self._values[lam]) for lam in partitions_of(self.d))
-
-    def _integer_values(self) -> tuple[tuple[int, ...], int]:
-        # The values in partition order as integers over one common
-        # denominator, computed once per class function.
-        if self._integers is None:
-            values = [self._values[lam] for lam in partitions_of(self.d)]
-            den = lcm(*(v.denominator for v in values))
-            nums = tuple(v.numerator * (den // v.denominator) for v in values)
-            object.__setattr__(self, "_integers", (nums, den))
-        return self._integers
-
-    def _check(self, other: "ClassFunction") -> None:
-        if self.d != other.d:
-            raise DegreeMismatch(f"degree mismatch: {self.d} vs {other.d}")
+        return ((lam, self.value(lam)) for lam in partitions_of(self.d))
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(
-            self.d, {lam: self._values[lam] + other._values[lam] for lam in self._values}
+        if self.d != other.d:
+            raise DegreeMismatch(f"degree mismatch: {self.d} vs {other.d}")
+        den = lcm(self.denominator, other.denominator)
+        a, b = den // self.denominator, den // other.denominator
+        return ClassFunction.from_integers(
+            self.d, [a * x + b * y for x, y in zip(self.numerators, other.numerators)], den
         )
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(
-            self.d, {lam: self._values[lam] - other._values[lam] for lam in self._values}
-        )
+        return self + other * -1
 
     def __mul__(self, scalar: Scalar) -> "ClassFunction":
         c = Fraction(scalar)
-        return ClassFunction(self.d, {lam: v * c for lam, v in self._values.items()})
+        return ClassFunction.from_integers(
+            self.d, [n * c.numerator for n in self.numerators], self.denominator * c.denominator
+        )
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ClassFunction)
-            and self.d == other.d
-            and self._values == other._values
-        )
+        return isinstance(other, ClassFunction) and (
+            self.d, self.denominator, self.numerators
+        ) == (other.d, other.denominator, other.numerators)
 
     def __hash__(self) -> int:
-        return hash((self.d, tuple(sorted((lam.parts, v) for lam, v in self._values.items()))))
+        return hash((self.d, self.denominator, self.numerators))
 
     def __repr__(self) -> str:
         tag = self.name or "ClassFunction"
         return f"<{tag} on partitions of {self.d}>"
+
+
+@lru_cache(maxsize=None)
+def _positions(d: int) -> dict[Partition, int]:
+    return {lam: i for i, lam in enumerate(partitions_of(d))}
 
 
 @lru_cache(maxsize=None)
@@ -141,15 +149,13 @@ def class_weights(P: ClassFunction) -> tuple[tuple[int, ...], int]:
     Pairing P with integer values X(lam) is then the integer dot product
     of W and X over D.
     """
-    nums, den = P._integer_values()
     scales, lcm_z = _class_scales(P.d)
-    return tuple(map(mul, nums, scales)), den * lcm_z
+    return tuple(map(mul, P.numerators, scales)), P.denominator * lcm_z
 
 
 def _pair(weights: tuple[int, ...], den: int, X: ClassFunction) -> Fraction:
     # sum of P(lam) X(lam) / z_lam, for (weights, den) = class_weights(P)
-    values, x_den = X._integer_values()
-    return Fraction(sum(map(mul, weights, values)), den * x_den)
+    return Fraction(sum(map(mul, weights, X.numerators)), den * X.denominator)
 
 
 def inner(P: ClassFunction, X: ClassFunction) -> Fraction:
@@ -222,11 +228,8 @@ def irr_dim(shape: Partition) -> int:
 @lru_cache(maxsize=None)
 def irreducible_character(shape: Partition) -> ClassFunction:
     """chi_shape as a class function on partitions of shape.d."""
-    return ClassFunction.from_function(
-        shape.d,
-        lambda lam: mn_character(shape, lam),
-        name=f"chi{shape.label()}",
-    )
+    values = [_mn_value(shape.parts, lam.parts) for lam in partitions_of(shape.d)]
+    return ClassFunction.from_integers(shape.d, values, name=f"chi{shape.label()}")
 
 
 # Cap on decompose: p(d)**2 (shape, class) pairs of Murnaghan-Nakayama
@@ -237,9 +240,8 @@ DECOMPOSE_BUDGET = 150_000
 def check_decompose_budget(d: int) -> None:
     """Raise BudgetExceeded if decomposing at degree d needs more than
     DECOMPOSE_BUDGET (shape, class) pairs of character values."""
-    # p(n) grows with n, so the scan stops at the first n over the cap:
-    # a huge d is refused without enumerating its partitions.
-    if any(len(partitions_of(n)) ** 2 > DECOMPOSE_BUDGET for n in range(d + 1)):
+    # p(d)**2 > DECOMPOSE_BUDGET exactly when p(d) > isqrt(DECOMPOSE_BUDGET)
+    if partition_count_exceeds(d, isqrt(DECOMPOSE_BUDGET)):
         raise BudgetExceeded(
             f"decompose at d={d} needs p(d)^2 (shape, class) pairs of character "
             f"values, more than the cap of {DECOMPOSE_BUDGET}"
@@ -266,12 +268,8 @@ def decompose(X: ClassFunction) -> dict[Partition, Fraction]:
 
 def reconstruct(d: int, coefficients: Mapping[Partition, Scalar]) -> ClassFunction:
     """The class function sum of a_shape * chi_shape."""
-    values = {lam: Fraction(0) for lam in partitions_of(d)}
-    for shape, a in coefficients.items():
-        chi = irreducible_character(shape)
-        for lam in values:
-            values[lam] += Fraction(a) * chi.value(lam)
-    return ClassFunction(d, values)
+    chis = (irreducible_character(shape) * a for shape, a in coefficients.items())
+    return sum(chis, ClassFunction(d, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +363,16 @@ class CharacterPolynomial:
 
     def evaluate(self, lam: Partition) -> Fraction:
         """Value at one partition (substitute the part counts of lam)."""
-        den, terms = self._integer_terms
+        return Fraction(self._numerator(lam), self._integer_terms[0])
+
+    def _numerator(self, lam: Partition) -> int:
+        # the value at lam times the common denominator of _integer_terms
         total = 0
-        for mono, n in terms:
+        for mono, n in self._integer_terms[1]:
             for j, e in mono:
                 n *= lam.mult(j) ** e
             total += n
-        return Fraction(total, den)
+        return total
 
     def class_function(self, d: int) -> ClassFunction:
         """The statistic this expression defines on partitions of d.
@@ -391,7 +392,8 @@ class CharacterPolynomial:
                 f"values of {name} at d={d} can exceed {sys.get_int_max_str_digits()} "
                 "digits, the limit for printing integers"
             )
-        return ClassFunction.from_function(d, p.evaluate, name=name)
+        nums = map(p._numerator, partitions_of(d))
+        return ClassFunction.from_integers(d, nums, p._integer_terms[0], name=name)
 
     def _printable(self, d: int, bits: int) -> bool:
         # Every value at d is at most the sum over terms of |numerator| times

@@ -394,6 +394,27 @@ BAD_INPUTS = {
         ("decompose", "--d", "1000000000", "--stat", "Q"),
         "more than the cap of 150000",
     ),
+    "expect-huge-degree": (
+        ("expect", "--d", "1000000000", "--stat", "Q"),
+        "the partition route at d=1000000000 needs p(d) factorization types, "
+        "more than the cap of 1255",
+    ),
+    "sf-expect-over-cap": (
+        ("sf-expect", "--d", "60", "--stat", "sgn"),
+        "the partition route at d=60 needs p(d) factorization types",
+    ),
+    "expect-just-over-cap": (
+        ("expect", "--d", "24", "--stat", "ind:[24]"),
+        "the partition route at d=24 needs p(d) factorization types",
+    ),
+    "psi-huge-degree": (("psi", "--d", "1000000000"), "more than the cap of 1255"),
+    "phi-just-over-cap": (("phi", "--d", "24"), "more than the cap of 1255"),
+    "measure-over-cap": (("measure", "--d", "200"), "more than the cap of 1255"),
+    "measure-sf-over-cap": (("measure", "--sf", "--d", "25"), "more than the cap of 1255"),
+    "verify-over-partition-cap": (
+        ("verify", "--d", "24", "--q", "2", "--stat", "R", "--budget", "100000000"),
+        "the partition route at d=24 needs p(d) factorization types",
+    ),
 }
 
 

@@ -24,6 +24,14 @@ STATS = ("one", "sgn", "ET", "R", "Q", "x1*x3", "ind:[2,1]")
 # decompose also runs these: a square, and non-integer coefficients
 DECOMPOSE_STATS = STATS + ("x1^2-x2", "(x1-1)*x1/2", "x1^3/7")
 
+# The session benchmark's degrees above 8 pin these: the built-ins with a
+# polynomial or sign form, its six expressions, and a non-integer
+# coefficient.
+SESSION_STATS = (
+    "one", "sgn", "ET", "R", "Q",
+    "x1*x2", "x1^2-x2", "x2", "x1*x3", "(x1-1)*x1/2", "x1^3", "x1^3/7",
+)
+
 # group name -> (argv before --d, degrees)
 GROUPS = {
     "measure": (("measure", "--json"), range(1, 11)),
@@ -38,6 +46,12 @@ for _stat in STATS:
             ("sf-expect", "--normalization", _norm, "--stat", _stat, "--json"),
             range(1, 9),
         )
+for _stat in SESSION_STATS:
+    GROUPS[f"expect d9-16 {_stat}"] = (("expect", "--stat", _stat, "--json"), range(9, 17))
+    GROUPS[f"sf-expect sfcount d9-16 {_stat}"] = (
+        ("sf-expect", "--normalization", "sfcount", "--stat", _stat, "--json"),
+        range(9, 17),
+    )
 for _stat in DECOMPOSE_STATS:
     GROUPS[f"decompose {_stat}"] = (("decompose", "--stat", _stat, "--json"), range(1, 13))
     GROUPS[f"decompose text {_stat}"] = (("decompose", "--stat", _stat), range(1, 13))

@@ -4,10 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from splitstat.errors import ConsistencyError
+from splitstat.errors import BudgetExceeded, ConsistencyError
 from splitstat.exact import Q_VAR, U_VAR, over_q_power, poly
 from splitstat.gf import irreducibles, make_field, type_counts
-from splitstat.measures import measure_columns, necklace, sf_splitting_measure, splitting_measure
+from splitstat.lie_chars import phi_table, psi_table
+from splitstat.measures import (
+    PARTITION_BUDGET,
+    check_partition_budget,
+    measure_columns,
+    necklace,
+    sf_splitting_measure,
+    splitting_measure,
+)
 from splitstat.partitions import Partition, partitions_of
 
 
@@ -119,6 +127,23 @@ def test_measures_reject_nonpositive_degree():
         measure_columns(0, squarefree=False)
     with pytest.raises(ValueError):
         necklace(0)
+
+
+def test_partition_route_cap_admits_d_23_and_refuses_d_24():
+    assert len(partitions_of(23)) <= PARTITION_BUDGET < len(partitions_of(24))
+    check_partition_budget(23)
+    for d in (24, 60, 10**9):
+        message = f"d={d} needs p\\(d\\) factorization types, more than the cap of 1255"
+        with pytest.raises(BudgetExceeded, match=message):
+            check_partition_budget(d)
+    for build in (
+        lambda: measure_columns(24, squarefree=True),
+        lambda: splitting_measure(200),
+        lambda: psi_table(10**9),
+        lambda: phi_table(10**9),
+    ):
+        with pytest.raises(BudgetExceeded, match=f"cap of {PARTITION_BUDGET}"):
+            build()
 
 
 def test_measure_is_a_read_only_mapping_in_partition_order():

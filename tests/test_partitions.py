@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from splitstat.partitions import Partition, partitions_of
+from splitstat.partitions import Partition, partition_count_exceeds, partitions_of
 
 
 def partition_count_oracle(n):
@@ -49,6 +49,15 @@ def test_partition_counts():
     assert len(partitions_of(10)) == 42 == partition_count_oracle(10)
     for d in range(13):
         assert len(partitions_of(d)) == partition_count_oracle(d)
+
+
+def test_partition_count_exceeds_stops_at_the_first_degree_over_the_cap():
+    for d in range(13):
+        p = len(partitions_of(d))
+        assert not partition_count_exceeds(d, p) and partition_count_exceeds(d, p - 1)
+    # p(100) = 190569292 (Hardy and Ramanujan's table)
+    assert partition_count_exceeds(100, 190569291) and not partition_count_exceeds(100, 190569292)
+    assert partition_count_exceeds(10**9, 1000)
 
 
 def test_no_duplicates_and_correct_sums():

@@ -10,7 +10,9 @@ from math import comb, factorial, prod
 
 import pytest
 
+from splitstat import sym_chars
 from splitstat.errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
+from splitstat.lie_chars import psi_table
 from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import (
     DECOMPOSE_BUDGET,
@@ -235,6 +237,56 @@ def test_class_weights_put_every_value_over_one_denominator():
         assert isinstance(w, int)
 
 
+def test_stored_values_match_the_fraction_evaluation():
+    # CharacterPolynomial.evaluate, one Fraction per partition, is the
+    # reference for the integer numerators that class_function stores
+    specs = ("one", "R", "Q", "x1^2-x2", "(x1-1)*x1/2", "x1^3/7", "2/3*x1*x2 - 5/4*x3 + 1/6")
+    rules = {"sgn": Partition.sign, "ET": lambda lam: Fraction(1 + lam.sign(), 2)}
+    for d in range(0, 13):
+        for spec in specs:
+            P, poly = resolve(spec, d), statistic(spec)
+            assert [P.value(lam) for lam in partitions_of(d)] == [
+                poly.evaluate(lam) for lam in partitions_of(d)
+            ]
+            assert list(P.items()) == [(lam, poly.evaluate(lam)) for lam in partitions_of(d)]
+        for spec, rule in rules.items():
+            assert [v for _, v in resolve(spec, d).items()] == list(map(rule, partitions_of(d)))
+
+
+def test_stored_form_is_in_lowest_terms():
+    values = {lam: Fraction(i, 6) for i, lam in enumerate(partitions_of(5))}
+    P = ClassFunction(5, values)
+    Q = ClassFunction.from_integers(5, [4 * i for i in range(len(values))], 24)
+    assert P == Q and hash(P) == hash(Q)
+    assert (P.numerators, P.denominator) == (tuple(range(len(values))), 6)
+    assert (P - Q) == ClassFunction(5, {}) and (P - Q).denominator == 1
+    c = Fraction(-3, 2)
+    assert P * c == c * P == ClassFunction(5, {lam: v * c for lam, v in values.items()})
+    with pytest.raises(ValueError):
+        ClassFunction.from_integers(5, [1, 2], 1)
+    with pytest.raises(ValueError):
+        ClassFunction.from_integers(5, [0] * 7, 0)
+    with pytest.raises(DegreeMismatch):
+        P + one(4)
+
+
+def test_producers_build_no_fraction_per_partition(monkeypatch):
+    P = parse_character_polynomial("x1^3/7 - 1/2*x2")
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(sym_chars, "Fraction", Counting)
+    stored = P.class_function(12)
+    chi = irreducible_character.__wrapped__(Partition([6, 4, 2]))
+    row = psi_table(12).row(5)
+    assert built == []
+    assert stored.denominator == 14 and chi.denominator == row.denominator == 1
+
+
 def test_decompose_cap_admits_d_18_and_refuses_d_19():
     assert len(partitions_of(18)) ** 2 <= DECOMPOSE_BUDGET < len(partitions_of(19)) ** 2
     check_decompose_budget(18)
@@ -246,8 +298,9 @@ def test_decompose_cap_admits_d_18_and_refuses_d_19():
 
 
 def test_class_function_degree_checks():
-    with pytest.raises(DegreeMismatch):
-        ClassFunction(3, {Partition([2]): 1})
+    for values in ({Partition([2]): 1}, {Partition([3]): 1, Partition([2, 1, 1]): 2}):
+        with pytest.raises(DegreeMismatch):
+            ClassFunction(3, values)
     P = one(3)
     with pytest.raises(DegreeMismatch):
         P.value(Partition([2]))
@@ -359,15 +412,15 @@ def test_vanishing_monomials_are_dropped_before_evaluation(monkeypatch):
     assert resolve(wide, 20) == resolve(narrow, 20)
     # the x21..x60 monomials are zero at d = 20, so none of them is evaluated:
     # both squares evaluate the 210 monomials in x1..x20 at each of the 627
-    # partitions of 20
+    # partitions of 20, one integer numerator per partition
     evaluated = []
-    evaluate = CharacterPolynomial.evaluate
+    numerator = CharacterPolynomial._numerator
 
     def counting(self, lam):
         evaluated.append(len(self.terms))
-        return evaluate(self, lam)
+        return numerator(self, lam)
 
-    monkeypatch.setattr(CharacterPolynomial, "evaluate", counting)
+    monkeypatch.setattr(CharacterPolynomial, "_numerator", counting)
     counts = {}
     for spec in (wide, narrow):
         evaluated.clear()
