@@ -1,8 +1,9 @@
 """Golden digests of whole CLI payloads.
 
 Each case runs one command and hashes (exit code, stdout, stderr); the
-digests in cli_golden.json pin every byte of those runs across d.  Most
-groups run with --json; the decompose groups pin the text output too.
+digests in cli_golden.json pin every byte of those runs across d (across
+--max-degree for irreducibles).  Most groups run with --json; the
+decompose and irreducibles groups pin the text output too.
 To re-record after a deliberate output change, run this file as a
 script: `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -32,7 +33,13 @@ SESSION_STATS = (
     "x1*x2", "x1^2-x2", "x2", "x1*x3", "(x1-1)*x1/2", "x1^3", "x1^3/7",
 )
 
-# group name -> (argv before --d, degrees)
+# Census fields, each with the highest degree its groups run to: packed
+# and unpacked prime-field kernels (F_11 switches at degree 4) and the
+# extension-field table kernel.
+CENSUS_FIELDS = {"2": 8, "3": 6, "5": 4, "7": 4, "11": 4, "2^2": 4, "3^2": 3}
+CENSUS_STATS = ("R", "Q", "sgn")
+
+# group name -> (argv before --d or --max-degree, degrees)
 GROUPS = {
     "measure": (("measure", "--json"), range(1, 11)),
     "measure --sf": (("measure", "--sf", "--json"), range(1, 11)),
@@ -55,6 +62,13 @@ for _stat in SESSION_STATS:
 for _stat in DECOMPOSE_STATS:
     GROUPS[f"decompose {_stat}"] = (("decompose", "--stat", _stat, "--json"), range(1, 13))
     GROUPS[f"decompose text {_stat}"] = (("decompose", "--stat", _stat), range(1, 13))
+for _q, _top in CENSUS_FIELDS.items():
+    GROUPS[f"irreducibles {_q}"] = (("irreducibles", "--q", _q, "--list", "--json"), range(1, _top + 1))
+    GROUPS[f"irreducibles text {_q}"] = (("irreducibles", "--q", _q, "--list"), range(1, _top + 1))
+    for _stat in CENSUS_STATS:
+        GROUPS[f"verify {_q} {_stat}"] = (
+            ("verify", "--q", _q, "--stat", _stat, "--json"), range(1, _top + 1),
+        )
 
 
 def digest(argv: list[str]) -> str:
@@ -67,7 +81,8 @@ def digest(argv: list[str]) -> str:
 
 def digests(group: str) -> dict[str, str]:
     prefix, degrees = GROUPS[group]
-    return {str(d): digest([*prefix, "--d", str(d)]) for d in degrees}
+    flag = "--max-degree" if prefix[0] == "irreducibles" else "--d"
+    return {str(d): digest([*prefix, flag, str(d)]) for d in degrees}
 
 
 @pytest.mark.parametrize("group", GROUPS)
