@@ -8,9 +8,22 @@ polynomial, so unique factorization is checked explicitly and a failure
 raises ConsistencyError.  The unmarked candidates are the degree-n
 irreducibles, and the factor degrees of the products (with and without
 repeated factors) give the census histogram, from which exact census
-averages of factorization statistics follow.  `factorization_type` still
-factors a single polynomial by trial division against the sieved
-irreducibles.
+averages of factorization statistics follow.  Degree 1 needs no walk:
+every monic linear polynomial is irreducible and none is a product.
+`factorization_type` still factors a single polynomial by trial division
+against the sieved irreducibles.
+
+Over a small prime field the walk runs on packed polynomials (Kronecker
+substitution): a Python int whose byte j holds the coefficient c_j.  A
+product is then one big-int multiply, reduced mod p by translating its
+bytes, and a seen-map index is its first n bytes read as base-p digits,
+all in C.  The final factors of a product come from one pool, laid out as
+one int with a polynomial per (n+1)-byte slot, so one multiply gives the
+whole pool's products.  This applies while no coefficient of any product
+in the walk can pass 255 before reduction, i.e.
+(n // 2 + 1) * (p - 1)**2 <= 255: every p <= 7 within the default budget,
+F_11 to degree 3.  Larger primes and extension fields multiply
+coefficient tuples in Python.
 
 This module is an oracle, not a performance artifact: everything is
 deterministic and exact, enumeration is single-threaded, and it is capped
@@ -20,13 +33,17 @@ Field elements are encoded as integers 0..q-1.  For a prime field the
 integer is the residue itself; for F_{p^n} it encodes the length-n
 coefficient vector over F_p in base p (digit i = coefficient of the i-th
 power of the residue class of x modulo the field's defining polynomial).
+A sieved irreducible of degree k is stored as its sieve index: its
+coefficients c_0..c_{k-1} read as base-q digits, c_0 most significant.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+import struct
+from itertools import chain, compress, product, repeat
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
 from .exact import power
@@ -66,7 +83,7 @@ class FqField:
         self.modulus = modulus
         # the prime subfield, whose arithmetic reduces products modulo `modulus`
         self._base = None if n == 1 else FqField(p, 1, (0, 1))
-        self._irr: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._irr: dict[int, Sequence[int]] = {}  # sieve indices by degree
         self._hist: dict[int, tuple[dict, dict]] = {}
         self._add = self._mul = self._inv = None
         if n > 1 and self.q <= _TABLE_LIMIT:
@@ -176,8 +193,7 @@ def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
     # factor among the irreducibles of degree at most n // 2.  Candidates
     # with c_0 = 0 are divisible by x, so the scan starts at c_0 = 1.
     base = FqField(p, 1, (0, 1))
-    _sieve(base, n // 2)
-    lower = [g for k in range(1, n // 2 + 1) for g in base._irr[k]]
+    lower = [g for polys in _irreducibles_raw(base, n // 2, DEFAULT_BUDGET).values() for g in polys]
     for tail in product(range(1, p), *[range(p)] * (n - 1)):
         cand = tail + (1,)
         if all(_divrem(base, cand, g)[1] for g in lower):
@@ -190,7 +206,9 @@ def make_field(p: int, n: int = 1) -> FqField:
 
     For n = 1 the defining modulus is x (prime-field fast path); for
     n > 1 it is the lexicographically smallest monic irreducible of
-    degree n over F_p, coefficients compared low-to-high.
+    degree n over F_p, coefficients compared low-to-high.  Finding it
+    sieves F_p to degree n // 2, which raises BudgetExceeded before any
+    work when that sieve would pass DEFAULT_BUDGET.
     """
     if not _is_prime(p):
         raise InvalidCharacteristic(f"{p} is not prime")
@@ -295,9 +313,49 @@ def check_census_budget(p: int, n: int, d: int, budget: int) -> None:
         )
 
 
+def _speller(q: int, k: int):
+    # Sieve index -> coefficient tuple (c_0, ..., c_{k-1}, 1) of the monic
+    # degree-k polynomial it names.  The index splits into a high and a low
+    # block of base-q digits, each looked up in a table of about q**(k/2)
+    # digit tuples; a linear x + c has index c and needs no table.
+    if k == 1:
+        return lambda i: (i, 1)
+    low_digits = k // 2
+    high = list(product(range(q), repeat=k - low_digits))
+    low = [t + (1,) for t in product(range(q), repeat=low_digits)]
+    size = q**low_digits
+
+    def spell(i: int) -> tuple[int, ...]:
+        a, b = divmod(i, size)
+        return high[a] + low[b]
+
+    return spell
+
+
+class _Polys(Sequence):
+    """The monic degree-k polynomials at the given sieve indices, read as
+    coefficient tuples on access; nothing is built for a length."""
+
+    __slots__ = ("_indices", "_spell")
+
+    def __init__(self, q: int, k: int, indices: Sequence[int]) -> None:
+        self._indices = indices
+        self._spell = _speller(q, k)
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, j: int) -> tuple[int, ...]:
+        return self._spell(self._indices[j])
+
+    def __iter__(self):
+        return map(self._spell, self._indices)
+
+
 def _multiplier(field: FqField):
     # Product of two coefficient tuples over the field, in the cheapest
-    # arithmetic it has: residues mod p, the lookup tables, or its methods.
+    # Python arithmetic it has: residues mod p, the lookup tables, or its
+    # methods.  Walks that fit the packed kernel never call it.
     if field.n == 1:
         p = field.p
 
@@ -336,45 +394,104 @@ def _multiplier(field: FqField):
     return mul
 
 
-def _walk(field: FqField, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[dict, dict]]:
+_BASE36 = b"0123456789abcdefghijklmnopqrstuvwxyz"  # digit characters int() reads
+
+
+def _packs(field: FqField, n: int) -> bool:
+    # Whether a degree-n walk runs on packed polynomials (Kronecker
+    # substitution), byte j of an int holding c_j.  A coefficient of a
+    # product of degrees a and b sums at most min(a, b) + 1 <= n // 2 + 1
+    # terms below p**2, so under this bound it fits its byte with no carry
+    # into the next.
+    return field.n == 1 and (n // 2 + 1) * (field.p - 1) ** 2 <= 255
+
+
+def _kernel(field: FqField, n: int):
+    # The arithmetic of a degree-n walk: the pools of irreducibles of
+    # degree 1..n-1 in its working form, the product of two polynomials,
+    # and indices(prod, k, first), the seen-map indices of prod * g for
+    # every g in pools[k][first:].
+    q, p = field.q, field.p
+    if _packs(field, n):
+        width = n + 1
+        from_bytes = int.from_bytes
+        reduce = bytes(c % p for c in range(256))
+        digits = bytes(_BASE36[c % p] for c in range(256))
+        pools = {
+            k: [from_bytes(bytes(c), "little") for c in _Polys(q, k, field._irr[k])]
+            for k in range(1, n)
+        }
+        # Each pool also laid out as one int, a polynomial per width-byte
+        # slot: one multiply by prod then gives every prod * g, slot by slot.
+        slots = {
+            k: from_bytes(b"".join(g.to_bytes(width, "little") for g in pool), "little")
+            for k, pool in pools.items()
+        }
+        unpack = struct.Struct(f"<{n}sx").iter_unpack
+
+        def mul(a: int, b: int) -> int:
+            return from_bytes((a * b).to_bytes(width, "little").translate(reduce), "little")
+
+        def indices(prod: int, k: int, first: int):
+            # A slot's first n bytes, reduced mod p and read as base-p
+            # digits with c_0 first, spell its index; its last is the
+            # leading 1.
+            products = prod * (slots[k] >> 8 * width * first)
+            buf = products.to_bytes(width * (len(pools[k]) - first), "little")
+            return map(int, chain.from_iterable(unpack(buf.translate(digits))), repeat(p))
+
+        return pools, mul, indices
+    mul = _multiplier(field)
+    pools = {k: list(_Polys(q, k, field._irr[k])) for k in range(1, n)}
+
+    def indices(prod: tuple[int, ...], k: int, first: int) -> list[int]:
+        out = []
+        for g in pools[k][first:]:
+            index = 0
+            for c in mul(prod, g)[:n]:
+                index = index * q + c
+            out.append(index)
+        return out
+
+    return pools, mul, indices
+
+
+def _walk(field: FqField, n: int) -> tuple[Sequence[int], tuple[dict, dict]]:
     # Build every reducible monic polynomial of degree n as a product of a
     # nondecreasing (degree, sieve order) multiset of irreducibles of
-    # degree < n, which field._irr must hold.  Returns the degree-n
-    # irreducibles in sieve order and the (all, squarefree) type histograms.
+    # degree < n, which field._irr must hold.  Returns the sieve indices of
+    # the degree-n irreducibles and the (all, squarefree) type histograms.
     q = field.q
-    irr = field._irr
-    mul = _multiplier(field)
-    # seen[i] marks the candidate whose coefficients c_0..c_{n-1}, read as
-    # base-q digits with c_0 most significant, spell i: sieve order.
-    seen = bytearray(q**n)
+    if n == 1:
+        # every monic linear polynomial is irreducible and none is a product
+        return range(q), ({Partition((1,)): q}, {Partition((1,)): q})
+    pools, mul, indices = _kernel(field, n)
+    # unseen[i] is 1 until a product reaches the candidate whose
+    # coefficients c_0..c_{n-1}, read as base-q digits with c_0 most
+    # significant, spell i: sieve order.
+    unseen = bytearray(b"\x01") * q**n
     all_counts: dict[tuple[int, ...], int] = {}
     sf_counts: dict[tuple[int, ...], int] = {}
-
-    def mark(f: tuple[int, ...]) -> None:
-        index = 0
-        for c in f[:n]:
-            index = index * q + c
-        if seen[index]:
-            raise ConsistencyError(
-                f"{FqPoly(field, f)} over F_{q} arises from two different "
-                "factorizations into irreducibles"
-            )
-        seen[index] = 1
 
     def extend(prod, degs, last_k, last_i, left, squarefree) -> None:
         # prod ends in factor last_i of degree last_k; multiply on factors
         # at or after it in (degree, sieve) order until `left` is used up.
         for k in range(last_k, left // 2 + 1):
-            pool = irr[k]
+            pool = pools[k]
             for i in range(last_i if k == last_k else 0, len(pool)):
                 repeat = k == last_k and i == last_i
                 extend(mul(prod, pool[i]), degs + (k,), k, i, left - k, squarefree and not repeat)
         if left < last_k:
             return
         first = last_i if left == last_k else 0
-        pool = irr[left]
-        for g in pool[first:]:
-            mark(mul(prod, g))
+        pool = pools[left]
+        for index in indices(prod, left, first):
+            if not unseen[index]:
+                raise ConsistencyError(
+                    f"{FqPoly(field, _speller(q, n)(index))} over F_{q} arises from "
+                    "two different factorizations into irreducibles"
+                )
+            unseen[index] = 0
         key = degs + (left,)
         count = len(pool) - first
         all_counts[key] = all_counts.get(key, 0) + count
@@ -384,12 +501,10 @@ def _walk(field: FqField, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[di
             sf_counts[key] = sf_counts.get(key, 0) + count
 
     for k in range(1, n // 2 + 1):
-        for i, g in enumerate(irr[k]):
+        for i, g in enumerate(pools[k]):
             extend(g, (k,), k, i, n - k, True)
 
-    found = tuple(
-        tail + (1,) for tail, hit in zip(product(range(q), repeat=n), seen) if not hit
-    )
+    found = tuple(compress(range(q**n), unseen))
     all_counts[(n,)] = sf_counts[(n,)] = len(found)
 
     hist_all = {Partition(degs): c for degs, c in all_counts.items()}
@@ -404,10 +519,14 @@ def _sieve(field: FqField, max_degree: int) -> None:
             field._irr[n], field._hist[n] = _walk(field, n)
 
 
-def _irreducibles_raw(field: FqField, max_degree: int, budget: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+def _irreducibles_raw(
+    field: FqField, max_degree: int, budget: int
+) -> dict[int, Sequence[tuple[int, ...]]]:
+    # The irreducibles as coefficient tuples, spelled from their sieve
+    # indices on access: a count reads only the length.
     check_sieve_budget(field.p, field.n, max_degree, budget)
     _sieve(field, max_degree)
-    return {deg: field._irr[deg] for deg in range(1, max_degree + 1)}
+    return {deg: _Polys(field.q, deg, field._irr[deg]) for deg in range(1, max_degree + 1)}
 
 
 def irreducibles(

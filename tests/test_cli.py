@@ -11,7 +11,7 @@ import pytest
 
 from splitstat import cli
 from splitstat.cli import main
-from splitstat.gf import FqPoly, make_field
+from splitstat.gf import FqPoly, make_field, type_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -291,9 +291,20 @@ def test_negative_stat_expected_value(capsys):
 
 def test_verify_reports_broken_unique_factorization(capsys, monkeypatch):
     field = make_field(3)
-    field._irr[1] = ((0, 1), (0, 1), (1, 1), (2, 1))  # x listed twice
+    field._irr[1] = (0, 0, 1, 2)  # x listed twice: x + c has sieve index c
     monkeypatch.setattr(cli, "make_field", lambda p, n=1: field)
     code, _, err = run(capsys, "verify", "--d", "2", "--q", "3", "--stat", "R")
+    assert code == 1
+    assert "internal consistency failure" in err
+
+
+@pytest.mark.parametrize("q, n, d", [("11", 1, 4), ("2^2", 2, 2)], ids=["F_11 d=4", "F_4 tables"])
+def test_verify_reports_broken_unique_factorization_on_tuple_kernels(capsys, monkeypatch, q, n, d):
+    field = make_field(int(q.split("^")[0]), n)
+    type_counts(field, d - 1)  # the lower degrees, sieved correctly
+    field._irr[1] = (0,) + tuple(field._irr[1])  # x listed twice
+    monkeypatch.setattr(cli, "make_field", lambda p, n=1: field)
+    code, _, err = run(capsys, "verify", "--d", str(d), "--q", q, "--stat", "R")
     assert code == 1
     assert "internal consistency failure" in err
 

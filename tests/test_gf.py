@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from splitstat.errors import BudgetExceeded, ConsistencyError, DegreeMismatch, I
 from splitstat.gf import (
     FqPoly,
     _irreducibles_raw,
+    _packs,
     _type_and_squarefree,
     census,
     factorization_type,
@@ -226,9 +228,22 @@ def test_type_counts_add_up():
     assert all(sf[lam] <= counts[lam] for lam in sf)
 
 
+def test_packed_kernel_applies_below_the_slot_bound():
+    # (d // 2 + 1) * (p - 1)**2 <= 255: F_11 packs to degree 3, F_7 to 13
+    assert _packs(make_field(11), 3) and not _packs(make_field(11), 4)
+    assert _packs(make_field(7), 13) and not _packs(make_field(7), 14)
+    assert _packs(make_field(2), 20) and not _packs(make_field(13), 2)
+    assert not _packs(make_field(2, 2), 2)  # extension fields multiply tuples
+
+
 def test_type_counts_match_trial_division_reference():
-    # reference: classify every monic polynomial by trial division
-    for (p, n), max_d in (((2, 1), 8), ((3, 1), 5), ((2, 2), 4), ((3, 2), 3)):
+    # reference: classify every monic polynomial by trial division; the
+    # prime fields run the packed kernel, F_11 at d = 4 and the extension
+    # fields the tuple kernels
+    cases = (
+        ((2, 1), 8), ((3, 1), 5), ((5, 1), 4), ((7, 1), 4), ((11, 1), 4), ((2, 2), 4), ((3, 2), 3),
+    )
+    for (p, n), max_d in cases:
         F = make_field(p, n)
         ref_field = make_field(p, n)  # separate caches
         for d in range(1, max_d + 1):
@@ -244,8 +259,52 @@ def test_type_counts_match_trial_division_reference():
             assert type_counts(F, d, squarefree_only=True) == ref_sf, (F, d)
 
 
+def repeat_x(p, n, d):
+    # F_{p^n} with its degree < d sieved, then x listed twice among the
+    # linear irreducibles: stored by sieve index, x + c has index c
+    F = make_field(p, n)
+    type_counts(F, d - 1)
+    F._irr[1] = (0,) + tuple(F._irr[1])
+    return F
+
+
 def test_repeated_irreducible_breaks_unique_factorization():
-    F = make_field(3)
-    F._irr[1] = ((0, 1), (0, 1), (1, 1), (2, 1))  # x listed twice
-    with pytest.raises(ConsistencyError):
+    F = repeat_x(3, 1, 2)
+    assert _packs(F, 2)
+    with pytest.raises(ConsistencyError, match=r"x\^2 over F_3 arises from two"):
         type_counts(F, 2)
+
+
+@pytest.mark.parametrize("p, n, d", [(11, 1, 4), (2, 2, 2)], ids=["F_11 d=4", "F_4 tables"])
+def test_unpacked_kernels_catch_a_repeated_irreducible(p, n, d):
+    F = repeat_x(p, n, d)
+    assert not _packs(F, d)
+    with pytest.raises(ConsistencyError, match=rf"x\^{d} over F_{F.q} arises from two"):
+        type_counts(F, d)
+
+
+def test_degree_one_needs_no_walk():
+    # every monic linear polynomial is irreducible and none is a product:
+    # over F_{2^20} neither a seen-map nor a million tuples is built
+    F = make_field(2, 20)
+    tracemalloc.start()
+    try:
+        counts = type_counts(F, 1)
+        sf = type_counts(F, 1, squarefree_only=True)
+        linear = _irreducibles_raw(F, 1, 10**7)[1]
+        assert len(linear) == 2**20
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == sf == {Partition([1]): 2**20}
+    assert peak < 100_000
+    assert (linear[0], linear[5], linear[-1]) == ((0, 1), (5, 1), (2**20 - 1, 1))
+    assert [g.coeffs for g in irreducibles(make_field(5), 1)[1]] == [(c, 1) for c in range(5)]
+
+
+def test_extension_field_construction_is_bounded():
+    # F_{2^60} would sieve F_2 to degree 30 for its modulus
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="sieving irreducibles to degree 30 .* budget of 10000000"):
+        make_field(2, 60)
+    assert time.perf_counter() - start < 0.1
