@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
-from .exact import U_VAR, UPoly, divmod_poly
+from .exact import U_VAR, UPoly
 from .measures import _measure_value, measure_columns
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, class_weights
@@ -56,15 +57,20 @@ class ExpectationResult:
         return self.value.evaluate(Fraction(1, q))
 
 
-def _measure_sum(P: ClassFunction, squarefree: bool) -> UPoly:
+def _measure_sum(P: ClassFunction, squarefree: bool) -> tuple[list[int], int]:
     # nu(lam) = column / z_lam, so the sum is over the integer columns
-    # (in partition order) weighted by P(lam) / z_lam = W_lam / D.
+    # (in partition order) weighted by P(lam) / z_lam = W_lam / D: the
+    # integer u**k totals, and D.
     weights, den = class_weights(P)
     total = [0] * P.d
     for w, column in zip(weights, measure_columns(P.d, squarefree=squarefree).values()):
         if w:
             for k, c in enumerate(column):
                 total[k] += w * c
+    return total, den
+
+
+def _u_poly(total: list[int], den: int) -> UPoly:
     return UPoly(U_VAR, tuple(Fraction(t, den) for t in total))
 
 
@@ -89,7 +95,7 @@ def expected(d: int, P: ClassFunction, name: str | None = None) -> ExpectationRe
     return ExpectationResult(
         d=d,
         statistic=_stat_name(P, name),
-        value=_measure_sum(P, squarefree=False),
+        value=_u_poly(*_measure_sum(P, squarefree=False)),
         route=VIA_MEASURE,
     )
 
@@ -114,24 +120,22 @@ def expected_sf(
     _check_args(d, P)
     if normalization not in (NORM_Q_POWER, NORM_SF_COUNT):
         raise ValueError(f"unknown normalization {normalization!r}")
-    value = _measure_sum(P, squarefree=True)
-    checks: tuple[str, ...] = ()
-    if normalization == NORM_SF_COUNT:
-        density = UPoly(U_VAR, (1,) if d == 1 else (1, -1))
-        value, rem = divmod_poly(value, density)
-        if not rem.is_zero():
+    total, den = _measure_sum(P, squarefree=True)
+    if normalization == NORM_SF_COUNT and d >= 2:
+        # dividing by 1 - u takes prefix sums; the last is the remainder
+        *total, rem = accumulate(total)
+        if rem:
             raise ConsistencyError(
                 f"squarefree sum for {_stat_name(P, name)} at d={d} is not "
-                f"divisible by the squarefree density {density}"
+                "divisible by the squarefree density 1 - u"
             )
-        checks = ("exact_division",)
     return ExpectationResult(
         d=d,
         statistic=_stat_name(P, name),
-        value=value,
+        value=_u_poly(total, den),
         route=VIA_MEASURE,
         normalization=normalization,
-        checks=checks,
+        checks=("exact_division",) if normalization == NORM_SF_COUNT else (),
     )
 
 

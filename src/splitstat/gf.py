@@ -22,8 +22,9 @@ one int with a polynomial per (n+1)-byte slot, so one multiply gives the
 whole pool's products.  This applies while no coefficient of any product
 in the walk can pass 255 before reduction, i.e.
 (n // 2 + 1) * (p - 1)**2 <= 255: every p <= 7 within the default budget,
-F_11 to degree 3.  Larger primes and extension fields multiply
-coefficient tuples in Python.
+F_11 to degree 3.  Larger primes multiply coefficient tuples in Python;
+extension fields multiply them through add/mul lookup tables, built from
+discrete logarithms in O(q**2) list entries.
 
 This module is an oracle, not a performance artifact: everything is
 deterministic and exact, enumeration is single-threaded, and it is capped
@@ -34,16 +35,19 @@ integer is the residue itself; for F_{p^n} it encodes the length-n
 coefficient vector over F_p in base p (digit i = coefficient of the i-th
 power of the residue class of x modulo the field's defining polynomial).
 A sieved irreducible of degree k is stored as its sieve index: its
-coefficients c_0..c_{k-1} read as base-q digits, c_0 most significant.
+coefficients c_0..c_{k-1} read as base-q digits, c_0 most significant,
+8 bytes each in an array (degree 1 is range(q)).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 import struct
 from itertools import chain, compress, product, repeat
+from operator import itemgetter
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
 from .exact import power
@@ -52,7 +56,8 @@ from .sym_chars import ClassFunction
 
 DEFAULT_BUDGET = 10**7
 
-# Extension fields up to this size get full add/mul lookup tables.
+# Extension fields up to this size build their lookup tables at construction;
+# a larger one builds them on its first walk, and its methods decode until then.
 _TABLE_LIMIT = 256
 
 
@@ -74,7 +79,7 @@ class FqField:
     the modulus is a valid monic irreducible.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_base", "_add", "_mul", "_inv", "_irr", "_hist")
+    __slots__ = ("p", "n", "q", "modulus", "_base", "_add", "_mul", "_irr", "_hist")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]) -> None:
         self.p = p
@@ -85,7 +90,7 @@ class FqField:
         self._base = None if n == 1 else FqField(p, 1, (0, 1))
         self._irr: dict[int, Sequence[int]] = {}  # sieve indices by degree
         self._hist: dict[int, tuple[dict, dict]] = {}
-        self._add = self._mul = self._inv = None
+        self._add = self._mul = None
         if n > 1 and self.q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -118,21 +123,24 @@ class FqField:
         return self._encode(rem)
 
     def _build_tables(self) -> None:
-        q = self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = self._decode(a)
-            for b in range(a, q):
-                db = self._decode(b)
-                s = self._encode([(x + y) % self.p for x, y in zip(da, db)])
-                add[a][b] = add[b][a] = s
-                m = self._ext_mul(a, b)
-                mul[a][b] = mul[b][a] = m
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
-        self._add, self._mul, self._inv = add, mul, inv
+        # From discrete logarithms: exp lists g**0..g**(q-2) for the first
+        # generator g in encoding order, a*b = g**(log a + log b), and
+        # a + b = a*(1 + b/a), where adding 1 raises the constant digit by
+        # one mod p.  itemgetter gathers every row in C.
+        q, p = self.q, self.p
+        for g in range(2, q):
+            exp = [1]
+            while (e := self._ext_mul(exp[-1], g)) != 1:
+                exp.append(e)
+            if len(exp) == q - 1:
+                break
+        log = [0, *sorted(range(q - 1), key=exp.__getitem__)]  # exp[log[a]] == a
+        exp2, by_log = exp + exp, itemgetter(*log[1:])  # exp2[log a:][log b] == a*b
+        mul = [[0] * q] + [[0, *by_log(exp2[log[a]:])] for a in range(1, q)]
+        one_plus = [c + 1 - p if c % p == p - 1 else c + 1 for c in range(q)]
+        # row a: b -> b/a (row 1/a of mul) -> 1 + b/a -> a*(1 + b/a) (row a)
+        add = [itemgetter(*itemgetter(*mul[exp[-log[a]]])(one_plus))(mul[a]) for a in range(1, q)]
+        self._add, self._mul = [list(range(q)), *map(list, add)], mul
 
     def add(self, a: int, b: int) -> int:
         if self.n == 1:
@@ -163,10 +171,6 @@ class FqField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.n == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._inv is not None:
-            return self._inv[a]
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -353,9 +357,8 @@ class _Polys(Sequence):
 
 
 def _multiplier(field: FqField):
-    # Product of two coefficient tuples over the field, in the cheapest
-    # Python arithmetic it has: residues mod p, the lookup tables, or its
-    # methods.  Walks that fit the packed kernel never call it.
+    # Product of two coefficient tuples over the field: residues mod p, or
+    # an extension field's lookup tables.  Packed walks never call it.
     if field.n == 1:
         p = field.p
 
@@ -368,27 +371,17 @@ def _multiplier(field: FqField):
             return tuple([c % p for c in out])
 
         return mul
-    if field._mul is not None:
-        add_t, mul_t = field._add, field._mul
-
-        def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    row = mul_t[x]
-                    for j, y in enumerate(b, i):
-                        out[j] = add_t[out[j]][row[y]]
-            return tuple(out)
-
-        return mul
-    f_add, f_mul = field.add, field.mul
+    if field._mul is None:  # q**2 entries each; the walk's seen-map has q**n
+        field._build_tables()
+    add_t, mul_t = field._add, field._mul
 
     def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
+                row = mul_t[x]
                 for j, y in enumerate(b, i):
-                    out[j] = f_add(out[j], f_mul(x, y))
+                    out[j] = add_t[out[j]][row[y]]
         return tuple(out)
 
     return mul
@@ -503,8 +496,9 @@ def _walk(field: FqField, n: int) -> tuple[Sequence[int], tuple[dict, dict]]:
     for k in range(1, n // 2 + 1):
         for i, g in enumerate(pools[k]):
             extend(g, (k,), k, i, n - k, True)
+    del extend  # it calls itself: the cycle would keep the pools alive until gc runs
 
-    found = tuple(compress(range(q**n), unseen))
+    found = array("q", compress(range(q**n), unseen))
     all_counts[(n,)] = sf_counts[(n,)] = len(found)
 
     hist_all = {Partition(degs): c for degs, c in all_counts.items()}

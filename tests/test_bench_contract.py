@@ -1,8 +1,9 @@
 """The names the benchmark harness reads from the program.
 
 bench/tracing.py wraps layer functions and reads lru_cache statistics by
-name, and bench/job.py replaces cli.make_field; a rename in splitstat
-would break the benchmark silently, so the names are checked here.
+name, and bench/job.py replaces cli.make_field and calls gf directly; a
+rename or a dropped keyword in splitstat would break the benchmark
+silently, so the names and the calls are checked here.
 """
 
 import importlib
@@ -10,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import splitstat.cli
+from splitstat import gf
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -40,3 +42,14 @@ def test_every_cached_function_reports_cache_info():
 
 def test_cli_binds_make_field():
     assert callable(splitstat.cli.make_field)
+
+
+def test_gf_calls_of_the_census_jobs_bind():
+    # bench/job.py warms the field and times the census with these calls,
+    # --trace 1 and the thread speedup among them
+    field = gf.make_field(2, 1)
+    found = gf.irreducibles(field, 2)
+    assert sum(len(polys) for polys in found.values()) == 3
+    for threads in (1, 2):
+        assert sum(gf.type_counts(field, 4, threads=threads).values()) == 16
+    assert sum(gf.type_counts(field, 4, squarefree_only=True).values()) == 8

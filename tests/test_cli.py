@@ -298,7 +298,11 @@ def test_verify_reports_broken_unique_factorization(capsys, monkeypatch):
     assert "internal consistency failure" in err
 
 
-@pytest.mark.parametrize("q, n, d", [("11", 1, 4), ("2^2", 2, 2)], ids=["F_11 d=4", "F_4 tables"])
+@pytest.mark.parametrize(
+    "q, n, d",
+    [("11", 1, 4), ("2^2", 2, 2), ("17^2", 2, 2)],
+    ids=["F_11 d=4", "F_4 tables", "F_289 tables built by the walk"],
+)
 def test_verify_reports_broken_unique_factorization_on_tuple_kernels(capsys, monkeypatch, q, n, d):
     field = make_field(int(q.split("^")[0]), n)
     type_counts(field, d - 1)  # the lower degrees, sieved correctly

@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from splitstat import expect, measures
-from splitstat.errors import BudgetExceeded, DegreeMismatch
-from splitstat.exact import U_VAR, UPoly, poly
+from splitstat.errors import BudgetExceeded, ConsistencyError, DegreeMismatch
+from splitstat.exact import U_VAR, UPoly, divmod_poly, poly
 from splitstat.expect import (
     NORM_SF_COUNT,
     VIA_MEASURE,
@@ -204,6 +204,28 @@ def test_expectations_match_the_fraction_measure_sum():
                     poly(U_VAR, []),
                 )
                 assert result.value == want
+
+
+def test_conditional_mean_is_the_squarefree_sum_over_one_minus_u():
+    # prefix sums against polynomial long division by the density
+    for d in range(2, 11):
+        for name in ("one", "sgn", "ET", "R", "Q"):
+            P = builtin(name, d)
+            want, rem = divmod_poly(expected_sf(d, P).value, poly(U_VAR, [1, -1]))
+            assert rem.is_zero()
+            assert expected_sf(d, P, NORM_SF_COUNT).value == want, (d, name)
+
+
+def test_indivisible_squarefree_sum_is_a_consistency_error(monkeypatch):
+    # columns whose u-sum is not 0 leave a remainder after dividing by 1 - u
+    monkeypatch.setattr(
+        expect, "measure_columns", lambda d, squarefree: {lam: [1, 0] for lam in partitions_of(d)}
+    )
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^squarefree sum for one at d=2 is not divisible by the squarefree density 1 - u$",
+    ):
+        expected_sf(2, one(2), NORM_SF_COUNT)
 
 
 def test_checks_name_only_what_ran():

@@ -118,6 +118,71 @@ def test_field_axioms_spot_checks():
             assert F.sub(F.add(a, b), b) == a
 
 
+def test_built_tables_equal_decode_arithmetic():
+    # every extension field with q <= 64: the discrete-logarithm tables
+    # against the coefficient-vector arithmetic the methods fall back on
+    for p, n in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)):
+        F = make_field(p, n)
+        add, mul = F._add, F._mul
+        F._add = F._mul = None
+        for a in range(F.q):
+            assert add[a] == [F.add(a, b) for b in range(F.q)], (F, a)
+            assert mul[a] == [F.mul(a, b) for b in range(F.q)], (F, a)
+
+
+def test_field_axioms_above_the_table_limit():
+    # F_{2^9} builds its tables on its first walk: the methods decode
+    # before it and read the tables after it, with the same answers
+    F = make_field(2, 9)
+    sample = range(0, F.q, 37)
+
+    def arithmetic():
+        for a in sample:
+            for b in sample:
+                assert F.mul(a, b) == F.mul(b, a)
+                assert F.sub(F.add(a, b), b) == a
+                for c in (1, 2, 300, 511):
+                    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+            if a:
+                assert F.mul(a, F.inv(a)) == 1
+            assert F.add(a, F.neg(a)) == 0
+        return [(F.add(a, b), F.mul(a, b)) for a in sample for b in sample]
+
+    assert F._mul is None
+    before = arithmetic()
+    type_counts(F, 2)
+    assert F._mul is not None
+    assert arithmetic() == before
+
+
+@pytest.mark.parametrize("p, n", [(17, 2), (2, 9)], ids=["F_289", "F_512"])
+def test_type_counts_above_the_table_limit(p, n):
+    # d = 2: q(q+1)/2 products of two linear factors, q(q-1)/2 of them
+    # squarefree, and (q**2 - q)/2 irreducible quadratics
+    F = make_field(p, n)
+    q = F.q
+    irreducible = (q * q - q) // 2
+    assert type_counts(F, 2) == {Partition([1, 1]): q * (q + 1) // 2, Partition([2]): irreducible}
+    assert type_counts(F, 2, squarefree_only=True) == {
+        Partition([1, 1]): q * (q - 1) // 2,
+        Partition([2]): irreducible,
+    }
+
+
+def test_irreducible_indices_are_stored_compactly():
+    # 8 bytes per sieve index and the array's growth margin, not an int
+    # object of 28 bytes or more per index; the walk's seen-map and pools
+    # are freed when it returns
+    tracemalloc.start()
+    try:
+        F = make_field(101)
+        type_counts(F, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 12 * len(F._irr[2])
+
+
 def test_irreducibles_over_f2():
     f2 = make_field(2)
     table = irreducibles(f2, 3)
@@ -275,7 +340,11 @@ def test_repeated_irreducible_breaks_unique_factorization():
         type_counts(F, 2)
 
 
-@pytest.mark.parametrize("p, n, d", [(11, 1, 4), (2, 2, 2)], ids=["F_11 d=4", "F_4 tables"])
+@pytest.mark.parametrize(
+    "p, n, d",
+    [(11, 1, 4), (2, 2, 2), (17, 2, 2)],
+    ids=["F_11 d=4", "F_4 tables", "F_289 tables built by the walk"],
+)
 def test_unpacked_kernels_catch_a_repeated_irreducible(p, n, d):
     F = repeat_x(p, n, d)
     assert not _packs(F, d)
