@@ -139,8 +139,9 @@ class FqField:
         mul = [[0] * q] + [[0, *by_log(exp2[log[a]:])] for a in range(1, q)]
         one_plus = [c + 1 - p if c % p == p - 1 else c + 1 for c in range(q)]
         # row a: b -> b/a (row 1/a of mul) -> 1 + b/a -> a*(1 + b/a) (row a)
-        add = [itemgetter(*itemgetter(*mul[exp[-log[a]]])(one_plus))(mul[a]) for a in range(1, q)]
-        self._add, self._mul = [list(range(q)), *map(list, add)], mul
+        add = [list(range(q))]
+        add += [list(itemgetter(*itemgetter(*mul[exp[-log[a]]])(one_plus))(mul[a])) for a in range(1, q)]
+        self._add, self._mul = add, mul
 
     def add(self, a: int, b: int) -> int:
         if self.n == 1:
