@@ -103,7 +103,7 @@ class FqField:
             digits.append(r)
         return digits
 
-    def _encode(self, digits: list[int]) -> int:
+    def _encode(self, digits: Sequence[int]) -> int:
         e = 0
         for c in reversed(digits):
             e = e * self.p + c
@@ -118,9 +118,7 @@ class FqField:
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = list(_divrem(self._base, tuple(prod), self.modulus)[1])
-        rem += [0] * (self.n - len(rem))
-        return self._encode(rem)
+        return self._encode(_divrem(self._base, tuple(prod), self.modulus)[1])
 
     def _build_tables(self) -> None:
         # From discrete logarithms: exp lists g**0..g**(q-2) for the first
@@ -130,10 +128,12 @@ class FqField:
         q, p = self.q, self.p
         for g in range(2, q):
             exp = [1]
-            while (e := self._ext_mul(exp[-1], g)) != 1:
+            while (e := self._ext_mul(exp[-1], g)) != 1 and len(exp) < q:
                 exp.append(e)
             if len(exp) == q - 1:
                 break
+        else:  # without a generator the quotient ring is no field
+            raise ValueError(f"modulus {self.modulus} is not irreducible over F_{p}")
         log = [0, *sorted(range(q - 1), key=exp.__getitem__)]  # exp[log[a]] == a
         exp2, by_log = exp + exp, itemgetter(*log[1:])  # exp2[log a:][log b] == a*b
         mul = [[0] * q] + [[0, *by_log(exp2[log[a]:])] for a in range(1, q)]
@@ -497,7 +497,7 @@ def _walk(field: FqField, n: int) -> tuple[Sequence[int], tuple[dict, dict]]:
     for k in range(1, n // 2 + 1):
         for i, g in enumerate(pools[k]):
             extend(g, (k,), k, i, n - k, True)
-    del extend  # it calls itself: the cycle would keep the pools alive until gc runs
+    del extend  # it calls itself; breaking the cycle frees the seen-map and pools on return
 
     found = array("q", compress(range(q**n), unseen))
     all_counts[(n,)] = sf_counts[(n,)] = len(found)

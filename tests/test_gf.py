@@ -1,6 +1,9 @@
 """Finite field construction, factoring, and the census oracle."""
 
+import gc
 import random
+import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +13,7 @@ import pytest
 
 from splitstat.errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
 from splitstat.gf import (
+    FqField,
     FqPoly,
     _irreducibles_raw,
     _packs,
@@ -91,6 +95,14 @@ def test_f9_modulus_is_lex_first():
             assert next(rootless) == modulus
 
 
+def test_reducible_modulus_is_rejected():
+    # no element of F_2[x]/(x^2) or F_3[x]/((x + 1)(x + 2)) generates the
+    # units, so the table build stops instead of stepping powers forever
+    for p, modulus in ((2, (0, 0, 1)), (3, (2, 0, 1))):
+        with pytest.raises(ValueError, match=rf"modulus {re.escape(str(modulus))} is not irreducible"):
+            FqField(p, 2, modulus)
+
+
 def test_large_extension_moduli_are_found_fast():
     # candidates with c_0 = 0 are divisible by x; the scan skips them
     pinned = {
@@ -170,17 +182,27 @@ def test_type_counts_above_the_table_limit(p, n):
 
 
 def test_irreducible_indices_are_stored_compactly():
-    # 8 bytes per sieve index and the array's growth margin, not an int
-    # object of 28 bytes or more per index; the walk's seen-map and pools
-    # are freed when it returns
-    tracemalloc.start()
-    try:
-        F = make_field(101)
-        type_counts(F, 2)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 12 * len(F._irr[2])
+    # 8 bytes per sieve index, not an int object of 28 bytes or more per
+    # index: the stored indices and every object they hold, by getsizeof
+    F = make_field(101)
+    type_counts(F, 2)
+    stored = F._irr[2]
+    held = sys.getsizeof(stored) + sum(map(sys.getsizeof, gc.get_referents(stored)))
+    assert held < 9 * len(stored)
+
+
+def test_walks_leave_no_reference_cycles():
+    # the seen-map and pools are freed when a walk returns, not at the
+    # next collection: the packed, prime tuple and table kernels
+    for p, n, d in ((3, 1, 6), (101, 1, 2), (2, 2, 4)):
+        F = make_field(p, n)
+        gc.collect()
+        gc.disable()
+        try:
+            type_counts(F, d)
+            assert gc.collect() == 0, (F, d)
+        finally:
+            gc.enable()
 
 
 def test_irreducibles_over_f2():
