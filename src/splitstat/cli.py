@@ -33,6 +33,7 @@ from .gf import (
     DEFAULT_BUDGET,
     FqPoly,
     _irreducibles_raw,
+    _least_prime_factor,
     census,
     check_census_budget,
     check_sieve_budget,
@@ -55,6 +56,18 @@ def _parse_q(text: str) -> tuple[int, int]:
         return int(p_str), int(n_str)
     except ValueError:
         raise UnknownStatistic(f"--q expects p or p^n, got {text!r}") from None
+
+
+def _prime_base(p: int, n: int) -> tuple[int, int]:
+    # A base p**k for a prime p names the field of size p**(k*n), so
+    # "--q 4" is "--q 2^2"; make_field rejects any other base.
+    if p >= 2:
+        r, m, k = _least_prime_factor(p), p, 0
+        while m % r == 0:
+            m, k = m // r, k + 1
+        if m == 1:
+            return r, k * n
+    return p, n
 
 
 def format_inverse_powers(p: UPoly) -> str:
@@ -175,6 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     p, n = _parse_q(args.q)
     if n > 0:  # make_field rejects other shapes at once
         check_census_budget(p, n, args.d, args.budget)
+        p, n = _prime_base(p, n)
     field = make_field(p, n)
     check_partition_budget(args.d)
     P = resolve_stat(args.stat, args.d)
@@ -226,6 +240,7 @@ def cmd_irreducibles(args: argparse.Namespace) -> int:
     p, n = _parse_q(args.q)
     if n > 0:  # make_field rejects other shapes at once
         check_sieve_budget(p, n, args.max_degree, args.budget)
+        p, n = _prime_base(p, n)
     field = make_field(p, n)
     table = _irreducibles_raw(field, args.max_degree, args.budget)  # FqPoly only for --list
     counts = {deg: len(table[deg]) for deg in sorted(table)}
@@ -302,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add("verify", cmd_verify, "compare the brute-force census with the formula")
     s.add_argument("--d", type=int, required=True)
-    s.add_argument("--q", required=True, help="field size, p or p^n")
+    s.add_argument("--q", required=True, help="field size, a prime power such as 4 or 2^2")
     s.add_argument("--stat", required=True)
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     s.add_argument(
@@ -312,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     s = add("irreducibles", cmd_irreducibles, "sieve monic irreducibles and check counts")
-    s.add_argument("--q", required=True, help="field size, p or p^n")
+    s.add_argument("--q", required=True, help="field size, a prime power such as 4 or 2^2")
     s.add_argument("--max-degree", type=int, required=True, dest="max_degree")
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     s.add_argument("--list", action="store_true", help="list the polynomials")

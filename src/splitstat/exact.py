@@ -10,12 +10,12 @@ Coefficients are `fractions.Fraction` throughout -- there is no floating
 point anywhere in the computation path.  Coefficients are stored densely,
 index = exponent, with the top coefficient nonzero unless the polynomial
 is zero.  Instances are immutable and hashable, safe to share between
-concurrent tasks.
+concurrent tasks.  Their base, `Immutable`, serves every value class of
+the package that is defined by its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
 
@@ -35,17 +35,52 @@ def _normalized(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class UPoly:
+class Immutable:
+    """Base of the immutable value classes.
+
+    The public __slots__ are the fields, in constructor order, set once
+    by `_store` at construction; a private slot holds a cache.  Instances
+    compare and hash by their fields, print as a keyword constructor
+    call, and pickle and copy through the constructor.
+    """
+
+    __slots__ = ()
+
+    def _store(self, *values: object) -> None:
+        for attr, v in zip(self.__slots__, values):
+            object.__setattr__(self, attr, v)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> dict[str, object]:
+        return {attr: getattr(self, attr) for attr in self.__slots__ if attr[0] != "_"}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{attr}={v!r}" for attr, v in self._fields().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self._fields().values())
+
+
+class UPoly(Immutable):
     """A polynomial in a single tagged variable over the rationals."""
 
-    var: str
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("var", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.var not in (Q_VAR, U_VAR):
-            raise ValueError(f"unknown variable tag {self.var!r}")
-        object.__setattr__(self, "coeffs", _normalized(self.coeffs))
+    def __init__(self, var: str, coeffs: tuple[Fraction, ...]) -> None:
+        if var not in (Q_VAR, U_VAR):
+            raise ValueError(f"unknown variable tag {var!r}")
+        self._store(var, _normalized(coeffs))
 
     @property
     def degree(self) -> int:

@@ -17,13 +17,12 @@ d >= 2, 1 at d = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
-from .exact import U_VAR, UPoly
+from .exact import U_VAR, Immutable, UPoly
 from .measures import _measure_value, measure_columns
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, class_weights
@@ -34,19 +33,24 @@ NORM_Q_POWER = "q_power"
 NORM_SF_COUNT = "sf_count"
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
+class ExpectationResult(Immutable):
     """An exact expected value as a polynomial in u = 1/q.
 
     `checks` names the checks that ran while computing it.
     """
 
-    d: int
-    statistic: str
-    value: UPoly
-    route: str
-    normalization: str | None = None
-    checks: tuple[str, ...] = ()
+    __slots__ = ("d", "statistic", "value", "route", "normalization", "checks")
+
+    def __init__(
+        self,
+        d: int,
+        statistic: str,
+        value: UPoly,
+        route: str,
+        normalization: str | None = None,
+        checks: tuple[str, ...] = (),
+    ) -> None:
+        self._store(d, statistic, value, route, normalization, checks)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -157,18 +161,23 @@ def trivial_coeff(d: int, P: ClassFunction) -> Fraction:
     return expected(d, P).value.coeff(0)
 
 
-@dataclass(frozen=True)
-class StableLimit:
+class StableLimit(Immutable):
     """Coefficientwise limit of E_d(P) as d grows, with witnesses.
 
     coeffs[k] is the limit of the u**k coefficient; stabilized_at[k] is
     the least d > k from which that coefficient of E_d(P) equals it.
     """
 
-    statistic: str
-    order: int
-    coeffs: tuple[Fraction, ...]
-    stabilized_at: tuple[int, ...]
+    __slots__ = ("statistic", "order", "coeffs", "stabilized_at")
+
+    def __init__(
+        self,
+        statistic: str,
+        order: int,
+        coeffs: tuple[Fraction, ...],
+        stabilized_at: tuple[int, ...],
+    ) -> None:
+        self._store(statistic, order, coeffs, stabilized_at)
 
 
 # Cap on _limit_cost: about 1.5 s of work on a 2-core host.

@@ -43,14 +43,13 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 import struct
 from itertools import chain, compress, product, repeat
 from operator import itemgetter
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
-from .exact import power
+from .exact import Immutable, power
 from .partitions import Partition, partitions_of
 from .sym_chars import ClassFunction
 
@@ -61,15 +60,14 @@ DEFAULT_BUDGET = 10**7
 _TABLE_LIMIT = 256
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
+def _least_prime_factor(m: int) -> int:
+    """The least prime factor of m >= 2, by trial division."""
     i = 2
     while i * i <= m:
         if m % i == 0:
-            return False
+            return i
         i += 1
-    return True
+    return m
 
 
 class FqField:
@@ -215,7 +213,7 @@ def make_field(p: int, n: int = 1) -> FqField:
     sieves F_p to degree n // 2, which raises BudgetExceeded before any
     work when that sieve would pass DEFAULT_BUDGET.
     """
-    if not _is_prime(p):
+    if p < 2 or _least_prime_factor(p) != p:
         raise InvalidCharacteristic(f"{p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be at least 1")
@@ -223,18 +221,17 @@ def make_field(p: int, n: int = 1) -> FqField:
     return FqField(p, n, modulus)
 
 
-@dataclass(frozen=True)
-class FqPoly:
+class FqPoly(Immutable):
     """A monic polynomial over a finite field, coefficients low-to-high."""
 
-    field: FqField
-    coeffs: tuple[int, ...]
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[-1] != 1:
+    def __init__(self, field: FqField, coeffs: tuple[int, ...]) -> None:
+        if not coeffs or coeffs[-1] != 1:
             raise ValueError("FqPoly must be monic")
-        if any(not 0 <= c < self.field.q for c in self.coeffs):
+        if any(not 0 <= c < field.q for c in coeffs):
             raise ValueError("coefficients must be field elements 0..q-1")
+        self._store(field, coeffs)
 
     @property
     def degree(self) -> int:

@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from math import factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
-from .exact import join_signed, parse_rational, power
+from .exact import Immutable, join_signed, parse_rational, power
 from .partitions import Partition, partition_count_exceeds, partitions_of
 
 Scalar = Fraction | int
@@ -285,16 +284,28 @@ def _norm_terms(table: Mapping[Monomial, Fraction]) -> tuple[tuple[Monomial, Fra
     return tuple(sorted((m, c) for m, c in table.items() if c != 0))
 
 
-@dataclass(frozen=True)
-class CharacterPolynomial:
+class CharacterPolynomial(Immutable):
     """A polynomial in the part-count functions x_1, x_2, ...
 
     Evaluating at a partition substitutes x_j = (number of parts of size
     j); the same expression therefore defines a statistic for every d.
     """
 
-    terms: tuple[tuple[Monomial, Fraction], ...]
-    name: str = ""
+    __slots__ = ("terms", "name", "_integer_terms")
+
+    def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...], name: str = "") -> None:
+        self._store(terms, name)  # _integer_terms is filled on first read
+
+    def __getattr__(self, attr: str) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
+        # Reached only for a slot not yet set.  _integer_terms puts the terms
+        # over one common denominator, so products and values multiply
+        # integers; reads after the first find it in its slot.
+        if attr != "_integer_terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        den = lcm(*(c.denominator for _, c in self.terms))
+        value = den, tuple((m, c.numerator * (den // c.denominator)) for m, c in self.terms)
+        object.__setattr__(self, attr, value)
+        return value
 
     @classmethod
     def constant(cls, c: Scalar, name: str = "") -> "CharacterPolynomial":
@@ -354,12 +365,6 @@ class CharacterPolynomial:
 
     def __pow__(self, e: int) -> "CharacterPolynomial":
         return power(self, e, CharacterPolynomial.__mul__, CharacterPolynomial.constant(1))
-
-    @cached_property
-    def _integer_terms(self) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
-        # One common denominator, so products and values multiply integers.
-        den = lcm(*(c.denominator for _, c in self.terms))
-        return den, tuple((m, c.numerator * (den // c.denominator)) for m, c in self.terms)
 
     def evaluate(self, lam: Partition) -> Fraction:
         """Value at one partition (substitute the part counts of lam)."""
@@ -618,8 +623,8 @@ _BUILTINS: dict[str, CharacterPolynomial | Callable[[Partition], Scalar] | str] 
     "sgn": Partition.sign,
     "ET": lambda lam: Fraction(1 + lam.sign(), 2),
     "R": CharacterPolynomial.variable(1, name="R"),
-    "Q": replace(
-        CharacterPolynomial.binomial(1, 2) - CharacterPolynomial.variable(2), name="Q"
+    "Q": CharacterPolynomial(
+        (CharacterPolynomial.binomial(1, 2) - CharacterPolynomial.variable(2)).terms, name="Q"
     ),
 }
 

@@ -81,6 +81,18 @@ def test_verify_json_prime_power(capsys):
     assert got["results"]["all"]["census"] == got["results"]["all"]["formula"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--d", "3", "--stat", "Q"),
+    ("verify", "--d", "3", "--stat", "Q", "--json"),
+    ("irreducibles", "--max-degree", "2", "--list"),
+    ("irreducibles", "--max-degree", "2", "--list", "--json"),
+], ids=["verify", "verify-json", "irreducibles", "irreducibles-json"])
+def test_q_as_a_prime_power_names_the_same_field(capsys, argv):
+    for plain, power in (("4", "2^2"), ("9", "3^2"), ("4^2", "2^4")):
+        assert run(capsys, *argv, "--q", plain) == run(capsys, *argv, "--q", power)
+    assert run(capsys, *argv, "--q", "4")[0] == 0
+
+
 def test_verify_threads_do_not_change_output(capsys):
     outs = set()
     for threads in ("1", "3"):
@@ -258,10 +270,10 @@ def test_budget_checked_before_field_construction(capsys, monkeypatch):
 
 
 def test_irreducible_counts_do_not_build_polynomials(capsys, monkeypatch):
-    def no_poly(self):
+    def no_poly(self, *args, **kwargs):
         raise AssertionError("FqPoly built without --list")
 
-    monkeypatch.setattr(FqPoly, "__post_init__", no_poly)
+    monkeypatch.setattr(FqPoly, "__init__", no_poly)
     code, out, err = run(capsys, "irreducibles", "--q", "2", "--max-degree", "4")
     assert code == 0, err
     assert "degree 4: 3" in out
@@ -400,6 +412,17 @@ BAD_INPUTS = {
         ("irreducibles", "--q", "1", "--max-degree", "1000000000"),
         "1 is not prime",
     ),
+    "irreducibles-base-six": (("irreducibles", "--q", "6", "--max-degree", "2"), "6 is not prime"),
+    "irreducibles-composite-power": (
+        ("irreducibles", "--q", "12^2", "--max-degree", "2"),
+        "12 is not prime",
+    ),
+    "verify-base-one": (("verify", "--d", "3", "--q", "1", "--stat", "Q"), "1 is not prime"),
+    "verify-base-six": (("verify", "--d", "3", "--q", "6", "--stat", "Q"), "6 is not prime"),
+    "verify-composite-power": (
+        ("verify", "--d", "3", "--q", "12^2", "--stat", "Q"),
+        "12 is not prime",
+    ),
     "decompose-over-cap": (
         ("decompose", "--d", "22", "--stat", "Q"),
         "decompose at d=22 needs p(d)^2 (shape, class) pairs of character values, "
@@ -464,3 +487,16 @@ def test_python_dash_m_splitstat_matches_the_cli_module():
         assert (package.returncode, package.stdout) == (module.returncode, module.stdout)
         assert package.returncode == code
         assert package.stderr == module.stderr
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which would add
+    # their import time to every CLI process.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, splitstat.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

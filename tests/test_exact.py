@@ -1,5 +1,7 @@
 """Exact rational polynomial arithmetic and series expansion."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -213,3 +215,18 @@ def test_signed_sums_print_one_way():
     assert str(poly(Q_VAR, [0, -1, Fraction(1, 2)])) == "-q + 1/2*q^2"
     assert str(poly(Q_VAR, [Fraction(-3, 2), 1, 0, -2])) == "-3/2 + q - 2*q^3"
     assert str(poly(U_VAR, [1, Fraction(-1, 3)])) == "1 - 1/3*u"
+
+
+def test_upoly_is_an_immutable_value():
+    p = UPoly("u", (Fraction(1), Fraction(2), Fraction(0), 0))
+    assert p.coeffs == (Fraction(1), Fraction(2))  # trailing zeros dropped
+    same = UPoly(var="u", coeffs=(1, 2))
+    assert p == same and hash(p) == hash(same)
+    assert p != UPoly("q", (1, 2)) and p != UPoly("u", (1, 3))
+    assert repr(UPoly("u", (1,))) == "UPoly(var='u', coeffs=(Fraction(1, 1),))"
+    assert pickle.loads(pickle.dumps(p)) == copy.deepcopy(p) == p
+    for attr in ("var", "coeffs", "new"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, ())
+    with pytest.raises(ValueError, match="unknown variable tag 'x'"):
+        UPoly("x", (1,))

@@ -1,5 +1,6 @@
 """Expected values: dual routes, specializations, squarefree variants, limits."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -12,6 +13,8 @@ from splitstat.exact import U_VAR, UPoly, divmod_poly, poly
 from splitstat.expect import (
     NORM_SF_COUNT,
     VIA_MEASURE,
+    ExpectationResult,
+    StableLimit,
     eval_q1,
     expected,
     expected_sf,
@@ -356,3 +359,33 @@ def test_stable_limit_cost_cap():
         stable_limit(parse_character_polynomial("x1^100000000"), 1)
     with pytest.raises(BudgetExceeded, match="order 10000000"):
         stable_limit(builtin_polynomial("Q"), 10_000_000)
+
+
+def test_result_records_are_immutable_values():
+    r = expected(3, builtin("Q", 3))
+    same = ExpectationResult(3, "Q", poly(U_VAR, [0, 2, 1]), VIA_MEASURE)
+    assert r == same and hash(r) == hash(same)
+    assert r != ExpectationResult(3, "Q", same.value, VIA_MEASURE, checks=("exact_division",))
+    assert r != ExpectationResult(3, "R", same.value, VIA_MEASURE)
+    assert repr(r) == (
+        "ExpectationResult(d=3, statistic='Q', value=UPoly(var='u', coeffs=(Fraction(0, 1), "
+        "Fraction(2, 1), Fraction(1, 1))), route='measure', normalization=None, checks=())"
+    )
+    lim = stable_limit(builtin_polynomial("Q"), 1)
+    same_lim = StableLimit(
+        statistic="Q", order=1, coeffs=(Fraction(0), Fraction(2)), stabilized_at=(1, 3)
+    )
+    assert lim == same_lim and hash(lim) == hash(same_lim)
+    assert lim != StableLimit("Q", 1, same_lim.coeffs, (1, 4))
+    assert repr(lim) == (
+        "StableLimit(statistic='Q', order=1, coeffs=(Fraction(0, 1), Fraction(2, 1)), "
+        "stabilized_at=(1, 3))"
+    )
+    for record, attrs in (
+        (r, ("d", "statistic", "value", "route", "normalization", "checks", "new")),
+        (lim, ("statistic", "order", "coeffs", "stabilized_at", "new")),
+    ):
+        assert pickle.loads(pickle.dumps(record)) == record
+        for attr in attrs:
+            with pytest.raises(AttributeError):
+                setattr(record, attr, None)

@@ -399,3 +399,21 @@ def test_extension_field_construction_is_bounded():
     with pytest.raises(BudgetExceeded, match="sieving irreducibles to degree 30 .* budget of 10000000"):
         make_field(2, 60)
     assert time.perf_counter() - start < 0.1
+
+
+def test_fqpoly_is_an_immutable_value():
+    F3 = make_field(3)
+    f = FqPoly(F3, (1, 2, 1))
+    same = FqPoly(field=F3, coeffs=(1, 2, 1))
+    assert f == same and hash(f) == hash(same)
+    assert f != FqPoly(F3, (1, 0, 1)) and f != FqPoly(make_field(5), (1, 2, 1))
+    assert repr(f) == "FqPoly(field=FqField(q=3), coeffs=(1, 2, 1))"
+    for attr in ("field", "coeffs", "new"):
+        with pytest.raises(AttributeError):
+            setattr(f, attr, None)
+    for coeffs in ((), (1, 2), (2, 0)):
+        with pytest.raises(ValueError, match="FqPoly must be monic"):
+            FqPoly(F3, coeffs)
+    for coeffs in ((3, 1), (-1, 1), (0, 5, 1)):
+        with pytest.raises(ValueError, match=r"coefficients must be field elements 0\.\.q-1"):
+            FqPoly(F3, coeffs)

@@ -1,6 +1,7 @@
 """Class functions, irreducible characters, and character polynomials."""
 
 import json
+import pickle
 import random
 import sys
 import time
@@ -490,3 +491,22 @@ def test_permutation_census_agrees_with_inner_product():
             lam = Partition(lengths)
             total += P.value(lam) * X.value(lam)
         assert inner(P, X) == total / factorial(d)
+
+
+def test_character_polynomial_is_an_immutable_value():
+    R = builtin_polynomial("R")
+    assert repr(R) == "CharacterPolynomial(terms=((((1, 1),), Fraction(1, 1)),), name='R')"
+    Q = builtin_polynomial("Q")
+    same = CharacterPolynomial(terms=Q.terms, name="Q")
+    assert Q == same and hash(Q) == hash(same)
+    assert pickle.loads(pickle.dumps(Q)) == Q
+    assert Q != CharacterPolynomial(Q.terms) and Q != CharacterPolynomial(R.terms, name="Q")
+    for attr in ("terms", "name", "new"):
+        with pytest.raises(AttributeError):
+            setattr(Q, attr, None)
+    # the integer form is computed once and then read from the instance
+    P = parse_character_polynomial("(x1-1)*x1/2 - x2/3")
+    first = P.class_function(5)
+    assert P.class_function(5) == first
+    assert P._integer_terms is P._integer_terms
+    assert first == CharacterPolynomial(P.terms, P.name).class_function(5)
