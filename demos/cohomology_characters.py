@@ -22,7 +22,6 @@ from splitstat import (
     partitions_of,
     phi_table,
     psi_table,
-    regular_check,
 )
 
 D = 5
@@ -39,7 +38,9 @@ for k in table.degrees:
 
 dims = [table.value(k, identity) for k in table.degrees]
 print(f"\ndimensions by degree: {dims}, total {sum(dims)} = {D}! = {factorial(D)}")
-print(f"rows sum to the regular character: {regular_check(D)}")
+sums = [sum(table.value(k, lam) for k in table.degrees) for lam in partitions_of(D)]
+regular = [factorial(D) if lam == identity else 0 for lam in partitions_of(D)]
+print(f"rows sum to the regular character: {sums == regular}")
 
 print("\neach row decomposed into irreducibles (shape: multiplicity):")
 for k in table.degrees:

@@ -123,8 +123,8 @@ def cmd_char_table(args: argparse.Namespace) -> int:
     width = max(len(lam.label()) for lam in lams)
     header = "  k | " + " ".join(f"{lam.label():>{width}}" for lam in lams)
     lines = [f"{kind} character table, d={args.d}", header]
-    for k in table.degrees:
-        row = " ".join(f"{table.value(k, lam):>{width}}" for lam in lams)
+    for k, values in payload.items():
+        row = " ".join(f"{v:>{width}}" for v in values.values())
         lines.append(f"{k:>3} | {row}")
     _emit(args, payload, lines)
     return 0

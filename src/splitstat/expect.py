@@ -2,17 +2,16 @@
 
 The expected value of a statistic P over monic degree-d polynomials is
 sum over lam of P(lam) nu(lam), summed against the splitting measure nu.
-It is read from the stored integer columns z_lam nu(lam) of
-`measures.measure_columns`: each u**k coefficient is one integer dot
+It is read from the stored integer rows z_lam [u**k] nu(lam) of
+`measures.measure_rows`: each u**k coefficient is one integer dot
 product of `sym_chars.class_weights(P)`, the integers W_lam with
-P(lam) / z_lam = W_lam / D, with the k-th entries of the columns, over
-the one denominator D.  Those columns are the characters psi_d^k, so the
-cohomology gives no second route: sum_k <P, psi_d^k> u**k is the same sum
-term by term (the tests check this identity; the census in `gf` is the
-independent check).  The squarefree variant sums against the squarefree
-measure, under a choice of normalization: by q**d, or by the actual
-squarefree count, which divides out the squarefree density (1 - u for
-d >= 2, 1 at d = 1).
+P(lam) / z_lam = W_lam / D, with row k, over the one denominator D.
+Row k is the character psi_d^k, so the cohomology gives no second route:
+sum_k <P, psi_d^k> u**k is the same sum term by term (the tests check
+this identity; the census in `gf` is the independent check).  The
+squarefree variant sums against the squarefree measure, under a choice
+of normalization: by q**d, or by the actual squarefree count, which
+divides out the squarefree density (1 - u for d >= 2, 1 at d = 1).
 """
 
 from __future__ import annotations
@@ -20,10 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import mul
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
 from .exact import U_VAR, Immutable, UPoly
-from .measures import _measure_value, measure_columns
+from .measures import _measure_value, measure_rows
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, class_weights
 
@@ -62,16 +62,11 @@ class ExpectationResult(Immutable):
 
 
 def _measure_sum(P: ClassFunction, squarefree: bool) -> tuple[list[int], int]:
-    # nu(lam) = column / z_lam, so the sum is over the integer columns
-    # (in partition order) weighted by P(lam) / z_lam = W_lam / D: the
-    # integer u**k totals, and D.
+    # nu(lam) = column / z_lam, so the u**k total pairs row k (in partition
+    # order) with the weights P(lam) / z_lam = W_lam / D: the integer
+    # totals, and D.
     weights, den = class_weights(P)
-    total = [0] * P.d
-    for w, column in zip(weights, measure_columns(P.d, squarefree=squarefree).values()):
-        if w:
-            for k, c in enumerate(column):
-                total[k] += w * c
-    return total, den
+    return [sum(map(mul, weights, row)) for row in measure_rows(P.d, squarefree=squarefree)], den
 
 
 def _u_poly(total: list[int], den: int) -> UPoly:

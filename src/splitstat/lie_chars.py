@@ -3,24 +3,22 @@
 The splitting measure of type lam is (1/z_lam) * sum over k of
 psi_d^k(lam) u**k, where psi_d^k is the character of the S_d-action on
 H^{2k} of the configuration space of d ordered points in R^3 (the higher
-Lie character).  So psi_d^k(lam) = z_lam * [u**k] nu(lam) is exactly
-the integer column that `measures.measure_columns` stores, and a table
-here wraps those columns without an inversion pass.  The squarefree
-measure likewise encodes the characters phi_d^k of H^k of configurations
-in the plane, with an alternating sign: phi_d^k(lam) =
-(-1)**k * z_lam * [u**k] nu_sf(lam), the sign applied when a value is
-read.
+Lie character).  So psi_d^k(lam) = z_lam * [u**k] nu(lam), and row k of
+`measures.measure_rows` is exactly psi_d^k; a table here wraps those rows
+without an inversion pass.  The squarefree measure likewise encodes the
+characters phi_d^k of H^k of configurations in the plane, with an
+alternating sign: phi_d^k(lam) = (-1)**k * z_lam * [u**k] nu_sf(lam), the
+sign applied when a row or value is read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import lru_cache
-from math import factorial
+from operator import neg
 
-from .measures import measure_columns
+from .measures import measure_rows
 from .partitions import Partition, partitions_of
-from .sym_chars import ClassFunction
+from .sym_chars import ClassFunction, _positions
 
 KIND_PSI = "psi"
 KIND_PHI = "phi"
@@ -30,42 +28,48 @@ class CharTable:
     """Character values indexed by cohomological degree k and partition.
 
     Rows run over k = 0..d-1; cohomology vanishes beyond that range, and
-    `measure_columns` checks it.  Values are read from the measure's
-    integer columns, with the sign (-1)**k applied for phi; `row(k)`
-    builds a class function on request.
+    `measure_rows` checks it.  Row k is the measure's integer row k, with
+    the sign (-1)**k applied for phi; `row(k)` wraps it as a class
+    function.
     """
 
-    __slots__ = ("d", "kind", "_columns")
+    __slots__ = ("d", "kind", "_rows")
 
-    def __init__(
-        self, d: int, kind: str, columns: Mapping[Partition, tuple[int, ...]]
-    ) -> None:
+    def __init__(self, d: int, kind: str, rows: tuple[tuple[int, ...], ...]) -> None:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("CharTable is immutable")
+
+    def __reduce__(self) -> tuple:
+        return CharTable, (self.d, self.kind, self._rows)
 
     @property
     def degrees(self) -> range:
         return range(self.d)
 
-    def row(self, k: int) -> ClassFunction:
-        values = [self.value(k, lam) for lam in self._columns]
-        return ClassFunction.from_integers(self.d, values, name=f"{self.kind}[{self.d},{k}]")
-
-    def value(self, k: int, lam: Partition) -> int:
+    def _sign(self, k: int) -> int:
+        # phi's rows are stored with the sign (-1)**k
         if k not in self.degrees:
             raise KeyError(f"degree {k} is outside 0..{self.d - 1}")
-        v = self._columns[lam][k]
-        return -v if self.kind == KIND_PHI and k % 2 else v
+        return -1 if self.kind == KIND_PHI and k % 2 else 1
+
+    def _values(self, k: int) -> tuple[int, ...]:
+        sign, row = self._sign(k), self._rows[k]
+        return row if sign == 1 else tuple(map(neg, row))
+
+    def row(self, k: int) -> ClassFunction:
+        name = f"{self.kind}[{self.d},{k}]"
+        return ClassFunction.from_integers(self.d, self._values(k), name=name)
+
+    def value(self, k: int, lam: Partition) -> int:
+        return self._sign(k) * self._rows[k][_positions(self.d)[lam]]
 
     def to_json(self) -> dict[str, dict[str, int]]:
-        return {
-            str(k): {lam.label(): self.value(k, lam) for lam in partitions_of(self.d)}
-            for k in self.degrees
-        }
+        labels = [lam.label() for lam in partitions_of(self.d)]
+        return {str(k): dict(zip(labels, self._values(k))) for k in self.degrees}
 
     def __repr__(self) -> str:
         return f"<CharTable {self.kind} d={self.d}>"
@@ -76,7 +80,7 @@ def psi_table(d: int) -> CharTable:
     """Characters of H^{2k} of d ordered points in R^3, k = 0..d-1."""
     if d < 1:
         raise ValueError("character tables start at degree 1")
-    return CharTable(d, KIND_PSI, measure_columns(d, squarefree=False))
+    return CharTable(d, KIND_PSI, measure_rows(d, squarefree=False))
 
 
 @lru_cache(maxsize=None)
@@ -84,19 +88,5 @@ def phi_table(d: int) -> CharTable:
     """Characters of H^k of d ordered points in the plane, k = 0..d-1."""
     if d < 1:
         raise ValueError("character tables start at degree 1")
-    return CharTable(d, KIND_PHI, measure_columns(d, squarefree=True))
+    return CharTable(d, KIND_PHI, measure_rows(d, squarefree=True))
 
-
-def regular_check(d: int) -> bool:
-    """Whether the rows of the table sum to the regular character.
-
-    The sum over k of psi_d^k must be d! at [1^d] and 0 at every other
-    partition: the total cohomology carries the regular representation.
-    """
-    table = psi_table(d)
-    for lam in partitions_of(d):
-        total = sum(table.value(k, lam) for k in table.degrees)
-        expected = factorial(d) if lam.mult(1) == d else 0
-        if total != expected:
-            return False
-    return True

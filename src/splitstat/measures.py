@@ -8,10 +8,11 @@ binomial coefficients divided by q**d, i.e. a polynomial in u = 1/q.
 Choosing factors with repetition allowed gives the measure over all
 polynomials; without repetition, the squarefree variant.
 
-The one stored object per (degree, flavor) is `measure_columns`, the
-integer columns z_lam * nu(lam).  The measure is nu(lam) = column / z_lam,
-the `lie_chars` tables read the same columns, and `expect` sums over
-them; no inversion pass converts one form into another.
+The one stored object per (degree, flavor) is `measure_rows`, the
+integers z_lam * [u**k] nu(lam) as d rows over the partitions.  The
+measure is nu(lam) = column / z_lam, the `lie_chars` tables wrap the
+same rows, and `expect` pairs a statistic with each row; no inversion
+pass converts one form into another.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _measure_value(lam: Partition, with_repetition: bool) -> UPoly:
 
 # Cap on the partition route (measures, character tables, expected
 # values): p(d) factorization types, one measure product each.  d = 23
-# (1255 types) builds its columns in about 2.5 s on a 2-core host.
+# (1255 types) builds its rows in about 2.5 s on a 2-core host.
 PARTITION_BUDGET = 1255
 
 
@@ -80,20 +81,20 @@ def check_partition_budget(d: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def measure_columns(d: int, /, *, squarefree: bool) -> Mapping[Partition, tuple[int, ...]]:
-    """The integers z_lam * [u**k] nu(lam), k = 0..d-1, per lam in partition order.
+def measure_rows(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], ...]:
+    """The integers z_lam * [u**k] nu(lam): row k, k = 0..d-1, over lam in partition order.
 
     nu is the measure over all monic polynomials, or with `squarefree` the
-    q**d-normalized squarefree one; the columns are psi_d^k(lam), and
-    (-1)**k phi_d^k(lam) when squarefree.  A u-degree beyond d-1 or a
-    non-integer raises ConsistencyError, and a d past PARTITION_BUDGET
-    raises BudgetExceeded before any partition is enumerated.  The flag is
-    keyword-only so that every caller shares one cache entry.
+    q**d-normalized squarefree one; row k is psi_d^k, and (-1)**k phi_d^k
+    when squarefree.  A u-degree beyond d-1 or a non-integer raises
+    ConsistencyError, and a d past PARTITION_BUDGET raises BudgetExceeded
+    before any partition is enumerated.  The flag is keyword-only so that
+    every caller shares one cache entry.
     """
     if d < 1:
         raise ValueError("splitting measures start at degree 1")
     check_partition_budget(d)
-    columns: dict[Partition, tuple[int, ...]] = {}
+    rows: list[list[int]] = [[] for _ in range(d)]
     for lam in partitions_of(d):
         nu = _measure_value(lam, with_repetition=not squarefree)
         if nu.degree > d - 1:
@@ -102,19 +103,20 @@ def measure_columns(d: int, /, *, squarefree: bool) -> Mapping[Partition, tuple[
                 f"beyond the cohomological range {d - 1}"
             )
         z = lam.centralizer_order()
-        column = tuple(nu.coeff(k) * z for k in range(d))
-        for k, v in enumerate(column):
+        for k, row in enumerate(rows):
+            v = nu.coeff(k) * z
             if v.denominator != 1:
                 raise ConsistencyError(f"non-integer character value {v} at k={k}, lam={lam}")
-        columns[lam] = tuple(v.numerator for v in column)
-    return MappingProxyType(columns)
+            row.append(v.numerator)
+    return tuple(map(tuple, rows))
 
 
 def _as_measure(d: int, squarefree: bool) -> Mapping[Partition, UPoly]:
     # nu(lam) = column / z_lam, read back as u-polynomials.
+    columns = zip(*measure_rows(d, squarefree=squarefree))
     return MappingProxyType({
         lam: UPoly(U_VAR, tuple(Fraction(c, lam.centralizer_order()) for c in column))
-        for lam, column in measure_columns(d, squarefree=squarefree).items()
+        for lam, column in zip(partitions_of(d), columns)
     })
 
 

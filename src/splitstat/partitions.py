@@ -34,6 +34,9 @@ class Partition:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self) -> tuple:
+        return Partition, (self.parts,)
+
     @property
     def length(self) -> int:
         return len(self.parts)

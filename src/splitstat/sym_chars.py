@@ -2,13 +2,13 @@
 
 A factorization statistic is exactly a rational-valued class function:
 its value on a polynomial depends only on the factorization type, i.e.
-on a partition of d.  This module provides the inner product, irreducible
-characters via border-strip (Murnaghan-Nakayama) recursion, hook-length
-dimensions, decomposition into irreducibles, character polynomials
-(statistics defined uniformly in d as polynomials in the part-count
-functions x_1, x_2, ...), the built-in statistics, and `statistic`, which
-decides what a statistic spec such as "Q", "ind:[2,1]" or "x1^2 - x2"
-means.
+on a partition of d.  This module provides the inner product, the
+character table of S_d (built a degree at a time by adding border
+strips, the Murnaghan-Nakayama rule), hook-length dimensions,
+decomposition into irreducibles, character polynomials (statistics
+defined uniformly in d as polynomials in the part-count functions x_1,
+x_2, ...), the built-in statistics, and `statistic`, which decides what a
+statistic spec such as "Q", "ind:[2,1]" or "x1^2 - x2" means.
 
 A class function is stored in one form: its values in partition order
 as integers over one positive denominator, in lowest terms.  Character
@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import count, repeat
 from math import factorial, gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
@@ -82,6 +84,9 @@ class ClassFunction:
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("ClassFunction is immutable")
+
+    def __reduce__(self) -> tuple:
+        return ClassFunction.from_integers, (self.d, self.numerators, self.denominator, self.name)
 
     def value(self, lam: Partition) -> Fraction:
         if lam.d != self.d:
@@ -152,11 +157,6 @@ def class_weights(P: ClassFunction) -> tuple[tuple[int, ...], int]:
     return tuple(map(mul, P.numerators, scales)), P.denominator * lcm_z
 
 
-def _pair(weights: tuple[int, ...], den: int, X: ClassFunction) -> Fraction:
-    # sum of P(lam) X(lam) / z_lam, for (weights, den) = class_weights(P)
-    return Fraction(sum(map(mul, weights, X.numerators)), den * X.denominator)
-
-
 def inner(P: ClassFunction, X: ClassFunction) -> Fraction:
     """Standard inner product: (1/d!) sum over sigma of P(sigma) X(sigma).
 
@@ -165,7 +165,8 @@ def inner(P: ClassFunction, X: ClassFunction) -> Fraction:
     """
     if P.d != X.d:
         raise DegreeMismatch(f"degree mismatch: {P.d} vs {X.d}")
-    return _pair(*class_weights(P), X)
+    weights, den = class_weights(P)
+    return Fraction(sum(map(mul, weights, X.numerators)), den * X.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -173,37 +174,66 @@ def inner(P: ClassFunction, X: ClassFunction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _mn_value(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    # Border-strip recursion on first-column shifted coordinates ("beta
-    # numbers"): removing a strip of length t subtracts t from one beta
-    # number; the sign is (-1)**(number of beta numbers it jumps over).
-    if not cycles:
-        return 1
-    t = cycles[0]
-    rest = cycles[1:]
-    n = len(shape)
-    beta = tuple(shape[i] + (n - 1 - i) for i in range(n))
-    beta_set = set(beta)
-    total = 0
-    for i, b in enumerate(beta):
-        nb = b - t
-        if nb < 0 or nb in beta_set:
-            continue
-        crossings = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted(beta[:i] + beta[i + 1:] + (nb,), reverse=True)
-        parts = tuple(new_beta[j] - (n - 1 - j) for j in range(n))
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        sub = _mn_value(parts, rest)
-        total += -sub if crossings % 2 else sub
-    return total
+def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
+    # Row i holds chi_shape at every class, shape the i-th partition of d,
+    # both in partition order.  p_rho = sum over shapes of chi_shape(rho)
+    # s_shape, and multiplying by p_t adds every border strip of size t.
+    # On d beta numbers (first-column hook lengths) that adds t to one
+    # beta number b with b + t free, with sign (-1)**(number of beta
+    # numbers jumped).  The classes are walked as a tree of nonincreasing
+    # part prefixes, so that classes sharing a prefix share its expansion,
+    # and the leaves come in partition order.
+    check_decompose_budget(d)
+    shapes = partitions_of(d)
+    strips: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
+
+    def add_strips(beta: tuple[int, ...], t: int) -> list[tuple[tuple[int, ...], int]]:
+        out = []
+        for i, b in enumerate(beta):
+            if b + t in beta:
+                continue
+            j = i  # b + t goes in at j, past beta[j..i-1]
+            while j and beta[j - 1] < b + t:
+                j -= 1
+            out.append((beta[:j] + (b + t,) + beta[j:i] + beta[i + 1:], (-1) ** (i - j)))
+        return out
+
+    row_of = {
+        tuple(p + d - 1 - i for i, p in enumerate(shape.parts + (0,) * (d - len(shape)))): i
+        for i, shape in enumerate(shapes)
+    }
+    table = [[0] * len(shapes) for _ in shapes]
+    leaves = count()
+
+    def walk(expansion: dict[tuple[int, ...], int], rest: int, largest: int) -> None:
+        if not rest:
+            j = next(leaves)
+            for beta, c in expansion.items():
+                table[row_of[beta]][j] = c
+            return
+        for t in range(min(rest, largest), 0, -1):
+            product: defaultdict[tuple[int, ...], int] = defaultdict(int)
+            for beta, c in expansion.items():
+                if (found := strips.get((beta, t))) is None:
+                    found = strips[beta, t] = add_strips(beta, t)
+                for new, sign in found:
+                    product[new] += sign * c
+            walk({beta: c for beta, c in product.items() if c}, rest - t, t)
+
+    walk({tuple(range(d - 1, -1, -1)): 1}, d, d)
+    return tuple(map(tuple, table))
 
 
 def mn_character(shape: Partition, cycle_type: Partition) -> int:
-    """Irreducible character value chi_shape(cycle_type), exactly."""
+    """Irreducible character value chi_shape(cycle_type), exactly.
+
+    Read from the character table of S_d, so it raises BudgetExceeded
+    past DECOMPOSE_BUDGET, as `irreducible_character` does.
+    """
     if shape.d != cycle_type.d:
         raise DegreeMismatch(f"shape {shape} and class {cycle_type} have different sizes")
-    return _mn_value(shape.parts, cycle_type.parts)
+    positions = _positions(shape.d)
+    return _character_table(shape.d)[positions[shape]][positions[cycle_type]]
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -226,13 +256,18 @@ def irr_dim(shape: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def irreducible_character(shape: Partition) -> ClassFunction:
-    """chi_shape as a class function on partitions of shape.d."""
-    values = [_mn_value(shape.parts, lam.parts) for lam in partitions_of(shape.d)]
-    return ClassFunction.from_integers(shape.d, values, name=f"chi{shape.label()}")
+    """chi_shape as a class function on partitions of shape.d.
+
+    A row of the character table of S_d, so it raises BudgetExceeded past
+    DECOMPOSE_BUDGET before building anything.
+    """
+    row = _character_table(shape.d)[_positions(shape.d)[shape]]
+    return ClassFunction.from_integers(shape.d, row, name=f"chi{shape.label()}")
 
 
-# Cap on decompose: p(d)**2 (shape, class) pairs of Murnaghan-Nakayama
-# values.  d = 18 (148225 pairs) answers in about 2.5 s on a 2-core host.
+# Cap on the character table of S_d, which decompose, irreducible_character
+# and mn_character read: p(d)**2 (shape, class) values.  d = 18 (148225
+# values) builds its table in about 0.5 s on a 2-core host.
 DECOMPOSE_BUDGET = 150_000
 
 
@@ -252,16 +287,16 @@ def decompose(X: ClassFunction) -> dict[Partition, Fraction]:
 
     Shapes with coefficient zero are omitted.  The irreducible characters
     are an orthonormal basis, so a_shape = <X, chi_shape>: one integer
-    dot product with class_weights(X) per shape.  Raises BudgetExceeded,
-    before building any character, past DECOMPOSE_BUDGET.
+    dot product of class_weights(X) with each row of the character table.
+    Raises BudgetExceeded, before building any character, past
+    DECOMPOSE_BUDGET.
     """
     check_decompose_budget(X.d)
     weights, den = class_weights(X)
     out: dict[Partition, Fraction] = {}
-    for shape in partitions_of(X.d):
-        a = _pair(weights, den, irreducible_character(shape))
-        if a != 0:
-            out[shape] = a
+    for shape, row in zip(partitions_of(X.d), _character_table(X.d)):
+        if a := sum(map(mul, weights, row)):
+            out[shape] = Fraction(a, den)
     return out
 
 
@@ -274,6 +309,12 @@ def reconstruct(d: int, coefficients: Mapping[Partition, Scalar]) -> ClassFuncti
 # ---------------------------------------------------------------------------
 # Character polynomials
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _part_counts(d: int, j: int) -> tuple[int, ...]:
+    # x_j, the number of parts j, at each partition of d
+    return tuple(lam.mult(j) for lam in partitions_of(d))
+
 
 # A monomial is a sorted tuple of (variable index j, exponent) pairs; the
 # empty tuple is the constant monomial.
@@ -368,15 +409,18 @@ class CharacterPolynomial(Immutable):
 
     def evaluate(self, lam: Partition) -> Fraction:
         """Value at one partition (substitute the part counts of lam)."""
-        return Fraction(self._numerator(lam), self._integer_terms[0])
+        return Fraction(self._numerators(lambda j: (lam.mult(j),), 1)[0], self._integer_terms[0])
 
-    def _numerator(self, lam: Partition) -> int:
-        # the value at lam times the common denominator of _integer_terms
-        total = 0
-        for mono, n in self._integer_terms[1]:
+    def _numerators(self, counts: Callable[[int], Iterable[int]], n: int) -> list[int]:
+        # The values at n partitions times the common denominator of
+        # _integer_terms, counts(j) giving x_j at each of them; each
+        # monomial is evaluated at all n at once.
+        total = [0] * n
+        for mono, c in self._integer_terms[1]:
+            vals: Iterable[int] = repeat(c, n)
             for j, e in mono:
-                n *= lam.mult(j) ** e
-            total += n
+                vals = map(mul, vals, map(pow, counts(j), repeat(e)))
+            total = list(map(add, total, vals))
         return total
 
     def class_function(self, d: int) -> ClassFunction:
@@ -397,7 +441,7 @@ class CharacterPolynomial(Immutable):
                 f"values of {name} at d={d} can exceed {sys.get_int_max_str_digits()} "
                 "digits, the limit for printing integers"
             )
-        nums = map(p._numerator, partitions_of(d))
+        nums = p._numerators(partial(_part_counts, d), len(partitions_of(d)))
         return ClassFunction.from_integers(d, nums, p._integer_terms[0], name=name)
 
     def _printable(self, d: int, bits: int) -> bool:

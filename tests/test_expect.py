@@ -23,7 +23,7 @@ from splitstat.expect import (
 )
 from splitstat.gf import census, make_field
 from splitstat.lie_chars import phi_table, psi_table
-from splitstat.measures import measure_columns, sf_splitting_measure, splitting_measure
+from splitstat.measures import measure_rows, sf_splitting_measure, splitting_measure
 from splitstat.partitions import partitions_of
 from splitstat.sym_chars import (
     CharacterPolynomial,
@@ -220,9 +220,11 @@ def test_conditional_mean_is_the_squarefree_sum_over_one_minus_u():
 
 
 def test_indivisible_squarefree_sum_is_a_consistency_error(monkeypatch):
-    # columns whose u-sum is not 0 leave a remainder after dividing by 1 - u
+    # rows whose sum over u**k is not 0 leave a remainder after dividing by 1 - u
     monkeypatch.setattr(
-        expect, "measure_columns", lambda d, squarefree: {lam: [1, 0] for lam in partitions_of(d)}
+        expect,
+        "measure_rows",
+        lambda d, squarefree: ((1,) * len(partitions_of(d)), (0,) * len(partitions_of(d))),
     )
     with pytest.raises(
         ConsistencyError,
@@ -327,10 +329,10 @@ def test_stable_limit_builds_no_measure_table(monkeypatch):
         raise AssertionError("stable_limit must not sample E_d")
 
     monkeypatch.setattr(expect, "expected", forbidden)
-    monkeypatch.setattr(expect, "measure_columns", forbidden)
-    sizes = (measure_columns.cache_info().currsize, partitions_of.cache_info().currsize)
+    monkeypatch.setattr(expect, "measure_rows", forbidden)
+    sizes = (measure_rows.cache_info().currsize, partitions_of.cache_info().currsize)
     limit = stable_limit(builtin_polynomial("Q"), 40)
-    assert (measure_columns.cache_info().currsize, partitions_of.cache_info().currsize) == sizes
+    assert (measure_rows.cache_info().currsize, partitions_of.cache_info().currsize) == sizes
     assert limit.coeffs == tuple(q_limit_closed_form(40))
     assert limit.stabilized_at[40] == 42
 
@@ -338,7 +340,7 @@ def test_stable_limit_builds_no_measure_table(monkeypatch):
 def test_expectations_sum_the_integer_columns(monkeypatch):
     # values pinned from the Fraction-measure sum; no measure is built
     def forbidden(*args, **kwargs):
-        raise AssertionError("expectations must read measure_columns")
+        raise AssertionError("expectations must read measure_rows")
 
     monkeypatch.setattr(measures, "splitting_measure", forbidden)
     monkeypatch.setattr(measures, "sf_splitting_measure", forbidden)

@@ -4,9 +4,16 @@ from math import factorial
 
 import pytest
 
-from splitstat.lie_chars import phi_table, psi_table, regular_check
+from splitstat.lie_chars import phi_table, psi_table
 from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import decompose, inner, roots, sgn
+
+
+def regular_check(d):
+    """Whether the psi rows sum to the regular character: d! at [1^d], 0 elsewhere."""
+    t = psi_table(d)
+    sums = [sum(c) for c in zip(*(t.row(k).numerators for k in t.degrees))]
+    return sums == [factorial(d) if lam.mult(1) == d else 0 for lam in partitions_of(d)]
 
 
 def test_psi_degree_two():

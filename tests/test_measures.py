@@ -11,7 +11,7 @@ from splitstat.lie_chars import phi_table, psi_table
 from splitstat.measures import (
     PARTITION_BUDGET,
     check_partition_budget,
-    measure_columns,
+    measure_rows,
     necklace,
     sf_splitting_measure,
     splitting_measure,
@@ -124,7 +124,7 @@ def test_measures_reject_nonpositive_degree():
     with pytest.raises(ValueError):
         splitting_measure(0)
     with pytest.raises(ValueError):
-        measure_columns(0, squarefree=False)
+        measure_rows(0, squarefree=False)
     with pytest.raises(ValueError):
         necklace(0)
 
@@ -137,7 +137,7 @@ def test_partition_route_cap_admits_d_23_and_refuses_d_24():
         with pytest.raises(BudgetExceeded, match=message):
             check_partition_budget(d)
     for build in (
-        lambda: measure_columns(24, squarefree=True),
+        lambda: measure_rows(24, squarefree=True),
         lambda: splitting_measure(200),
         lambda: psi_table(10**9),
         lambda: phi_table(10**9),
@@ -154,11 +154,12 @@ def test_measure_is_a_read_only_mapping_in_partition_order():
 
 
 def test_measure_is_column_over_centralizer_order():
+    # column lam of the stored rows is z_lam * nu(lam)
     for squarefree, measure in ((False, splitting_measure(7)), (True, sf_splitting_measure(7))):
-        columns = measure_columns(7, squarefree=squarefree)
-        assert tuple(columns) == partitions_of(7)
-        for lam, column in columns.items():
-            assert len(column) == 7 and all(type(c) is int for c in column)
+        rows = measure_rows(7, squarefree=squarefree)
+        assert [len(row) for row in rows] == [len(partitions_of(7))] * 7
+        assert all(type(c) is int for row in rows for c in row)
+        for lam, column in zip(partitions_of(7), zip(*rows)):
             z = lam.centralizer_order()
             assert measure[lam] == poly(U_VAR, [Fraction(c, z) for c in column])
 
@@ -174,4 +175,4 @@ def test_columns_check_degree_and_integrality(monkeypatch):
     for fake, message in cases:
         monkeypatch.setattr(measures, "_measure_value", fake)
         with pytest.raises(ConsistencyError, match=message):
-            measures.measure_columns.__wrapped__(3, squarefree=False)
+            measures.measure_rows.__wrapped__(3, squarefree=False)

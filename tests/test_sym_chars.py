@@ -1,11 +1,13 @@
 """Class functions, irreducible characters, and character polynomials."""
 
+import copy
 import json
 import pickle
 import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, prod
 
@@ -68,10 +70,78 @@ def test_standard_character_value():
 
 
 def test_dimensions_match_hook_lengths():
-    for d in range(1, 9):
+    for d in range(1, 15):
         identity = Partition([1] * d)
         for shape in partitions_of(d):
             assert mn_character(shape, identity) == irr_dim(shape)
+
+
+def test_character_rows_are_orthonormal():
+    for d in range(1, 11):
+        chis = [irreducible_character(shape) for shape in partitions_of(d)]
+        for i, a in enumerate(chis):
+            assert [inner(a, b) for b in chis] == [int(i == j) for j in range(len(chis))]
+
+
+def test_character_columns_are_orthogonal():
+    # sum over shapes of chi(rho) chi(sigma) is z_rho if rho = sigma, else 0
+    for d in range(1, 11):
+        lams = partitions_of(d)
+        rows = [irreducible_character(shape).numerators for shape in lams]
+        for i, rho in enumerate(lams):
+            sums = [sum(row[i] * row[j] for row in rows) for j in range(len(lams))]
+            assert sums == [rho.centralizer_order() if i == j else 0 for j in range(len(lams))]
+
+
+@lru_cache(maxsize=None)
+def removal_character(shape, cycles):
+    # chi_shape(cycles) by removing border strips, one cycle at a time: on
+    # beta numbers, subtract t from one of them, with sign (-1)**(number
+    # of beta numbers it jumps over)
+    if not cycles:
+        return 1
+    t, rest = cycles[0], cycles[1:]
+    n = len(shape)
+    beta = [shape[i] + n - 1 - i for i in range(n)]
+    total = 0
+    for i, b in enumerate(beta):
+        if b - t < 0 or b - t in beta:
+            continue
+        jumped = sum(1 for c in beta if b - t < c < b)
+        new_beta = sorted(beta[:i] + beta[i + 1:] + [b - t], reverse=True)
+        parts = tuple(p for p in (new_beta[j] - (n - 1 - j) for j in range(n)) if p)
+        total += (-1) ** jumped * removal_character(parts, rest)
+    return total
+
+
+def test_character_table_matches_strip_removal():
+    for d in range(13):
+        lams = partitions_of(d)
+        for shape in lams:
+            want = [removal_character(shape.parts, lam.parts) for lam in lams]
+            assert list(irreducible_character(shape).numerators) == want, shape
+
+
+def test_characters_past_the_decompose_cap_are_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"d=19 .*cap of {DECOMPOSE_BUDGET}"):
+        irreducible_character(Partition([19]))
+    with pytest.raises(BudgetExceeded, match=f"d=19 .*cap of {DECOMPOSE_BUDGET}"):
+        mn_character(Partition([19]), Partition([1] * 19))
+    assert time.perf_counter() - start < 0.1
+
+
+def round_trips(value):
+    return pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)
+
+
+def test_values_pickle_and_copy_through_their_constructors():
+    for clone in round_trips(Partition([2, 1])):
+        assert clone == Partition([2, 1]) and clone.d == 3
+    for clone in round_trips(builtin("Q", 3)):
+        assert clone == builtin("Q", 3) and clone.name == "Q"
+    for clone in round_trips(psi_table(3)):
+        assert (clone.d, clone.kind, clone.to_json()) == (3, "psi", psi_table(3).to_json())
 
 
 def test_hook_dimension_examples():
@@ -282,6 +352,7 @@ def test_producers_build_no_fraction_per_partition(monkeypatch):
 
     monkeypatch.setattr(sym_chars, "Fraction", Counting)
     stored = P.class_function(12)
+    sym_chars._character_table.__wrapped__(12)  # the whole table, built afresh
     chi = irreducible_character.__wrapped__(Partition([6, 4, 2]))
     row = psi_table(12).row(5)
     assert built == []
@@ -412,22 +483,22 @@ def test_vanishing_monomials_are_dropped_before_evaluation(monkeypatch):
     narrow = "(" + "+".join(f"x{j}" for j in range(1, 21)) + ")^2"
     assert resolve(wide, 20) == resolve(narrow, 20)
     # the x21..x60 monomials are zero at d = 20, so none of them is evaluated:
-    # both squares evaluate the 210 monomials in x1..x20 at each of the 627
-    # partitions of 20, one integer numerator per partition
+    # both squares evaluate the 210 monomials in x1..x20, each at all 627
+    # partitions of 20 at once
     evaluated = []
-    numerator = CharacterPolynomial._numerator
+    numerators = CharacterPolynomial._numerators
 
-    def counting(self, lam):
-        evaluated.append(len(self.terms))
-        return numerator(self, lam)
+    def counting(self, counts, n):
+        evaluated.extend((mono, n) for mono, _ in self.terms)
+        return numerators(self, counts, n)
 
-    monkeypatch.setattr(CharacterPolynomial, "_numerator", counting)
-    counts = {}
+    monkeypatch.setattr(CharacterPolynomial, "_numerators", counting)
     for spec in (wide, narrow):
         evaluated.clear()
         resolve(spec, 20)
-        counts[spec] = sum(evaluated)
-    assert counts[wide] == counts[narrow] == 210 * len(partitions_of(20))
+        assert len(evaluated) == 210
+        assert all(n == len(partitions_of(20)) for _, n in evaluated)
+        assert max(j for mono, _ in evaluated for j, _ in mono) == 20
 
 
 def test_products_and_values_match_fraction_arithmetic():
