@@ -29,7 +29,8 @@ T = TypeVar("T")
 
 
 def _normalized(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+    # A coefficient that is already a Fraction is kept as it is.
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -103,7 +104,7 @@ class UPoly(Immutable):
                     f"cannot combine a polynomial in {self.var!r} with one in {other.var!r}"
                 )
             return other
-        return UPoly(self.var, (Fraction(other),))
+        return UPoly(self.var, (other,))
 
     def __add__(self, other: UPoly | Scalar) -> UPoly:
         o = self._coerce(other)
@@ -168,12 +169,12 @@ class UPoly(Immutable):
 
 def poly(var: str, coeffs: Iterable[Scalar]) -> UPoly:
     """Build a polynomial from low-to-high coefficients."""
-    return UPoly(var, tuple(Fraction(c) for c in coeffs))
+    return UPoly(var, tuple(coeffs))
 
 
 def monomial(var: str, k: int, c: Scalar = 1) -> UPoly:
     """The single term c * var**k."""
-    return UPoly(var, (Fraction(0),) * k + (Fraction(c),))
+    return UPoly(var, (0,) * k + (c,))
 
 
 def divmod_poly(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from .exact import Immutable, join_signed, parse_rational, power
+from .measures import check_partition_budget
 from .partitions import Partition, partition_count_exceeds, partitions_of
 
 Scalar = Fraction | int
@@ -53,9 +54,8 @@ class ClassFunction:
     def __init__(self, d: int, values: Mapping[Partition, Scalar], name: str = "") -> None:
         if wrong := [lam for lam in values if lam.d != d]:
             raise DegreeMismatch(f"partition {wrong[0]} does not have size {d}")
-        row = [values.get(lam, 0) for lam in partitions_of(d)]
-        den = lcm(*(v.denominator for v in row))
-        self._store(d, [v.numerator * (den // v.denominator) for v in row], den, name)
+        check_partition_budget(d)
+        self._store_values(d, [values.get(lam, 0) for lam in partitions_of(d)], name)
 
     @classmethod
     def from_integers(
@@ -74,7 +74,17 @@ class ClassFunction:
     def from_function(
         cls, d: int, fn: Callable[[Partition], Scalar], name: str = ""
     ) -> "ClassFunction":
-        return cls(d, {lam: fn(lam) for lam in partitions_of(d)}, name=name)
+        """The class function fn(lam) on the partitions of d.  Raises
+        BudgetExceeded, before any partition is enumerated, when d has
+        more than PARTITION_BUDGET of them."""
+        check_partition_budget(d)
+        out = cls.__new__(cls)
+        out._store_values(d, [fn(lam) for lam in partitions_of(d)], name)
+        return out
+
+    def _store_values(self, d: int, row: list[Scalar], name: str) -> None:
+        den = lcm(*(v.denominator for v in row))
+        self._store(d, [v.numerator * (den // v.denominator) for v in row], den, name)
 
     def _store(self, d: int, nums: list[int], den: int, name: str) -> None:
         if den != 1 and (g := gcd(den, *nums)) != 1:
@@ -427,12 +437,13 @@ class CharacterPolynomial(Immutable):
         """The statistic this expression defines on partitions of d.
 
         Monomials in some x_j with j > d vanish there and are dropped
-        first.  Raises BudgetExceeded, before evaluating anything, when a
-        value at d could have more digits than Python prints
-        (sys.get_int_max_str_digits()).
+        first.  Raises BudgetExceeded, before evaluating anything, when d
+        has more than PARTITION_BUDGET partitions or a value at d could
+        have more digits than Python prints (sys.get_int_max_str_digits()).
         """
         if d < 0:
             raise ValueError("d must be nonnegative")
+        check_partition_budget(d)
         name = self.name or str(self)
         live = tuple((m, c) for m, c in self.terms if all(j <= d for j, _ in m))
         p = self if len(live) == len(self.terms) else CharacterPolynomial(live)
@@ -686,7 +697,8 @@ def _check_builtin(name: str) -> None:
 
 
 def builtin(name: str, d: int) -> ClassFunction:
-    """A built-in statistic (one of builtin_names(), or 1) on partitions of d."""
+    """A built-in statistic (one of builtin_names(), or 1) on partitions of d,
+    from `resolve`'s cache."""
     _check_builtin(name)
     return resolve(name, d)
 
@@ -737,6 +749,7 @@ def _indicator_spec(label: str, d: int) -> ClassFunction:
 
 
 def _table_spec(path: str, d: int) -> ClassFunction:
+    check_partition_budget(d)  # before the file is read
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -747,11 +760,31 @@ def _table_spec(path: str, d: int) -> ClassFunction:
     return ClassFunction(d, values, name=f"@{path}")
 
 
+# Bounds on the two caches of statistic specs below: parsed specs, and
+# class functions per (spec, d).  Every cached d has at most
+# PARTITION_BUDGET partitions, so an entry holds at most that many values.
+SPEC_CACHE_SIZE = 256
+
+
 def statistic(spec: str) -> CharacterPolynomial | Callable[[int], ClassFunction]:
     """What a statistic spec (the CLI's --stat) means: a character
     polynomial (one, 1, R, Q, expressions in x1, x2, ...), or a function of
-    d for sgn, ET, "ind:[3,1,1]" and "@table.json" (labels to rationals)."""
+    d for sgn, ET, "ind:[3,1,1]" and "@table.json" (labels to rationals).
+
+    A spec is parsed once per process and print limit
+    (sys.get_int_max_str_digits()), in a cache of SPEC_CACHE_SIZE
+    entries; "@table.json" is read on every call of the function returned.
+    """
     s = spec.strip()
+    if s.startswith("@"):
+        return partial(_table_spec, s[1:])
+    return _statistic(s, sys.get_int_max_str_digits())
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _statistic(s: str, digits: int) -> CharacterPolynomial | Callable[[int], ClassFunction]:
+    # `digits`, the print limit, is part of the key: the parser refuses
+    # coefficients past it.
     stat = _BUILTINS.get(s)
     if isinstance(stat, str):
         stat = _BUILTINS[stat]
@@ -761,14 +794,28 @@ def statistic(spec: str) -> CharacterPolynomial | Callable[[int], ClassFunction]
         return partial(ClassFunction.from_function, fn=stat, name=s)
     if s.startswith("ind:"):
         return partial(_indicator_spec, s[len("ind:"):])
-    if s.startswith("@"):
-        return partial(_table_spec, s[1:])
     return parse_character_polynomial(s)
 
 
 def resolve(spec: str, d: int) -> ClassFunction:
-    """The class function on partitions of d that a statistic spec names."""
-    stat = statistic(spec)
+    """The class function on partitions of d that a statistic spec names.
+
+    Raises BudgetExceeded, before an expression is parsed or a partition
+    enumerated, when d has more than PARTITION_BUDGET partitions.  The
+    result is cached per (spec, d) and print limit, in SPEC_CACHE_SIZE
+    entries, except for "@table.json", which is read on every call.
+    """
+    s = spec.strip()
+    if s.startswith("@"):
+        return _table_spec(s[1:], d)
+    return _resolved(s, d, sys.get_int_max_str_digits())
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _resolved(s: str, d: int, digits: int) -> ClassFunction:
+    # `digits` is part of the key: class_function refuses values past it.
+    check_partition_budget(d)
+    stat = _statistic(s, digits)
     return stat.class_function(d) if isinstance(stat, CharacterPolynomial) else stat(d)
 
 

@@ -12,6 +12,7 @@ from splitstat.exact import (
     Q_VAR,
     U_VAR,
     UPoly,
+    _normalized,
     divmod_poly,
     format_rational,
     join_signed,
@@ -230,3 +231,14 @@ def test_upoly_is_an_immutable_value():
             setattr(p, attr, ())
     with pytest.raises(ValueError, match="unknown variable tag 'x'"):
         UPoly("x", (1,))
+
+
+def test_normalized_keeps_fractions_and_converts_the_rest():
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    out = _normalized([half, 3, True, third, 0, Fraction(0), False])
+    assert out == (half, Fraction(3), Fraction(1), third)
+    assert out[0] is half and out[3] is third
+    assert [type(c) for c in out] == [Fraction] * 4
+    assert _normalized([0, Fraction(0)]) == _normalized([]) == ()
+    # UPoly keeps the Fractions it is given
+    assert UPoly(U_VAR, (half, third)).coeffs[1] is third

@@ -495,7 +495,7 @@ def test_vanishing_monomials_are_dropped_before_evaluation(monkeypatch):
     monkeypatch.setattr(CharacterPolynomial, "_numerators", counting)
     for spec in (wide, narrow):
         evaluated.clear()
-        resolve(spec, 20)
+        statistic(spec).class_function(20)  # resolve(spec, 20) is cached
         assert len(evaluated) == 210
         assert all(n == len(partitions_of(20)) for _, n in evaluated)
         assert max(j for mono, _ in evaluated for j, _ in mono) == 20
@@ -581,3 +581,91 @@ def test_character_polynomial_is_an_immutable_value():
     assert P.class_function(5) == first
     assert P._integer_terms is P._integer_terms
     assert first == CharacterPolynomial(P.terms, P.name).class_function(5)
+
+
+def test_repeated_resolves_share_one_class_function():
+    for spec in ("Q", " Q ", "sgn", "ind:[2,1,1]", "x1^2 - 3*x2"):
+        assert resolve(spec, 4) is resolve(spec, 4) is resolve(spec.strip(), 4)
+    assert resolve("Q", 5) is not resolve("Q", 4)
+
+
+def test_an_expression_is_parsed_once_for_every_degree(monkeypatch):
+    from splitstat.expect import expected, expected_sf
+
+    parses = []
+    parse = sym_chars.parse_character_polynomial
+
+    def counting(text):
+        parses.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(sym_chars, "parse_character_polynomial", counting)
+    sym_chars._statistic.cache_clear()
+    sym_chars._resolved.cache_clear()
+    spec = "x1^3 - 2*x1*x2 + x3/3"
+    for d in range(4, 17):
+        for flavor in (expected, expected_sf):
+            assert flavor(d, resolve(spec, d)) == flavor(d, statistic(spec).class_function(d))
+    assert parses == [spec]
+
+
+def test_table_specs_are_read_on_every_call(tmp_path):
+    table = tmp_path / "stat.json"
+    table.write_text('{"[2]": "1/3"}')
+    assert resolve(f"@{table}", 2) == ClassFunction(2, {Partition([2]): Fraction(1, 3)})
+    table.write_text('{"[1,1]": "5"}')
+    assert resolve(f"@{table}", 2) == ClassFunction(2, {Partition([1, 1]): Fraction(5)})
+    assert statistic(f"@{table}")(2) == resolve(f"@{table}", 2)
+    table.write_text("[1]")
+    with pytest.raises(UnknownStatistic, match="must hold a JSON object"):
+        resolve(f"@{table}", 2)
+
+
+def test_bad_specs_raise_on_every_call(capsys):
+    from splitstat.cli import main
+
+    for bad, error in (("x1 +", UnknownStatistic), ("(x1+x2)^2000", BudgetExceeded)):
+        for _ in range(3):
+            with pytest.raises(error):
+                resolve(bad, 4)
+            with pytest.raises(error):
+                statistic(bad)
+            assert main(["expect", "--d", "4", "--stat", bad]) == 2
+            assert "error" in capsys.readouterr().err
+
+
+def test_spec_caches_are_bounded():
+    for cached in (sym_chars._statistic, sym_chars._resolved):
+        assert cached.cache_info().maxsize == sym_chars.SPEC_CACHE_SIZE > 0
+
+
+def test_a_cached_resolve_keeps_the_print_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(2 * limit)
+        assert resolve("x1^10000", 3).value(Partition([1, 1, 1])) == 3**10000
+        sys.set_int_max_str_digits(limit)
+        with pytest.raises(BudgetExceeded, match=f"can exceed {limit} digits"):
+            resolve("x1^10000", 3)
+        with pytest.raises(BudgetExceeded, match=f"can exceed {limit} digits"):
+            statistic("x1^10000").class_function(3)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_large_degrees_are_refused_before_enumerating_partitions():
+    start = time.perf_counter()
+    for call in (
+        lambda: builtin("Q", 45),
+        lambda: builtin("sgn", 45),
+        lambda: resolve("x1^2", 60),
+        lambda: resolve("ind:[60]", 60),
+        lambda: resolve("@no-such-table.json", 60),  # before the file is read
+        lambda: ClassFunction.from_function(60, Partition.sign),
+        lambda: parse_character_polynomial("x1").class_function(10**6),
+        lambda: indicator(Partition([60])),
+    ):
+        with pytest.raises(BudgetExceeded, match="cap of 1255"):
+            call()
+    assert time.perf_counter() - start < 0.1
+    assert len(resolve("Q", 23).numerators) == len(partitions_of(23)) == 1255
