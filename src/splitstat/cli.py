@@ -4,7 +4,7 @@ Every command is pure with respect to its arguments and prints
 deterministic output; rationals are rendered as "a/b" strings, never
 floats.  Exit codes: 0 on success, 2 on usage errors (unknown statistic,
 a statistic over a parse or print-size cap, exceeded budget, limit,
-decompose or partition-route cost cap, bad flags), 1 on an internal
+decompose, series-route or partition-route cost cap, bad flags), 1 on an internal
 consistency failure, i.e. a violated identity that should never occur.
 """
 
@@ -25,6 +25,7 @@ from .exact import UPoly, format_rational, join_signed
 from .expect import (
     NORM_Q_POWER,
     NORM_SF_COUNT,
+    check_series_budget,
     expected,
     expected_sf,
     stable_limit,
@@ -42,7 +43,14 @@ from .gf import (
 from .lie_chars import phi_table, psi_table
 from .measures import necklace, sf_splitting_measure, splitting_measure
 from .partitions import partitions_of
-from .sym_chars import check_decompose_budget, decompose, polynomial_statistic
+from .sym_chars import (
+    CharacterPolynomial,
+    ClassFunction,
+    check_decompose_budget,
+    decompose,
+    polynomial_statistic,
+    statistic,
+)
 from .sym_chars import resolve as resolve_stat  # a --stat argument at degree d
 
 
@@ -130,8 +138,16 @@ def cmd_char_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stat_for(spec: str, d: int) -> CharacterPolynomial | ClassFunction:
+    # A character polynomial goes to expect and the census as it is, so
+    # that no partition of d is enumerated; any other statistic is
+    # resolved on the partitions of d.
+    stat = statistic(spec)
+    return stat if isinstance(stat, CharacterPolynomial) else resolve_stat(spec, d)
+
+
 def cmd_expect(args: argparse.Namespace) -> int:
-    P = resolve_stat(args.stat, args.d)
+    P = _stat_for(args.stat, args.d)
     if args.command == "expect":
         result = expected(args.d, P, name=args.stat)
     else:
@@ -189,7 +205,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check_census_budget(p, n, args.d, args.budget)
         p, n = _prime_base(p, n)
     field = make_field(p, n)
-    P = resolve_stat(args.stat, args.d)
+    P = _stat_for(args.stat, args.d)
+    if isinstance(P, CharacterPolynomial):
+        # before the census; the squarefree estimate bounds both flavours
+        check_series_budget(args.d, P, squarefree=True)
     ok = True
     rows = []
     for label, squarefree in (("all", False), ("squarefree", True)):

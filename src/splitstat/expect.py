@@ -1,33 +1,42 @@
 """Expected values of factorization statistics.
 
 The expected value of a statistic P over monic degree-d polynomials is
-sum over lam of P(lam) nu(lam), summed against the splitting measure nu.
-It is read from the stored integer rows z_lam [u**k] nu(lam) of
-`measures.measure_rows`: each u**k coefficient is one integer dot
-product of `sym_chars.class_weights(P)`, the integers W_lam with
-P(lam) / z_lam = W_lam / D, with row k, over the one denominator D.
-Row k is the character psi_d^k, so the cohomology gives no second route:
-sum_k <P, psi_d^k> u**k is the same sum term by term (the tests check
-this identity; the census in `gf` is the independent check).  The
-squarefree variant sums against the squarefree measure, under a choice
-of normalization: by q**d, or by the actual squarefree count, which
-divides out the squarefree density (1 - u for d >= 2, 1 at d = 1).
+sum over lam of P(lam) nu(lam), summed against the splitting measure nu,
+and its u**k coefficient is <P, psi_d^k>.  Two routes compute it, chosen
+by the type of P:
+
+* the measure route, for a ClassFunction on the partitions of d: the
+  stored integer rows z_lam [u**k] nu(lam) of `measures.measure_rows`
+  (row k is psi_d^k), each u**k coefficient one integer dot product of
+  `sym_chars.class_weights(P)`, the integers W_lam with
+  P(lam) / z_lam = W_lam / D, with row k, over the one denominator D;
+* the series route, for a CharacterPolynomial: P in the basis of
+  products of binomials prod_j C(x_j, m_j), each term a splitting
+  measure at its own weight times a truncated power series (see
+  `_series_terms`), with no partition of d enumerated.
+
+The two agree term by term; the tests check that, and the census in `gf`
+is the independent check.  The squarefree variant sums against the
+squarefree measure, under a choice of normalization: by q**d, or by the
+actual squarefree count, which divides out the squarefree density
+(1 - u for d >= 2, 1 at d = 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
 from .exact import U_VAR, Immutable, UPoly
-from .measures import _measure_value, measure_rows
+from .measures import _measure_numerators, measure_rows, necklace
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, class_weights
 
 VIA_MEASURE = "measure"
+VIA_SERIES = "series"
 
 NORM_Q_POWER = "q_power"
 NORM_SF_COUNT = "sf_count"
@@ -36,7 +45,8 @@ NORM_SF_COUNT = "sf_count"
 class ExpectationResult(Immutable):
     """An exact expected value as a polynomial in u = 1/q.
 
-    `checks` names the checks that ran while computing it.
+    `route` is VIA_MEASURE or VIA_SERIES; `checks` names the checks that
+    ran while computing it.
     """
 
     __slots__ = ("d", "statistic", "value", "route", "normalization", "checks")
@@ -69,57 +79,89 @@ def _measure_sum(P: ClassFunction, squarefree: bool) -> tuple[list[int], int]:
     return [sum(map(mul, weights, row)) for row in measure_rows(P.d, squarefree=squarefree)], den
 
 
+def _series_sum(d: int, P: CharacterPolynomial, squarefree: bool) -> tuple[list[int], int]:
+    # The same totals on the series route.  A term of weight w gives
+    # nu_w(lam) times [x**(d - w)] of prod_j (1 - u**j x**j)**(-m_j) / (1 - x),
+    # i.e. b truncated after u**(d - w); squarefree, of
+    # prod_j (1 + u**j x**j)**(-m_j) (1 - u x**2) / (1 - x), which also
+    # takes u**(s+1) b_s off for s <= d - w - 2.
+    series, den = _series_terms(check_series_budget(d, P, squarefree), d - 1, squarefree, d)
+    total = [0] * d
+    for w, nums, b in series:
+        for s, bs in enumerate(b):
+            for i, a in enumerate(nums):
+                total[i + s] += a * bs
+            if squarefree and s + 2 <= d - w:
+                for i, a in enumerate(nums):
+                    total[i + s + 1] -= a * bs
+    return total, den
+
+
+def _check_args(d: int, P: ClassFunction | CharacterPolynomial) -> None:
+    if d < 1:
+        raise ValueError("expected values start at degree 1")
+    if isinstance(P, ClassFunction) and P.d != d:
+        raise DegreeMismatch(f"statistic is for degree {P.d}, not {d}")
+
+
+def _sum(
+    d: int, P: ClassFunction | CharacterPolynomial, squarefree: bool
+) -> tuple[list[int], int, str]:
+    # The integer u**k totals, their one denominator, and the route.
+    if isinstance(P, CharacterPolynomial):
+        return *_series_sum(d, P, squarefree), VIA_SERIES
+    _check_args(d, P)
+    return *_measure_sum(P, squarefree), VIA_MEASURE
+
+
 def _u_poly(total: list[int], den: int) -> UPoly:
     return UPoly(U_VAR, tuple(Fraction(t, den) for t in total))
 
 
-def _stat_name(P: ClassFunction, name: str | None) -> str:
-    return name if name is not None else (P.name or "stat")
+def _stat_name(P: ClassFunction | CharacterPolynomial, name: str | None) -> str:
+    if name is not None:
+        return name
+    if isinstance(P, CharacterPolynomial):
+        return P.name or str(P)  # the name its class functions carry
+    return P.name or "stat"
 
 
-def _check_args(d: int, P: ClassFunction) -> None:
-    if d < 1:
-        raise ValueError("expected values start at degree 1")
-    if P.d != d:
-        raise DegreeMismatch(f"statistic is for degree {P.d}, not {d}")
-
-
-def expected(d: int, P: ClassFunction, name: str | None = None) -> ExpectationResult:
+def expected(
+    d: int, P: ClassFunction | CharacterPolynomial, name: str | None = None
+) -> ExpectationResult:
     """E_d(P): the mean of P over all monic degree-d polynomials.
 
-    Summed against the splitting measure; its u**k coefficient equals
-    <P, psi_d^k> by the definition of psi.
+    Its u**k coefficient equals <P, psi_d^k> by the definition of psi.
+    A ClassFunction on the partitions of d takes the measure route; a
+    CharacterPolynomial takes the series route at any d, refused by
+    `check_series_budget` before its sums run.
     """
-    _check_args(d, P)
+    total, den, route = _sum(d, P, squarefree=False)
     return ExpectationResult(
-        d=d,
-        statistic=_stat_name(P, name),
-        value=_u_poly(*_measure_sum(P, squarefree=False)),
-        route=VIA_MEASURE,
+        d=d, statistic=_stat_name(P, name), value=_u_poly(total, den), route=route
     )
 
 
 def expected_sf(
     d: int,
-    P: ClassFunction,
+    P: ClassFunction | CharacterPolynomial,
     normalization: str = NORM_Q_POWER,
     name: str | None = None,
 ) -> ExpectationResult:
     """Squarefree expected value of P, under a choice of normalization.
 
-    Summed against the squarefree measure; its u**k coefficient equals
-    (-1)**k <P, phi_d^k> by the definition of phi.  NORM_Q_POWER divides
-    the squarefree sum by q**d (so the all-types and squarefree results
-    are directly comparable); NORM_SF_COUNT divides by the squarefree
-    count, giving a true conditional mean.  The second is the first
-    divided by the squarefree density, 1 - u for d >= 2 and 1 at d = 1;
-    that division is always exact, which the "exact_division" check
-    asserts.
+    Its u**k coefficient equals (-1)**k <P, phi_d^k> by the definition
+    of phi; P takes the route `expected` would give it.  NORM_Q_POWER
+    divides the squarefree sum by q**d (so the all-types and squarefree
+    results are directly comparable); NORM_SF_COUNT divides by the
+    squarefree count, giving a true conditional mean.  The second is the
+    first divided by the squarefree density, 1 - u for d >= 2 and 1 at
+    d = 1; that division is always exact, which the "exact_division"
+    check asserts.
     """
-    _check_args(d, P)
     if normalization not in (NORM_Q_POWER, NORM_SF_COUNT):
         raise ValueError(f"unknown normalization {normalization!r}")
-    total, den = _measure_sum(P, squarefree=True)
+    total, den, route = _sum(d, P, squarefree=True)
     if normalization == NORM_SF_COUNT and d >= 2:
         # dividing by 1 - u takes prefix sums; the last is the remainder
         *total, rem = accumulate(total)
@@ -132,7 +174,7 @@ def expected_sf(
         d=d,
         statistic=_stat_name(P, name),
         value=_u_poly(total, den),
-        route=VIA_MEASURE,
+        route=route,
         normalization=normalization,
         checks=("exact_division",) if normalization == NORM_SF_COUNT else (),
     )
@@ -175,7 +217,8 @@ class StableLimit(Immutable):
         self._store(statistic, order, coeffs, stabilized_at)
 
 
-# Cap on _limit_cost: about 1.5 s of work on a 2-core host.
+# Cap on _limit_cost, and on the series route's work in
+# check_series_budget: about 1.5 s of work on a 2-core host.
 LIMIT_BUDGET = 5_000_000
 
 
@@ -194,35 +237,127 @@ def _limit_cost(P: CharacterPolynomial, order: int) -> int:
     return cost
 
 
-def _binomial_terms(P: CharacterPolynomial) -> dict[Partition, Fraction]:
+def _series_cost(terms: dict[Partition, Fraction], d: int, squarefree: bool) -> int:
+    # Per term of weight w: the integer measure product, each factor
+    # multiplying the product so far by the nonzero coefficients of
+    # j*M_j and its constant; the series to u**(d - w), once per part;
+    # the convolution with the w coefficients of the measure, twice over
+    # when squarefree.  Then each of the d coefficients of the answer is
+    # made a Fraction and printed.
+    cost = 48 * d
+    for lam in terms:
+        n, product, w = d - lam.d + 1, 0, 0
+        for j, m in lam.multiplicities():
+            width = 1 + sum(1 for c in necklace(j).coeffs if c)
+            product += width * (m * (w + 1) + j * m * (m - 1) // 2)
+            w += j * m
+        cost += 16 + product + n * (len(lam) + (1 + squarefree) * (w + 1))
+    return cost
+
+
+def check_series_budget(
+    d: int, P: CharacterPolynomial, squarefree: bool = False
+) -> dict[Partition, Fraction]:
+    """Refuse E_d(P) on the series route before its sums run.
+
+    Raises BudgetExceeded when a value of P at d could exceed the print
+    limit (`CharacterPolynomial.at_degree`), or when the route's work,
+    squarefree or over all polynomials, passes LIMIT_BUDGET units: the
+    expansion into binomial terms counts its own work and stops there,
+    and the sums are estimated from the terms it gives.  Returns those
+    terms, the ones of weight at most d, which the route sums.
+    """
+    _check_args(d, P)
+    live = P.at_degree(d)
+    terms, cost = _binomial_terms(live, d, LIMIT_BUDGET)
+    if cost <= LIMIT_BUDGET:
+        cost += _series_cost(terms, d, squarefree)
+    if cost > LIMIT_BUDGET:
+        raise BudgetExceeded(
+            f"the series route for {live.name} at d={d} needs more than the cap "
+            f"of {LIMIT_BUDGET} work units"
+        )
+    return terms
+
+
+def _binomial_terms(
+    P: CharacterPolynomial, weight: int | None = None, cap: int | None = None
+) -> tuple[dict[Partition, Fraction], int]:
     # P in the basis prod_j C(x_j, m_j), keyed by the partition with m_j
-    # parts j; x*C(x,m) = m*C(x,m) + (m+1)*C(x,m+1) expands each x_j**e.
+    # parts j, and the work done.  x**e = sum over m >= 1 of a_m C(x, m),
+    # a_m = m! S(e, m) = sum over i <= m of (-1)**(m-i) C(m, i) i**e, the
+    # surjections onto m points.  Terms of partitions larger than `weight`
+    # are dropped as soon as the parts still to come (one per variable
+    # left) would take them past it.  The work counts the a_m (by the
+    # size of i**e) and the terms formed, each step before it runs; once
+    # it would pass `cap`, the expansion stops.
     out: dict[tuple[int, ...], Fraction] = {}
+    work = 0
     for mono, c in P.terms:
+        rest = sum(j for j, _ in mono)
         partial = {(): c}
         for j, e in mono:
-            a = [1]
-            for _ in range(e):
-                a = [m * (x + y) for m, (x, y) in enumerate(zip(a + [0], [0] + a))]
+            rest -= j
+            top = e if weight is None else min(e, (weight - rest) // j)
+            if top < 1:  # every term is past `weight`
+                partial = {}
+                break
+            work += (top + 1) ** 2 * (1 + e * top.bit_length() // 4096) + 4 * len(partial) * top
+            if cap is not None and work > cap:
+                return {}, work
+            powers = [i**e for i in range(top + 1)]
+            a = [
+                sum((-1) ** (m - i) * comb(m, i) * powers[i] for i in range(m + 1))
+                for m in range(top + 1)
+            ]
             partial = {
-                k + (j,) * m: v * am for k, v in partial.items() for m, am in enumerate(a) if am
+                k + (j,) * m: v * a[m]
+                for k, v in partial.items()
+                for m in range(1, top + 1)
+                if weight is None or sum(k) + j * m + rest <= weight
             }
         for k, v in partial.items():
             out[k] = out.get(k, 0) + v
-    return {Partition(k): v for k, v in out.items() if v}
+    return {Partition(k): v for k, v in out.items() if v}, work
+
+
+def _series_terms(
+    terms: dict[Partition, Fraction], order: int, squarefree: bool, d: int | None = None
+) -> tuple[list[tuple[int, list[int], list[int]]], int]:
+    # Unique factorization gives E_d(prod_j C(x_j, m_j)) for lam with m_j
+    # parts j and weight w as nu_w(lam) * [prod_j (1 - u**j)**(-m_j)], the
+    # series truncated after u**(d - w), with nu_w the splitting measure
+    # (the point counting of Church-Ellenberg-Farb, arXiv:1309.6038); the
+    # squarefree sum has the measure without repetition and
+    # prod_j (1 + u**j)**(-m_j).  Per term c * lam: w, the integers
+    # c * nu_w(lam) over the common denominator den (to u**order), and b,
+    # the series to u**order or to u**(d - w) when d is given; then den.
+    scaled = [
+        (lam, c / lam.centralizer_order(), _measure_numerators(lam, squarefree)[: order + 1])
+        for lam, c in terms.items()
+    ]
+    den = lcm(*(f.denominator for _, f, _ in scaled))
+    sign = -1 if squarefree else 1
+    out = []
+    for lam, f, nu in scaled:
+        top = order if d is None else min(order, d - lam.d)
+        b = [1] + [0] * top
+        for j in lam.parts:
+            for s in range(j, top + 1):
+                b[s] += sign * b[s - j]
+        scale = f.numerator * (den // f.denominator)
+        out.append((lam.d, [scale * a for a in nu], b))
+    return out, den
 
 
 def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
     """Limit of the first `order`+1 coefficients of E_d(P) as d grows.
 
-    For lam with m_j parts j and weight w, unique factorization gives
-    E_d(prod_j C(x_j, m_j)) = nu_w(lam) * [prod_j (1 - u**j)**(-m_j)],
-    the series truncated after u**(d - w), with nu_w the splitting
-    measure (the point counting of Church-Ellenberg-Farb,
-    arXiv:1309.6038).  The limit drops the truncation.  Each degree adds
-    one series coefficient per term, so stabilized_at[k] is the larger
-    of k + 1 and the last d whose summed u**k increment is nonzero.
-    Raises BudgetExceeded when _limit_cost exceeds LIMIT_BUDGET.
+    The series route without its truncation (see _series_terms).  Each
+    degree adds one series coefficient per term, so stabilized_at[k] is
+    the larger of k + 1 and the last d whose summed u**k increment is
+    nonzero.  Raises BudgetExceeded when _limit_cost exceeds
+    LIMIT_BUDGET.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -232,22 +367,13 @@ def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
             f"limit of {name} to order {order} needs about {cost} work units, "
             f"over the cap of {LIMIT_BUDGET}"
         )
-    terms = [
-        (lam, [c * a for a in _measure_value(lam, with_repetition=True).coeffs[: order + 1]])
-        for lam, c in _binomial_terms(P).items()
-    ]
-    den = lcm(*(a.denominator for _, nu in terms for a in nu))
+    series, den = _series_terms(_binomial_terms(P)[0], order, squarefree=False)
     # incr[k][d]: den times the change in [u**k] E_d(P) from d - 1 to d
     incr: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    for lam, nu in terms:
-        b = [1] + [0] * order
-        for j in lam.parts:
-            for s in range(j, order + 1):
-                b[s] += b[s - j]
-        nums = [a.numerator * (den // a.denominator) for a in nu]
+    for w, nums, b in series:
         for s, bs in enumerate(b):
             for i, a in enumerate(nums[: order + 1 - s]):
-                incr[i + s][lam.d + s] = incr[i + s].get(lam.d + s, 0) + a * bs
+                incr[i + s][w + s] = incr[i + s].get(w + s, 0) + a * bs
     return StableLimit(
         statistic=name,
         order=order,
@@ -256,4 +382,3 @@ def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
             max([k + 1] + [d for d, x in row.items() if x]) for k, row in enumerate(incr)
         ),
     )
-

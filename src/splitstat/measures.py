@@ -65,6 +65,27 @@ def _measure_value(lam: Partition, with_repetition: bool) -> UPoly:
     return over_q_power(prod, lam.d)
 
 
+def _measure_numerators(lam: Partition, squarefree: bool) -> list[int]:
+    # z_lam * nu(lam) as integer u-coefficients, from the same product as
+    # _measure_value: j*M_j has integer coefficients (M_j = necklace(j)),
+    # so the product over j and i < m_j of j*M_j(q) + j*i (- j*i when
+    # squarefree) is z_lam * q**w * nu(lam) over the integers.  Its
+    # q-degree is w, and for w >= 1 its q**0 coefficient is 0 (the i = 0
+    # factor has none), so reversed it runs from u**0 to u**(w-1).
+    prod = [1]
+    for j, m in lam.multiplicities():
+        # M_j has no constant term, so j*i is the factor's whole q**0 part
+        terms = [(k, int(j * c)) for k, c in enumerate(necklace(j).coeffs) if c]
+        for i in range(m):
+            shift = -j * i if squarefree else j * i
+            out = [shift * a for a in prod] + [0] * j
+            for k, c in terms:
+                for t, a in enumerate(prod):
+                    out[t + k] += a * c
+            prod = out
+    return prod[:0:-1] if lam.d else prod
+
+
 # Cap on the partition route (measures, character tables, expected
 # values): p(d) factorization types, one measure product each.  d = 23
 # (1255 types) builds its rows in about 2.5 s on a 2-core host.

@@ -120,18 +120,28 @@ def partitions_of(d: int) -> tuple[Partition, ...]:
     return tuple(Partition(parts) for parts in _descending_parts(d, d if d else 1))
 
 
+@lru_cache(maxsize=None)
+def _partition_count(n: int) -> int:
+    # p(n) by Euler's pentagonal number recurrence, with no partition
+    # enumerated.  Callers step n upward, so every p(m), m < n, is cached
+    # and the recursion is one level deep.
+    if n == 0:
+        return 1
+    p, k = 0, 1
+    while (g := k * (3 * k - 1) // 2) <= n:
+        pair = _partition_count(n - g) + (_partition_count(n - g - k) if g + k <= n else 0)
+        p, k = p + (pair if k % 2 else -pair), k + 1
+    return p
+
+
 def partition_count_exceeds(d: int, cap: int) -> bool:
     """Whether p(d), the number of partitions of d, is above cap.
 
-    Counts p(0), p(1), ... by Euler's pentagonal number recurrence, with
-    no partition enumerated.  p(n) grows with n, so the count stops at the
-    first n over the cap: a huge d costs no more than a small one.
+    Reads p(0), p(1), ..., each counted once per process.  p(n) grows
+    with n, so the walk stops at the first n over the cap: a huge d costs
+    no more than a small one.
     """
-    counts = [1]
-    while len(counts) <= d and counts[-1] <= cap:
-        n, p, k = len(counts), 0, 1
-        while (g := k * (3 * k - 1) // 2) <= n:
-            pair = counts[n - g] + (counts[n - g - k] if g + k <= n else 0)
-            p, k = p + (pair if k % 2 else -pair), k + 1
-        counts.append(p)
-    return counts[-1] > cap
+    n = 0
+    while n < d and _partition_count(n) <= cap:
+        n += 1
+    return _partition_count(n) > cap

@@ -444,16 +444,26 @@ class CharacterPolynomial(Immutable):
         if d < 0:
             raise ValueError("d must be nonnegative")
         check_partition_budget(d)
+        p = self.at_degree(d)
+        nums = p._numerators(partial(_part_counts, d), len(partitions_of(d)))
+        return ClassFunction.from_integers(d, nums, p._integer_terms[0], name=p.name)
+
+    def at_degree(self, d: int) -> "CharacterPolynomial":
+        """The same statistic on partitions of d, with the monomials in
+        some x_j, j > d, which vanish there, dropped, and named as this
+        one (by its expression when unnamed).  Raises BudgetExceeded when
+        a value at d could have more digits than Python prints
+        (sys.get_int_max_str_digits()); no partition is enumerated.
+        """
         name = self.name or str(self)
         live = tuple((m, c) for m, c in self.terms if all(j <= d for j, _ in m))
-        p = self if len(live) == len(self.terms) else CharacterPolynomial(live)
+        p = self if len(live) == len(self.terms) and self.name else CharacterPolynomial(live, name)
         if (bits := _print_bits()) and not p._printable(d, bits):
             raise BudgetExceeded(
                 f"values of {name} at d={d} can exceed {sys.get_int_max_str_digits()} "
                 "digits, the limit for printing integers"
             )
-        nums = p._numerators(partial(_part_counts, d), len(partitions_of(d)))
-        return ClassFunction.from_integers(d, nums, p._integer_terms[0], name=name)
+        return p
 
     def _printable(self, d: int, bits: int) -> bool:
         # Every value at d is at most the sum over terms of |numerator| times

@@ -32,7 +32,7 @@ def test_expect_json_golden_row(capsys):
     assert got["coeffs"] == ["0", "2", "1"]
     assert got["d"] == 3
     assert got["stat"] == "Q"
-    assert got["route"] == "measure"
+    assert got["route"] == "series"
     assert got["checks"] == []
 
 
@@ -434,8 +434,7 @@ BAD_INPUTS = {
     ),
     "expect-huge-degree": (
         ("expect", "--d", "1000000000", "--stat", "Q"),
-        "the partition route at d=1000000000 needs p(d) factorization types, "
-        "more than the cap of 1255",
+        "the series route for Q at d=1000000000 needs more than the cap of 5000000 work units",
     ),
     "sf-expect-over-cap": (
         ("sf-expect", "--d", "60", "--stat", "sgn"),
@@ -450,8 +449,13 @@ BAD_INPUTS = {
     "measure-over-cap": (("measure", "--d", "200"), "more than the cap of 1255"),
     "measure-sf-over-cap": (("measure", "--sf", "--d", "25"), "more than the cap of 1255"),
     "verify-over-partition-cap": (
-        ("verify", "--d", "24", "--q", "2", "--stat", "R", "--budget", "100000000"),
+        ("verify", "--d", "24", "--q", "2", "--stat", "sgn", "--budget", "100000000"),
         "the partition route at d=24 needs p(d) factorization types",
+    ),
+    # 2^10000 polynomials are within this budget: the census never starts
+    "verify-over-series-cap": (
+        ("verify", "--d", "10000", "--q", "2", "--stat", "x1^100", "--budget", "1" + "0" * 4000),
+        "the series route for x1^100 at d=10000 needs more than the cap of 5000000 work units",
     ),
 }
 
