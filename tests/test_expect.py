@@ -1,5 +1,6 @@
 """Expected values: dual routes, specializations, squarefree variants, limits."""
 
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -7,12 +8,14 @@ from math import comb
 
 import pytest
 
-from splitstat import expect, measures
+from splitstat import cli, expect, gf, measures, sym_chars
 from splitstat.errors import BudgetExceeded, ConsistencyError, DegreeMismatch
 from splitstat.exact import U_VAR, UPoly, divmod_poly, poly
 from splitstat.expect import (
+    NORM_Q_POWER,
     NORM_SF_COUNT,
     VIA_MEASURE,
+    VIA_SERIES,
     ExpectationResult,
     StableLimit,
     eval_q1,
@@ -24,7 +27,7 @@ from splitstat.expect import (
 from splitstat.gf import census, make_field
 from splitstat.lie_chars import phi_table, psi_table
 from splitstat.measures import measure_rows, sf_splitting_measure, splitting_measure
-from splitstat.partitions import partitions_of
+from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import (
     CharacterPolynomial,
     ClassFunction,
@@ -354,6 +357,79 @@ def test_expectations_sum_the_integer_columns(monkeypatch):
         "11", "-12", "12", "-13", "15", "-16", "16", "-17", "10",
     ]
     assert (splitting_measure.cache_info().currsize, sf_splitting_measure.cache_info().currsize) == sizes
+
+
+# The polynomial built-ins, terms that vanish below their weight, and
+# non-integer coefficients.
+SERIES_STATS = (
+    "one", "R", "Q", "x4", "x5", "x1*x3", "x1*x2*x3", "x1^3/7", "2/3*x1*x2-5/4*x3+1/6",
+)
+
+
+@pytest.mark.parametrize("spec", SERIES_STATS)
+def test_series_route_equals_the_partition_route(spec):
+    P = sym_chars.statistic(spec)
+    for d in range(1, 17):
+        C = P.class_function(d)
+        pairs = [(expected(d, P), expected(d, C))]
+        pairs += [
+            (expected_sf(d, P, norm), expected_sf(d, C, norm))
+            for norm in (NORM_Q_POWER, NORM_SF_COUNT)
+        ]
+        for series, partition in pairs:
+            assert (series.route, partition.route) == (VIA_SERIES, VIA_MEASURE)
+            assert series.value == partition.value, (d, series.normalization)
+            assert series.statistic == partition.statistic
+            assert series.checks == partition.checks
+
+
+def test_series_route_enumerates_no_partition_of_d(monkeypatch, capsys):
+    real = partitions_of
+
+    def guarded(d):
+        if d >= 20:
+            raise AssertionError(f"partitions_of({d}) on the series route")
+        return real(d)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the series route must not build measure rows")
+
+    monkeypatch.setattr(expect, "measure_rows", forbidden)
+    for module in (cli, gf, measures, sym_chars):
+        monkeypatch.setattr(module, "partitions_of", guarded)
+    assert cli.main(["expect", "--d", "22", "--stat", "Q", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == [
+        "0", "2", "2", "4", "4", "6", "6", "8", "8", "10", "10",
+        "12", "12", "14", "14", "16", "16", "18", "18", "20", "20", "11",
+    ]
+    assert cli.main(["sf-expect", "--d", "20", "--stat", "Q", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["route"] == VIA_SERIES
+
+
+@pytest.mark.parametrize("spec", SERIES_STATS + ("x1*x2", "x1^2-x2", "(x1-1)*x2"))
+def test_series_route_past_the_partition_cap(spec):
+    # d >= 24 is refused on the partition route; here E_d is checked
+    # against P on the identity class (its value at q = 1) and against the
+    # stable limit, from each coefficient's witness on.
+    P = sym_chars.statistic(spec)
+    limit = stable_limit(P, 12)
+    for d in range(24, 61):
+        got = expected(d, P).value
+        assert got.evaluate(1) == P.evaluate(Partition([1] * d))
+        for k, (c, start) in enumerate(zip(limit.coeffs, limit.stabilized_at)):
+            if d >= start:
+                assert got.coeff(k) == c, (d, k)
+        if spec == "R":
+            assert got == poly(U_VAR, [1] * d)
+
+
+def test_series_route_cost_cap():
+    with pytest.raises(BudgetExceeded, match=f"cap of {expect.LIMIT_BUDGET} work units"):
+        expected(10**9, builtin_polynomial("Q"))
+    with pytest.raises(BudgetExceeded, match="at d=10000 needs more than the cap"):
+        expected_sf(10_000, parse_character_polynomial("x1^100"))
+    # the expansion of x1^9000 stops at weight 3
+    assert expected(3, parse_character_polynomial("x1^9000")).value.coeff(0) == (3**9000 + 3) // 6
 
 
 def test_stable_limit_cost_cap():

@@ -25,7 +25,7 @@ from splitstat.gf import (
     type_counts,
 )
 from splitstat.partitions import Partition
-from splitstat.sym_chars import indicator, one, roots
+from splitstat.sym_chars import indicator, one, parse_character_polynomial, roots
 
 
 def field_mul(F, a, b):
@@ -286,6 +286,18 @@ def test_census_normalizations():
                 assert sf == 1
             else:
                 assert sf == 1 - Fraction(1, F.q)
+
+
+def test_census_of_a_character_polynomial_reads_its_class_function():
+    for p, n, top in ((2, 1, 6), (3, 1, 4), (2, 2, 3)):
+        F = make_field(p, n)
+        for spec in ("x1^2-x2", "x1*x3/5", "x4"):
+            P = parse_character_polynomial(spec)
+            for d in range(1, top + 1):
+                for squarefree in (False, True):
+                    assert census(F, d, P, squarefree_only=squarefree) == census(
+                        F, d, P.class_function(d), squarefree_only=squarefree
+                    )
 
 
 def test_census_rejects_degree_mismatch():

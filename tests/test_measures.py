@@ -164,6 +164,19 @@ def test_measure_is_column_over_centralizer_order():
             assert measure[lam] == poly(U_VAR, [Fraction(c, z) for c in column])
 
 
+def test_integer_measure_product_is_the_fraction_product_times_z():
+    import splitstat.measures as measures
+
+    for d in range(13):
+        for lam in partitions_of(d):
+            z = lam.centralizer_order()
+            for squarefree in (False, True):
+                got = measures._measure_numerators(lam, squarefree)
+                want = measures._measure_value(lam, with_repetition=not squarefree) * z
+                assert len(got) == max(d, 1) and all(type(c) is int for c in got)
+                assert poly(U_VAR, got) == want, (lam, squarefree)
+
+
 def test_columns_check_degree_and_integrality(monkeypatch):
     import splitstat.measures as measures
 

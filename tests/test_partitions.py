@@ -5,7 +5,12 @@ from math import factorial
 
 import pytest
 
-from splitstat.partitions import Partition, partition_count_exceeds, partitions_of
+from splitstat.partitions import (
+    Partition,
+    _partition_count,
+    partition_count_exceeds,
+    partitions_of,
+)
 
 
 def partition_count_oracle(n):
@@ -58,6 +63,14 @@ def test_partition_count_exceeds_stops_at_the_first_degree_over_the_cap():
     # p(100) = 190569292 (Hardy and Ramanujan's table)
     assert partition_count_exceeds(100, 190569291) and not partition_count_exceeds(100, 190569292)
     assert partition_count_exceeds(10**9, 1000)
+
+
+def test_partition_counts_are_counted_once():
+    partition_count_exceeds(40, 10**6)
+    counted = _partition_count.cache_info().misses
+    for d, cap in ((40, 10**6), (23, 1255), (10**9, 1255), (10**9, 387)):
+        partition_count_exceeds(d, cap)
+    assert _partition_count.cache_info().misses == counted
 
 
 def test_no_duplicates_and_correct_sums():
