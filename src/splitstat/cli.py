@@ -4,8 +4,9 @@ Every command is pure with respect to its arguments and prints
 deterministic output; rationals are rendered as "a/b" strings, never
 floats.  Exit codes: 0 on success, 2 on usage errors (unknown statistic,
 a statistic over a parse or print-size cap, exceeded budget, limit,
-decompose, series-route or partition-route cost cap, bad flags), 1 on an internal
-consistency failure, i.e. a violated identity that should never occur.
+decompose, series-route or partition-route cost cap, bad flags), 1 on an
+internal consistency failure, i.e. a violated identity that should never
+occur.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from operator import mul
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
 from .exact import U_VAR, Immutable, UPoly
-from .measures import _measure_numerators, measure_rows, necklace
+from .measures import _measure_numerators, measure_rows
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, class_weights
 
@@ -238,21 +238,22 @@ def _limit_cost(P: CharacterPolynomial, order: int) -> int:
 
 
 def _series_cost(terms: dict[Partition, Fraction], d: int, squarefree: bool) -> int:
-    # Per term of weight w: the integer measure product, each factor
-    # multiplying the product so far by the nonzero coefficients of
-    # j*M_j and its constant; the series to u**(d - w), once per part;
-    # the convolution with the w coefficients of the measure, twice over
-    # when squarefree.  Then each of the d coefficients of the answer is
-    # made a Fraction and printed.
-    cost = 48 * d
+    # Per term of weight w: the integer measure product, each factor of
+    # degree j multiplying the product so far by at most j + 1
+    # coefficients; the series to u**(d - w), once per part; the
+    # convolution with the w coefficients of the measure, twice over when
+    # squarefree.  Once per part size j, the necklace polynomial M_j; and
+    # each of the d coefficients of the answer is made a Fraction and
+    # printed.
+    cost, sizes = 48 * d, set()
     for lam in terms:
         n, product, w = d - lam.d + 1, 0, 0
         for j, m in lam.multiplicities():
-            width = 1 + sum(1 for c in necklace(j).coeffs if c)
-            product += width * (m * (w + 1) + j * m * (m - 1) // 2)
+            product += (j + 1) * (m * (w + 1) + j * m * (m - 1) // 2)
             w += j * m
+            sizes.add(j)
         cost += 16 + product + n * (len(lam) + (1 + squarefree) * (w + 1))
-    return cost
+    return cost + 16 * sum(sizes)
 
 
 def check_series_budget(

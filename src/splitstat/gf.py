@@ -601,7 +601,8 @@ def census(
     if isinstance(stat, CharacterPolynomial):
         stat = stat.at_degree(d)  # refuses unprintable values before the walk
         counts = type_counts(field, d, squarefree_only, budget, threads)
-        return sum((n * stat.evaluate(lam) for lam, n in counts.items()), Fraction(0)) / field.q**d
+        total = sum((n * stat.evaluate(lam) for lam, n in counts.items()), Fraction(0))
+        return total / field.q**d
     if stat.d != d:
         raise DegreeMismatch(f"statistic is for degree {stat.d}, census is for {d}")
     counts = type_counts(field, d, squarefree_only, budget, threads)

@@ -11,8 +11,10 @@ polynomials; without repetition, the squarefree variant.
 The one stored object per (degree, flavor) is `measure_rows`, the
 integers z_lam * [u**k] nu(lam) as d rows over the partitions.  The
 measure is nu(lam) = column / z_lam, the `lie_chars` tables wrap the
-same rows, and `expect` pairs a statistic with each row; no inversion
-pass converts one form into another.
+same rows, and `expect` pairs a class function with each row; no
+inversion pass converts one form into another.  For a character
+polynomial, `expect` reads z_lam * nu(lam) of single partitions, of
+every weight up to d, as integer products (`_measure_numerators`).
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ Fraction per partition.  Every pairing sum over lam of P(lam) X(lam) /
 z_lam is then an integer dot product over one denominator:
 `class_weights` writes P(lam) / z_lam as integers W_lam over one D, and
 X's stored integers are read as they are.  `inner`, `decompose`, the
-expectation sum in `expect` and the census in `gf` all read this form.
+measure-route expectation sum in `expect` and the census in `gf` all
+read this form; `expect` and the census take a character polynomial as
+it is (`CharacterPolynomial.at_degree`), with no partition of d.
 """
 
 from __future__ import annotations

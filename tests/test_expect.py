@@ -428,8 +428,12 @@ def test_series_route_cost_cap():
         expected(10**9, builtin_polynomial("Q"))
     with pytest.raises(BudgetExceeded, match="at d=10000 needs more than the cap"):
         expected_sf(10_000, parse_character_polynomial("x1^100"))
+    # one term, but a million coefficients to write out
+    with pytest.raises(BudgetExceeded, match="for R at d=1000000 needs more than the cap"):
+        expected(10**6, builtin_polynomial("R"))
     # the expansion of x1^9000 stops at weight 3
-    assert expected(3, parse_character_polynomial("x1^9000")).value.coeff(0) == (3**9000 + 3) // 6
+    x1_9000 = parse_character_polynomial("x1^9000")
+    assert expected(3, x1_9000).value.coeff(0) == (3**9000 + 3) // 6
 
 
 def test_stable_limit_cost_cap():
