@@ -26,7 +26,6 @@ from .exact import UPoly, format_rational, join_signed
 from .expect import (
     NORM_Q_POWER,
     NORM_SF_COUNT,
-    check_series_budget,
     expected,
     expected_sf,
     stable_limit,
@@ -207,9 +206,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         p, n = _prime_base(p, n)
     field = make_field(p, n)
     P = _stat_for(args.stat, args.d)
-    if isinstance(P, CharacterPolynomial):
-        # before the census; the squarefree estimate bounds both flavours
-        check_series_budget(args.d, P, squarefree=True)
+    # both formulas before any census, so a cost cap refuses at once
+    formulas = {
+        True: expected_sf(args.d, P, name=args.stat).at_q(field.q),
+        False: expected(args.d, P, name=args.stat).at_q(field.q),
+    }
     ok = True
     rows = []
     for label, squarefree in (("all", False), ("squarefree", True)):
@@ -217,10 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             field, args.d, P, squarefree_only=squarefree,
             budget=args.budget, threads=args.threads,
         )
-        if squarefree:
-            formula = expected_sf(args.d, P, name=args.stat).at_q(field.q)
-        else:
-            formula = expected(args.d, P, name=args.stat).at_q(field.q)
+        formula = formulas[squarefree]
         match = c == formula
         ok = ok and match
         rows.append((label, c, formula, match))

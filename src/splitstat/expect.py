@@ -217,43 +217,44 @@ class StableLimit(Immutable):
         self._store(statistic, order, coeffs, stabilized_at)
 
 
-# Cap on _limit_cost, and on the series route's work in
-# check_series_budget: about 1.5 s of work on a 2-core host.
+# Cap on the series route's work, for E_d (check_series_budget) and for
+# stable_limit: about 1.5 s of work on a 2-core host.
 LIMIT_BUDGET = 5_000_000
 
 
-def _limit_cost(P: CharacterPolynomial, order: int) -> int:
-    # A monomial prod_j x_j**e_j of weight w has at most prod_j e_j
-    # binomial terms, each a measure product of e_j factors of degree j
-    # plus passes over w + 1 Fraction coefficients, then prefix sums and
-    # a convolution up to u**order; weights fit the slowest timed inputs.
-    cost = 0
-    for mono, _ in P.terms:
-        terms, parts, w, product = 1, 0, 0, 0
-        for j, e in mono:
-            product += (j + 1) * (e * (w + 1) + j * e * (e - 1) // 2)
-            terms, parts, w = terms * e, parts + e, w + j * e
-        cost += terms * (8 * product + 128 * (w + 1) + (parts + min(w, order) + 1) * (order + 1))
-    return cost
-
-
-def _series_cost(terms: dict[Partition, Fraction], d: int, squarefree: bool) -> int:
-    # Per term of weight w: the integer measure product, each factor of
-    # degree j multiplying the product so far by at most j + 1
-    # coefficients; the series to u**(d - w), once per part; the
-    # convolution with the w coefficients of the measure, twice over when
+def _series_cost(
+    terms: dict[Partition, Fraction], order: int, squarefree: bool, d: int | None = None
+) -> int:
+    # The work of _series_terms and the sums over its output, to u**order
+    # and truncated at d when given.  Per term of weight w: the integer
+    # measure product, each factor of degree j multiplying the product so
+    # far by at most j + 1 coefficients; the series, once per part; the
+    # convolution with the measure to u**order, twice over when
     # squarefree.  Once per part size j, the necklace polynomial M_j; and
-    # each of the d coefficients of the answer is made a Fraction and
-    # printed.
-    cost, sizes = 48 * d, set()
+    # each of the order + 1 coefficients of the answer is made a Fraction
+    # and printed.
+    cost, sizes = 48 * (order + 1), set()
     for lam in terms:
-        n, product, w = d - lam.d + 1, 0, 0
+        n = order + 1 if d is None else min(order, d - lam.d) + 1
+        product, w = 0, 0
         for j, m in lam.multiplicities():
             product += (j + 1) * (m * (w + 1) + j * m * (m - 1) // 2)
             w += j * m
             sizes.add(j)
-        cost += 16 + product + n * (len(lam) + (1 + squarefree) * (w + 1))
+        cost += 16 + product + n * (len(lam) + (1 + squarefree) * (min(w, order) + 1))
     return cost + 16 * sum(sizes)
+
+
+def _budgeted_terms(
+    P: CharacterPolynomial, order: int, squarefree: bool = False, d: int | None = None
+) -> dict[Partition, Fraction] | None:
+    # The binomial terms of P (of weight at most d when given), or None
+    # when the expansion's counted work plus _series_cost passes
+    # LIMIT_BUDGET; the expansion stops as soon as its own work does.
+    terms, cost = _binomial_terms(P, d, LIMIT_BUDGET)
+    if cost <= LIMIT_BUDGET:
+        cost += _series_cost(terms, order, squarefree, d)
+    return terms if cost <= LIMIT_BUDGET else None
 
 
 def check_series_budget(
@@ -270,10 +271,8 @@ def check_series_budget(
     """
     _check_args(d, P)
     live = P.at_degree(d)
-    terms, cost = _binomial_terms(live, d, LIMIT_BUDGET)
-    if cost <= LIMIT_BUDGET:
-        cost += _series_cost(terms, d, squarefree)
-    if cost > LIMIT_BUDGET:
+    terms = _budgeted_terms(live, d - 1, squarefree, d)
+    if terms is None:
         raise BudgetExceeded(
             f"the series route for {live.name} at d={d} needs more than the cap "
             f"of {LIMIT_BUDGET} work units"
@@ -332,10 +331,12 @@ def _series_terms(
     # squarefree sum has the measure without repetition and
     # prod_j (1 + u**j)**(-m_j).  Per term c * lam: w, the integers
     # c * nu_w(lam) over the common denominator den (to u**order), and b,
-    # the series to u**order or to u**(d - w) when d is given; then den.
+    # the series to u**order or to u**(d - w) when d is given, where
+    # terms of weight over d vanish; then den.
     scaled = [
         (lam, c / lam.centralizer_order(), _measure_numerators(lam, squarefree)[: order + 1])
         for lam, c in terms.items()
+        if d is None or lam.d <= d
     ]
     den = lcm(*(f.denominator for _, f, _ in scaled))
     sign = -1 if squarefree else 1
@@ -357,18 +358,20 @@ def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
     The series route without its truncation (see _series_terms).  Each
     degree adds one series coefficient per term, so stabilized_at[k] is
     the larger of k + 1 and the last d whose summed u**k increment is
-    nonzero.  Raises BudgetExceeded when _limit_cost exceeds
+    nonzero.  Raises BudgetExceeded when the work, counted and estimated
+    as in `check_series_budget` with the series to u**order, passes
     LIMIT_BUDGET.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     name = P.name or str(P)
-    if (cost := _limit_cost(P, order)) > LIMIT_BUDGET:
+    terms = _budgeted_terms(P, order)
+    if terms is None:
         raise BudgetExceeded(
-            f"limit of {name} to order {order} needs about {cost} work units, "
-            f"over the cap of {LIMIT_BUDGET}"
+            f"limit of {name} to order {order} needs more than the cap of "
+            f"{LIMIT_BUDGET} work units"
         )
-    series, den = _series_terms(_binomial_terms(P)[0], order, squarefree=False)
+    series, den = _series_terms(terms, order, squarefree=False)
     # incr[k][d]: den times the change in [u**k] E_d(P) from d - 1 to d
     incr: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for w, nums, b in series:

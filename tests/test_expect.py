@@ -441,6 +441,11 @@ def test_stable_limit_cost_cap():
         stable_limit(parse_character_polynomial("x1^100000000"), 1)
     with pytest.raises(BudgetExceeded, match="order 10000000"):
         stable_limit(builtin_polynomial("Q"), 10_000_000)
+    # one term, but every coefficient to u**100000 to write out
+    with pytest.raises(BudgetExceeded, match="limit of R to order 100000 needs more"):
+        stable_limit(builtin_polynomial("R"), 100_000)
+    # priced per distinct binomial term: 441 terms, well under the cap
+    assert stable_limit(parse_character_polynomial("x1^20*x2^20"), 12).order == 12
 
 
 def test_result_records_are_immutable_values():
