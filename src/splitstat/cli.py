@@ -46,6 +46,7 @@ from .partitions import partitions_of
 from .sym_chars import (
     CharacterPolynomial,
     ClassFunction,
+    SignedPolynomial,
     check_decompose_budget,
     decompose,
     polynomial_statistic,
@@ -138,12 +139,14 @@ def cmd_char_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stat_for(spec: str, d: int) -> CharacterPolynomial | ClassFunction:
-    # A character polynomial goes to expect and the census as it is, so
-    # that no partition of d is enumerated; any other statistic is
+def _stat_for(spec: str, d: int) -> CharacterPolynomial | SignedPolynomial | ClassFunction:
+    # A character or signed polynomial goes to expect and the census as it
+    # is, so that no partition of d is enumerated; any other statistic is
     # resolved on the partitions of d.
     stat = statistic(spec)
-    return stat if isinstance(stat, CharacterPolynomial) else resolve_stat(spec, d)
+    if isinstance(stat, (CharacterPolynomial, SignedPolynomial)):
+        return stat
+    return resolve_stat(spec, d)
 
 
 def cmd_expect(args: argparse.Namespace) -> int:

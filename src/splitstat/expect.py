@@ -13,7 +13,9 @@ by the type of P:
 * the series route, for a CharacterPolynomial: P in the basis of
   products of binomials prod_j C(x_j, m_j), each term a splitting
   measure at its own weight times a truncated power series (see
-  `_series_terms`), with no partition of d enumerated.
+  `_series_terms`), with no partition of d enumerated; and for a
+  SignedPolynomial A + B*sgn (the built-ins sgn and ET), A as above and B*sgn
+  from B's terms, with their series twisted by sgn (see `_rest`).
 
 The two agree term by term; the tests check that, and the census in `gf`
 is the independent check.  The squarefree variant sums against the
@@ -33,7 +35,9 @@ from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
 from .exact import U_VAR, Immutable, UPoly
 from .measures import _measure_numerators, measure_rows
 from .partitions import Partition
-from .sym_chars import CharacterPolynomial, ClassFunction, class_weights
+from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial, class_weights
+
+Series = CharacterPolynomial | SignedPolynomial
 
 VIA_MEASURE = "measure"
 VIA_SERIES = "series"
@@ -79,36 +83,50 @@ def _measure_sum(P: ClassFunction, squarefree: bool) -> tuple[list[int], int]:
     return [sum(map(mul, weights, row)) for row in measure_rows(P.d, squarefree=squarefree)], den
 
 
-def _series_sum(d: int, P: CharacterPolynomial, squarefree: bool) -> tuple[list[int], int]:
+def _series_sum(d: int, P: Series, squarefree: bool) -> tuple[list[int], int]:
     # The same totals on the series route.  A term of weight w gives
-    # nu_w(lam) times [x**(d - w)] of prod_j (1 - u**j x**j)**(-m_j) / (1 - x),
-    # i.e. b truncated after u**(d - w); squarefree, of
-    # prod_j (1 + u**j x**j)**(-m_j) (1 - u x**2) / (1 - x), which also
-    # takes u**(s+1) b_s off for s <= d - w - 2.
-    series, den = _series_terms(check_series_budget(d, P, squarefree), d - 1, squarefree, d)
-    total = [0] * d
-    for w, nums, b in series:
-        for s, bs in enumerate(b):
-            for i, a in enumerate(nums):
-                total[i + s] += a * bs
-            if squarefree and s + 2 <= d - w:
-                for i, a in enumerate(nums):
-                    total[i + s + 1] -= a * bs
-    return total, den
+    # nu_w(lam) u**s b_s, for each s <= d - w, times what the polynomials
+    # of degree r = d - w - s with none of the term's factors add (_rest):
+    # over all polynomials b truncated after u**(d - w); squarefree, that
+    # and u**(s+1) b_s taken off for r >= 2.  The parts of a
+    # SignedPolynomial are summed apart, the second twisted by sgn.
+    sums = []
+    for signed, terms in zip((False, True), check_series_budget(d, P, squarefree)):
+        series, den = _series_terms(terms, d - 1, squarefree, d, signed)
+        total = [0] * d
+        for w, nums, b in series:
+            for s, bs in enumerate(b):
+                for shift, c in _rest(d - w - s, squarefree, signed):
+                    cb, at = c * bs, s + shift
+                    for i, a in enumerate(nums):
+                        total[at + i] += a * cb
+        sums.append((total, den))
+    den = lcm(*(n for _, n in sums))
+    return [sum(t[k] * (den // n) for t, n in sums) for k in range(d)], den
 
 
-def _check_args(d: int, P: ClassFunction | CharacterPolynomial) -> None:
+def _rest(r: int, squarefree: bool, signed: bool) -> tuple[tuple[int, int], ...]:
+    # q**-r [T**r] of the zeta function of the polynomials left after a
+    # term's factors, as (power of u, coefficient) pairs: 1/(1 - qT) gives
+    # 1; squarefree, (1 - qT**2)/(1 - qT) gives 1 - u from r = 2 on.
+    # Twisted by sgn, each irreducible factor of degree k counts
+    # (-1)**(k-1): (1 + qT)/(1 - qT**2) gives u**(r // 2), and squarefree
+    # 1 + qT gives 1 up to r = 1 and nothing after.
+    if signed:
+        return ((0, 1),) if r <= 1 else () if squarefree else ((r // 2, 1),)
+    return ((0, 1), (1, -1)) if squarefree and r >= 2 else ((0, 1),)
+
+
+def _check_args(d: int, P: ClassFunction | Series) -> None:
     if d < 1:
         raise ValueError("expected values start at degree 1")
     if isinstance(P, ClassFunction) and P.d != d:
         raise DegreeMismatch(f"statistic is for degree {P.d}, not {d}")
 
 
-def _sum(
-    d: int, P: ClassFunction | CharacterPolynomial, squarefree: bool
-) -> tuple[list[int], int, str]:
+def _sum(d: int, P: ClassFunction | Series, squarefree: bool) -> tuple[list[int], int, str]:
     # The integer u**k totals, their one denominator, and the route.
-    if isinstance(P, CharacterPolynomial):
+    if not isinstance(P, ClassFunction):
         return *_series_sum(d, P, squarefree), VIA_SERIES
     _check_args(d, P)
     return *_measure_sum(P, squarefree), VIA_MEASURE
@@ -118,23 +136,21 @@ def _u_poly(total: list[int], den: int) -> UPoly:
     return UPoly(U_VAR, tuple(Fraction(t, den) for t in total))
 
 
-def _stat_name(P: ClassFunction | CharacterPolynomial, name: str | None) -> str:
+def _stat_name(P: ClassFunction | Series, name: str | None) -> str:
     if name is not None:
         return name
-    if isinstance(P, CharacterPolynomial):
-        return P.name or str(P)  # the name its class functions carry
-    return P.name or "stat"
+    if isinstance(P, ClassFunction):
+        return P.name or "stat"
+    return P.name or str(P)  # the name its class functions carry
 
 
-def expected(
-    d: int, P: ClassFunction | CharacterPolynomial, name: str | None = None
-) -> ExpectationResult:
+def expected(d: int, P: ClassFunction | Series, name: str | None = None) -> ExpectationResult:
     """E_d(P): the mean of P over all monic degree-d polynomials.
 
     Its u**k coefficient equals <P, psi_d^k> by the definition of psi.
     A ClassFunction on the partitions of d takes the measure route; a
-    CharacterPolynomial takes the series route at any d, refused by
-    `check_series_budget` before its sums run.
+    CharacterPolynomial or SignedPolynomial takes the series route at
+    any d, refused by `check_series_budget` before its sums run.
     """
     total, den, route = _sum(d, P, squarefree=False)
     return ExpectationResult(
@@ -144,7 +160,7 @@ def expected(
 
 def expected_sf(
     d: int,
-    P: ClassFunction | CharacterPolynomial,
+    P: ClassFunction | Series,
     normalization: str = NORM_Q_POWER,
     name: str | None = None,
 ) -> ExpectationResult:
@@ -246,32 +262,43 @@ def _series_cost(
 
 
 def _budgeted_terms(
-    P: CharacterPolynomial, order: int, squarefree: bool = False, d: int | None = None
-) -> dict[Partition, Fraction] | None:
-    # The binomial terms of P (of weight at most d when given), or None
-    # when the expansion's counted work plus _series_cost passes
-    # LIMIT_BUDGET; the expansion stops as soon as its own work does.
-    terms, cost = _binomial_terms(P, d, LIMIT_BUDGET)
-    if cost <= LIMIT_BUDGET:
-        cost += _series_cost(terms, order, squarefree, d)
-    return terms if cost <= LIMIT_BUDGET else None
+    parts: tuple[CharacterPolynomial, ...],
+    order: int,
+    squarefree: bool = False,
+    d: int | None = None,
+) -> list[dict[Partition, Fraction]] | None:
+    # The binomial terms of each part (of weight at most d when given), or
+    # None when the expansions' counted work plus _series_cost passes
+    # LIMIT_BUDGET; an expansion stops as soon as the work so far does.
+    out, cost = [], 0
+    for P in parts:
+        terms, work = _binomial_terms(P, d, LIMIT_BUDGET - cost)
+        cost += work
+        if cost <= LIMIT_BUDGET:
+            cost += _series_cost(terms, order, squarefree, d)
+        if cost > LIMIT_BUDGET:
+            return None
+        out.append(terms)
+    return out
 
 
 def check_series_budget(
-    d: int, P: CharacterPolynomial, squarefree: bool = False
-) -> dict[Partition, Fraction]:
+    d: int, P: Series, squarefree: bool = False
+) -> list[dict[Partition, Fraction]]:
     """Refuse E_d(P) on the series route before its sums run.
 
     Raises BudgetExceeded when a value of P at d could exceed the print
-    limit (`CharacterPolynomial.at_degree`), or when the route's work,
-    squarefree or over all polynomials, passes LIMIT_BUDGET units: the
-    expansion into binomial terms counts its own work and stops there,
-    and the sums are estimated from the terms it gives.  Returns those
-    terms, the ones of weight at most d, which the route sums.
+    limit (`at_degree`), or when the route's work, squarefree or over all
+    polynomials, passes LIMIT_BUDGET units: the expansion into binomial
+    terms counts its own work and stops there, and the sums are
+    estimated from the terms it gives.  Returns those terms, the ones of
+    weight at most d, which the route sums: one dict for a
+    CharacterPolynomial, two (plain, then signed) for a SignedPolynomial.
     """
     _check_args(d, P)
     live = P.at_degree(d)
-    terms = _budgeted_terms(live, d - 1, squarefree, d)
+    parts = (live.plain, live.signed) if isinstance(live, SignedPolynomial) else (live,)
+    terms = _budgeted_terms(parts, d - 1, squarefree, d)
     if terms is None:
         raise BudgetExceeded(
             f"the series route for {live.name} at d={d} needs more than the cap "
@@ -322,7 +349,11 @@ def _binomial_terms(
 
 
 def _series_terms(
-    terms: dict[Partition, Fraction], order: int, squarefree: bool, d: int | None = None
+    terms: dict[Partition, Fraction],
+    order: int,
+    squarefree: bool,
+    d: int | None = None,
+    signed: bool = False,
 ) -> tuple[list[tuple[int, list[int], list[int]]], int]:
     # Unique factorization gives E_d(prod_j C(x_j, m_j)) for lam with m_j
     # parts j and weight w as nu_w(lam) * [prod_j (1 - u**j)**(-m_j)], the
@@ -332,7 +363,10 @@ def _series_terms(
     # prod_j (1 + u**j)**(-m_j).  Per term c * lam: w, the integers
     # c * nu_w(lam) over the common denominator den (to u**order), and b,
     # the series to u**order or to u**(d - w) when d is given, where
-    # terms of weight over d vanish; then den.
+    # terms of weight over d vanish; then den.  Signed, the terms are
+    # those of B in B*sgn: a factor of degree j counts (-1)**(j-1), so
+    # the term takes sgn(lam) and each part j of the series
+    # (1 -+ (-1)**(j-1) u**j)**-1.
     scaled = [
         (lam, c / lam.centralizer_order(), _measure_numerators(lam, squarefree)[: order + 1])
         for lam, c in terms.items()
@@ -345,9 +379,10 @@ def _series_terms(
         top = order if d is None else min(order, d - lam.d)
         b = [1] + [0] * top
         for j in lam.parts:
+            step = -sign if signed and j % 2 == 0 else sign
             for s in range(j, top + 1):
-                b[s] += sign * b[s - j]
-        scale = f.numerator * (den // f.denominator)
+                b[s] += step * b[s - j]
+        scale = f.numerator * (den // f.denominator) * (lam.sign() if signed else 1)
         out.append((lam.d, [scale * a for a in nu], b))
     return out, den
 
@@ -365,13 +400,13 @@ def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
     if order < 0:
         raise ValueError("order must be nonnegative")
     name = P.name or str(P)
-    terms = _budgeted_terms(P, order)
+    terms = _budgeted_terms((P,), order)
     if terms is None:
         raise BudgetExceeded(
             f"limit of {name} to order {order} needs more than the cap of "
             f"{LIMIT_BUDGET} work units"
         )
-    series, den = _series_terms(terms, order, squarefree=False)
+    series, den = _series_terms(terms[0], order, squarefree=False)
     # incr[k][d]: den times the change in [u**k] E_d(P) from d - 1 to d
     incr: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for w, nums, b in series:

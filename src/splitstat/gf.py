@@ -51,7 +51,7 @@ from operator import itemgetter
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
 from .exact import Immutable, power
 from .partitions import Partition, partitions_of
-from .sym_chars import CharacterPolynomial, ClassFunction
+from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial
 
 DEFAULT_BUDGET = 10**7
 
@@ -584,7 +584,7 @@ def factorization_type(f: FqPoly, budget: int = DEFAULT_BUDGET) -> Partition:
 def census(
     field: FqField,
     d: int,
-    stat: ClassFunction | CharacterPolynomial,
+    stat: ClassFunction | CharacterPolynomial | SignedPolynomial,
     squarefree_only: bool = False,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
@@ -593,12 +593,12 @@ def census(
 
     With squarefree_only, the sum is restricted to polynomials with no
     repeated irreducible factor (the q**d normalization is kept).  The
-    result is exact.  A character polynomial is evaluated at the types
-    that occur, with no partition of d enumerated.  Enumeration is
+    result is exact.  A character or signed polynomial is evaluated at
+    the types that occur, with no partition of d enumerated.  Enumeration is
     single-threaded: ``threads`` is accepted for compatibility and never
     changes a result.
     """
-    if isinstance(stat, CharacterPolynomial):
+    if not isinstance(stat, ClassFunction):
         stat = stat.at_degree(d)  # refuses unprintable values before the walk
         counts = type_counts(field, d, squarefree_only, budget, threads)
         total = sum((n * stat.evaluate(lam) for lam, n in counts.items()), Fraction(0))

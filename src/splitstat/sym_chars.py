@@ -7,8 +7,9 @@ character table of S_d (built a degree at a time by adding border
 strips, the Murnaghan-Nakayama rule), hook-length dimensions,
 decomposition into irreducibles, character polynomials (statistics
 defined uniformly in d as polynomials in the part-count functions x_1,
-x_2, ...), the built-in statistics, and `statistic`, which decides what a
-statistic spec such as "Q", "ind:[2,1]" or "x1^2 - x2" means.
+x_2, ...) and signed polynomials (one of them plus sgn times another),
+the built-in statistics, and `statistic`, which decides what a statistic
+spec such as "Q", "ind:[2,1]" or "x1^2 - x2" means.
 
 A class function is stored in one form: its values in partition order
 as integers over one positive denominator, in lowest terms.  Character
@@ -19,8 +20,8 @@ z_lam is then an integer dot product over one denominator:
 `class_weights` writes P(lam) / z_lam as integers W_lam over one D, and
 X's stored integers are read as they are.  `inner`, `decompose`, the
 measure-route expectation sum in `expect` and the census in `gf` all
-read this form; `expect` and the census take a character polynomial as
-it is (`CharacterPolynomial.at_degree`), with no partition of d.
+read this form; `expect` and the census take a character or signed
+polynomial as it is (`at_degree`), with no partition of d.
 """
 
 from __future__ import annotations
@@ -500,6 +501,35 @@ class CharacterPolynomial(Immutable):
         return join_signed(chunks)
 
 
+class SignedPolynomial(Immutable):
+    """plain + signed * sgn, for character polynomials plain and signed.
+
+    The sign character is no polynomial in the part counts, but E_d of
+    sgn times a character polynomial has a closed series form as E_d of a
+    polynomial does (`expect._series_sum`), so the built-ins
+    sgn = 0 + 1*sgn and ET = 1/2 + 1/2*sgn are defined uniformly in d.
+    """
+
+    __slots__ = ("plain", "signed", "name")
+
+    def __init__(self, plain: CharacterPolynomial, signed: CharacterPolynomial, name: str) -> None:
+        self._store(plain, signed, name)
+
+    def evaluate(self, lam: Partition) -> Fraction:
+        """Value at one partition."""
+        return self.plain.evaluate(lam) + lam.sign() * self.signed.evaluate(lam)
+
+    def class_function(self, d: int) -> ClassFunction:
+        """The statistic on partitions of d; refuses as
+        `CharacterPolynomial.class_function` does."""
+        check_partition_budget(d)
+        return ClassFunction.from_function(d, self.at_degree(d).evaluate, name=self.name)
+
+    def at_degree(self, d: int) -> "SignedPolynomial":
+        """Both parts at degree d (`CharacterPolynomial.at_degree`)."""
+        return SignedPolynomial(self.plain.at_degree(d), self.signed.at_degree(d), self.name)
+
+
 # ---------------------------------------------------------------------------
 # Expression parser:  "x1*(x1-1)/2 - x2"
 # ---------------------------------------------------------------------------
@@ -681,14 +711,17 @@ def parse_character_polynomial(text: str) -> CharacterPolynomial:
 # Built-in statistics and statistic specs
 # ---------------------------------------------------------------------------
 
-# Each built-in statistic's one definition: a character polynomial, or a
-# rule on partitions for those that have none.  A str value makes its key
-# an alias of that name.
-_BUILTINS: dict[str, CharacterPolynomial | Callable[[Partition], Scalar] | str] = {
+# Each built-in statistic's one definition: a character polynomial, or
+# one plus sgn times another.  A str value makes its key an alias of that
+# name.
+_HALF = CharacterPolynomial.constant(Fraction(1, 2))
+_BUILTINS: dict[str, CharacterPolynomial | SignedPolynomial | str] = {
     "one": CharacterPolynomial.constant(1, name="one"),
     "1": "one",
-    "sgn": Partition.sign,
-    "ET": lambda lam: Fraction(1 + lam.sign(), 2),
+    "sgn": SignedPolynomial(
+        CharacterPolynomial.constant(0), CharacterPolynomial.constant(1), name="sgn"
+    ),
+    "ET": SignedPolynomial(_HALF, _HALF, name="ET"),
     "R": CharacterPolynomial.variable(1, name="R"),
     "Q": CharacterPolynomial(
         (CharacterPolynomial.binomial(1, 2) - CharacterPolynomial.variable(2)).terms, name="Q"
@@ -778,10 +811,13 @@ def _table_spec(path: str, d: int) -> ClassFunction:
 SPEC_CACHE_SIZE = 256
 
 
-def statistic(spec: str) -> CharacterPolynomial | Callable[[int], ClassFunction]:
+def statistic(
+    spec: str,
+) -> CharacterPolynomial | SignedPolynomial | Callable[[int], ClassFunction]:
     """What a statistic spec (the CLI's --stat) means: a character
-    polynomial (one, 1, R, Q, expressions in x1, x2, ...), or a function of
-    d for sgn, ET, "ind:[3,1,1]" and "@table.json" (labels to rationals).
+    polynomial (one, 1, R, Q, expressions in x1, x2, ...), a signed
+    polynomial (sgn, ET), or a function of d for "ind:[3,1,1]" and
+    "@table.json" (labels to rationals).
 
     A spec is parsed once per process and print limit
     (sys.get_int_max_str_digits()), in a cache of SPEC_CACHE_SIZE
@@ -794,16 +830,16 @@ def statistic(spec: str) -> CharacterPolynomial | Callable[[int], ClassFunction]
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _statistic(s: str, digits: int) -> CharacterPolynomial | Callable[[int], ClassFunction]:
+def _statistic(
+    s: str, digits: int
+) -> CharacterPolynomial | SignedPolynomial | Callable[[int], ClassFunction]:
     # `digits`, the print limit, is part of the key: the parser refuses
     # coefficients past it.
     stat = _BUILTINS.get(s)
     if isinstance(stat, str):
         stat = _BUILTINS[stat]
-    if isinstance(stat, CharacterPolynomial):
-        return stat
     if stat is not None:
-        return partial(ClassFunction.from_function, fn=stat, name=s)
+        return stat
     if s.startswith("ind:"):
         return partial(_indicator_spec, s[len("ind:"):])
     return parse_character_polynomial(s)
@@ -828,7 +864,9 @@ def _resolved(s: str, d: int, digits: int) -> ClassFunction:
     # `digits` is part of the key: class_function refuses values past it.
     check_partition_budget(d)
     stat = _statistic(s, digits)
-    return stat.class_function(d) if isinstance(stat, CharacterPolynomial) else stat(d)
+    if isinstance(stat, (CharacterPolynomial, SignedPolynomial)):
+        return stat.class_function(d)
+    return stat(d)
 
 
 def polynomial_statistic(spec: str) -> CharacterPolynomial:
@@ -838,6 +876,6 @@ def polynomial_statistic(spec: str) -> CharacterPolynomial:
         return stat
     names = ", ".join(n for n, s in _BUILTINS.items() if isinstance(s, CharacterPolynomial))
     raise UnknownStatistic(
-        f"limits need a statistic defined uniformly in d: {spec.strip()!r} is not "
-        f"a character polynomial (use {names}, or an expression in x1, x2, ...)"
+        f"{spec.strip()!r} is not a character polynomial, which limits need "
+        f"(use {names}, or an expression in x1, x2, ...)"
     )

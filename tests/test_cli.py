@@ -437,7 +437,7 @@ BAD_INPUTS = {
         "the series route for Q at d=1000000000 needs more than the cap of 5000000 work units",
     ),
     "sf-expect-over-cap": (
-        ("sf-expect", "--d", "60", "--stat", "sgn"),
+        ("sf-expect", "--d", "60", "--stat", "ind:[60]"),
         "the partition route at d=60 needs p(d) factorization types",
     ),
     "expect-just-over-cap": (
@@ -449,7 +449,7 @@ BAD_INPUTS = {
     "measure-over-cap": (("measure", "--d", "200"), "more than the cap of 1255"),
     "measure-sf-over-cap": (("measure", "--sf", "--d", "25"), "more than the cap of 1255"),
     "verify-over-partition-cap": (
-        ("verify", "--d", "24", "--q", "2", "--stat", "sgn", "--budget", "100000000"),
+        ("verify", "--d", "24", "--q", "2", "--stat", "ind:[24]", "--budget", "100000000"),
         "the partition route at d=24 needs p(d) factorization types",
     ),
     # 2^10000 polynomials are within this budget: the census never starts

@@ -31,6 +31,7 @@ from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import (
     CharacterPolynomial,
     ClassFunction,
+    SignedPolynomial,
     builtin,
     builtin_polynomial,
     even_type,
@@ -383,6 +384,44 @@ def test_series_route_equals_the_partition_route(spec):
             assert series.checks == partition.checks
 
 
+# (plain, signed): sgn, ET, and sgn times terms of odd and even parts,
+# of several weights, with non-integer coefficients.
+SIGNED_STATS = (
+    ("0", "1"), ("1/2", "1/2"), ("x1", "x2"), ("0", "x1*x3"), ("Q", "x1^2-x2"),
+    ("0", "x2^2*x1/3+x4"), ("x3", "x3^2-x6+1"),
+)
+
+
+@pytest.mark.parametrize("plain,signed", SIGNED_STATS)
+def test_signed_series_route_equals_the_partition_route(plain, signed):
+    P = SignedPolynomial(sym_chars.statistic(plain), sym_chars.statistic(signed), name="P")
+    for d in range(1, 15):
+        C = P.class_function(d)
+        assert C == P.plain.class_function(d) + ClassFunction.from_function(
+            d, lambda lam: lam.sign() * P.signed.evaluate(lam)
+        )
+        pairs = [(expected(d, P), expected(d, C))]
+        pairs += [
+            (expected_sf(d, P, norm), expected_sf(d, C, norm))
+            for norm in (NORM_Q_POWER, NORM_SF_COUNT)
+        ]
+        for series, partition in pairs:
+            assert (series.route, partition.route) == (VIA_SERIES, VIA_MEASURE)
+            assert series.value == partition.value, (d, series.normalization)
+
+
+def test_sign_in_closed_form():
+    # sum of sgn over monic degree-d polynomials is q**ceil(d/2); over the
+    # squarefree ones it is 0 from d = 2 on
+    P = sym_chars.statistic("sgn")
+    for d in range(1, 120):
+        assert expected(d, P).value == poly(U_VAR, [0] * (d // 2) + [1])
+        assert expected_sf(d, P).value == poly(U_VAR, [1] if d == 1 else [])
+        assert expected(d, sym_chars.statistic("ET")).value == poly(
+            U_VAR, [1] if d == 1 else [Fraction(1, 2)] + [0] * (d // 2 - 1) + [Fraction(1, 2)]
+        )
+
+
 def test_series_route_enumerates_no_partition_of_d(monkeypatch, capsys):
     real = partitions_of
 
@@ -402,8 +441,11 @@ def test_series_route_enumerates_no_partition_of_d(monkeypatch, capsys):
         "0", "2", "2", "4", "4", "6", "6", "8", "8", "10", "10",
         "12", "12", "14", "14", "16", "16", "18", "18", "20", "20", "11",
     ]
-    assert cli.main(["sf-expect", "--d", "20", "--stat", "Q", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["route"] == VIA_SERIES
+    for stat in ("Q", "sgn", "ET"):
+        assert cli.main(["sf-expect", "--d", "20", "--stat", stat, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["route"] == VIA_SERIES
+    assert cli.main(["expect", "--d", "22", "--stat", "sgn", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == ["0"] * 11 + ["1"]
 
 
 @pytest.mark.parametrize("spec", SERIES_STATS + ("x1*x2", "x1^2-x2", "(x1-1)*x2"))
@@ -431,6 +473,8 @@ def test_series_route_cost_cap():
     # one term, but a million coefficients to write out
     with pytest.raises(BudgetExceeded, match="for R at d=1000000 needs more than the cap"):
         expected(10**6, builtin_polynomial("R"))
+    with pytest.raises(BudgetExceeded, match="for ET at d=1000000 needs more than the cap"):
+        expected_sf(10**6, sym_chars.statistic("ET"))
     # the expansion of x1^9000 stops at weight 3
     x1_9000 = parse_character_polynomial("x1^9000")
     assert expected(3, x1_9000).value.coeff(0) == (3**9000 + 3) // 6

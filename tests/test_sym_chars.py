@@ -23,6 +23,7 @@ from splitstat.sym_chars import (
     PARSE_BUDGET,
     CharacterPolynomial,
     ClassFunction,
+    SignedPolynomial,
     builtin,
     builtin_polynomial,
     check_decompose_budget,
@@ -404,11 +405,15 @@ def test_statistic_resolves_every_spec_form(tmp_path):
     for spec in ("one", "1", "R", "Q", "x1^2 - x2"):
         assert isinstance(statistic(spec), CharacterPolynomial)
     assert statistic(" 1 ") == statistic("one") == builtin_polynomial("1")
+    for spec, rule in (("sgn", Partition.sign), ("ET", lambda lam: Fraction(1 + lam.sign(), 2))):
+        assert isinstance(statistic(spec), SignedPolynomial)
+        for d in range(1, 9):
+            want = ClassFunction.from_function(d, rule)
+            assert statistic(spec).class_function(d) == resolve(spec, d) == want
+            assert resolve(spec, d).name == spec
     table = tmp_path / "stat.json"
     table.write_text('{"[2]": "1/3"}')
     for spec, d, want in (
-        ("sgn", 3, sgn(3)),
-        ("ET", 3, even_type(3)),
         ("ind:[2,1]", 3, indicator(Partition([2, 1]))),
         (f"@{table}", 2, ClassFunction(2, {Partition([2]): Fraction(1, 3)})),
     ):
