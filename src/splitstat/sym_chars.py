@@ -522,8 +522,14 @@ class SignedPolynomial(Immutable):
     def class_function(self, d: int) -> ClassFunction:
         """The statistic on partitions of d; refuses as
         `CharacterPolynomial.class_function` does."""
-        check_partition_budget(d)
-        return ClassFunction.from_function(d, self.at_degree(d).evaluate, name=self.name)
+        plain, signed = self.plain.class_function(d), self.signed.class_function(d)
+        den = lcm(plain.denominator, signed.denominator)
+        a, b = den // plain.denominator, den // signed.denominator
+        nums = [
+            a * x + b * lam.sign() * y
+            for lam, x, y in zip(partitions_of(d), plain.numerators, signed.numerators)
+        ]
+        return ClassFunction.from_integers(d, nums, den, name=self.name)
 
     def at_degree(self, d: int) -> "SignedPolynomial":
         """Both parts at degree d (`CharacterPolynomial.at_degree`)."""
