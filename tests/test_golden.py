@@ -48,6 +48,9 @@ GROUPS = {
     "psi": (("psi", "--json"), range(1, 11)),
     "phi": (("phi", "--json"), range(1, 11)),
 }
+# The stored tables above d = 10, up to the partition cap (d = 23).
+for _group, (_prefix, _) in list(GROUPS.items()):
+    GROUPS[f"{_group} d12-23"] = (_prefix, (12, 16, 20, 23))
 for _stat in STATS:
     GROUPS[f"expect {_stat}"] = (("expect", "--stat", _stat, "--json"), range(1, 9))
     for _norm in ("qpower", "sfcount"):
