@@ -28,7 +28,7 @@ class CharTable:
     """Character values indexed by cohomological degree k and partition.
 
     Rows run over k = 0..d-1; cohomology vanishes beyond that range, and
-    `measure_rows` checks it.  Row k is the measure's integer row k, with
+    the measure product behind `measure_rows` checks it.  Row k is the measure's integer row k, with
     the sign (-1)**k applied for phi; `row(k)` wraps it as a class
     function.
     """

@@ -1,11 +1,14 @@
 """Necklace polynomials and splitting measures."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+import splitstat.measures as measures
 from splitstat.errors import BudgetExceeded, ConsistencyError
 from splitstat.exact import Q_VAR, U_VAR, over_q_power, poly
+from splitstat.expect import expected, expected_sf
 from splitstat.gf import irreducibles, make_field, type_counts
 from splitstat.lie_chars import phi_table, psi_table
 from splitstat.measures import (
@@ -17,6 +20,7 @@ from splitstat.measures import (
     splitting_measure,
 )
 from splitstat.partitions import Partition, partitions_of
+from splitstat.sym_chars import builtin_polynomial
 
 
 def total(measure):
@@ -164,28 +168,42 @@ def test_measure_is_column_over_centralizer_order():
             assert measure[lam] == poly(U_VAR, [Fraction(c, z) for c in column])
 
 
+def fraction_measure(lam, squarefree):
+    # Reference for the integer kernel: nu(lam) as a product of polynomial
+    # binomial coefficients in Fraction q-polynomials, prod over part
+    # sizes j of C(M_j + m_j - 1, m_j), or C(M_j, m_j) when squarefree,
+    # divided by q**d.
+    prod = poly(Q_VAR, [1])
+    for j, m in lam.multiplicities():
+        for i in range(m):
+            prod = prod * (necklace(j) - i if squarefree else necklace(j) + i)
+        prod = prod * Fraction(1, factorial(m))
+    assert prod.degree == lam.d
+    return over_q_power(prod, lam.d)
+
+
 def test_integer_measure_product_is_the_fraction_product_times_z():
-    import splitstat.measures as measures
+    for squarefree in (False, True):
+        assert measures._measure_numerators(Partition(()), squarefree) == [1]
+        for d in range(1, 13):
+            rows = measure_rows.__wrapped__(d, squarefree=squarefree)
+            assert all(type(c) is int for row in rows for c in row)
+            want = [
+                fraction_measure(lam, squarefree) * lam.centralizer_order()
+                for lam in partitions_of(d)
+            ]
+            assert rows == tuple(tuple(nu.coeff(k) for nu in want) for k in range(d)), d
 
-    for d in range(13):
-        for lam in partitions_of(d):
-            z = lam.centralizer_order()
-            for squarefree in (False, True):
-                got = measures._measure_numerators(lam, squarefree)
-                want = measures._measure_value(lam, with_repetition=not squarefree) * z
-                assert len(got) == max(d, 1) and all(type(c) is int for c in got)
-                assert poly(U_VAR, got) == want, (lam, squarefree)
 
-
-def test_columns_check_degree_and_integrality(monkeypatch):
-    import splitstat.measures as measures
-
-    real = measures._measure_value
-    cases = (
-        (lambda lam, **kw: real(lam, **kw) + poly(U_VAR, [0, 0, 0, 1]), "u-degree 3"),
-        (lambda lam, **kw: real(lam, **kw) + poly(U_VAR, [Fraction(1, 7)]), "non-integer"),
-    )
-    for fake, message in cases:
-        monkeypatch.setattr(measures, "_measure_value", fake)
-        with pytest.raises(ConsistencyError, match=message):
-            measures.measure_rows.__wrapped__(3, squarefree=False)
+def test_measure_product_checks_the_u_degree(monkeypatch):
+    # a necklace polynomial with a constant term puts a q**0 term in the
+    # product, u**d once reversed: the rows and the series route refuse it
+    real = measures.necklace
+    monkeypatch.setattr(measures, "necklace", lambda j: real(j) + 1)
+    for squarefree in (False, True):
+        with pytest.raises(ConsistencyError, match="u-degree 3, beyond the cohomological range 2"):
+            measures.measure_rows.__wrapped__(3, squarefree=squarefree)
+    Q = builtin_polynomial("Q")
+    for route in (lambda: expected(3, Q), lambda: expected_sf(3, Q)):
+        with pytest.raises(ConsistencyError, match="u-degree 2, beyond the cohomological range 1"):
+            route()

@@ -13,9 +13,10 @@ from math import comb, factorial, prod
 
 import pytest
 
-from splitstat import sym_chars
+from splitstat import measures, sym_chars
 from splitstat.errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from splitstat.lie_chars import psi_table
+from splitstat.measures import measure_rows, necklace
 from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import (
     DECOMPOSE_BUDGET,
@@ -351,11 +352,16 @@ def test_producers_build_no_fraction_per_partition(monkeypatch):
             built.append(args)
             return Fraction(*args, **kwargs)
 
+    for j in range(1, 13):
+        necklace(j)  # cached q-polynomials, built with Fractions once
     monkeypatch.setattr(sym_chars, "Fraction", Counting)
+    monkeypatch.setattr(measures, "Fraction", Counting)
     stored = P.class_function(12)
     sym_chars._character_table.__wrapped__(12)  # the whole table, built afresh
     chi = irreducible_character.__wrapped__(Partition([6, 4, 2]))
     row = psi_table(12).row(5)
+    for squarefree in (False, True):
+        measure_rows.__wrapped__(12, squarefree=squarefree)
     assert built == []
     assert stored.denominator == 14 and chi.denominator == row.denominator == 1
 
