@@ -16,6 +16,7 @@ the package that is defined by its fields.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
 
@@ -269,7 +270,22 @@ def format_rational(x: Scalar) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an "a/b" or "a" string; the inverse of :func:`format_rational`."""
+    """Parse an "a/b" or "a" string; the inverse of :func:`format_rational`.
+
+    Decimals and exponents ("0.25", "-1.5e-3") are read exactly.  A value
+    with more digits, or an exponent larger in size, than the print limit
+    (sys.get_int_max_str_digits()) raises ValueError before any
+    arithmetic.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+        if sum(map(str.isdecimal, text)) > limit:
+            raise ValueError(f"{shown} has more digits than the print limit of {limit}")
+        # within the limit, the exponent's own digits convert safely
+        exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if exponent.isdecimal() and int(exponent) > limit:
+            raise ValueError(f"{shown} has an exponent beyond the print limit of {limit} digits")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

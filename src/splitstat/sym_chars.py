@@ -802,7 +802,8 @@ def _indicator_spec(label: str, d: int) -> ClassFunction:
 def _table_spec(path: str, d: int) -> ClassFunction:
     check_partition_budget(d)  # before the file is read
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        # numbers are kept as their source text, read exactly below
+        raw = json.load(fh, parse_float=str, parse_int=str, parse_constant=str)
     if not isinstance(raw, dict):
         raise UnknownStatistic(
             f"{path} must hold a JSON object mapping type labels to rationals"

@@ -226,6 +226,23 @@ def test_stat_file_must_hold_an_object(capsys, tmp_path):
     assert "JSON object" in err
 
 
+def test_stat_file_numbers_are_read_exactly(capsys, tmp_path):
+    # a JSON number is read from its source text, not through a float
+    # (which would round 0.30000000000000001 to 3/10)
+    got = []
+    for values in (
+        '{"[2]": 0.30000000000000001, "[1,1]": -15e-4}',
+        '{"[2]": "30000000000000001/100000000000000000", "[1,1]": "-3/2000"}',
+    ):
+        table = tmp_path / "stat.json"
+        table.write_text(values)
+        got.append(run_json(capsys, "expect", "--d", "2", "--stat", f"@{table}", "--json"))
+    assert got[0]["coeffs"] == got[1]["coeffs"] == [
+        "29850000000000001/200000000000000000",
+        "-30150000000000001/200000000000000000",
+    ]
+
+
 def test_stat_file_zero_denominator_is_usage_error(capsys, tmp_path):
     table = tmp_path / "stat.json"
     table.write_text(json.dumps({"[2]": "1/0"}))
@@ -452,6 +469,22 @@ BAD_INPUTS = {
         ("verify", "--d", "24", "--q", "2", "--stat", "ind:[24]", "--budget", "100000000"),
         "the partition route at d=24 needs p(d) factorization types",
     ),
+    "expect-table-huge-exponent": (
+        ("expect", "--d", "2", "--stat", "@huge_exponent.json"),
+        "'1e100000000' has an exponent beyond the print limit of 4300 digits",
+    ),
+    "expect-table-unprintable-exponent": (
+        ("expect", "--d", "2", "--stat", "@unprintable_exponent.json"),
+        "'1e5000' has an exponent beyond the print limit of 4300 digits",
+    ),
+    "sf-expect-table-huge-negative-exponent": (
+        ("sf-expect", "--d", "2", "--stat", "@huge_negative_exponent.json"),
+        "'1e-100000000' has an exponent beyond the print limit of 4300 digits",
+    ),
+    "expect-table-too-many-digits": (
+        ("expect", "--d", "2", "--stat", "@too_many_digits.json"),
+        "'7777777777777777777777777777777777777777'... has more digits than the print limit of 4300",
+    ),
     # 2^10000 polynomials are within this budget: the census never starts
     "verify-over-series-cap": (
         ("verify", "--d", "10000", "--q", "2", "--stat", "x1^100", "--budget", "1" + "0" * 4000),
@@ -460,8 +493,20 @@ BAD_INPUTS = {
 }
 
 
+# @table.json files that BAD_INPUTS name, written to the working directory
+BAD_TABLES = {
+    "huge_exponent.json": '{"[2]": "1e100000000"}',
+    "unprintable_exponent.json": '{"[2]": "1e5000", "[1,1]": 0}',
+    "huge_negative_exponent.json": '{"[2]": 1e-100000000}',
+    "too_many_digits.json": '{"[2]": ' + "7" * 5000 + "}",
+}
+
+
 @pytest.mark.parametrize("argv,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_2_fast(capsys, argv, message):
+def test_bad_input_exits_2_fast(capsys, tmp_path, monkeypatch, argv, message):
+    for name, text in BAD_TABLES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
     code, _, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,22 @@ def test_rational_serialization():
     for _ in range(40):
         x = Fraction(rng.randrange(-1000, 1000), rng.randrange(1, 1000))
         assert parse_rational(format_rational(x)) == x
+
+
+def test_parse_rational_reads_decimals_exactly_within_the_print_limit():
+    assert parse_rational("0.30000000000000001") == Fraction(30000000000000001, 10**17)
+    assert parse_rational(" -15e-4 ") == Fraction(-3, 2000)
+    assert parse_rational("9" * 4300) == 10**4300 - 1
+    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("1E-4300") == Fraction(1, 10**4300)
+    for text, message in (
+        ("1e100000000", "'1e100000000' has an exponent beyond the print limit of 4300 digits"),
+        ("2.5E-4301", "'2.5E-4301' has an exponent beyond the print limit of 4300 digits"),
+        ("9" * 4301, f"'{'9' * 40}'... has more digits than the print limit of 4300"),
+        ("1/" + "3" * 4300, "has more digits than the print limit of 4300"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_rational(text)
 
 
 def test_json_coeffs():
