@@ -28,9 +28,9 @@ class CharTable:
     """Character values indexed by cohomological degree k and partition.
 
     Rows run over k = 0..d-1; cohomology vanishes beyond that range, and
-    the measure product behind `measure_rows` checks it.  Row k is the measure's integer row k, with
-    the sign (-1)**k applied for phi; `row(k)` wraps it as a class
-    function.
+    the measure product behind `measure_rows` checks it.  Row k is the
+    measure's integer row k, with the sign (-1)**k applied for phi;
+    `row(k)` wraps it as a class function.
     """
 
     __slots__ = ("d", "kind", "_rows")

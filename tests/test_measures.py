@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-import splitstat.measures as measures
+from splitstat import measures
 from splitstat.errors import BudgetExceeded, ConsistencyError
 from splitstat.exact import Q_VAR, U_VAR, over_q_power, poly
 from splitstat.expect import expected, expected_sf
