@@ -11,22 +11,15 @@ from .errors import (
     ConsistencyError,
     DegreeMismatch,
     InvalidCharacteristic,
-    SeriesError,
     SplitstatError,
     UnknownStatistic,
-    VariableTagMismatch,
 )
 from .exact import (
     Q_VAR,
     U_VAR,
     UPoly,
-    divmod_poly,
     format_rational,
-    monomial,
-    over_q_power,
     parse_rational,
-    poly,
-    series_expand,
 )
 from .expect import (
     NORM_Q_POWER,
@@ -46,7 +39,6 @@ from .gf import (
     FqField,
     FqPoly,
     census,
-    factorization_type,
     irreducibles,
     make_field,
     type_counts,
@@ -67,11 +59,9 @@ from .sym_chars import (
     inner,
     irr_dim,
     irreducible_character,
-    mn_character,
     one,
     parse_character_polynomial,
     quadratic_excess,
-    reconstruct,
     roots,
     sgn,
 )
@@ -94,7 +84,6 @@ __all__ = [
     "NORM_SF_COUNT",
     "Partition",
     "Q_VAR",
-    "SeriesError",
     "SignedPolynomial",
     "SplitstatError",
     "StableLimit",
@@ -103,18 +92,15 @@ __all__ = [
     "UnknownStatistic",
     "VIA_MEASURE",
     "VIA_SERIES",
-    "VariableTagMismatch",
     "builtin",
     "builtin_names",
     "builtin_polynomial",
     "census",
     "decompose",
-    "divmod_poly",
     "eval_q1",
     "even_type",
     "expected",
     "expected_sf",
-    "factorization_type",
     "format_rational",
     "indicator",
     "inner",
@@ -123,21 +109,15 @@ __all__ = [
     "irreducibles",
     "make_field",
     "measure_rows",
-    "mn_character",
-    "monomial",
     "necklace",
     "one",
-    "over_q_power",
     "parse_character_polynomial",
     "parse_rational",
     "partitions_of",
     "phi_table",
-    "poly",
     "psi_table",
     "quadratic_excess",
-    "reconstruct",
     "roots",
-    "series_expand",
     "sf_splitting_measure",
     "sgn",
     "splitting_measure",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, Iterable
 
 from .errors import (
     BudgetExceeded,
@@ -100,26 +101,35 @@ def format_inverse_powers(p: UPoly) -> str:
     return join_signed(parts)
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(
+    args: argparse.Namespace,
+    payload: Callable[[], dict],
+    text_lines: Callable[[], Iterable[str]],
+) -> None:
+    # Only the output that is printed is formatted: the JSON payload
+    # under --json, the text lines otherwise.  Either is built whole
+    # before anything is printed.
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        for line in text_lines:
+        for line in list(text_lines()):
             print(line)
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
     m = sf_splitting_measure(args.d) if args.sf else splitting_measure(args.d)
     flavor = "squarefree" if args.sf else "all"
-    payload = {
-        "d": args.d,
-        "flavor": flavor,
-        "values": {lam.label(): poly.json_coeffs() for lam, poly in m.items()},
-    }
-    lines = [f"splitting measure, d={args.d}, flavor={flavor}"]
-    width = max(len(lam.label()) for lam in m)
-    for lam, poly in m.items():
-        lines.append(f"  {lam.label():<{width}}  {format_inverse_powers(poly)}")
+
+    def payload() -> dict:
+        values = {lam.label(): nu.json_coeffs() for lam, nu in m.items()}
+        return {"d": args.d, "flavor": flavor, "values": values}
+
+    def lines() -> Iterable[str]:
+        yield f"splitting measure, d={args.d}, flavor={flavor}"
+        width = max(len(lam.label()) for lam in m)
+        for lam, nu in m.items():
+            yield f"  {lam.label():<{width}}  {format_inverse_powers(nu)}"
+
     _emit(args, payload, lines)
     return 0
 
@@ -128,14 +138,17 @@ def cmd_char_table(args: argparse.Namespace) -> int:
     kind = args.command
     table = psi_table(args.d) if kind == "psi" else phi_table(args.d)
     payload = table.to_json()
-    lams = partitions_of(args.d)
-    width = max(len(lam.label()) for lam in lams)
-    header = "  k | " + " ".join(f"{lam.label():>{width}}" for lam in lams)
-    lines = [f"{kind} character table, d={args.d}", header]
-    for k, values in payload.items():
-        row = " ".join(f"{v:>{width}}" for v in values.values())
-        lines.append(f"{k:>3} | {row}")
-    _emit(args, payload, lines)
+
+    def lines() -> Iterable[str]:
+        lams = partitions_of(args.d)
+        width = max(len(lam.label()) for lam in lams)
+        yield f"{kind} character table, d={args.d}"
+        yield "  k | " + " ".join(f"{lam.label():>{width}}" for lam in lams)
+        for k, values in payload.items():
+            row = " ".join(f"{v:>{width}}" for v in values.values())
+            yield f"{k:>3} | {row}"
+
+    _emit(args, lambda: payload, lines)
     return 0
 
 
@@ -156,14 +169,17 @@ def cmd_expect(args: argparse.Namespace) -> int:
     else:
         normalization = NORM_SF_COUNT if args.normalization == "sfcount" else NORM_Q_POWER
         result = expected_sf(args.d, P, normalization=normalization, name=args.stat)
-    payload = {"d": result.d, "stat": result.statistic}
-    if result.normalization is not None:
-        payload["normalization"] = result.normalization
-    payload.update(
-        coeffs=result.value.json_coeffs(), route=result.route, checks=list(result.checks)
-    )
-    lines = [f"{args.d:>3} | {format_inverse_powers(result.value)}"]
-    _emit(args, payload, lines)
+
+    def payload() -> dict:
+        out = {"d": result.d, "stat": result.statistic}
+        if result.normalization is not None:
+            out["normalization"] = result.normalization
+        out.update(
+            coeffs=result.value.json_coeffs(), route=result.route, checks=list(result.checks)
+        )
+        return out
+
+    _emit(args, payload, lambda: [f"{args.d:>3} | {format_inverse_powers(result.value)}"])
     return 0
 
 
@@ -172,16 +188,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     P = resolve_stat(args.stat, args.d)
     components = decompose(P)
     ordered = [(shape, components[shape]) for shape in partitions_of(args.d) if shape in components]
-    payload = {
-        "d": args.d,
-        "stat": args.stat,
-        "components": {shape.label(): format_rational(c) for shape, c in ordered},
-    }
-    lines = [f"decomposition of {args.stat} into irreducibles, d={args.d}"]
-    for shape, c in ordered:
-        lines.append(f"  {shape.label()}: {format_rational(c)}")
-    if not ordered:
-        lines.append("  (zero class function)")
+
+    def payload() -> dict:
+        components = {shape.label(): format_rational(c) for shape, c in ordered}
+        return {"d": args.d, "stat": args.stat, "components": components}
+
+    def lines() -> Iterable[str]:
+        yield f"decomposition of {args.stat} into irreducibles, d={args.d}"
+        for shape, c in ordered:
+            yield f"  {shape.label()}: {format_rational(c)}"
+        if not ordered:
+            yield "  (zero class function)"
+
     _emit(args, payload, lines)
     return 0
 
@@ -189,15 +207,20 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_limit(args: argparse.Namespace) -> int:
     P = polynomial_statistic(args.stat)
     result = stable_limit(P, args.order)
-    payload = {
-        "stat": result.statistic,
-        "order": result.order,
-        "coeffs": [format_rational(c) for c in result.coeffs],
-        "stabilized_at": {str(k): d for k, d in enumerate(result.stabilized_at)},
-    }
-    lines = [f"limit of expected {args.stat} as d grows (coefficients of 1/q^k)"]
-    for k, (c, d) in enumerate(zip(result.coeffs, result.stabilized_at)):
-        lines.append(f"  k={k}: {format_rational(c)}  (stable from d={d})")
+
+    def payload() -> dict:
+        return {
+            "stat": result.statistic,
+            "order": result.order,
+            "coeffs": [format_rational(c) for c in result.coeffs],
+            "stabilized_at": {str(k): d for k, d in enumerate(result.stabilized_at)},
+        }
+
+    def lines() -> Iterable[str]:
+        yield f"limit of expected {args.stat} as d grows (coefficients of 1/q^k)"
+        for k, (c, d) in enumerate(zip(result.coeffs, result.stabilized_at)):
+            yield f"  k={k}: {format_rational(c)}  (stable from d={d})"
+
     _emit(args, payload, lines)
     return 0
 
@@ -225,27 +248,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
         match = c == formula
         ok = ok and match
         rows.append((label, c, formula, match))
-    payload = {
-        "d": args.d,
-        "q": field.q,
-        "stat": args.stat,
-        "results": {
-            label: {
-                "census": format_rational(c),
-                "formula": format_rational(f),
-                "match": match,
-            }
-            for label, c, f, match in rows
-        },
-        "ok": ok,
-    }
-    lines = [f"verify d={args.d} q={field.q} stat={args.stat}"]
-    for label, c, f, match in rows:
-        status = "OK" if match else "MISMATCH"
-        lines.append(
-            f"  {label:<10} census {format_rational(c)}"
-            f" vs formula {format_rational(f)}: {status}"
-        )
+
+    def payload() -> dict:
+        return {
+            "d": args.d,
+            "q": field.q,
+            "stat": args.stat,
+            "results": {
+                label: {
+                    "census": format_rational(c),
+                    "formula": format_rational(f),
+                    "match": match,
+                }
+                for label, c, f, match in rows
+            },
+            "ok": ok,
+        }
+
+    def lines() -> Iterable[str]:
+        yield f"verify d={args.d} q={field.q} stat={args.stat}"
+        for label, c, f, match in rows:
+            status = "OK" if match else "MISMATCH"
+            yield (
+                f"  {label:<10} census {format_rational(c)}"
+                f" vs formula {format_rational(f)}: {status}"
+            )
+
     _emit(args, payload, lines)
     if not ok:
         print("verification failed: census and formula disagree", file=sys.stderr)
@@ -266,20 +294,27 @@ def cmd_irreducibles(args: argparse.Namespace) -> int:
     match = all(
         counts[deg] == necklace(deg).evaluate(field.q) for deg in counts
     )
-    payload: dict = {
-        "q": field.q,
-        "counts": {str(deg): counts[deg] for deg in counts},
-        "count_polynomial_match": match,
-    }
-    lines = [f"monic irreducibles over F_{field.q}"]
-    for deg in counts:
-        lines.append(f"  degree {deg}: {counts[deg]}")
-    lines.append(f"  counts match the count polynomial: {'yes' if match else 'NO'}")
-    if args.list:
-        payload["polys"] = {str(deg): [list(f) for f in table[deg]] for deg in counts}
+
+    def payload() -> dict:
+        out: dict = {
+            "q": field.q,
+            "counts": {str(deg): counts[deg] for deg in counts},
+            "count_polynomial_match": match,
+        }
+        if args.list:
+            out["polys"] = {str(deg): [list(f) for f in table[deg]] for deg in counts}
+        return out
+
+    def lines() -> Iterable[str]:
+        yield f"monic irreducibles over F_{field.q}"
         for deg in counts:
-            for f in table[deg]:
-                lines.append(f"    {FqPoly(field, f)}")
+            yield f"  degree {deg}: {counts[deg]}"
+        yield f"  counts match the count polynomial: {'yes' if match else 'NO'}"
+        if args.list:
+            for deg in counts:
+                for f in table[deg]:
+                    yield f"    {FqPoly(field, f)}"
+
     _emit(args, payload, lines)
     if not match:
         print("irreducible counts disagree with the count polynomial", file=sys.stderr)

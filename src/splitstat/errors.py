@@ -5,14 +5,6 @@ class SplitstatError(Exception):
     """Base class for all library errors."""
 
 
-class VariableTagMismatch(SplitstatError):
-    """Polynomials in different variables were combined."""
-
-
-class SeriesError(SplitstatError):
-    """A power-series expansion was requested for a non-expandable quotient."""
-
-
 class InvalidCharacteristic(SplitstatError):
     """Field construction was asked for a non-prime characteristic."""
 

@@ -1,10 +1,10 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Exact rational values: tagged u- and q-polynomials, and "a/b" text.
 
-Every polynomial carries a variable tag: ``q`` for the field-size variable
-or ``u`` for its reciprocal (u = 1/q).  Arithmetic refuses to combine
-polynomials with different tags; the one sanctioned bridge is
-:func:`over_q_power`, which rewrites p(q)/q**d as a polynomial in u by
-reversing the coefficient list.
+A `UPoly` is a value, not an algebra: the coefficients of a polynomial
+in one tagged variable, ``q`` for the field size or ``u`` for its
+reciprocal (u = 1/q), which the package computes elsewhere and hands
+over whole.  It reads coefficients, evaluates exactly and prints, but
+does no arithmetic.
 
 Coefficients are `fractions.Fraction` throughout -- there is no floating
 point anywhere in the computation path.  Coefficients are stored densely,
@@ -19,8 +19,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
-
-from .errors import SeriesError, VariableTagMismatch
 
 Q_VAR = "q"
 U_VAR = "u"
@@ -79,7 +77,7 @@ class UPoly(Immutable):
 
     __slots__ = ("var", "coeffs")
 
-    def __init__(self, var: str, coeffs: tuple[Fraction, ...]) -> None:
+    def __init__(self, var: str, coeffs: Iterable[Scalar]) -> None:
         if var not in (Q_VAR, U_VAR):
             raise ValueError(f"unknown variable tag {var!r}")
         self._store(var, _normalized(coeffs))
@@ -97,48 +95,6 @@ class UPoly(Immutable):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def _coerce(self, other: UPoly | Scalar) -> UPoly:
-        if isinstance(other, UPoly):
-            if other.var != self.var:
-                raise VariableTagMismatch(
-                    f"cannot combine a polynomial in {self.var!r} with one in {other.var!r}"
-                )
-            return other
-        return UPoly(self.var, (other,))
-
-    def __add__(self, other: UPoly | Scalar) -> UPoly:
-        o = self._coerce(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UPoly(self.var, tuple(self.coeff(k) + o.coeff(k) for k in range(n)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: UPoly | Scalar) -> UPoly:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: UPoly | Scalar) -> UPoly:
-        return self._coerce(other) - self
-
-    def __neg__(self) -> UPoly:
-        return UPoly(self.var, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: UPoly | Scalar) -> UPoly:
-        o = self._coerce(other)
-        if self.is_zero() or o.is_zero():
-            return UPoly(self.var, ())
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return UPoly(self.var, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> UPoly:
-        return power(self, e, UPoly.__mul__, UPoly(self.var, (Fraction(1),)))
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -166,76 +122,6 @@ class UPoly(Immutable):
                     term = "-" + term
             parts.append(term)
         return join_signed(parts)
-
-
-def poly(var: str, coeffs: Iterable[Scalar]) -> UPoly:
-    """Build a polynomial from low-to-high coefficients."""
-    return UPoly(var, tuple(coeffs))
-
-
-def monomial(var: str, k: int, c: Scalar = 1) -> UPoly:
-    """The single term c * var**k."""
-    return UPoly(var, (0,) * k + (c,))
-
-
-def divmod_poly(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
-    """Exact polynomial long division: a = q*b + r with deg r < deg b."""
-    if a.var != b.var:
-        raise VariableTagMismatch(
-            f"cannot divide a polynomial in {a.var!r} by one in {b.var!r}"
-        )
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    quo = [Fraction(0)] * max(len(rem) - len(b.coeffs) + 1, 0)
-    lead = b.coeffs[-1]
-    db = b.degree
-    for shift in range(len(rem) - len(b.coeffs), -1, -1):
-        c = rem[shift + db] / lead
-        if c == 0:
-            continue
-        quo[shift] = c
-        for i, bc in enumerate(b.coeffs):
-            rem[shift + i] -= c * bc
-    return UPoly(a.var, tuple(quo)), UPoly(a.var, tuple(rem))
-
-
-def series_expand(numer: UPoly, denom: UPoly, order: int) -> list[Fraction]:
-    """Power-series coefficients c_0..c_order of numer/denom.
-
-    Exact long division; requires a nonzero constant term in the
-    denominator (otherwise the quotient is not a power series).
-    """
-    if numer.var != denom.var:
-        raise VariableTagMismatch(
-            f"cannot expand a quotient mixing {numer.var!r} and {denom.var!r}"
-        )
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    d0 = denom.coeff(0)
-    if d0 == 0:
-        raise SeriesError("denominator has zero constant term; quotient is not a power series")
-    out: list[Fraction] = []
-    for k in range(order + 1):
-        s = numer.coeff(k)
-        for i in range(1, k + 1):
-            s -= denom.coeff(i) * out[k - i]
-        out.append(s / d0)
-    return out
-
-
-def over_q_power(p: UPoly, d: int) -> UPoly:
-    """Rewrite p(q)/q**d as a polynomial in u = 1/q.
-
-    Requires deg p <= d (otherwise the quotient has positive powers of q
-    and is not a u-polynomial).  The coefficient of u**k is the
-    coefficient of q**(d-k) in p.
-    """
-    if p.var != Q_VAR:
-        raise VariableTagMismatch("over_q_power expects a polynomial in q")
-    if p.degree > d:
-        raise ValueError(f"degree {p.degree} exceeds q-power {d}; quotient not polynomial in u")
-    return UPoly(U_VAR, tuple(p.coeff(d - k) for k in range(d + 1)))
 
 
 def power(x: T, e: int, mul: Callable[[T, T], T], one: T) -> T:
@@ -269,6 +155,11 @@ def format_rational(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def quote_short(text: str) -> str:
+    """repr(text), cut after 40 characters: an input as an error message quotes it."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an "a/b" or "a" string; the inverse of :func:`format_rational`.
 
@@ -279,7 +170,7 @@ def parse_rational(text: str) -> Fraction:
     """
     limit = sys.get_int_max_str_digits()
     if limit:
-        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+        shown = quote_short(text)
         if sum(map(str.isdecimal, text)) > limit:
             raise ValueError(f"{shown} has more digits than the print limit of {limit}")
         # within the limit, the exponent's own digits convert safely

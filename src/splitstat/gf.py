@@ -10,8 +10,6 @@ irreducibles, and the factor degrees of the products (with and without
 repeated factors) give the census histogram, from which exact census
 averages of factorization statistics follow.  Degree 1 needs no walk:
 every monic linear polynomial is irreducible and none is a product.
-`factorization_type` still factors a single polynomial by trial division
-against the sieved irreducibles.
 
 Over a small prime field the walk runs on packed polynomials (Kronecker
 substitution): a Python int whose byte j holds the coefficient c_j.  A
@@ -532,53 +530,6 @@ def irreducibles(
     """
     raw = _irreducibles_raw(field, max_degree, budget)
     return {deg: tuple(FqPoly(field, c) for c in raw[deg]) for deg in raw}
-
-
-def _type_and_squarefree(
-    F: FqField,
-    coeffs: tuple[int, ...],
-    irr_by_deg: dict[int, tuple[tuple[int, ...], ...]],
-) -> tuple[tuple[int, ...], bool]:
-    # Trial division in (degree, lex) order.  Once all factors of degree
-    # < s are removed, a remainder of degree < 2s must itself be
-    # irreducible, which bounds the sieve at half the degree.
-    rest = coeffs
-    degs: list[int] = []
-    squarefree = True
-    half = (len(coeffs) - 1) // 2
-    for step in range(1, half + 1):
-        if len(rest) - 1 < 2 * step:
-            break
-        for irr in irr_by_deg.get(step, ()):
-            mult = 0
-            while len(rest) >= len(irr):
-                quo, rem = _divrem(F, rest, irr)
-                if rem:
-                    break
-                rest = quo
-                mult += 1
-            if mult:
-                degs.extend([step] * mult)
-                if mult > 1:
-                    squarefree = False
-                if len(rest) - 1 < 2 * step:
-                    break
-    if len(rest) > 1:
-        degs.append(len(rest) - 1)
-    return tuple(sorted(degs, reverse=True)), squarefree
-
-
-def factorization_type(f: FqPoly, budget: int = DEFAULT_BUDGET) -> Partition:
-    """The partition of deg f given by irreducible factor degrees.
-
-    Repeated factors contribute repeatedly: x**2 has type [1,1], the same
-    as a product of two distinct linear factors.
-    """
-    if f.degree < 1:
-        raise ValueError("factorization type needs degree at least 1")
-    irr = _irreducibles_raw(f.field, f.degree // 2, budget)
-    degs, _ = _type_and_squarefree(f.field, f.coeffs, irr)
-    return Partition(degs)
 
 
 def census(

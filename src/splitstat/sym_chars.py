@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import defaultdict
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count, repeat
@@ -37,7 +38,7 @@ from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
-from .exact import Immutable, join_signed, parse_rational, power
+from .exact import Immutable, join_signed, parse_rational, power, quote_short
 from .measures import check_partition_budget
 from .partitions import Partition, partition_count_exceeds, partitions_of
 
@@ -237,18 +238,6 @@ def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table))
 
 
-def mn_character(shape: Partition, cycle_type: Partition) -> int:
-    """Irreducible character value chi_shape(cycle_type), exactly.
-
-    Read from the character table of S_d, so it raises BudgetExceeded
-    past DECOMPOSE_BUDGET, as `irreducible_character` does.
-    """
-    if shape.d != cycle_type.d:
-        raise DegreeMismatch(f"shape {shape} and class {cycle_type} have different sizes")
-    positions = _positions(shape.d)
-    return _character_table(shape.d)[positions[shape]][positions[cycle_type]]
-
-
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     if not parts:
         return ()
@@ -278,8 +267,8 @@ def irreducible_character(shape: Partition) -> ClassFunction:
     return ClassFunction.from_integers(shape.d, row, name=f"chi{shape.label()}")
 
 
-# Cap on the character table of S_d, which decompose, irreducible_character
-# and mn_character read: p(d)**2 (shape, class) values.  d = 18 (148225
+# Cap on the character table of S_d, which decompose and
+# irreducible_character read: p(d)**2 (shape, class) values.  d = 18 (148225
 # values) builds its table in about 0.5 s on a 2-core host.
 DECOMPOSE_BUDGET = 150_000
 
@@ -311,12 +300,6 @@ def decompose(X: ClassFunction) -> dict[Partition, Fraction]:
         if a := sum(map(mul, weights, row)):
             out[shape] = Fraction(a, den)
     return out
-
-
-def reconstruct(d: int, coefficients: Mapping[Partition, Scalar]) -> ClassFunction:
-    """The class function sum of a_shape * chi_shape."""
-    chis = (irreducible_character(shape) * a for shape, a in coefficients.items())
-    return sum(chis, ClassFunction(d, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +773,22 @@ def indicator(lam0: Partition) -> ClassFunction:
     return ClassFunction(lam0.d, {lam0: Fraction(1)}, name=f"ind:{lam0.label()}")
 
 
+def _type_label(label: str, d: int) -> Partition:
+    # A label of at most 40 characters is parsed, and the caller names it
+    # whole if its size is not d.  A longer one is checked here and quoted
+    # short: a partition of d has at most d parts, so a label with more is
+    # refused before any part is read.
+    if len(label) <= 40:
+        return Partition.parse(label)
+    if label.count(",") < d:
+        with suppress(ValueError):
+            if (lam := Partition.parse(label)).d == d:
+                return lam
+    raise UnknownStatistic(f"type label {quote_short(label.strip())} is not a partition of d={d}")
+
+
 def _indicator_spec(label: str, d: int) -> ClassFunction:
-    lam = Partition.parse(label)
+    lam = _type_label(label, d)
     if lam.d != d:
         raise UnknownStatistic(
             f"indicator partition {lam.label()} has size {lam.d}, not d={d}"
@@ -808,7 +805,7 @@ def _table_spec(path: str, d: int) -> ClassFunction:
         raise UnknownStatistic(
             f"{path} must hold a JSON object mapping type labels to rationals"
         )
-    values = {Partition.parse(key): parse_rational(str(v)) for key, v in raw.items()}
+    values = {_type_label(key, d): parse_rational(str(v)) for key, v in raw.items()}
     return ClassFunction(d, values, name=f"@{path}")
 
 

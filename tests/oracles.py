@@ -1,0 +1,87 @@
+"""Independent references that the tests compare the package against.
+
+Nothing here is part of splitstat: no command reaches it.  Polynomials
+are plain lists of exact rationals, index = exponent; the tests wrap a
+result in `UPoly` to compare it with a package value.
+"""
+
+from fractions import Fraction
+
+from splitstat.gf import _divrem, _irreducibles_raw
+from splitstat.partitions import Partition
+
+
+def _coeff(p, k):
+    return p[k] if k < len(p) else 0
+
+
+def poly_add(a, b):
+    """Coefficient list of a + b."""
+    return [_coeff(a, k) + _coeff(b, k) for k in range(max(len(a), len(b)))]
+
+
+def poly_mul(a, b):
+    """Coefficient list of a * b, by schoolbook multiplication."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_sum(polys):
+    """Coefficient list of the sum of coefficient lists."""
+    out = []
+    for p in polys:
+        out = poly_add(out, p)
+    return out
+
+
+def series_expand(numer, denom, order):
+    """Power-series coefficients c_0..c_order of numer/denom.
+
+    Long division; the denominator's constant term must be nonzero.
+    """
+    out = []
+    for k in range(order + 1):
+        s = Fraction(_coeff(numer, k))
+        for i in range(1, k + 1):
+            s -= _coeff(denom, i) * out[k - i]
+        out.append(s / denom[0])
+    return out
+
+
+def factorization_type(F, coeffs, irr_by_deg=None):
+    """(factorization type, squarefree) of a monic polynomial over F.
+
+    Trial division in (degree, lex) order by the sieved irreducibles.
+    Once all factors of degree < s are removed, a remainder of degree
+    < 2s must itself be irreducible, which bounds the sieve at half the
+    degree.  Repeated factors count repeatedly: x**2 has type [1,1].
+    """
+    if irr_by_deg is None:
+        irr_by_deg = _irreducibles_raw(F, (len(coeffs) - 1) // 2, 10**7)
+    rest = tuple(coeffs)
+    degs = []
+    squarefree = True
+    for step in range(1, (len(coeffs) - 1) // 2 + 1):
+        if len(rest) - 1 < 2 * step:
+            break
+        for irr in irr_by_deg.get(step, ()):
+            mult = 0
+            while len(rest) >= len(irr):
+                quo, rem = _divrem(F, rest, irr)
+                if rem:
+                    break
+                rest = quo
+                mult += 1
+            if mult:
+                degs += [step] * mult
+                squarefree = squarefree and mult == 1
+                if len(rest) - 1 < 2 * step:
+                    break
+    if len(rest) > 1:
+        degs.append(len(rest) - 1)
+    return Partition(degs), squarefree

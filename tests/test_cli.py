@@ -11,6 +11,7 @@ import pytest
 
 from splitstat import cli
 from splitstat.cli import main
+from splitstat.exact import UPoly
 from splitstat.gf import FqPoly, make_field, type_counts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -296,6 +297,24 @@ def test_irreducible_counts_do_not_build_polynomials(capsys, monkeypatch):
     assert "degree 4: 3" in out
 
 
+def test_only_the_printed_output_is_formatted(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("formatted output that is not printed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "format_inverse_powers", refuse)
+        for argv in (("measure", "--d", "6"), ("expect", "--d", "6", "--stat", "Q")):
+            code, out, err = run(capsys, *argv, "--json")
+            assert code == 0, err
+            assert json.loads(out)["d"] == 6
+    with monkeypatch.context() as patch:
+        patch.setattr(UPoly, "json_coeffs", refuse)
+        for argv in (("measure", "--d", "6"), ("expect", "--d", "6", "--stat", "Q")):
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            assert "q" in out.splitlines()[-1]
+
+
 @pytest.mark.parametrize("argv", [
     ("expect", "--d", "3"),
     ("sf-expect", "--d", "3"),
@@ -490,6 +509,20 @@ BAD_INPUTS = {
         ("verify", "--d", "10000", "--q", "2", "--stat", "x1^100", "--budget", "1" + "0" * 4000),
         "the series route for x1^100 at d=10000 needs more than the cap of 5000000 work units",
     ),
+    # a long type label is quoted short; one with more than d parts is
+    # refused before it is parsed
+    "expect-table-long-label": (
+        ("expect", "--d", "2", "--stat", "@long_label.json"),
+        "type label '[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1'... is not a partition of d=2",
+    ),
+    "expect-indicator-long-label": (
+        ("expect", "--d", "2", "--stat", "ind:[" + ",".join(["1"] * 200_000) + "]"),
+        "type label '[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1'... is not a partition of d=2",
+    ),
+    "expect-indicator-long-part": (
+        ("expect", "--d", "2", "--stat", "ind:[" + "9" * 5000 + "]"),
+        f"type label '[{'9' * 39}'... is not a partition of d=2",
+    ),
 }
 
 
@@ -499,6 +532,7 @@ BAD_TABLES = {
     "unprintable_exponent.json": '{"[2]": "1e5000", "[1,1]": 0}',
     "huge_negative_exponent.json": '{"[2]": 1e-100000000}',
     "too_many_digits.json": '{"[2]": ' + "7" * 5000 + "}",
+    "long_label.json": '{"[' + ",".join(["1"] * 200_000) + ']": 1}',
 }
 
 
@@ -513,6 +547,7 @@ def test_bad_input_exits_2_fast(capsys, tmp_path, monkeypatch, argv, message):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+    assert len(err) < 1024
 
 
 def test_values_just_within_the_print_limit(capsys):

@@ -10,7 +10,8 @@ import pytest
 
 from splitstat import cli, expect, gf, measures, sym_chars
 from splitstat.errors import BudgetExceeded, ConsistencyError, DegreeMismatch
-from splitstat.exact import U_VAR, UPoly, divmod_poly, poly
+from oracles import poly_mul, poly_sum
+from splitstat.exact import U_VAR, UPoly
 from splitstat.expect import (
     NORM_Q_POWER,
     NORM_SF_COUNT,
@@ -62,7 +63,7 @@ GOLDEN_QUADRATIC_EXCESS = {
 
 def test_quadratic_excess_golden_rows():
     for d, coeffs in GOLDEN_QUADRATIC_EXCESS.items():
-        assert expected(d, quadratic_excess(d)).value == poly(U_VAR, coeffs)
+        assert expected(d, quadratic_excess(d)).value == UPoly(U_VAR, coeffs)
 
 
 def test_result_metadata():
@@ -76,19 +77,19 @@ def test_sign_expectation_is_a_single_power():
     for d in range(1, 11):
         got = expected(d, sgn(d)).value
         want = [Fraction(0)] * (d // 2) + [Fraction(1)]
-        assert got == poly(U_VAR, want)
+        assert got == UPoly(U_VAR, want)
 
 
 def test_roots_expectation_is_geometric():
     for d in range(1, 11):
-        assert expected(d, roots(d)).value == poly(U_VAR, [1] * d)
+        assert expected(d, roots(d)).value == UPoly(U_VAR, [1] * d)
 
 
 def test_even_type_bias():
     half = Fraction(1, 2)
     for d in range(2, 11):
         want = [half] + [Fraction(0)] * (d // 2 - 1) + [half]
-        assert expected(d, even_type(d)).value == poly(U_VAR, want)
+        assert expected(d, even_type(d)).value == UPoly(U_VAR, want)
 
 
 def test_degree_bound():
@@ -125,13 +126,13 @@ def test_large_q_specializations():
 def test_squarefree_even_type_probability_is_exactly_half():
     for d in range(2, 9):
         r = expected_sf(d, even_type(d), NORM_SF_COUNT)
-        assert r.value == poly(U_VAR, [Fraction(1, 2)])
+        assert r.value == UPoly(U_VAR, [Fraction(1, 2)])
         assert "exact_division" in r.checks
 
 
 def test_squarefree_roots_q_power():
-    assert expected_sf(2, roots(2)).value == poly(U_VAR, [1, -1])
-    assert expected_sf(3, roots(3)).value == poly(U_VAR, [1, -2, 1])
+    assert expected_sf(2, roots(2)).value == UPoly(U_VAR, [1, -1])
+    assert expected_sf(3, roots(3)).value == UPoly(U_VAR, [1, -2, 1])
 
 
 def test_squarefree_roots_conditional_mean_is_alternating_geometric():
@@ -139,7 +140,7 @@ def test_squarefree_roots_conditional_mean_is_alternating_geometric():
     # squarefree polynomials alternates: 1 - u + u^2 - ... (d-1 terms)
     for d in range(2, 9):
         got = expected_sf(d, roots(d), NORM_SF_COUNT).value
-        want = poly(U_VAR, [(-1) ** k for k in range(d - 1)])
+        want = UPoly(U_VAR, [(-1) ** k for k in range(d - 1)])
         assert got == want
 
 
@@ -157,11 +158,11 @@ def test_squarefree_values_match_census():
 
 def test_squarefree_degree_one():
     r = expected_sf(1, one(1))
-    assert r.value == poly(U_VAR, [1])
+    assert r.value == UPoly(U_VAR, [1])
     # every monic linear polynomial is squarefree: the density is 1, so the
     # conditional mean of the constant 1 is 1
     conditional = expected_sf(1, one(1), NORM_SF_COUNT)
-    assert conditional.value == poly(U_VAR, [1])
+    assert conditional.value == UPoly(U_VAR, [1])
     assert conditional.checks == ("exact_division",)
     with pytest.raises(TypeError):
         expected_sf(1, one(1), NORM_SF_COUNT, series_order=4)
@@ -206,21 +207,21 @@ def test_expectations_match_the_fraction_measure_sum():
                 (splitting_measure(d), expected(d, P)),
                 (sf_splitting_measure(d), expected_sf(d, P)),
             ):
-                want = sum(
-                    (measure[lam] * P.value(lam) for lam in partitions_of(d)),
-                    poly(U_VAR, []),
+                want = poly_sum(
+                    [c * P.value(lam) for c in measure[lam].coeffs] for lam in partitions_of(d)
                 )
-                assert result.value == want
+                assert result.value == UPoly(U_VAR, want)
 
 
 def test_conditional_mean_is_the_squarefree_sum_over_one_minus_u():
-    # prefix sums against polynomial long division by the density
+    # prefix sums against the density: times 1 - u, the conditional mean
+    # gives back the squarefree sum
     for d in range(2, 11):
         for name in ("one", "sgn", "ET", "R", "Q"):
             P = builtin(name, d)
-            want, rem = divmod_poly(expected_sf(d, P).value, poly(U_VAR, [1, -1]))
-            assert rem.is_zero()
-            assert expected_sf(d, P, NORM_SF_COUNT).value == want, (d, name)
+            mean = expected_sf(d, P, NORM_SF_COUNT).value
+            back = UPoly(U_VAR, poly_mul(mean.coeffs, [1, -1]))
+            assert back == expected_sf(d, P).value, (d, name)
 
 
 def test_indivisible_squarefree_sum_is_a_consistency_error(monkeypatch):
@@ -415,9 +416,9 @@ def test_sign_in_closed_form():
     # squarefree ones it is 0 from d = 2 on
     P = sym_chars.statistic("sgn")
     for d in range(1, 120):
-        assert expected(d, P).value == poly(U_VAR, [0] * (d // 2) + [1])
-        assert expected_sf(d, P).value == poly(U_VAR, [1] if d == 1 else [])
-        assert expected(d, sym_chars.statistic("ET")).value == poly(
+        assert expected(d, P).value == UPoly(U_VAR, [0] * (d // 2) + [1])
+        assert expected_sf(d, P).value == UPoly(U_VAR, [1] if d == 1 else [])
+        assert expected(d, sym_chars.statistic("ET")).value == UPoly(
             U_VAR, [1] if d == 1 else [Fraction(1, 2)] + [0] * (d // 2 - 1) + [Fraction(1, 2)]
         )
 
@@ -462,7 +463,7 @@ def test_series_route_past_the_partition_cap(spec):
             if d >= start:
                 assert got.coeff(k) == c, (d, k)
         if spec == "R":
-            assert got == poly(U_VAR, [1] * d)
+            assert got == UPoly(U_VAR, [1] * d)
 
 
 def test_series_route_cost_cap():
@@ -494,7 +495,7 @@ def test_stable_limit_cost_cap():
 
 def test_result_records_are_immutable_values():
     r = expected(3, builtin("Q", 3))
-    same = ExpectationResult(3, "Q", poly(U_VAR, [0, 2, 1]), VIA_MEASURE)
+    same = ExpectationResult(3, "Q", UPoly(U_VAR, [0, 2, 1]), VIA_MEASURE)
     assert r == same and hash(r) == hash(same)
     assert r != ExpectationResult(3, "Q", same.value, VIA_MEASURE, checks=("exact_division",))
     assert r != ExpectationResult(3, "R", same.value, VIA_MEASURE)

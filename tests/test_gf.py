@@ -11,15 +11,14 @@ from itertools import product
 
 import pytest
 
+from oracles import factorization_type
 from splitstat.errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
 from splitstat.gf import (
     FqField,
     FqPoly,
     _irreducibles_raw,
     _packs,
-    _type_and_squarefree,
     census,
-    factorization_type,
     irreducibles,
     make_field,
     type_counts,
@@ -244,13 +243,13 @@ def test_factorization_type_worked_examples():
     # g = x^2 (x+1) (x^2+1) over F_3 has type [2,1,1,1]
     f3 = make_field(3)
     g = field_mul(f3, field_mul(f3, (0, 0, 1), (1, 1)), (1, 0, 1))
-    assert factorization_type(FqPoly(f3, g)) == Partition([2, 1, 1, 1])
+    assert factorization_type(f3, g) == (Partition([2, 1, 1, 1]), False)
     # h = (x+1)(x-1)(x^3 - x + 1) over F_3 has type [3,1,1]
     h = field_mul(f3, field_mul(f3, (1, 1), (2, 1)), (1, 2, 0, 1))
-    assert factorization_type(FqPoly(f3, h)) == Partition([3, 1, 1])
+    assert factorization_type(f3, h) == (Partition([3, 1, 1]), True)
     # multiplicity is not recorded beyond degree counts: x^2 has type [1,1]
-    assert factorization_type(FqPoly(f3, (0, 0, 1))) == Partition([1, 1])
-    assert factorization_type(FqPoly(make_field(2), (0, 0, 1))) == Partition([1, 1])
+    assert factorization_type(f3, (0, 0, 1)) == (Partition([1, 1]), False)
+    assert factorization_type(make_field(2), (0, 0, 1)) == (Partition([1, 1]), False)
 
 
 def test_factorization_type_against_explicit_products():
@@ -265,7 +264,7 @@ def test_factorization_type_against_explicit_products():
             for g in factors:
                 prod = field_mul(F, prod, g)
             expected = Partition(sorted((len(g) - 1 for g in factors), reverse=True))
-            assert factorization_type(FqPoly(F, prod)) == expected
+            assert factorization_type(F, prod)[0] == expected
 
 
 def test_census_worked_examples():
@@ -349,8 +348,7 @@ def test_type_counts_match_trial_division_reference():
             irr = _irreducibles_raw(ref_field, d // 2, 10**7)
             ref_all, ref_sf = {}, {}
             for tail in product(range(F.q), repeat=d):
-                degs, squarefree = _type_and_squarefree(ref_field, tail + (1,), irr)
-                lam = Partition(degs)
+                lam, squarefree = factorization_type(ref_field, tail + (1,), irr)
                 ref_all[lam] = ref_all.get(lam, 0) + 1
                 if squarefree:
                     ref_sf[lam] = ref_sf.get(lam, 0) + 1

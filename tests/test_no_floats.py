@@ -1,8 +1,9 @@
-"""No floating point anywhere in the package.
+"""No floating point anywhere in the package or in the tests' references.
 
-Every module under src/splitstat is parsed with ast and may hold no float
-or complex literal, no float(...) or complex(...) call, and no import
-from math other than its integer functions.
+Every module under src/splitstat, and tests/oracles.py (a reference is
+only useful if it is exact), is parsed with ast and may hold no float or
+complex literal, no float(...) or complex(...) call, and no import from
+math other than its integer functions.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "splitstat"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "splitstat"
 INTEGER_MATH = {"factorial", "lcm", "gcd", "comb", "isqrt"}
 
 
@@ -38,7 +40,9 @@ def float_uses(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + [TESTS / "oracles.py"], ids=lambda p: p.name
+)
 def test_module_uses_no_floating_point(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
 
