@@ -67,6 +67,10 @@ for _stat in SESSION_STATS:
 for _stat in DECOMPOSE_STATS:
     GROUPS[f"decompose {_stat}"] = (("decompose", "--stat", _stat, "--json"), range(1, 13))
     GROUPS[f"decompose text {_stat}"] = (("decompose", "--stat", _stat), range(1, 13))
+# The character table above d = 12, up to the decompose cap (d = 18).
+for _stat in ("Q", "sgn", "ind:[2,1]"):
+    GROUPS[f"decompose d14-18 {_stat}"] = (("decompose", "--stat", _stat, "--json"), (14, 16, 18))
+    GROUPS[f"decompose text d14-18 {_stat}"] = (("decompose", "--stat", _stat), (14, 16, 18))
 for _q, _top in CENSUS_FIELDS.items():
     GROUPS[f"irreducibles {_q}"] = (("irreducibles", "--q", _q, "--list", "--json"), range(1, _top + 1))
     GROUPS[f"irreducibles text {_q}"] = (("irreducibles", "--q", _q, "--list"), range(1, _top + 1))
