@@ -8,10 +8,12 @@ binomial coefficients divided by q**d, i.e. a polynomial in u = 1/q.
 Choosing factors with repetition allowed gives the measure over all
 polynomials; without repetition, the squarefree variant.
 
-The measure is built in one place, `_measure_numerators`: z_lam * nu(lam)
-of one partition as an integer product, reversed into u.  The one stored
-object per (degree, flavor) is `measure_rows`, those products over the
-partitions of d transposed into d integer rows z_lam * [u**k] nu(lam).
+The measure is built by one integer step, `_factor_step`, times one
+factor j*M_j(q) +- j*i.  `_measure_numerators` folds it over one
+partition's parts: z_lam * nu(lam), reversed into u.  The one stored
+object per (degree, flavor) is `measure_rows`, d integer rows
+z_lam * [u**k] nu(lam) over the partitions of d, built by the same step
+along a walk of part prefixes.
 The measure is nu(lam) = column / z_lam, the `lie_chars` tables wrap the
 same rows, and `expect` pairs a class function with each row; no
 inversion pass converts one form into another.  For a character
@@ -49,26 +51,28 @@ def necklace(d: int) -> UPoly:
     return UPoly(Q_VAR, tuple(Fraction(c, d) for c in coeffs))
 
 
-def _measure_numerators(lam: Partition, squarefree: bool) -> list[int]:
-    # z_lam * nu(lam) as integer u-coefficients.  nu(lam) * q**w is the
-    # product over part sizes j of the polynomial binomial coefficient:
-    # choose m_j irreducibles of degree j, with repetition (rising
-    # product) or without when squarefree (falling product).  j*M_j has
-    # integer coefficients (M_j = necklace(j)), so the product over j and
-    # i < m_j of j*M_j(q) + j*i (- j*i when squarefree) is z_lam * q**w *
-    # nu(lam) over the integers.  Its q-degree is w, and for w >= 1 its
-    # q**0 coefficient must be 0 (the i = 0 factor has none), so reversed
-    # it runs from u**0 to u**(w-1), the cohomological range.
-    prod = [1]
-    for j, m in lam.multiplicities():
-        terms = [(k, int(j * c)) for k, c in enumerate(necklace(j).coeffs) if c]
-        for i in range(m):
-            shift = -j * i if squarefree else j * i
-            out = [shift * a for a in prod] + [0] * j
-            for k, c in terms:
-                for t, a in enumerate(prod):
-                    out[t + k] += a * c
-            prod = out
+@lru_cache(maxsize=None)
+def _factor_terms(j: int, shift: int) -> tuple[tuple[int, int], ...]:
+    # The nonzero terms (k, c), k < j, of the factor j*M_j(q) + shift,
+    # M_j = necklace(j): j*M_j is monic of degree j over the integers.
+    low = [j * c.numerator // c.denominator for c in necklace(j).coeffs[:j]]
+    low[0] += shift
+    return tuple((k, c) for k, c in enumerate(low) if c)
+
+
+def _factor_step(prod: list[int], j: int, shift: int) -> list[int]:
+    # prod * (j*M_j(q) + shift) in q: the one step that builds the measure
+    out = [0] * j + prod
+    for k, c in _factor_terms(j, shift):
+        for t, a in enumerate(prod, k):
+            out[t] += a * c
+    return out
+
+
+def _in_u(lam: Partition, prod: list[int]) -> list[int]:
+    # lam's finished q-product reversed into u.  For weight w >= 1 its
+    # q**0 term must be 0 (each part size's first factor has none), so it
+    # runs from u**0 to u**(w-1), the cohomological range.
     if lam.d and prod[0]:
         raise ConsistencyError(
             f"measure product for {lam} has u-degree {lam.d}, "
@@ -77,11 +81,24 @@ def _measure_numerators(lam: Partition, squarefree: bool) -> list[int]:
     return prod[:0:-1] if lam.d else prod
 
 
+def _measure_numerators(lam: Partition, squarefree: bool) -> list[int]:
+    # z_lam * nu(lam) as integer u-coefficients.  nu(lam) * q**w is the
+    # product over part sizes j of the polynomial binomial coefficient:
+    # choose m_j irreducibles of degree j, with repetition (rising
+    # product) or without when squarefree (falling product): times z_lam,
+    # the product over j and i < m_j of j*M_j(q) + j*i (- j*i squarefree).
+    prod = [1]
+    for j, m in lam.multiplicities():
+        for i in range(m):
+            prod = _factor_step(prod, j, -j * i if squarefree else j * i)
+    return _in_u(lam, prod)
+
+
 # Cap on the partition route (measures, character tables, expected
 # values of class functions): p(d) factorization types, one integer
 # measure product each.  d = 23 (1255 types) builds its rows in about
-# 0.05 s on a 2-core host; the cap was sized to a slower product and is
-# kept until it is refitted.
+# 0.015 s per flavour on a 2-core host; the cap was sized to a slower
+# product and is kept until it is refitted.
 PARTITION_BUDGET = 1255
 
 
@@ -100,8 +117,8 @@ def measure_rows(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], ...]:
 
     nu is the measure over all monic polynomials, or with `squarefree` the
     q**d-normalized squarefree one; row k is psi_d^k, and (-1)**k phi_d^k
-    when squarefree.  Column lam is the integer product of
-    `_measure_numerators`; a u-degree beyond d-1 raises ConsistencyError,
+    when squarefree.  Column lam is `_measure_numerators(lam)`, built
+    along a walk of part prefixes; a u-degree beyond d-1 raises ConsistencyError,
     and a d past PARTITION_BUDGET raises BudgetExceeded before any
     partition is enumerated.  The flag is keyword-only so that every
     caller shares one cache entry.
@@ -109,7 +126,20 @@ def measure_rows(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], ...]:
     if d < 1:
         raise ValueError("splitting measures start at degree 1")
     check_partition_budget(d)
-    return tuple(zip(*(_measure_numerators(lam, squarefree) for lam in partitions_of(d))))
+    sign, products = -1 if squarefree else 1, []
+
+    def walk(prod: list[int], rest: int, largest: int, run: int) -> None:
+        # Depth first over nonincreasing part prefixes, so the products come
+        # in partition order: a node is its parent times the factor of its
+        # last part t, after i parts t.
+        if not rest:
+            products.append(prod)
+        for t in range(min(rest, largest), 0, -1):
+            i = run if t == largest else 0
+            walk(_factor_step(prod, t, sign * t * i), rest - t, t, i + 1)
+
+    walk([1], d, d, 0)
+    return tuple(zip(*map(_in_u, partitions_of(d), products)))
 
 
 def _as_measure(d: int, squarefree: bool) -> Mapping[Partition, UPoly]:

