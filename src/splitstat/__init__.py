@@ -32,7 +32,6 @@ from .expect import (
     expected,
     expected_sf,
     stable_limit,
-    trivial_coeff,
 )
 from .gf import (
     DEFAULT_BUDGET,
@@ -122,6 +121,5 @@ __all__ = [
     "sgn",
     "splitting_measure",
     "stable_limit",
-    "trivial_coeff",
     "type_counts",
 ]

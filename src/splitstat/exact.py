@@ -1,23 +1,27 @@
-"""Exact rational values: tagged u- and q-polynomials, and "a/b" text.
+"""Exact rational values: one stored form, tagged polynomials, "a/b" text.
 
-A `UPoly` is a value, not an algebra: the coefficients of a polynomial
-in one tagged variable, ``q`` for the field size or ``u`` for its
-reciprocal (u = 1/q), which the package computes elsewhere and hands
-over whole.  It reads coefficients, evaluates exactly and prints, but
-does no arithmetic.
+The package stores a row of rationals in one form: integers over one
+positive denominator, in lowest terms.  `lowest_terms` reduces integers
+by one gcd; `over_one_denominator` puts rationals over the lcm of their
+denominators.  `UPoly`, `sym_chars.ClassFunction`, the integer form of a
+`CharacterPolynomial` and the series route's terms are built by these
+two alone; a `Fraction` is made only when one of their values is read.
 
-Coefficients are `fractions.Fraction` throughout -- there is no floating
-point anywhere in the computation path.  Coefficients are stored densely,
-index = exponent, with the top coefficient nonzero unless the polynomial
-is zero.  Instances are immutable and hashable, safe to share between
-concurrent tasks.  Their base, `Immutable`, serves every value class of
-the package that is defined by its fields.
+A `UPoly` is a value, not an algebra: a polynomial in one tagged
+variable, ``q`` for the field size or ``u`` for its reciprocal (u = 1/q),
+computed elsewhere and handed over whole as integers, index = exponent,
+with the top one nonzero (none, over 1, for zero).  It reads
+coefficients and evaluates exactly; it does no arithmetic and prints
+nothing but its "a/b" strings.  No value is ever a float.  Instances are
+immutable and hashable; their base, `Immutable`, serves every value
+class of the package that is defined by its fields.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, TypeVar
 
 Q_VAR = "q"
@@ -27,12 +31,19 @@ Scalar = Fraction | int
 T = TypeVar("T")
 
 
-def _normalized(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    # A coefficient that is already a Fraction is kept as it is.
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The integers nums over den >= 1 in lowest terms, by one gcd."""
+    nums = tuple(nums)
+    if den != 1 and (g := gcd(den, *nums)) != 1:
+        nums, den = tuple(n // g for n in nums), den // g
+    return nums, den
+
+
+def over_one_denominator(values: Iterable[Scalar]) -> tuple[tuple[int, ...], int]:
+    """Rationals as integers over the lcm of their denominators, in lowest terms."""
+    values = tuple(values)
+    den = lcm(*(v.denominator for v in values))
+    return lowest_terms((v.numerator * (den // v.denominator) for v in values), den)
 
 
 class Immutable:
@@ -73,55 +84,48 @@ class Immutable:
 
 
 class UPoly(Immutable):
-    """A polynomial in a single tagged variable over the rationals."""
+    """A polynomial in a single tagged variable over the rationals.
 
-    __slots__ = ("var", "coeffs")
+    Stored as `numerators`, index = exponent, over one positive
+    `denominator`, in lowest terms; the constructor takes integers only.
+    """
 
-    def __init__(self, var: str, coeffs: Iterable[Scalar]) -> None:
+    __slots__ = ("var", "numerators", "denominator")
+
+    def __init__(self, var: str, numerators: Iterable[int], denominator: int = 1) -> None:
         if var not in (Q_VAR, U_VAR):
             raise ValueError(f"unknown variable tag {var!r}")
-        self._store(var, _normalized(coeffs))
+        nums = list(numerators)
+        if not all(type(n) is int for n in nums) or type(denominator) is not int or denominator < 1:
+            raise ValueError("UPoly takes integer numerators over a positive integer denominator")
+        while nums and not nums[-1]:
+            nums.pop()
+        self._store(var, *lowest_terms(nums, denominator))
 
     @property
-    def degree(self) -> int:
-        """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, index = exponent."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of the k-th power (0 beyond the stored degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        in_range = 0 <= k < len(self.numerators)
+        return Fraction(self.numerators[k] if in_range else 0, self.denominator)
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation at a rational point."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x, acc = Fraction(x), Fraction(0)
+        for n in reversed(self.numerators):
+            acc = acc * x + n
+        return acc / self.denominator
 
     def json_coeffs(self) -> list[str]:
         """Coefficients as "a/b" strings, index = exponent."""
-        return [format_rational(c) for c in self.coeffs]
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                term = format_rational(c)
-            else:
-                var = self.var if k == 1 else f"{self.var}^{k}"
-                term = var if abs(c) == 1 else f"{format_rational(abs(c))}*{var}"
-                if c < 0:
-                    term = "-" + term
-            parts.append(term)
-        return join_signed(parts)
+        den, out = self.denominator, []
+        for n in self.numerators:
+            g = gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out
 
 
 def power(x: T, e: int, mul: Callable[[T, T], T], one: T) -> T:

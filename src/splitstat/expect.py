@@ -32,7 +32,7 @@ from math import comb, lcm
 from operator import mul
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
-from .exact import U_VAR, Immutable, UPoly
+from .exact import U_VAR, Immutable, UPoly, over_one_denominator
 from .measures import _measure_numerators, measure_rows
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial, class_weights
@@ -132,10 +132,6 @@ def _sum(d: int, P: ClassFunction | Series, squarefree: bool) -> tuple[list[int]
     return *_measure_sum(P, squarefree), VIA_MEASURE
 
 
-def _u_poly(total: list[int], den: int) -> UPoly:
-    return UPoly(U_VAR, tuple(Fraction(t, den) for t in total))
-
-
 def _stat_name(P: ClassFunction | Series, name: str | None) -> str:
     if name is not None:
         return name
@@ -154,7 +150,7 @@ def expected(d: int, P: ClassFunction | Series, name: str | None = None) -> Expe
     """
     total, den, route = _sum(d, P, squarefree=False)
     return ExpectationResult(
-        d=d, statistic=_stat_name(P, name), value=_u_poly(total, den), route=route
+        d=d, statistic=_stat_name(P, name), value=UPoly(U_VAR, total, den), route=route
     )
 
 
@@ -189,7 +185,7 @@ def expected_sf(
     return ExpectationResult(
         d=d,
         statistic=_stat_name(P, name),
-        value=_u_poly(total, den),
+        value=UPoly(U_VAR, total, den),
         route=route,
         normalization=normalization,
         checks=("exact_division",) if normalization == NORM_SF_COUNT else (),
@@ -203,15 +199,6 @@ def eval_q1(d: int, P: ClassFunction) -> Fraction:
     regular character, whose inner product with P picks out that value.
     """
     return expected(d, P).value.evaluate(1)
-
-
-def trivial_coeff(d: int, P: ClassFunction) -> Fraction:
-    """Constant term of E_d(P): the large-q limit of the expected value.
-
-    Equals the coefficient of the trivial character in the expansion of
-    P into irreducibles.
-    """
-    return expected(d, P).value.coeff(0)
 
 
 class StableLimit(Immutable):
@@ -372,17 +359,18 @@ def _series_terms(
         for lam, c in terms.items()
         if d is None or lam.d <= d
     ]
-    den = lcm(*(f.denominator for _, f, _ in scaled))
+    scales, den = over_one_denominator(f for _, f, _ in scaled)
     sign = -1 if squarefree else 1
     out = []
-    for lam, f, nu in scaled:
+    for (lam, _, nu), scale in zip(scaled, scales):
         top = order if d is None else min(order, d - lam.d)
         b = [1] + [0] * top
         for j in lam.parts:
             step = -sign if signed and j % 2 == 0 else sign
             for s in range(j, top + 1):
                 b[s] += step * b[s - j]
-        scale = f.numerator * (den // f.denominator) * (lam.sign() if signed else 1)
+        if signed:
+            scale *= lam.sign()
         out.append((lam.d, [scale * a for a in nu], b))
     return out, den
 

@@ -24,7 +24,6 @@ weight up to d.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -45,17 +44,18 @@ def necklace(d: int) -> UPoly:
     coeffs = [0] * d + [1]
     for e in range(1, d):
         if d % e == 0:
-            for k, c in enumerate(necklace(e).coeffs):
-                if c:
-                    coeffs[k] -= e * c
-    return UPoly(Q_VAR, tuple(Fraction(c, d) for c in coeffs))
+            m_e = necklace(e)  # e * M_e has integer coefficients
+            for k, n in enumerate(m_e.numerators):
+                coeffs[k] -= e // m_e.denominator * n
+    return UPoly(Q_VAR, coeffs, d)
 
 
 @lru_cache(maxsize=None)
 def _factor_terms(j: int, shift: int) -> tuple[tuple[int, int], ...]:
     # The nonzero terms (k, c), k < j, of the factor j*M_j(q) + shift,
     # M_j = necklace(j): j*M_j is monic of degree j over the integers.
-    low = [j * c.numerator // c.denominator for c in necklace(j).coeffs[:j]]
+    m_j = necklace(j)
+    low = [j // m_j.denominator * n for n in m_j.numerators[:j]]
     low[0] += shift
     return tuple((k, c) for k, c in enumerate(low) if c)
 
@@ -146,7 +146,7 @@ def _as_measure(d: int, squarefree: bool) -> Mapping[Partition, UPoly]:
     # nu(lam) = column / z_lam, read back as u-polynomials.
     columns = zip(*measure_rows(d, squarefree=squarefree))
     return MappingProxyType({
-        lam: UPoly(U_VAR, tuple(Fraction(c, lam.centralizer_order()) for c in column))
+        lam: UPoly(U_VAR, column, lam.centralizer_order())
         for lam, column in zip(partitions_of(d), columns)
     })
 

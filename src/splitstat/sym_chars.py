@@ -33,12 +33,14 @@ from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import repeat
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, isqrt, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
-from .exact import Immutable, join_signed, parse_rational, power, quote_short
+from .exact import (
+    Immutable, join_signed, lowest_terms, over_one_denominator, parse_rational, power, quote_short
+)
 from .measures import check_partition_budget
 from .partitions import Partition, partition_count_exceeds, partitions_of
 
@@ -59,7 +61,7 @@ class ClassFunction:
         if wrong := [lam for lam in values if lam.d != d]:
             raise DegreeMismatch(f"partition {wrong[0]} does not have size {d}")
         check_partition_budget(d)
-        self._store_values(d, [values.get(lam, 0) for lam in partitions_of(d)], name)
+        self._store(d, name, *over_one_denominator(values.get(lam, 0) for lam in partitions_of(d)))
 
     @classmethod
     def from_integers(
@@ -71,29 +73,11 @@ class ClassFunction:
         if len(nums) != len(partitions_of(d)) or denominator < 1:
             raise ValueError(f"need p({d}) numerators over a positive denominator")
         out = cls.__new__(cls)
-        out._store(d, nums, denominator, name)
+        out._store(d, name, *lowest_terms(nums, denominator))
         return out
 
-    @classmethod
-    def from_function(
-        cls, d: int, fn: Callable[[Partition], Scalar], name: str = ""
-    ) -> "ClassFunction":
-        """The class function fn(lam) on the partitions of d.  Raises
-        BudgetExceeded, before any partition is enumerated, when d has
-        more than PARTITION_BUDGET of them."""
-        check_partition_budget(d)
-        out = cls.__new__(cls)
-        out._store_values(d, [fn(lam) for lam in partitions_of(d)], name)
-        return out
-
-    def _store_values(self, d: int, row: list[Scalar], name: str) -> None:
-        den = lcm(*(v.denominator for v in row))
-        self._store(d, [v.numerator * (den // v.denominator) for v in row], den, name)
-
-    def _store(self, d: int, nums: list[int], den: int, name: str) -> None:
-        if den != 1 and (g := gcd(den, *nums)) != 1:
-            nums, den = [n // g for n in nums], den // g
-        for attr, v in zip(self.__slots__, (d, name, tuple(nums), den)):
+    def _store(self, d: int, name: str, nums: tuple[int, ...], den: int) -> None:
+        for attr, v in zip(self.__slots__, (d, name, nums, den)):
             object.__setattr__(self, attr, v)
 
     def __setattr__(self, attr: str, value: object) -> None:
@@ -350,8 +334,8 @@ class CharacterPolynomial(Immutable):
         # integers; reads after the first find it in its slot.
         if attr != "_integer_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        den = lcm(*(c.denominator for _, c in self.terms))
-        value = den, tuple((m, c.numerator * (den // c.denominator)) for m, c in self.terms)
+        nums, den = over_one_denominator(c for _, c in self.terms)
+        value = den, tuple(zip((m for m, _ in self.terms), nums))
         object.__setattr__(self, attr, value)
         return value
 

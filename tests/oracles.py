@@ -2,17 +2,23 @@
 
 Nothing here is part of splitstat: no command reaches it.  Polynomials
 are plain lists of exact rationals, index = exponent; the tests wrap a
-result in `UPoly` to compare it with a package value.
+result in `UPoly`, through `upoly`, to compare it with a package value.
 """
 
 from fractions import Fraction
 
+from splitstat.exact import U_VAR, UPoly, over_one_denominator
 from splitstat.gf import _divrem, _irreducibles_raw
 from splitstat.partitions import Partition
 
 
 def _coeff(p, k):
     return p[k] if k < len(p) else 0
+
+
+def upoly(coeffs, var=U_VAR):
+    """The UPoly with these rational coefficients, over their one denominator."""
+    return UPoly(var, *over_one_denominator(coeffs))
 
 
 def poly_add(a, b):

@@ -12,14 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import poly_add, poly_mul, series_expand
+from oracles import poly_add, poly_mul, series_expand, upoly
 from splitstat.exact import (
     Q_VAR,
     U_VAR,
     UPoly,
-    _normalized,
     format_rational,
     join_signed,
+    lowest_terms,
+    over_one_denominator,
     parse_rational,
     power,
 )
@@ -32,7 +33,7 @@ def rand_poly(rng, max_deg=6):
 
 def same(a, b):
     # equal as polynomials: trailing zeros do not count
-    return UPoly(U_VAR, a) == UPoly(U_VAR, b)
+    return upoly(a) == upoly(b)
 
 
 def test_rational_arithmetic_stays_reduced():
@@ -67,8 +68,52 @@ def test_additive_identity():
 
 def test_normalization_strips_trailing_zeros():
     assert UPoly(U_VAR, (1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
-    assert UPoly(U_VAR, (0, 0)).is_zero()
-    assert UPoly(U_VAR, ()).degree == -1
+    zero = UPoly(U_VAR, (0, 0), 5)
+    assert (zero.numerators, zero.denominator) == ((), 1)
+    assert zero == UPoly(U_VAR, ()) and zero.coeff(0) == 0 and zero.json_coeffs() == []
+
+
+def test_upoly_stores_integers_over_one_denominator():
+    p = UPoly(U_VAR, [2, 4, 0], 6)
+    assert (p.numerators, p.denominator) == ((1, 2), 3)
+    assert p.coeffs == (Fraction(1, 3), Fraction(2, 3))
+    assert p.coeff(1) == Fraction(2, 3) and p.coeff(2) == p.coeff(-1) == 0
+    assert all(type(n) is int for n in p.numerators)
+    assert UPoly(Q_VAR, iter([-4, 0, 6]), 8) == UPoly(Q_VAR, [-2, 0, 3], 4)
+    for numerators, denominator in (
+        ([Fraction(1, 2)], 1),
+        ([Fraction(2)], 1),
+        ([1, 2.0], 1),
+        ([1], 0),
+        ([1], -3),
+        ([1], Fraction(3)),
+    ):
+        with pytest.raises(ValueError, match="integer numerators over a positive"):
+            UPoly(U_VAR, numerators, denominator)
+
+
+def test_lowest_terms_takes_one_gcd():
+    assert lowest_terms([-4, 6], 8) == ((-2, 3), 4)
+    assert lowest_terms(iter([3, 5]), 1) == ((3, 5), 1)
+    assert lowest_terms([3, 5], 7) == ((3, 5), 7)
+    assert lowest_terms([0, 0], 7) == ((0, 0), 1)
+    assert lowest_terms([], 9) == ((), 1)
+    assert lowest_terms([10**40, -(10**30)], 10**20) == ((10**20, -(10**10)), 1)
+
+
+def test_over_one_denominator_takes_the_lcm():
+    assert over_one_denominator([Fraction(1, 2), Fraction(-1, 3), 1]) == ((3, -2, 6), 6)
+    assert over_one_denominator([Fraction(-1, 2), Fraction(3, 4)]) == ((-2, 3), 4)
+    assert over_one_denominator([2, 0, -7]) == ((2, 0, -7), 1)
+    assert over_one_denominator(iter([Fraction(5, 6)])) == ((5,), 6)
+    assert over_one_denominator([Fraction(0), 0]) == ((0, 0), 1)
+    assert over_one_denominator([]) == ((), 1)
+    rng = random.Random(23)
+    for _ in range(40):
+        values = rand_poly(rng)
+        nums, den = over_one_denominator(values)
+        assert den >= 1 and [Fraction(n, den) for n in nums] == values
+        assert lowest_terms(nums, den) == (nums, den)
 
 
 def test_ring_axioms_on_random_triples():
@@ -85,9 +130,9 @@ def test_ring_axioms_on_random_triples():
 def test_eval_is_multiplicative():
     rng = random.Random(11)
     for _ in range(40):
-        a, b = UPoly(U_VAR, rand_poly(rng)), UPoly(U_VAR, rand_poly(rng))
+        a, b = upoly(rand_poly(rng)), upoly(rand_poly(rng))
         x = Fraction(rng.randrange(-5, 6), rng.randrange(1, 7))
-        ab = UPoly(U_VAR, poly_mul(a.coeffs, b.coeffs))
+        ab = upoly(poly_mul(a.coeffs, b.coeffs))
         assert ab.evaluate(x) == a.evaluate(x) * b.evaluate(x)
 
 
@@ -96,6 +141,7 @@ def test_eval_examples():
     assert UPoly(U_VAR, (0, 2, 1)).evaluate(Fraction(1, 3)) == Fraction(7, 9)
     # E_3(Q) = 2u + u^2 at u=1 gives 3 = C(3,2)
     assert UPoly(U_VAR, (0, 2, 1)).evaluate(1) == 3
+    assert UPoly(U_VAR, (3, -6, 1), 4).evaluate(Fraction(-1, 2)) == Fraction(25, 16)
 
 
 def test_series_geometric():
@@ -122,7 +168,7 @@ def test_series_matches_product():
         order = 12
         c = series_expand(a, b, order)
         back = poly_mul(c, b)
-        for k in range(order + 1 - UPoly(U_VAR, b).degree):
+        for k in range(order + 1 - (len(upoly(b).numerators) - 1)):
             assert back[k] == (a[k] if k < len(a) else 0)
 
 
@@ -168,8 +214,14 @@ def test_parse_rational_reads_decimals_exactly_within_the_print_limit():
 
 
 def test_json_coeffs():
-    p = UPoly(U_VAR, (0, 2, Fraction(1, 2)))
+    p = UPoly(U_VAR, (0, 4, 1), 2)
     assert p.json_coeffs() == ["0", "2", "1/2"]
+    assert UPoly(U_VAR, (-3, 2, 6), 4).json_coeffs() == ["-3/4", "1/2", "3/2"]
+    rng = random.Random(29)
+    for _ in range(40):
+        values = rand_poly(rng)
+        want = [format_rational(c) for c in upoly(values).coeffs]
+        assert upoly(values).json_coeffs() == want
 
 
 def test_power_matches_repeated_multiplication():
@@ -194,33 +246,20 @@ def test_power_matches_repeated_multiplication():
 def test_signed_sums_print_one_way():
     assert join_signed([]) == "0"
     assert join_signed(["-a", "b", "-2*c", "1/2"]) == "-a + b - 2*c + 1/2"
-    assert str(UPoly(Q_VAR, ())) == "0"
-    assert str(UPoly(Q_VAR, (0, -1, Fraction(1, 2)))) == "-q + 1/2*q^2"
-    assert str(UPoly(Q_VAR, (Fraction(-3, 2), 1, 0, -2))) == "-3/2 + q - 2*q^3"
-    assert str(UPoly(U_VAR, (1, Fraction(-1, 3)))) == "1 - 1/3*u"
 
 
 def test_upoly_is_an_immutable_value():
-    p = UPoly("u", (Fraction(1), Fraction(2), Fraction(0), 0))
-    assert p.coeffs == (Fraction(1), Fraction(2))  # trailing zeros dropped
-    same = UPoly(var="u", coeffs=(1, 2))
+    p = UPoly("u", (2, 4, 0, 0), 2)
+    assert (p.numerators, p.denominator) == ((1, 2), 1)  # trailing zeros dropped
+    same = UPoly(var="u", numerators=(3, 6), denominator=3)
     assert p == same and hash(p) == hash(same)
-    assert p != UPoly("q", (1, 2)) and p != UPoly("u", (1, 3))
-    assert repr(UPoly("u", (1,))) == "UPoly(var='u', coeffs=(Fraction(1, 1),))"
-    assert pickle.loads(pickle.dumps(p)) == copy.deepcopy(p) == p
-    for attr in ("var", "coeffs", "new"):
+    assert p != UPoly("q", (1, 2)) and p != UPoly("u", (1, 3)) and p != UPoly("u", (1, 2), 5)
+    assert repr(UPoly("u", (1, 3), 6)) == "UPoly(var='u', numerators=(1, 3), denominator=6)"
+    half = UPoly("q", (1, -1), 2)
+    for q in (p, half):
+        assert pickle.loads(pickle.dumps(q)) == copy.deepcopy(q) == q
+    for attr in ("var", "numerators", "denominator", "coeffs", "new"):
         with pytest.raises(AttributeError):
             setattr(p, attr, ())
     with pytest.raises(ValueError, match="unknown variable tag 'x'"):
         UPoly("x", (1,))
-
-
-def test_normalized_keeps_fractions_and_converts_the_rest():
-    half, third = Fraction(1, 2), Fraction(-1, 3)
-    out = _normalized([half, 3, True, third, 0, Fraction(0), False])
-    assert out == (half, Fraction(3), Fraction(1), third)
-    assert out[0] is half and out[3] is third
-    assert [type(c) for c in out] == [Fraction] * 4
-    assert _normalized([0, Fraction(0)]) == _normalized([]) == ()
-    # UPoly keeps the Fractions it is given
-    assert UPoly(U_VAR, (half, third)).coeffs[1] is third

@@ -28,7 +28,7 @@ EXPORTS = [
     "make_field", "measure_rows", "necklace", "one", "parse_character_polynomial",
     "parse_rational", "partitions_of", "phi_table", "psi_table", "quadratic_excess",
     "roots", "sf_splitting_measure", "sgn", "splitting_measure", "stable_limit",
-    "trivial_coeff", "type_counts",
+    "type_counts",
 ]
 
 

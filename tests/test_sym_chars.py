@@ -13,7 +13,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from splitstat import measures, sym_chars
+from splitstat import exact, expect, measures, sym_chars
 from splitstat.errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from splitstat.lie_chars import psi_table
 from splitstat.measures import measure_rows, necklace
@@ -341,6 +341,8 @@ def test_stored_form_is_in_lowest_terms():
 
 
 def test_producers_build_no_fraction_per_partition(monkeypatch):
+    # Every producer hands integers over one denominator to the stored
+    # form; a Fraction is made only when a single value is read out.
     P = parse_character_polynomial("x1^3/7 - 1/2*x2")
     built = []
 
@@ -349,18 +351,24 @@ def test_producers_build_no_fraction_per_partition(monkeypatch):
             built.append(args)
             return Fraction(*args, **kwargs)
 
-    for j in range(1, 13):
-        necklace(j)  # cached q-polynomials, built with Fractions once
-    monkeypatch.setattr(sym_chars, "Fraction", Counting)
-    monkeypatch.setattr(measures, "Fraction", Counting)
+    assert not hasattr(measures, "Fraction")
+    for module in (exact, measures, expect, sym_chars):
+        monkeypatch.setattr(module, "Fraction", Counting, raising=False)
     stored = P.class_function(12)
     sym_chars._character_table.__wrapped__(12)  # the whole table, built afresh
     chi = irreducible_character.__wrapped__(Partition([6, 4, 2]))
     row = psi_table(12).row(5)
     for squarefree in (False, True):
         measure_rows.__wrapped__(12, squarefree=squarefree)
+    m12 = necklace.__wrapped__(12)
+    nu = measures.splitting_measure.__wrapped__(12)
+    sf_nu = measures.sf_splitting_measure.__wrapped__(12)
+    e = expect.expected(12, stored)
+    e_sf = expect.expected_sf(12, stored, expect.NORM_SF_COUNT)
     assert built == []
     assert stored.denominator == 14 and chi.denominator == row.denominator == 1
+    assert m12.denominator == 12 and len(nu) == len(sf_nu) == len(partitions_of(12))
+    assert e.value.numerators and e_sf.value.numerators
 
 
 def test_decompose_cap_admits_d_18_and_refuses_d_19():
@@ -411,7 +419,7 @@ def test_statistic_resolves_every_spec_form(tmp_path):
     for spec, rule in (("sgn", Partition.sign), ("ET", lambda lam: Fraction(1 + lam.sign(), 2))):
         assert isinstance(statistic(spec), SignedPolynomial)
         for d in range(1, 9):
-            want = ClassFunction.from_function(d, rule)
+            want = ClassFunction(d, {lam: rule(lam) for lam in partitions_of(d)})
             assert statistic(spec).class_function(d) == resolve(spec, d) == want
             assert resolve(spec, d).name == spec
     table = tmp_path / "stat.json"
@@ -669,7 +677,7 @@ def test_large_degrees_are_refused_before_enumerating_partitions():
         lambda: resolve("x1^2", 60),
         lambda: resolve("ind:[60]", 60),
         lambda: resolve("@no-such-table.json", 60),  # before the file is read
-        lambda: ClassFunction.from_function(60, Partition.sign),
+        lambda: ClassFunction(60, {}),
         lambda: parse_character_polynomial("x1").class_function(10**6),
         lambda: indicator(Partition([60])),
     ):
