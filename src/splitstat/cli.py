@@ -23,7 +23,7 @@ from .errors import (
     InvalidCharacteristic,
     UnknownStatistic,
 )
-from .exact import UPoly, format_rational, join_signed
+from .exact import UPoly, format_ratio, format_rational, join_signed
 from .expect import (
     NORM_Q_POWER,
     NORM_SF_COUNT,
@@ -83,21 +83,14 @@ def _prime_base(p: int, n: int) -> tuple[int, int]:
 def format_inverse_powers(p: UPoly) -> str:
     """Render a u-polynomial in the 1/q table style: "2/q + 1/q^2"."""
     parts = []
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            term = format_rational(c)
-        else:
+    for k, n in enumerate(p.numerators):
+        if n and k == 0:
+            parts.append(format_ratio(n, p.denominator))
+        elif n:
+            num, _, den = format_ratio(abs(n), p.denominator).partition("/")
             qk = "q" if k == 1 else f"q^{k}"
-            num = abs(c)
-            if num.denominator == 1:
-                term = f"{num.numerator}/{qk}"
-            else:
-                term = f"{num.numerator}/({num.denominator}*{qk})"
-            if c < 0:
-                term = "-" + term
-        parts.append(term)
+            term = f"{num}/({den}*{qk})" if den else f"{num}/{qk}"
+            parts.append(f"-{term}" if n < 0 else term)
     return join_signed(parts)
 
 

@@ -3,9 +3,11 @@
 The package stores a row of rationals in one form: integers over one
 positive denominator, in lowest terms.  `lowest_terms` reduces integers
 by one gcd; `over_one_denominator` puts rationals over the lcm of their
-denominators.  `UPoly`, `sym_chars.ClassFunction`, the integer form of a
-`CharacterPolynomial` and the series route's terms are built by these
-two alone; a `Fraction` is made only when one of their values is read.
+denominators; `add_rows` adds two such rows over the lcm of theirs.
+`UPoly`, `sym_chars.ClassFunction`, `sym_chars.CharacterPolynomial` and
+the series route's sums are built by these alone.  A `Fraction` is made
+only when a value is read out or parsed from text; `format_ratio` writes
+integers over a denominator as "a/b" text without one.
 
 A `UPoly` is a value, not an algebra: a polynomial in one tagged
 variable, ``q`` for the field size or ``u`` for its reciprocal (u = 1/q),
@@ -44,6 +46,22 @@ def over_one_denominator(values: Iterable[Scalar]) -> tuple[tuple[int, ...], int
     values = tuple(values)
     den = lcm(*(v.denominator for v in values))
     return lowest_terms((v.numerator * (den // v.denominator) for v in values), den)
+
+
+def add_rows(
+    a: Iterable[int], a_den: int, b: Iterable[int], b_den: int
+) -> tuple[tuple[int, ...], int]:
+    """a / a_den + b / b_den, entry by entry, for integer rows of one length,
+    over the lcm of the two denominators, in lowest terms."""
+    den = lcm(a_den, b_den)
+    sa, sb = den // a_den, den // b_den
+    return lowest_terms((sa * x + sb * y for x, y in zip(a, b, strict=True)), den)
+
+
+def format_ratio(n: int, den: int) -> str:
+    """The integers n over den >= 1 as "a/b" in lowest terms, or "a"."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 class Immutable:
@@ -121,11 +139,7 @@ class UPoly(Immutable):
 
     def json_coeffs(self) -> list[str]:
         """Coefficients as "a/b" strings, index = exponent."""
-        den, out = self.denominator, []
-        for n in self.numerators:
-            g = gcd(n, den)
-            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-        return out
+        return [format_ratio(n, self.denominator) for n in self.numerators]
 
 
 def power(x: T, e: int, mul: Callable[[T, T], T], one: T) -> T:

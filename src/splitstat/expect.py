@@ -32,7 +32,7 @@ from math import comb, lcm
 from operator import mul
 
 from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
-from .exact import U_VAR, Immutable, UPoly, over_one_denominator
+from .exact import U_VAR, Immutable, UPoly, add_rows
 from .measures import _measure_numerators, measure_rows
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial, class_weights
@@ -90,19 +90,19 @@ def _series_sum(d: int, P: Series, squarefree: bool) -> tuple[list[int], int]:
     # over all polynomials b truncated after u**(d - w); squarefree, that
     # and u**(s+1) b_s taken off for r >= 2.  The parts of a
     # SignedPolynomial are summed apart, the second twisted by sgn.
-    sums = []
-    for signed, terms in zip((False, True), check_series_budget(d, P, squarefree)):
-        series, den = _series_terms(terms, d - 1, squarefree, d, signed)
-        total = [0] * d
+    parts = check_series_budget(d, P, squarefree)  # before any list of length d
+    total, den = [0] * d, 1
+    for signed, (terms, terms_den) in zip((False, True), parts):
+        series, part_den = _series_terms(terms, terms_den, d - 1, squarefree, d, signed)
+        part = [0] * d
         for w, nums, b in series:
             for s, bs in enumerate(b):
                 for shift, c in _rest(d - w - s, squarefree, signed):
                     cb, at = c * bs, s + shift
                     for i, a in enumerate(nums):
-                        total[at + i] += a * cb
-        sums.append((total, den))
-    den = lcm(*(n for _, n in sums))
-    return [sum(t[k] * (den // n) for t, n in sums) for k in range(d)], den
+                        part[at + i] += a * cb
+        total, den = add_rows(total, den, part, part_den)
+    return list(total), den
 
 
 def _rest(r: int, squarefree: bool, signed: bool) -> tuple[tuple[int, int], ...]:
@@ -226,7 +226,7 @@ LIMIT_BUDGET = 5_000_000
 
 
 def _series_cost(
-    terms: dict[Partition, Fraction], order: int, squarefree: bool, d: int | None = None
+    terms: dict[Partition, int], order: int, squarefree: bool, d: int | None = None
 ) -> int:
     # The work of _series_terms and the sums over its output, to u**order
     # and truncated at d when given.  Per term of weight w: the integer
@@ -234,8 +234,8 @@ def _series_cost(
     # far by at most j + 1 coefficients; the series, once per part; the
     # convolution with the measure to u**order, twice over when
     # squarefree.  Once per part size j, the necklace polynomial M_j; and
-    # each of the order + 1 coefficients of the answer is made a Fraction
-    # and printed.
+    # each of the order + 1 coefficients of the answer is reduced and
+    # printed.
     cost, sizes = 48 * (order + 1), set()
     for lam in terms:
         n = order + 1 if d is None else min(order, d - lam.d) + 1
@@ -253,10 +253,11 @@ def _budgeted_terms(
     order: int,
     squarefree: bool = False,
     d: int | None = None,
-) -> list[dict[Partition, Fraction]] | None:
-    # The binomial terms of each part (of weight at most d when given), or
-    # None when the expansions' counted work plus _series_cost passes
-    # LIMIT_BUDGET; an expansion stops as soon as the work so far does.
+) -> list[tuple[dict[Partition, int], int]] | None:
+    # The binomial terms of each part (of weight at most d when given),
+    # over the part's denominator, or None when the expansions' counted
+    # work plus _series_cost passes LIMIT_BUDGET; an expansion stops as
+    # soon as the work so far does.
     out, cost = [], 0
     for P in parts:
         terms, work = _binomial_terms(P, d, LIMIT_BUDGET - cost)
@@ -265,13 +266,13 @@ def _budgeted_terms(
             cost += _series_cost(terms, order, squarefree, d)
         if cost > LIMIT_BUDGET:
             return None
-        out.append(terms)
+        out.append((terms, P.denominator))
     return out
 
 
 def check_series_budget(
     d: int, P: Series, squarefree: bool = False
-) -> list[dict[Partition, Fraction]]:
+) -> list[tuple[dict[Partition, int], int]]:
     """Refuse E_d(P) on the series route before its sums run.
 
     Raises BudgetExceeded when a value of P at d could exceed the print
@@ -279,8 +280,9 @@ def check_series_budget(
     polynomials, passes LIMIT_BUDGET units: the expansion into binomial
     terms counts its own work and stops there, and the sums are
     estimated from the terms it gives.  Returns those terms, the ones of
-    weight at most d, which the route sums: one dict for a
-    CharacterPolynomial, two (plain, then signed) for a SignedPolynomial.
+    weight at most d, which the route sums, as integer numerators over one
+    denominator: one (dict, denominator) pair for a CharacterPolynomial,
+    two (plain, then signed) for a SignedPolynomial.
     """
     _check_args(d, P)
     live = P.at_degree(d)
@@ -296,16 +298,17 @@ def check_series_budget(
 
 def _binomial_terms(
     P: CharacterPolynomial, weight: int | None = None, cap: int | None = None
-) -> tuple[dict[Partition, Fraction], int]:
+) -> tuple[dict[Partition, int], int]:
     # P in the basis prod_j C(x_j, m_j), keyed by the partition with m_j
-    # parts j, and the work done.  x**e = sum over m >= 1 of a_m C(x, m),
-    # a_m = m! S(e, m) = sum over i <= m of (-1)**(m-i) C(m, i) i**e, the
-    # surjections onto m points.  Terms of partitions larger than `weight`
-    # are dropped as soon as the parts still to come (one per variable
-    # left) would take them past it.  The work counts the a_m (by the
-    # size of i**e) and the terms formed, each step before it runs; once
-    # it would pass `cap`, the expansion stops.
-    out: dict[tuple[int, ...], Fraction] = {}
+    # parts j, as integers over P.denominator, and the work done.
+    # x**e = sum over m >= 1 of a_m C(x, m), a_m = m! S(e, m) = sum over
+    # i <= m of (-1)**(m-i) C(m, i) i**e, the surjections onto m points.
+    # Terms of partitions larger than `weight` are dropped as soon as the
+    # parts still to come (one per variable left) would take them past it.
+    # The work counts the a_m (by the size of i**e) and the terms formed,
+    # each step before it runs; once it would pass `cap`, the expansion
+    # stops.
+    out: dict[tuple[int, ...], int] = {}
     work = 0
     for mono, c in P.terms:
         rest = sum(j for j, _ in mono)
@@ -336,7 +339,8 @@ def _binomial_terms(
 
 
 def _series_terms(
-    terms: dict[Partition, Fraction],
+    terms: dict[Partition, int],
+    terms_den: int,
     order: int,
     squarefree: bool,
     d: int | None = None,
@@ -347,22 +351,21 @@ def _series_terms(
     # series truncated after u**(d - w), with nu_w the splitting measure
     # (the point counting of Church-Ellenberg-Farb, arXiv:1309.6038); the
     # squarefree sum has the measure without repetition and
-    # prod_j (1 + u**j)**(-m_j).  Per term c * lam: w, the integers
-    # c * nu_w(lam) over the common denominator den (to u**order), and b,
-    # the series to u**order or to u**(d - w) when d is given, where
-    # terms of weight over d vanish; then den.  Signed, the terms are
-    # those of B in B*sgn: a factor of degree j counts (-1)**(j-1), so
-    # the term takes sgn(lam) and each part j of the series
-    # (1 -+ (-1)**(j-1) u**j)**-1.
-    scaled = [
-        (lam, c / lam.centralizer_order(), _measure_numerators(lam, squarefree)[: order + 1])
-        for lam, c in terms.items()
-        if d is None or lam.d <= d
-    ]
-    scales, den = over_one_denominator(f for _, f, _ in scaled)
+    # prod_j (1 + u**j)**(-m_j).  Per term c * lam, c over terms_den: w;
+    # the integers c * nu_w(lam) (to u**order) over den = terms_den *
+    # lcm(z), z running over the terms' z_lam, as nu_w(lam) is an integer
+    # row over z_lam; and b, the series to u**order or to u**(d - w) when
+    # d is given, where terms of weight over d vanish; then den.  Signed,
+    # the terms are those of B in B*sgn: a factor of degree j counts
+    # (-1)**(j-1), so the term takes sgn(lam) and each part j of the
+    # series (1 -+ (-1)**(j-1) u**j)**-1.
+    kept = [(lam, c) for lam, c in terms.items() if d is None or lam.d <= d]
+    lcm_z = lcm(*(lam.centralizer_order() for lam, _ in kept))
     sign = -1 if squarefree else 1
     out = []
-    for (lam, _, nu), scale in zip(scaled, scales):
+    for lam, c in kept:
+        scale = c * (lcm_z // lam.centralizer_order())
+        nu = _measure_numerators(lam, squarefree)[: order + 1]
         top = order if d is None else min(order, d - lam.d)
         b = [1] + [0] * top
         for j in lam.parts:
@@ -372,7 +375,7 @@ def _series_terms(
         if signed:
             scale *= lam.sign()
         out.append((lam.d, [scale * a for a in nu], b))
-    return out, den
+    return out, terms_den * lcm_z
 
 
 def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
@@ -394,7 +397,7 @@ def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
             f"limit of {name} to order {order} needs more than the cap of "
             f"{LIMIT_BUDGET} work units"
         )
-    series, den = _series_terms(terms[0], order, squarefree=False)
+    series, den = _series_terms(*terms[0], order, squarefree=False)
     # incr[k][d]: den times the change in [u**k] E_d(P) from d - 1 to d
     incr: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for w, nums, b in series:

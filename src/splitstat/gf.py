@@ -544,16 +544,18 @@ def census(
 
     With squarefree_only, the sum is restricted to polynomials with no
     repeated irreducible factor (the q**d normalization is kept).  The
-    result is exact.  A character or signed polynomial is evaluated at
-    the types that occur, with no partition of d enumerated.  Enumeration is
-    single-threaded: ``threads`` is accepted for compatibility and never
-    changes a result.
+    result is exact: one integer dot product of the type counts with the
+    statistic's integer values over its one denominator.  A character or
+    signed polynomial is evaluated at the types that occur, with no
+    partition of d enumerated.  Enumeration is single-threaded:
+    ``threads`` is accepted for compatibility and never changes a result.
     """
     if not isinstance(stat, ClassFunction):
         stat = stat.at_degree(d)  # refuses unprintable values before the walk
         counts = type_counts(field, d, squarefree_only, budget, threads)
-        total = sum((n * stat.evaluate(lam) for lam, n in counts.items()), Fraction(0))
-        return total / field.q**d
+        values, den = stat.values_at(tuple(counts))
+        total = sum(n * v for n, v in zip(counts.values(), values))
+        return Fraction(total, den * field.q**d)
     if stat.d != d:
         raise DegreeMismatch(f"statistic is for degree {stat.d}, census is for {d}")
     counts = type_counts(field, d, squarefree_only, budget, threads)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import neg
 
+from .exact import Immutable
 from .measures import measure_rows
 from .partitions import Partition, partitions_of
 from .sym_chars import ClassFunction, _positions
@@ -24,27 +25,24 @@ KIND_PSI = "psi"
 KIND_PHI = "phi"
 
 
-class CharTable:
+class CharTable(Immutable):
     """Character values indexed by cohomological degree k and partition.
 
     Rows run over k = 0..d-1; cohomology vanishes beyond that range, and
     the measure product behind `measure_rows` checks it.  Row k is the
-    measure's integer row k, with the sign (-1)**k applied for phi;
-    `row(k)` wraps it as a class function.
+    measure's integer row k, read from `measure_rows` at construction,
+    with the sign (-1)**k applied for phi; `row(k)` wraps it as a class
+    function.
     """
 
     __slots__ = ("d", "kind", "_rows")
 
-    def __init__(self, d: int, kind: str, rows: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_rows", rows)
-
-    def __setattr__(self, attr: str, value: object) -> None:
-        raise AttributeError("CharTable is immutable")
-
-    def __reduce__(self) -> tuple:
-        return CharTable, (self.d, self.kind, self._rows)
+    def __init__(self, d: int, kind: str) -> None:
+        if d < 1:
+            raise ValueError("character tables start at degree 1")
+        if kind not in (KIND_PSI, KIND_PHI):
+            raise ValueError(f"unknown character table kind {kind!r}")
+        self._store(d, kind, measure_rows(d, squarefree=kind == KIND_PHI))
 
     @property
     def degrees(self) -> range:
@@ -71,22 +69,14 @@ class CharTable:
         labels = [lam.label() for lam in partitions_of(self.d)]
         return {str(k): dict(zip(labels, self._values(k))) for k in self.degrees}
 
-    def __repr__(self) -> str:
-        return f"<CharTable {self.kind} d={self.d}>"
-
 
 @lru_cache(maxsize=None)
 def psi_table(d: int) -> CharTable:
     """Characters of H^{2k} of d ordered points in R^3, k = 0..d-1."""
-    if d < 1:
-        raise ValueError("character tables start at degree 1")
-    return CharTable(d, KIND_PSI, measure_rows(d, squarefree=False))
+    return CharTable(d, KIND_PSI)
 
 
 @lru_cache(maxsize=None)
 def phi_table(d: int) -> CharTable:
     """Characters of H^k of d ordered points in the plane, k = 0..d-1."""
-    if d < 1:
-        raise ValueError("character tables start at degree 1")
-    return CharTable(d, KIND_PHI, measure_rows(d, squarefree=True))
-
+    return CharTable(d, KIND_PHI)

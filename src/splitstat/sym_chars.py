@@ -11,17 +11,18 @@ x_2, ...) and signed polynomials (one of them plus sgn times another),
 the built-in statistics, and `statistic`, which decides what a statistic
 spec such as "Q", "ind:[2,1]" or "x1^2 - x2" means.
 
-A class function is stored in one form: its values in partition order
-as integers over one positive denominator, in lowest terms.  Character
-polynomials, irreducible characters and character-table rows hand their
-integers over as they are (`ClassFunction.from_integers`), with no
-Fraction per partition.  Every pairing sum over lam of P(lam) X(lam) /
-z_lam is then an integer dot product over one denominator:
-`class_weights` writes P(lam) / z_lam as integers W_lam over one D, and
-X's stored integers are read as they are.  `inner`, `decompose`, the
-measure-route expectation sum in `expect` and the census in `gf` all
-read this form; `expect` and the census take a character or signed
-polynomial as it is (`at_degree`), with no partition of d.
+Class functions and character polynomials are stored in one form,
+integers over one positive denominator in lowest terms: a class function
+its values in partition order, a character polynomial the coefficients
+of its monomials.  Polynomial arithmetic multiplies and adds integers,
+and character polynomials (`values_at`), irreducible characters and
+character-table rows hand their integer values over as they are
+(`ClassFunction.from_integers`), with no Fraction per partition or term.
+Every pairing sum over lam of P(lam) X(lam) / z_lam is an integer dot
+product over one denominator: `class_weights` writes P(lam) / z_lam as
+integers W_lam over one D.  `inner`, `decompose`, the expectation sums in
+`expect` and the census in `gf` all read this form; `expect` and the
+census take a character or signed polynomial as it is (`at_degree`).
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from functools import lru_cache, partial
 from itertools import repeat
 from math import factorial, isqrt, lcm
 from operator import add, mul
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from .exact import (
-    Immutable, join_signed, lowest_terms, over_one_denominator, parse_rational, power, quote_short
+    Immutable, add_rows, format_ratio, join_signed, lowest_terms, over_one_denominator,
+    parse_rational, power, quote_short,
 )
 from .measures import check_partition_budget
 from .partitions import Partition, partition_count_exceeds, partitions_of
@@ -47,7 +49,7 @@ from .partitions import Partition, partition_count_exceeds, partitions_of
 Scalar = Fraction | int
 
 
-class ClassFunction:
+class ClassFunction(Immutable):
     """A rational-valued function on the partitions of d.
 
     Stored in one form: `numerators`, the values at the partitions of d in
@@ -76,13 +78,6 @@ class ClassFunction:
         out._store(d, name, *lowest_terms(nums, denominator))
         return out
 
-    def _store(self, d: int, name: str, nums: tuple[int, ...], den: int) -> None:
-        for attr, v in zip(self.__slots__, (d, name, nums, den)):
-            object.__setattr__(self, attr, v)
-
-    def __setattr__(self, attr: str, value: object) -> None:
-        raise AttributeError("ClassFunction is immutable")
-
     def __reduce__(self) -> tuple:
         return ClassFunction.from_integers, (self.d, self.numerators, self.denominator, self.name)
 
@@ -100,20 +95,15 @@ class ClassFunction:
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.d != other.d:
             raise DegreeMismatch(f"degree mismatch: {self.d} vs {other.d}")
-        den = lcm(self.denominator, other.denominator)
-        a, b = den // self.denominator, den // other.denominator
-        return ClassFunction.from_integers(
-            self.d, [a * x + b * y for x, y in zip(self.numerators, other.numerators)], den
-        )
+        nums, den = add_rows(self.numerators, self.denominator, other.numerators, other.denominator)
+        return ClassFunction.from_integers(self.d, nums, den)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         return self + other * -1
 
     def __mul__(self, scalar: Scalar) -> "ClassFunction":
-        c = Fraction(scalar)
-        return ClassFunction.from_integers(
-            self.d, [n * c.numerator for n in self.numerators], self.denominator * c.denominator
-        )
+        nums = [n * scalar.numerator for n in self.numerators]
+        return ClassFunction.from_integers(self.d, nums, self.denominator * scalar.denominator)
 
     __rmul__ = __mul__
 
@@ -308,111 +298,27 @@ def _part_counts(d: int, j: int) -> tuple[int, ...]:
 
 
 # A monomial is a sorted tuple of (variable index j, exponent) pairs; the
-# empty tuple is the constant monomial.
+# empty tuple is the constant monomial.  Counts(j) gives x_j at each of a
+# sequence of partitions.
 Monomial = tuple[tuple[int, int], ...]
+Counts = Callable[[int], Iterable[int]]
 
 
-def _norm_terms(table: Mapping[Monomial, Fraction]) -> tuple[tuple[Monomial, Fraction], ...]:
-    return tuple(sorted((m, c) for m, c in table.items() if c != 0))
+class _PolynomialStatistic(Immutable):
+    # What character and signed polynomials share: values and class
+    # functions read from `_values`, integers over one denominator.
 
-
-class CharacterPolynomial(Immutable):
-    """A polynomial in the part-count functions x_1, x_2, ...
-
-    Evaluating at a partition substitutes x_j = (number of parts of size
-    j); the same expression therefore defines a statistic for every d.
-    """
-
-    __slots__ = ("terms", "name", "_integer_terms")
-
-    def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...], name: str = "") -> None:
-        self._store(terms, name)  # _integer_terms is filled on first read
-
-    def __getattr__(self, attr: str) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
-        # Reached only for a slot not yet set.  _integer_terms puts the terms
-        # over one common denominator, so products and values multiply
-        # integers; reads after the first find it in its slot.
-        if attr != "_integer_terms":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        nums, den = over_one_denominator(c for _, c in self.terms)
-        value = den, tuple(zip((m for m, _ in self.terms), nums))
-        object.__setattr__(self, attr, value)
-        return value
-
-    @classmethod
-    def constant(cls, c: Scalar, name: str = "") -> "CharacterPolynomial":
-        return cls(_norm_terms({(): Fraction(c)}), name=name)
-
-    @classmethod
-    def variable(cls, j: int, name: str = "") -> "CharacterPolynomial":
-        if j < 1:
-            raise ValueError("variable indices start at x1")
-        return cls(_norm_terms({((j, 1),): Fraction(1)}), name=name)
-
-    @classmethod
-    def binomial(cls, j: int, b: int) -> "CharacterPolynomial":
-        """C(x_j, b) expanded into monomials in x_j."""
-        if b < 0:
-            raise ValueError("binomial order must be nonnegative")
-        out = cls.constant(1)
-        for i in range(b):
-            out = out * (cls.variable(j) - i)
-        return out * Fraction(1, factorial(b))
-
-    def __add__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
-        o = other if isinstance(other, CharacterPolynomial) else CharacterPolynomial.constant(other)
-        table = dict(self.terms)
-        for m, c in o.terms:
-            table[m] = table.get(m, Fraction(0)) + c
-        return CharacterPolynomial(_norm_terms(table))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
-        o = other if isinstance(other, CharacterPolynomial) else CharacterPolynomial.constant(other)
-        return self + (-o)
-
-    def __rsub__(self, other: Scalar) -> "CharacterPolynomial":
-        return CharacterPolynomial.constant(other) - self
-
-    def __neg__(self) -> "CharacterPolynomial":
-        return CharacterPolynomial(tuple((m, -c) for m, c in self.terms), name=self.name)
-
-    def __mul__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
-        o = other if isinstance(other, CharacterPolynomial) else CharacterPolynomial.constant(other)
-        den1, terms1 = self._integer_terms
-        den2, terms2 = o._integer_terms
-        table: dict[Monomial, int] = {}
-        for m1, c1 in terms1:
-            for m2, c2 in terms2:
-                exps: dict[int, int] = dict(m1)
-                for j, e in m2:
-                    exps[j] = exps.get(j, 0) + e
-                mono = tuple(sorted(exps.items()))
-                table[mono] = table.get(mono, 0) + c1 * c2
-        den = den1 * den2
-        return CharacterPolynomial(_norm_terms({m: Fraction(c, den) for m, c in table.items()}))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "CharacterPolynomial":
-        return power(self, e, CharacterPolynomial.__mul__, CharacterPolynomial.constant(1))
+    __slots__ = ()
 
     def evaluate(self, lam: Partition) -> Fraction:
         """Value at one partition (substitute the part counts of lam)."""
-        return Fraction(self._numerators(lambda j: (lam.mult(j),), 1)[0], self._integer_terms[0])
+        (n,), den = self.values_at((lam,))
+        return Fraction(n, den)
 
-    def _numerators(self, counts: Callable[[int], Iterable[int]], n: int) -> list[int]:
-        # The values at n partitions times the common denominator of
-        # _integer_terms, counts(j) giving x_j at each of them; each
-        # monomial is evaluated at all n at once.
-        total = [0] * n
-        for mono, c in self._integer_terms[1]:
-            vals: Iterable[int] = repeat(c, n)
-            for j, e in mono:
-                vals = map(mul, vals, map(pow, counts(j), repeat(e)))
-            total = list(map(add, total, vals))
-        return total
+    def values_at(self, lams: Sequence[Partition]) -> tuple[Sequence[int], int]:
+        """The values at lams, partitions of one d, as integers over one
+        denominator."""
+        return self._values(lams, lambda j: [lam.mult(j) for lam in lams])
 
     def class_function(self, d: int) -> ClassFunction:
         """The statistic this expression defines on partitions of d.
@@ -426,8 +332,102 @@ class CharacterPolynomial(Immutable):
             raise ValueError("d must be nonnegative")
         check_partition_budget(d)
         p = self.at_degree(d)
-        nums = p._numerators(partial(_part_counts, d), len(partitions_of(d)))
-        return ClassFunction.from_integers(d, nums, p._integer_terms[0], name=p.name)
+        nums, den = p._values(partitions_of(d), partial(_part_counts, d))
+        return ClassFunction.from_integers(d, nums, den, name=p.name)
+
+
+class CharacterPolynomial(_PolynomialStatistic):
+    """A polynomial in the part-count functions x_1, x_2, ...
+
+    Evaluating at a partition substitutes x_j = (number of parts of size
+    j); the same expression therefore defines a statistic for every d.
+    Stored as `terms`, (monomial, numerator) pairs in monomial order, over
+    one positive `denominator`, in lowest terms and with no zero
+    numerator; the constructor takes integers only.
+    """
+
+    __slots__ = ("terms", "denominator", "name")
+
+    def __init__(
+        self, terms: Iterable[tuple[Monomial, int]], denominator: int = 1, name: str = ""
+    ) -> None:
+        pairs = sorted((m, n) for m, n in terms if n)
+        nums = [n for _, n in pairs]
+        if any(type(n) is not int for n in (denominator, *nums)) or denominator < 1:
+            raise ValueError("CharacterPolynomial takes integers over a positive denominator")
+        nums, den = lowest_terms(nums, denominator)
+        self._store(tuple(zip((m for m, _ in pairs), nums)), den, name)
+
+    @classmethod
+    def constant(cls, c: Scalar, name: str = "") -> "CharacterPolynomial":
+        return cls((((), c.numerator),), c.denominator, name)
+
+    @classmethod
+    def variable(cls, j: int, name: str = "") -> "CharacterPolynomial":
+        if j < 1:
+            raise ValueError("variable indices start at x1")
+        return cls(((((j, 1),), 1),), 1, name)
+
+    @classmethod
+    def binomial(cls, j: int, b: int) -> "CharacterPolynomial":
+        """C(x_j, b) expanded into monomials in x_j."""
+        if b < 0:
+            raise ValueError("binomial order must be nonnegative")
+        out = cls.constant(1)
+        for i in range(b):
+            out = out * (cls.variable(j) - i)
+        return cls(out.terms, out.denominator * factorial(b))
+
+    def __add__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
+        o = other if isinstance(other, CharacterPolynomial) else CharacterPolynomial.constant(other)
+        a, b = dict(self.terms), dict(o.terms)
+        monos = a.keys() | b.keys()
+        row_a, row_b = ([t.get(m, 0) for m in monos] for t in (a, b))
+        nums, den = add_rows(row_a, self.denominator, row_b, o.denominator)
+        return CharacterPolynomial(zip(monos, nums), den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
+        return self + other * -1
+
+    def __rsub__(self, other: Scalar) -> "CharacterPolynomial":
+        return CharacterPolynomial.constant(other) - self
+
+    def __neg__(self) -> "CharacterPolynomial":
+        return CharacterPolynomial(((m, -n) for m, n in self.terms), self.denominator, self.name)
+
+    def __mul__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
+        o = other if isinstance(other, CharacterPolynomial) else CharacterPolynomial.constant(other)
+        table: dict[Monomial, int] = {}
+        for m1, c1 in self.terms:
+            for m2, c2 in o.terms:
+                exps: dict[int, int] = dict(m1)
+                for j, e in m2:
+                    exps[j] = exps.get(j, 0) + e
+                mono = tuple(sorted(exps.items()))
+                table[mono] = table.get(mono, 0) + c1 * c2
+        return CharacterPolynomial(table.items(), self.denominator * o.denominator)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "CharacterPolynomial":
+        return power(self, e, CharacterPolynomial.__mul__, CharacterPolynomial.constant(1))
+
+    def _values(self, lams: Sequence[Partition], counts: Counts) -> tuple[list[int], int]:
+        return self._numerators(counts, len(lams)), self.denominator
+
+    def _numerators(self, counts: Counts, n: int) -> list[int]:
+        # The values at n partitions times the denominator, counts(j)
+        # giving x_j at each of them; each monomial is evaluated at all n
+        # at once.
+        total = [0] * n
+        for mono, c in self.terms:
+            vals: Iterable[int] = repeat(c, n)
+            for j, e in mono:
+                vals = map(mul, vals, map(pow, counts(j), repeat(e)))
+            total = list(map(add, total, vals))
+        return total
 
     def at_degree(self, d: int) -> "CharacterPolynomial":
         """The same statistic on partitions of d, with the monomials in
@@ -438,7 +438,8 @@ class CharacterPolynomial(Immutable):
         """
         name = self.name or str(self)
         live = tuple((m, c) for m, c in self.terms if all(j <= d for j, _ in m))
-        p = self if len(live) == len(self.terms) and self.name else CharacterPolynomial(live, name)
+        same = len(live) == len(self.terms) and self.name
+        p = self if same else CharacterPolynomial(live, self.denominator, name)
         if (bits := _print_bits()) and not p._printable(d, bits):
             raise BudgetExceeded(
                 f"values of {name} at d={d} can exceed {sys.get_int_max_str_digits()} "
@@ -448,11 +449,10 @@ class CharacterPolynomial(Immutable):
 
     def _printable(self, d: int, bits: int) -> bool:
         # Every value at d is at most the sum over terms of |numerator| times
-        # prod_j (d // j)**e_j, over the common denominator, as x_j <= d // j;
-        # a bit-length screen refuses huge powers before computing them.
-        den, terms = self._integer_terms
+        # prod_j (d // j)**e_j, over the denominator, as x_j <= d // j; a
+        # bit-length screen refuses huge powers before computing them.
         bound = 0
-        for mono, n in terms:
+        for mono, n in self.terms:
             size = abs(n)
             for j, e in mono:
                 m = d // j
@@ -460,26 +460,27 @@ class CharacterPolynomial(Immutable):
                     return False
                 size *= m**e
             bound += size
-        return max(bound, den).bit_length() <= bits
+        return max(bound, self.denominator).bit_length() <= bits
 
     def __str__(self) -> str:
         chunks = []
-        for mono, c in self.terms:
+        for mono, n in self.terms:
             body = "*".join(
                 f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in mono
             )
+            c = format_ratio(n, self.denominator)
             if not body:
-                chunks.append(str(c))
-            elif c == 1:
+                chunks.append(c)
+            elif c == "1":
                 chunks.append(body)
-            elif c == -1:
+            elif c == "-1":
                 chunks.append(f"-{body}")
             else:
                 chunks.append(f"{c}*{body}")
         return join_signed(chunks)
 
 
-class SignedPolynomial(Immutable):
+class SignedPolynomial(_PolynomialStatistic):
     """plain + signed * sgn, for character polynomials plain and signed.
 
     The sign character is no polynomial in the part counts, but E_d of
@@ -493,21 +494,10 @@ class SignedPolynomial(Immutable):
     def __init__(self, plain: CharacterPolynomial, signed: CharacterPolynomial, name: str) -> None:
         self._store(plain, signed, name)
 
-    def evaluate(self, lam: Partition) -> Fraction:
-        """Value at one partition."""
-        return self.plain.evaluate(lam) + lam.sign() * self.signed.evaluate(lam)
-
-    def class_function(self, d: int) -> ClassFunction:
-        """The statistic on partitions of d; refuses as
-        `CharacterPolynomial.class_function` does."""
-        plain, signed = self.plain.class_function(d), self.signed.class_function(d)
-        den = lcm(plain.denominator, signed.denominator)
-        a, b = den // plain.denominator, den // signed.denominator
-        nums = [
-            a * x + b * lam.sign() * y
-            for lam, x, y in zip(partitions_of(d), plain.numerators, signed.numerators)
-        ]
-        return ClassFunction.from_integers(d, nums, den, name=self.name)
+    def _values(self, lams: Sequence[Partition], counts: Counts) -> tuple[tuple[int, ...], int]:
+        plain, signed = (part._numerators(counts, len(lams)) for part in (self.plain, self.signed))
+        twisted = map(mul, map(Partition.sign, lams), signed)
+        return add_rows(plain, self.plain.denominator, twisted, self.signed.denominator)
 
     def at_degree(self, d: int) -> "SignedPolynomial":
         """Both parts at degree d (`CharacterPolynomial.at_degree`)."""
@@ -583,33 +573,45 @@ class _Parser:
             )
         return result
 
-    def mul(self, a: CharacterPolynomial, b: CharacterPolynomial) -> CharacterPolynomial:
-        """a * b, refused before multiplying when over a cap."""
-        bits = _coefficient_bits(a, self.bits) + _coefficient_bits(b, self.bits)
+    def check_bits(self, bits: int) -> None:
+        """Refuse an integer of `bits` bits past the print limit."""
         if self.bits and bits > self.bits:
             raise BudgetExceeded(
-                f"coefficients of {self.text!r} can exceed {sys.get_int_max_str_digits()} "
-                "digits, the limit for printing integers"
+                f"coefficients of {quote_short(self.text)} can exceed "
+                f"{sys.get_int_max_str_digits()} digits, the limit for printing integers"
             )
+
+    def mul(self, a: CharacterPolynomial, b: CharacterPolynomial) -> CharacterPolynomial:
+        """a * b, refused before multiplying when over a cap."""
+        bits = _coefficient_bits(a) + _coefficient_bits(b)
+        self.check_bits(bits)
         width = max((len(m) for m, _ in a.terms + b.terms), default=0)
         self.work += 16 + len(a.terms) * len(b.terms) * (2 + 2 * width + bits // 256)
         if self.work > PARSE_BUDGET:
             raise BudgetExceeded(
-                f"expanding {self.text!r} needs more than the cap of {PARSE_BUDGET} "
+                f"expanding {quote_short(self.text)} needs more than the cap of {PARSE_BUDGET} "
                 "work units (pairs of terms multiplied, weighted by their size)"
             )
         return a * b
 
     def expr(self) -> CharacterPolynomial:
-        # One table for the whole sum, so a long sum costs linear time.
-        table: dict[Monomial, Fraction] = {}
-        sign = 1
+        # The sum is put over the lcm of its terms' denominators, refused as
+        # soon as that passes the print limit, and added up in one table at
+        # the end, so a long sum costs linear time.
+        summands, den, sign = [], 1, 1
         while True:
-            for m, c in self.term().terms:
-                table[m] = table.get(m, 0) + sign * c
+            summands.append((sign, term := self.term()))
+            den = lcm(den, term.denominator)
+            self.check_bits(den.bit_length())
             if self.peek() not in ("+", "-"):
-                return CharacterPolynomial(_norm_terms(table))
+                break
             sign = 1 if self.take() == "+" else -1
+        table: dict[Monomial, int] = {}
+        for sign, term in summands:
+            scale = sign * (den // term.denominator)
+            for m, n in term.terms:
+                table[m] = table.get(m, 0) + scale * n
+        return CharacterPolynomial(table.items(), den)
 
     def term(self) -> CharacterPolynomial:
         result = self.factor()
@@ -623,7 +625,9 @@ class _Parser:
             elif len(rhs.terms) != 1 or rhs.terms[0][0] != ():
                 raise UnknownStatistic(f"division is only defined by constants in {self.text!r}")
             else:
-                result = self.mul(result, CharacterPolynomial.constant(1 / rhs.terms[0][1]))
+                n = rhs.terms[0][1]  # rhs is n / rhs.denominator
+                inverse = ((), rhs.denominator if n > 0 else -rhs.denominator)
+                result = self.mul(result, CharacterPolynomial((inverse,), abs(n)))
         return result
 
     def factor(self) -> CharacterPolynomial:
@@ -661,17 +665,10 @@ class _Parser:
         raise UnknownStatistic(f"unexpected token {tok!r} in statistic {self.text!r}")
 
 
-def _coefficient_bits(p: CharacterPolynomial, cap: int) -> int:
-    # The bits of the common denominator plus those of the largest
-    # numerator bound those of every integer in p's integer form.  The
-    # lcm stops past `cap` bits, before many large denominators make it
-    # slow.
-    den = 1
-    for _, c in p.terms:
-        den = lcm(den, c.denominator)
-        if den.bit_length() > cap:
-            break
-    return den.bit_length() + max((abs(c.numerator).bit_length() for _, c in p.terms), default=0)
+def _coefficient_bits(p: CharacterPolynomial) -> int:
+    # The bits of the denominator plus those of the largest numerator
+    # bound those of every integer in p.
+    return p.denominator.bit_length() + max((abs(n).bit_length() for _, n in p.terms), default=0)
 
 
 def _print_bits() -> int:
@@ -688,7 +685,7 @@ def parse_character_polynomial(text: str) -> CharacterPolynomial:
     constant divisor (so 1/2 and (x1-1)/2 both work).
     """
     p = _Parser(text).parse()
-    return CharacterPolynomial(p.terms, name=text.strip())
+    return CharacterPolynomial(p.terms, p.denominator, name=text.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +695,8 @@ def parse_character_polynomial(text: str) -> CharacterPolynomial:
 # Each built-in statistic's one definition: a character polynomial, or
 # one plus sgn times another.  A str value makes its key an alias of that
 # name.
-_HALF = CharacterPolynomial.constant(Fraction(1, 2))
+_HALF = CharacterPolynomial((((), 1),), 2)
+_Q = CharacterPolynomial.binomial(1, 2) - CharacterPolynomial.variable(2)
 _BUILTINS: dict[str, CharacterPolynomial | SignedPolynomial | str] = {
     "one": CharacterPolynomial.constant(1, name="one"),
     "1": "one",
@@ -707,9 +705,7 @@ _BUILTINS: dict[str, CharacterPolynomial | SignedPolynomial | str] = {
     ),
     "ET": SignedPolynomial(_HALF, _HALF, name="ET"),
     "R": CharacterPolynomial.variable(1, name="R"),
-    "Q": CharacterPolynomial(
-        (CharacterPolynomial.binomial(1, 2) - CharacterPolynomial.variable(2)).terms, name="Q"
-    ),
+    "Q": CharacterPolynomial(_Q.terms, _Q.denominator, name="Q"),
 }
 
 
@@ -765,7 +761,7 @@ def even_type(d: int) -> ClassFunction:
 
 def indicator(lam0: Partition) -> ClassFunction:
     """The statistic that is 1 on one factorization type and 0 elsewhere."""
-    return ClassFunction(lam0.d, {lam0: Fraction(1)}, name=f"ind:{lam0.label()}")
+    return ClassFunction(lam0.d, {lam0: 1}, name=f"ind:{lam0.label()}")
 
 
 def _type_label(label: str, d: int) -> Partition:

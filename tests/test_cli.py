@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,14 @@ def test_byte_identical_reruns(capsys):
 
 
 # Bad inputs, each with a fragment of the message it must give.
+def primes_between(lo, hi):
+    """The primes p with lo <= p < hi, by a sieve of the segment."""
+    sieve = bytearray([1]) * (hi - lo)
+    for f in range(2, isqrt(hi) + 1):
+        sieve[-lo % f :: f] = bytes(len(range(-lo % f, hi - lo, f)))
+    return [lo + i for i, prime in enumerate(sieve) if prime]
+
+
 BAD_INPUTS = {
     "expect-division-by-zero": (("expect", "--d", "3", "--stat", "x1/0"), "division by zero"),
     "limit-division-by-zero": (("limit", "--stat", "x1/0", "--order", "1"), "division by zero"),
@@ -415,6 +424,15 @@ BAD_INPUTS = {
     "expect-unprintable-power": (
         ("expect", "--d", "3", "--stat", "x1^10000"),
         "values of x1^10000 at d=3 can exceed",
+    ),
+    # the sum's lcm of denominators passes the print limit after about 480
+    # of these 2000 terms, and is refused there
+    "expect-sum-over-many-primes": (
+        (
+            "expect", "--d", "3", "--stat",
+            " + ".join(f"x1/{p}" for p in primes_between(10**9, 10**9 + 50_000)[:2000]),
+        ),
+        "coefficients of 'x1/1000000007 + x1/1000000009 + x1/10000'... can exceed 4300 digits",
     ),
     "expect-huge-coefficient": (
         ("expect", "--d", "3", "--stat", "2^100000000"),

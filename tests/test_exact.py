@@ -17,6 +17,8 @@ from splitstat.exact import (
     Q_VAR,
     U_VAR,
     UPoly,
+    add_rows,
+    format_ratio,
     format_rational,
     join_signed,
     lowest_terms,
@@ -113,6 +115,21 @@ def test_over_one_denominator_takes_the_lcm():
         values = rand_poly(rng)
         nums, den = over_one_denominator(values)
         assert den >= 1 and [Fraction(n, den) for n in nums] == values
+        assert lowest_terms(nums, den) == (nums, den)
+
+
+def test_add_rows_adds_over_the_lcm():
+    assert add_rows([1, 1], 2, [1, -1], 3) == ((5, 1), 6)
+    assert add_rows([1, 3], 4, iter([1, -1]), 4) == ((1, 1), 2)
+    assert add_rows([], 5, [], 7) == ((), 1)
+    with pytest.raises(ValueError):
+        add_rows([1, 2], 1, [1], 1)
+    rng = random.Random(31)
+    for _ in range(40):
+        a, b = rand_poly(rng, 4), rand_poly(rng, 4)
+        a, b = a + [0] * (5 - len(a)), b + [0] * (5 - len(b))
+        nums, den = add_rows(*over_one_denominator(a), *over_one_denominator(b))
+        assert [Fraction(n, den) for n in nums] == [x + y for x, y in zip(a, b)]
         assert lowest_terms(nums, den) == (nums, den)
 
 
@@ -222,6 +239,9 @@ def test_json_coeffs():
         values = rand_poly(rng)
         want = [format_rational(c) for c in upoly(values).coeffs]
         assert upoly(values).json_coeffs() == want
+        assert [format_ratio(c.numerator * 6, c.denominator * 6) for c in values] == [
+            format_rational(c) for c in values
+        ]
 
 
 def test_power_matches_repeated_multiplication():

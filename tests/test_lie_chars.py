@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from splitstat.lie_chars import phi_table, psi_table
+from splitstat.lie_chars import KIND_PHI, CharTable, phi_table, psi_table
 from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import decompose, inner, roots, sgn
 
@@ -121,6 +121,18 @@ def test_tables_reject_nonpositive_degree():
         psi_table(0)
     with pytest.raises(ValueError):
         phi_table(0)
+    with pytest.raises(ValueError, match="unknown character table kind 'chi'"):
+        CharTable(3, "chi")
+
+
+def test_table_is_an_immutable_value_read_from_the_measure_rows():
+    t = CharTable(4, KIND_PHI)
+    assert repr(t) == "CharTable(d=4, kind='phi')"
+    assert t == phi_table(4) and hash(t) == hash(phi_table(4)) and t != psi_table(4)
+    assert t.to_json() == phi_table(4).to_json()
+    for attr in ("d", "kind", "_rows", "new"):
+        with pytest.raises(AttributeError):
+            setattr(t, attr, None)
 
 
 def test_json_shape():

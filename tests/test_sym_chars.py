@@ -13,7 +13,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from splitstat import exact, expect, measures, sym_chars
+from splitstat import exact, expect, gf, measures, sym_chars
 from splitstat.errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from splitstat.lie_chars import psi_table
 from splitstat.measures import measure_rows, necklace
@@ -338,6 +338,9 @@ def test_stored_form_is_in_lowest_terms():
         ClassFunction.from_integers(5, [0] * 7, 0)
     with pytest.raises(DegreeMismatch):
         P + one(4)
+    for attr in ("numerators", "name", "new"):
+        with pytest.raises(AttributeError):
+            setattr(P, attr, None)
 
 
 def test_producers_build_no_fraction_per_partition(monkeypatch):
@@ -352,7 +355,7 @@ def test_producers_build_no_fraction_per_partition(monkeypatch):
             return Fraction(*args, **kwargs)
 
     assert not hasattr(measures, "Fraction")
-    for module in (exact, measures, expect, sym_chars):
+    for module in (exact, measures, expect, sym_chars, gf):
         monkeypatch.setattr(module, "Fraction", Counting, raising=False)
     stored = P.class_function(12)
     sym_chars._character_table.__wrapped__(12)  # the whole table, built afresh
@@ -365,10 +368,23 @@ def test_producers_build_no_fraction_per_partition(monkeypatch):
     sf_nu = measures.sf_splitting_measure.__wrapped__(12)
     e = expect.expected(12, stored)
     e_sf = expect.expected_sf(12, stored, expect.NORM_SF_COUNT)
+    # character polynomial arithmetic, and the series route
+    arithmetic = (P + P, P * P, P**3)
+    live = P.at_degree(12)
+    series = expect.expected(12, P), expect.expected_sf(12, P, expect.NORM_SF_COUNT)
     assert built == []
+    # the read-outs: the limit's coefficients and the census's one value
+    limit = expect.stable_limit(P, 6)
+    assert len(built) == len(limit.coeffs) == 7
+    built.clear()
+    census = gf.census(gf.make_field(3), 6, P)
+    assert len(built) == 1
+    monkeypatch.undo()
     assert stored.denominator == 14 and chi.denominator == row.denominator == 1
     assert m12.denominator == 12 and len(nu) == len(sf_nu) == len(partitions_of(12))
-    assert e.value.numerators and e_sf.value.numerators
+    assert (series[0].value, series[1].value) == (e.value, e_sf.value)
+    assert live == P and [p.denominator for p in arithmetic] == [7, 196, 2744]
+    assert census == gf.census(gf.make_field(3), 6, P.class_function(6))
 
 
 def test_decompose_cap_admits_d_18_and_refuses_d_19():
@@ -518,25 +534,47 @@ def test_vanishing_monomials_are_dropped_before_evaluation(monkeypatch):
 
 
 def test_products_and_values_match_fraction_arithmetic():
+    # Random sums of c/k * x_j^e, checked against the same sums, and
+    # their +, -, negation, division by a constant, products and powers,
+    # evaluated term by term in Fraction arithmetic.
     rng = random.Random(5)
+
+    def random_terms():
+        return [
+            (rng.randrange(-9, 10), rng.randrange(1, 7), rng.randrange(1, 4), rng.randrange(0, 3))
+            for _ in range(rng.randrange(1, 5))
+        ]
+
     for _ in range(20):
+        terms_a, terms_b = random_terms(), random_terms()
         a, b = (
-            parse_character_polynomial(
-                " + ".join(
-                    f"{rng.randrange(-9, 10)}/{rng.randrange(1, 7)}*x{rng.randrange(1, 4)}"
-                    f"^{rng.randrange(0, 3)}"
-                    for _ in range(rng.randrange(1, 5))
-                )
-            )
-            for _ in range(2)
+            parse_character_polynomial(" + ".join(f"{c}/{k}*x{j}^{e}" for c, k, j, e in terms))
+            for terms in (terms_a, terms_b)
         )
+        n = rng.randrange(1, 30)
+        divided = parse_character_polynomial(
+            "(" + " + ".join(f"{c}/{k}*x{j}^{e}" for c, k, j, e in terms_a) + f")/{-n}"
+        )
+        binomial_terms, _ = expect._binomial_terms(a)
         for lam in partitions_of(6):
-            ref_a = sum(
-                (c * prod(Fraction(lam.mult(j)) ** e for j, e in mono) for mono, c in a.terms),
-                Fraction(0),
+            ref_a, ref_b = (
+                sum((Fraction(c, k) * lam.mult(j) ** e for c, k, j, e in terms), Fraction(0))
+                for terms in (terms_a, terms_b)
             )
-            assert a.evaluate(lam) == ref_a
-            assert (a * b).evaluate(lam) == ref_a * b.evaluate(lam)
+            assert a.evaluate(lam) == ref_a and b.evaluate(lam) == ref_b
+            assert (a * b).evaluate(lam) == ref_a * ref_b
+            assert (a + b).evaluate(lam) == ref_a + ref_b
+            assert (a - b).evaluate(lam) == ref_a - ref_b
+            assert (-a).evaluate(lam) == -ref_a
+            assert (a + Fraction(3, n)).evaluate(lam) == ref_a + Fraction(3, n)
+            assert (a * Fraction(1, n)).evaluate(lam) == -divided.evaluate(lam) == ref_a / n
+            assert (a**3).evaluate(lam) == ref_a**3
+            # the series route's basis: a as a sum of c_mu prod_j C(x_j, m_j)
+            binomials = (
+                c * prod(comb(lam.mult(j), m) for j, m in mu.multiplicities())
+                for mu, c in binomial_terms.items()
+            )
+            assert Fraction(sum(binomials), a.denominator) == ref_a
 
 
 def test_power_squares_repeatedly():
@@ -582,21 +620,24 @@ def test_permutation_census_agrees_with_inner_product():
 
 def test_character_polynomial_is_an_immutable_value():
     R = builtin_polynomial("R")
-    assert repr(R) == "CharacterPolynomial(terms=((((1, 1),), Fraction(1, 1)),), name='R')"
+    assert repr(R) == "CharacterPolynomial(terms=((((1, 1),), 1),), denominator=1, name='R')"
     Q = builtin_polynomial("Q")
-    same = CharacterPolynomial(terms=Q.terms, name="Q")
+    assert (Q.terms, Q.denominator) == (((((1, 1),), -1), (((1, 2),), 1), (((2, 1),), -2)), 2)
+    same = CharacterPolynomial(terms=Q.terms, denominator=2, name="Q")
     assert Q == same and hash(Q) == hash(same)
     assert pickle.loads(pickle.dumps(Q)) == Q
-    assert Q != CharacterPolynomial(Q.terms) and Q != CharacterPolynomial(R.terms, name="Q")
-    for attr in ("terms", "name", "new"):
+    assert Q != CharacterPolynomial(Q.terms, 2) and Q != CharacterPolynomial(R.terms, name="Q")
+    for attr in ("terms", "denominator", "name", "new"):
         with pytest.raises(AttributeError):
             setattr(Q, attr, None)
-    # the integer form is computed once and then read from the instance
+    # integers over one denominator, in lowest terms, in monomial order
     P = parse_character_polynomial("(x1-1)*x1/2 - x2/3")
-    first = P.class_function(5)
-    assert P.class_function(5) == first
-    assert P._integer_terms is P._integer_terms
-    assert first == CharacterPolynomial(P.terms, P.name).class_function(5)
+    assert P == CharacterPolynomial(reversed([(m, 5 * n) for m, n in P.terms]), 30, P.name)
+    assert P.class_function(5) == CharacterPolynomial(P.terms, P.denominator).class_function(5)
+    assert CharacterPolynomial([(((1, 1),), 0)], 7) == CharacterPolynomial(())
+    for terms, den in (([((), Fraction(1, 2))], 1), ([((), 1)], 0), ([((), 1)], Fraction(2))):
+        with pytest.raises(ValueError):
+            CharacterPolynomial(terms, den)
 
 
 def test_repeated_resolves_share_one_class_function():
