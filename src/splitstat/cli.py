@@ -23,7 +23,7 @@ from .errors import (
     InvalidCharacteristic,
     UnknownStatistic,
 )
-from .exact import UPoly, format_ratio, format_rational, join_signed
+from .exact import UPoly, format_ratio, format_rational, join_signed, quote_short
 from .expect import (
     NORM_Q_POWER,
     NORM_SF_COUNT,
@@ -33,6 +33,7 @@ from .expect import (
 )
 from .gf import (
     DEFAULT_BUDGET,
+    FqField,
     FqPoly,
     _irreducibles_raw,
     _least_prime_factor,
@@ -56,28 +57,26 @@ from .sym_chars import (
 from .sym_chars import resolve as resolve_stat  # a --stat argument at degree d
 
 
-def _parse_q(text: str) -> tuple[int, int]:
+def _field(text: str, check: Callable[..., None], *limits: int) -> FqField:
+    # The field --q names, "p" or "p^n".  check(p, n, *limits), the
+    # command's budget check, sees the size as written, before any field
+    # work; then a base p**k for a prime p names the field of size
+    # p**(k*n), so "--q 4" is "--q 2^2".  make_field rejects every other shape.
     body = text.strip().replace("**", "^")
-    if "^" in body:
-        p_str, n_str = body.split("^", 1)
-    else:
-        p_str, n_str = body, "1"
+    p_str, caret, n_str = body.partition("^")
     try:
-        return int(p_str), int(n_str)
+        p, n = int(p_str), int(n_str) if caret else 1
     except ValueError:
-        raise UnknownStatistic(f"--q expects p or p^n, got {text!r}") from None
-
-
-def _prime_base(p: int, n: int) -> tuple[int, int]:
-    # A base p**k for a prime p names the field of size p**(k*n), so
-    # "--q 4" is "--q 2^2"; make_field rejects any other base.
-    if p >= 2:
-        r, m, k = _least_prime_factor(p), p, 0
-        while m % r == 0:
-            m, k = m // r, k + 1
-        if m == 1:
-            return r, k * n
-    return p, n
+        raise UnknownStatistic(f"--q expects p or p^n, got {quote_short(text)}") from None
+    if n > 0:
+        check(p, n, *limits)
+        if p >= 2:
+            r, m, k = _least_prime_factor(p), p, 0
+            while m % r == 0:
+                m, k = m // r, k + 1
+            if m == 1:
+                p, n = r, k * n
+    return make_field(p, n)
 
 
 def format_inverse_powers(p: UPoly) -> str:
@@ -179,18 +178,17 @@ def cmd_expect(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     check_decompose_budget(args.d)  # before resolve_stat enumerates the partitions of d
     P = resolve_stat(args.stat, args.d)
-    components = decompose(P)
-    ordered = [(shape, components[shape]) for shape in partitions_of(args.d) if shape in components]
+    components = decompose(P)  # in partition order
 
     def payload() -> dict:
-        components = {shape.label(): format_rational(c) for shape, c in ordered}
-        return {"d": args.d, "stat": args.stat, "components": components}
+        labelled = {shape.label(): format_rational(c) for shape, c in components.items()}
+        return {"d": args.d, "stat": args.stat, "components": labelled}
 
     def lines() -> Iterable[str]:
         yield f"decomposition of {args.stat} into irreducibles, d={args.d}"
-        for shape, c in ordered:
+        for shape, c in components.items():
             yield f"  {shape.label()}: {format_rational(c)}"
-        if not ordered:
+        if not components:
             yield "  (zero class function)"
 
     _emit(args, payload, lines)
@@ -219,11 +217,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    p, n = _parse_q(args.q)
-    if n > 0:  # make_field rejects other shapes at once
-        check_census_budget(p, n, args.d, args.budget)
-        p, n = _prime_base(p, n)
-    field = make_field(p, n)
+    field = _field(args.q, check_census_budget, args.d, args.budget)
     P = _stat_for(args.stat, args.d)
     # both formulas before any census, so a cost cap refuses at once
     formulas = {
@@ -277,11 +271,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_irreducibles(args: argparse.Namespace) -> int:
     if args.max_degree < 1:
         raise ValueError("census needs degree at least 1")
-    p, n = _parse_q(args.q)
-    if n > 0:  # make_field rejects other shapes at once
-        check_sieve_budget(p, n, args.max_degree, args.budget)
-        p, n = _prime_base(p, n)
-    field = make_field(p, n)
+    field = _field(args.q, check_sieve_budget, args.max_degree, args.budget)
     table = _irreducibles_raw(field, args.max_degree, args.budget)  # FqPoly only for --list
     counts = {deg: len(table[deg]) for deg in sorted(table)}
     match = all(

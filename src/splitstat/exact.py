@@ -167,10 +167,12 @@ def join_signed(terms: list[str]) -> str:
 
 def format_rational(x: Scalar) -> str:
     """Serialize a rational as "a/b", or "a" when the denominator is 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return format_ratio(x.numerator, x.denominator)
+
+
+def cut_short(text: str) -> str:
+    """text, cut after 40 characters: an input as an error message names it bare."""
+    return text if len(text) <= 40 else f"{text[:40]}..."
 
 
 def quote_short(text: str) -> str:
@@ -198,4 +200,4 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {quote_short(text)}") from None

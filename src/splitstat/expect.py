@@ -31,8 +31,8 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch
-from .exact import U_VAR, Immutable, UPoly, add_rows
+from .errors import BudgetExceeded, ConsistencyError
+from .exact import U_VAR, Immutable, UPoly, add_rows, cut_short
 from .measures import _measure_numerators, measure_rows
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial, class_weights
@@ -117,19 +117,18 @@ def _rest(r: int, squarefree: bool, signed: bool) -> tuple[tuple[int, int], ...]
     return ((0, 1), (1, -1)) if squarefree and r >= 2 else ((0, 1),)
 
 
-def _check_args(d: int, P: ClassFunction | Series) -> None:
+def _at_degree(d: int, P: ClassFunction | Series) -> ClassFunction | Series:
+    # P at degree d (`at_degree`), once d < 1 is refused
     if d < 1:
         raise ValueError("expected values start at degree 1")
-    if isinstance(P, ClassFunction) and P.d != d:
-        raise DegreeMismatch(f"statistic is for degree {P.d}, not {d}")
+    return P.at_degree(d)
 
 
 def _sum(d: int, P: ClassFunction | Series, squarefree: bool) -> tuple[list[int], int, str]:
     # The integer u**k totals, their one denominator, and the route.
     if not isinstance(P, ClassFunction):
         return *_series_sum(d, P, squarefree), VIA_SERIES
-    _check_args(d, P)
-    return *_measure_sum(P, squarefree), VIA_MEASURE
+    return *_measure_sum(_at_degree(d, P), squarefree), VIA_MEASURE
 
 
 def _stat_name(P: ClassFunction | Series, name: str | None) -> str:
@@ -284,13 +283,12 @@ def check_series_budget(
     denominator: one (dict, denominator) pair for a CharacterPolynomial,
     two (plain, then signed) for a SignedPolynomial.
     """
-    _check_args(d, P)
-    live = P.at_degree(d)
+    live = _at_degree(d, P)
     parts = (live.plain, live.signed) if isinstance(live, SignedPolynomial) else (live,)
     terms = _budgeted_terms(parts, d - 1, squarefree, d)
     if terms is None:
         raise BudgetExceeded(
-            f"the series route for {live.name} at d={d} needs more than the cap "
+            f"the series route for {cut_short(live.name)} at d={d} needs more than the cap "
             f"of {LIMIT_BUDGET} work units"
         )
     return terms
@@ -394,7 +392,7 @@ def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
     terms = _budgeted_terms((P,), order)
     if terms is None:
         raise BudgetExceeded(
-            f"limit of {name} to order {order} needs more than the cap of "
+            f"limit of {cut_short(name)} to order {order} needs more than the cap of "
             f"{LIMIT_BUDGET} work units"
         )
     series, den = _series_terms(*terms[0], order, squarefree=False)

@@ -22,7 +22,8 @@ in the walk can pass 255 before reduction, i.e.
 (n // 2 + 1) * (p - 1)**2 <= 255: every p <= 7 within the default budget,
 F_11 to degree 3.  Larger primes multiply coefficient tuples in Python;
 extension fields multiply them through add/mul lookup tables, built from
-discrete logarithms in O(q**2) list entries.
+discrete logarithms in O(q**2) list entries by a field's first walk and
+kept for its later ones; the field's own methods never read them.
 
 This module is an oracle, not a performance artifact: everything is
 deterministic and exact, enumeration is single-threaded, and it is capped
@@ -46,16 +47,12 @@ import struct
 from itertools import chain, compress, product, repeat
 from operator import itemgetter
 
-from .errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
+from .errors import BudgetExceeded, ConsistencyError, InvalidCharacteristic
 from .exact import Immutable, power
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial
 
 DEFAULT_BUDGET = 10**7
-
-# Extension fields up to this size build their lookup tables at construction;
-# a larger one builds them on its first walk, and its methods decode until then.
-_TABLE_LIMIT = 256
 
 
 def _least_prime_factor(m: int) -> int:
@@ -69,13 +66,14 @@ def _least_prime_factor(m: int) -> int:
 
 
 class FqField:
-    """The field with q = p**n elements.
+    """The field with q = p**n elements, its methods on residues mod p, or
+    for n > 1 on coefficient vectors over F_p reduced modulo `modulus`.
 
     Use :func:`make_field` to construct one; direct construction assumes
     the modulus is a valid monic irreducible.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_base", "_add", "_mul", "_irr", "_hist")
+    __slots__ = ("p", "n", "q", "modulus", "_base", "_tables", "_irr", "_hist")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]) -> None:
         self.p = p
@@ -84,11 +82,9 @@ class FqField:
         self.modulus = modulus
         # the prime subfield, whose arithmetic reduces products modulo `modulus`
         self._base = None if n == 1 else FqField(p, 1, (0, 1))
+        self._tables = None  # the tuple kernel's, built on the first walk
         self._irr: dict[int, Sequence[int]] = {}  # sieve indices by degree
         self._hist: dict[int, tuple[dict, dict]] = {}
-        self._add = self._mul = None
-        if n > 1 and self.q <= _TABLE_LIMIT:
-            self._build_tables()
 
     # -- element encoding --------------------------------------------------
 
@@ -107,43 +103,9 @@ class FqField:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _ext_mul(self, a: int, b: int) -> int:
-        da, db = self._decode(a), self._decode(b)
-        prod = [0] * (2 * self.n - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._encode(_divrem(self._base, tuple(prod), self.modulus)[1])
-
-    def _build_tables(self) -> None:
-        # From discrete logarithms: exp lists g**0..g**(q-2) for the first
-        # generator g in encoding order, a*b = g**(log a + log b), and
-        # a + b = a*(1 + b/a), where adding 1 raises the constant digit by
-        # one mod p.  itemgetter gathers every row in C.
-        q, p = self.q, self.p
-        for g in range(2, q):
-            exp = [1]
-            while (e := self._ext_mul(exp[-1], g)) != 1 and len(exp) < q:
-                exp.append(e)
-            if len(exp) == q - 1:
-                break
-        else:  # without a generator the quotient ring is no field
-            raise ValueError(f"modulus {self.modulus} is not irreducible over F_{p}")
-        log = [0, *sorted(range(q - 1), key=exp.__getitem__)]  # exp[log[a]] == a
-        exp2, by_log = exp + exp, itemgetter(*log[1:])  # exp2[log a:][log b] == a*b
-        mul = [[0] * q] + [[0, *by_log(exp2[log[a]:])] for a in range(1, q)]
-        one_plus = [c + 1 - p if c % p == p - 1 else c + 1 for c in range(q)]
-        # row a: b -> b/a (row 1/a of mul) -> 1 + b/a -> a*(1 + b/a) (row a)
-        add = [list(range(q))]
-        add += [list(itemgetter(*itemgetter(*mul[exp[-log[a]]])(one_plus))(mul[a])) for a in range(1, q)]
-        self._add, self._mul = add, mul
-
     def add(self, a: int, b: int) -> int:
         if self.n == 1:
             return (a + b) % self.p
-        if self._add is not None:
-            return self._add[a][b]
         return self._encode(
             [(x + y) % self.p for x, y in zip(self._decode(a), self._decode(b))]
         )
@@ -161,9 +123,8 @@ class FqField:
     def mul(self, a: int, b: int) -> int:
         if self.n == 1:
             return (a * b) % self.p
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._ext_mul(a, b)
+        prod = _multiplier(self._base)(self._decode(a), self._decode(b))
+        return self._encode(_divrem(self._base, prod, self.modulus)[1])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -352,6 +313,31 @@ class _Polys(Sequence):
         return map(self._spell, self._indices)
 
 
+def _build_tables(field: FqField) -> tuple[list[list[int]], list[list[int]]]:
+    # The add and mul lookup tables of an extension field, from discrete
+    # logarithms: exp lists g**0..g**(q-2) for the first generator g in
+    # encoding order, a*b = g**(log a + log b), and a + b = a*(1 + b/a),
+    # where adding 1 raises the constant digit by one mod p.  itemgetter
+    # gathers every row in C.
+    q, p = field.q, field.p
+    for g in range(2, q):
+        exp = [1]
+        while (e := field.mul(exp[-1], g)) != 1 and len(exp) < q:
+            exp.append(e)
+        if len(exp) == q - 1:
+            break
+    else:  # without a generator the quotient ring is no field
+        raise ValueError(f"modulus {field.modulus} is not irreducible over F_{p}")
+    log = [0, *sorted(range(q - 1), key=exp.__getitem__)]  # exp[log[a]] == a
+    exp2, by_log = exp + exp, itemgetter(*log[1:])  # exp2[log a:][log b] == a*b
+    mul = [[0] * q] + [[0, *by_log(exp2[log[a]:])] for a in range(1, q)]
+    one_plus = [c + 1 - p if c % p == p - 1 else c + 1 for c in range(q)]
+    # row a: b -> b/a (row 1/a of mul) -> 1 + b/a -> a*(1 + b/a) (row a)
+    add = [list(range(q))]
+    add += [list(itemgetter(*itemgetter(*mul[exp[-log[a]]])(one_plus))(mul[a])) for a in range(1, q)]
+    return add, mul
+
+
 def _multiplier(field: FqField):
     # Product of two coefficient tuples over the field: residues mod p, or
     # an extension field's lookup tables.  Packed walks never call it.
@@ -367,9 +353,9 @@ def _multiplier(field: FqField):
             return tuple([c % p for c in out])
 
         return mul
-    if field._mul is None:  # q**2 entries each; the walk's seen-map has q**n
-        field._build_tables()
-    add_t, mul_t = field._add, field._mul
+    if field._tables is None:  # q**2 entries each; the walk's seen-map has q**n
+        field._tables = _build_tables(field)
+    add_t, mul_t = field._tables
 
     def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * (len(a) + len(b) - 1)
@@ -545,22 +531,16 @@ def census(
     With squarefree_only, the sum is restricted to polynomials with no
     repeated irreducible factor (the q**d normalization is kept).  The
     result is exact: one integer dot product of the type counts with the
-    statistic's integer values over its one denominator.  A character or
-    signed polynomial is evaluated at the types that occur, with no
-    partition of d enumerated.  Enumeration is single-threaded:
-    ``threads`` is accepted for compatibility and never changes a result.
+    statistic's integer values at the types that occur, over its one
+    denominator, with no partition of d enumerated.  Enumeration is
+    single-threaded: ``threads`` is accepted for compatibility and never
+    changes a result.
     """
-    if not isinstance(stat, ClassFunction):
-        stat = stat.at_degree(d)  # refuses unprintable values before the walk
-        counts = type_counts(field, d, squarefree_only, budget, threads)
-        values, den = stat.values_at(tuple(counts))
-        total = sum(n * v for n, v in zip(counts.values(), values))
-        return Fraction(total, den * field.q**d)
-    if stat.d != d:
-        raise DegreeMismatch(f"statistic is for degree {stat.d}, census is for {d}")
+    stat = stat.at_degree(d)  # refuses another degree, or unprintable values, before the walk
     counts = type_counts(field, d, squarefree_only, budget, threads)
-    total = sum(n * counts.get(lam, 0) for lam, n in zip(partitions_of(d), stat.numerators))
-    return Fraction(total, stat.denominator * field.q**d)
+    values, den = stat.values_at(tuple(counts))
+    total = sum(n * v for n, v in zip(counts.values(), values))
+    return Fraction(total, den * field.q**d)
 
 
 def type_counts(

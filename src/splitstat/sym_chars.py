@@ -21,8 +21,8 @@ character-table rows hand their integer values over as they are
 Every pairing sum over lam of P(lam) X(lam) / z_lam is an integer dot
 product over one denominator: `class_weights` writes P(lam) / z_lam as
 integers W_lam over one D.  `inner`, `decompose`, the expectation sums in
-`expect` and the census in `gf` all read this form; `expect` and the
-census take a character or signed polynomial as it is (`at_degree`).
+`expect` and the census in `gf` all read this form; the census reads
+every statistic through `at_degree(d)` and then `values_at`.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from .exact import (
-    Immutable, add_rows, format_ratio, join_signed, lowest_terms, over_one_denominator,
-    parse_rational, power, quote_short,
+    Immutable, add_rows, cut_short, format_ratio, join_signed, lowest_terms,
+    over_one_denominator, parse_rational, power, quote_short,
 )
 from .measures import check_partition_budget
 from .partitions import Partition, partition_count_exceeds, partitions_of
@@ -91,6 +91,17 @@ class ClassFunction(Immutable):
     def items(self) -> Iterable[tuple[Partition, Fraction]]:
         """(partition, value) pairs in canonical partition order."""
         return ((lam, self.value(lam)) for lam in partitions_of(self.d))
+
+    def at_degree(self, d: int) -> "ClassFunction":
+        """This statistic on partitions of d; any other d raises DegreeMismatch."""
+        if d != self.d:
+            raise DegreeMismatch(f"statistic is for degree {self.d}, not {d}")
+        return self
+
+    def values_at(self, lams: Sequence[Partition]) -> tuple[list[int], int]:
+        """The values at lams, partitions of d, as integers over one denominator."""
+        at = _positions(self.d)
+        return [self.numerators[at[lam]] for lam in lams], self.denominator
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.d != other.d:
@@ -270,7 +281,8 @@ def check_decompose_budget(d: int) -> None:
 
 
 def decompose(X: ClassFunction) -> dict[Partition, Fraction]:
-    """Coefficients a_shape with X = sum of a_shape * chi_shape.
+    """Coefficients a_shape with X = sum of a_shape * chi_shape, keyed by
+    shape in partition order.
 
     Shapes with coefficient zero are omitted.  The irreducible characters
     are an orthonormal basis, so a_shape = <X, chi_shape>: one integer
@@ -442,7 +454,7 @@ class CharacterPolynomial(_PolynomialStatistic):
         p = self if same else CharacterPolynomial(live, self.denominator, name)
         if (bits := _print_bits()) and not p._printable(d, bits):
             raise BudgetExceeded(
-                f"values of {name} at d={d} can exceed {sys.get_int_max_str_digits()} "
+                f"values of {cut_short(name)} at d={d} can exceed {sys.get_int_max_str_digits()} "
                 "digits, the limit for printing integers"
             )
         return p
@@ -526,14 +538,14 @@ def _tokenize(text: str) -> list[str]:
             while j < len(text) and text[j].isdigit():
                 j += 1
             if j == i + 1:
-                raise UnknownStatistic(f"bad variable at position {i} in {text!r}")
+                raise UnknownStatistic(f"bad variable at position {i} in {quote_short(text)}")
             tokens.append(text[i:j])
             i = j
         elif ch in "+-*/^()":
             tokens.append(ch)
             i += 1
         else:
-            raise UnknownStatistic(f"unexpected character {ch!r} in statistic {text!r}")
+            raise UnknownStatistic(f"unexpected character {ch!r} in statistic {quote_short(text)}")
     return tokens
 
 
@@ -548,7 +560,7 @@ PARSE_BUDGET = 200_000
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.text = text
+        self.shown = quote_short(text)  # how a message names the expression
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -561,7 +573,7 @@ class _Parser:
     def take(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise UnknownStatistic(f"unexpected end of statistic expression {self.text!r}")
+            raise UnknownStatistic(f"unexpected end of statistic expression {self.shown}")
         self.pos += 1
         return tok
 
@@ -569,7 +581,7 @@ class _Parser:
         result = self.expr()
         if self.peek() is not None:
             raise UnknownStatistic(
-                f"trailing input {self.peek()!r} in statistic {self.text!r}"
+                f"trailing input {quote_short(self.peek())} in statistic {self.shown}"
             )
         return result
 
@@ -577,7 +589,7 @@ class _Parser:
         """Refuse an integer of `bits` bits past the print limit."""
         if self.bits and bits > self.bits:
             raise BudgetExceeded(
-                f"coefficients of {quote_short(self.text)} can exceed "
+                f"coefficients of {self.shown} can exceed "
                 f"{sys.get_int_max_str_digits()} digits, the limit for printing integers"
             )
 
@@ -589,7 +601,7 @@ class _Parser:
         self.work += 16 + len(a.terms) * len(b.terms) * (2 + 2 * width + bits // 256)
         if self.work > PARSE_BUDGET:
             raise BudgetExceeded(
-                f"expanding {quote_short(self.text)} needs more than the cap of {PARSE_BUDGET} "
+                f"expanding {self.shown} needs more than the cap of {PARSE_BUDGET} "
                 "work units (pairs of terms multiplied, weighted by their size)"
             )
         return a * b
@@ -621,9 +633,9 @@ class _Parser:
             if op == "*":
                 result = self.mul(result, rhs)
             elif not rhs.terms:
-                raise UnknownStatistic(f"division by zero in {self.text!r}")
+                raise UnknownStatistic(f"division by zero in {self.shown}")
             elif len(rhs.terms) != 1 or rhs.terms[0][0] != ():
-                raise UnknownStatistic(f"division is only defined by constants in {self.text!r}")
+                raise UnknownStatistic(f"division is only defined by constants in {self.shown}")
             else:
                 n = rhs.terms[0][1]  # rhs is n / rhs.denominator
                 inverse = ((), rhs.denominator if n > 0 else -rhs.denominator)
@@ -641,7 +653,7 @@ class _Parser:
             self.take()
             tok = self.take()
             if not tok.isdigit():
-                raise UnknownStatistic(f"exponent must be a nonnegative integer in {self.text!r}")
+                raise UnknownStatistic(f"exponent must be a nonnegative integer in {self.shown}")
             result = power(result, int(tok), self.mul, CharacterPolynomial.constant(1))
         return result if sign == 1 else -result
 
@@ -655,14 +667,14 @@ class _Parser:
                 )
             inside = self.expr()
             if self.take() != ")":
-                raise UnknownStatistic(f"unbalanced parentheses in {self.text!r}")
+                raise UnknownStatistic(f"unbalanced parentheses in {self.shown}")
             self.depth -= 1
             return inside
         if tok.isdigit():
             return CharacterPolynomial.constant(int(tok))
         if tok.startswith("x"):
             return CharacterPolynomial.variable(int(tok[1:]))
-        raise UnknownStatistic(f"unexpected token {tok!r} in statistic {self.text!r}")
+        raise UnknownStatistic(f"unexpected token {quote_short(tok)} in statistic {self.shown}")
 
 
 def _coefficient_bits(p: CharacterPolynomial) -> int:
@@ -717,7 +729,7 @@ def builtin_names() -> tuple[str, ...]:
 def _check_builtin(name: str) -> None:
     if name not in _BUILTINS:
         raise UnknownStatistic(
-            f"unknown statistic {name!r}; known names: {', '.join(builtin_names())}"
+            f"unknown statistic {quote_short(name)}; known names: {', '.join(builtin_names())}"
         )
 
 
@@ -871,6 +883,6 @@ def polynomial_statistic(spec: str) -> CharacterPolynomial:
         return stat
     names = ", ".join(n for n, s in _BUILTINS.items() if isinstance(s, CharacterPolynomial))
     raise UnknownStatistic(
-        f"{spec.strip()!r} is not a character polynomial, which limits need "
+        f"{quote_short(spec.strip())} is not a character polynomial, which limits need "
         f"(use {names}, or an expression in x1, x2, ...)"
     )

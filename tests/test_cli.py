@@ -541,6 +541,39 @@ BAD_INPUTS = {
         ("expect", "--d", "2", "--stat", "ind:[" + "9" * 5000 + "]"),
         f"type label '[{'9' * 39}'... is not a partition of d=2",
     ),
+    # a long statistic or --q is named by its first 40 characters
+    "expect-long-unprintable-sum": (
+        ("expect", "--d", "3", "--stat", "x1^10000" + "+x2" * 1999),
+        "values of x1^10000" + "+x2" * 10 + "+x... at d=3 can exceed 4300 digits",
+    ),
+    "expect-long-sum-stray-parenthesis": (
+        ("expect", "--d", "3", "--stat", "+".join(["x1"] * 2000) + ")"),
+        "trailing input ')' in statistic '" + "x1+" * 13 + "x'...",
+    ),
+    "expect-long-sum-unknown-character": (
+        ("expect", "--d", "3", "--stat", "+".join(["x1"] * 1500) + "+y"),
+        "unexpected character 'y' in statistic '" + "x1+" * 13 + "x'...",
+    ),
+    "limit-long-unknown-character": (
+        ("limit", "--stat", "Q" + " " * 3000 + "x", "--order", "1"),
+        "unexpected character 'Q' in statistic 'Q" + " " * 39 + "'...",
+    ),
+    "verify-long-q": (
+        ("verify", "--d", "2", "--q", "2" * 2999 + "x", "--stat", "R"),
+        "--q expects p or p^n, got '" + "2" * 40 + "'...",
+    ),
+    "expect-long-sum-huge-degree": (
+        ("expect", "--d", "1000000000", "--stat", "+".join(["x1"] * 1000)),
+        "the series route for " + "x1+" * 13 + "x... at d=1000000000 needs more than",
+    ),
+    "limit-long-huge-power": (
+        ("limit", "--stat", "x1^100000000" + "+x2" * 1000, "--order", "1"),
+        "limit of x1^100000000" + "+x2" * 9 + "+... to order 1 needs more than",
+    ),
+    "limit-long-indicator": (
+        ("limit", "--stat", "ind:[" + "1," * 1500 + "1]", "--order", "1"),
+        "'ind:[" + "1," * 17 + "1'... is not a character polynomial",
+    ),
 }
 
 

@@ -18,6 +18,7 @@ from splitstat.exact import (
     U_VAR,
     UPoly,
     add_rows,
+    cut_short,
     format_ratio,
     format_rational,
     join_signed,
@@ -25,6 +26,7 @@ from splitstat.exact import (
     over_one_denominator,
     parse_rational,
     power,
+    quote_short,
 )
 
 
@@ -212,6 +214,16 @@ def test_rational_serialization():
     for _ in range(40):
         x = Fraction(rng.randrange(-1000, 1000), rng.randrange(1, 1000))
         assert parse_rational(format_rational(x)) == x
+        assert format_rational(x) == format_ratio(x.numerator, x.denominator)
+    assert format_rational(0) == "0" and format_rational(-12) == "-12"
+
+
+def test_messages_name_an_input_by_its_first_40_characters():
+    for text in ("", "x1^2", "'", "y" * 40):
+        assert (cut_short(text), quote_short(text)) == (text, repr(text))
+    text = "x1+" * 1000
+    assert cut_short(text) == "x1+" * 13 + "x..."
+    assert quote_short(text) == "'" + "x1+" * 13 + "x'..."
 
 
 def test_parse_rational_reads_decimals_exactly_within_the_print_limit():

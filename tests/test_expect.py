@@ -437,7 +437,8 @@ def test_series_route_enumerates_no_partition_of_d(monkeypatch, capsys):
         raise AssertionError("the series route must not build measure rows")
 
     monkeypatch.setattr(expect, "measure_rows", forbidden)
-    for module in (cli, gf, measures, sym_chars):
+    assert not hasattr(gf, "partitions_of")  # the census reads no partition list
+    for module in (cli, measures, sym_chars):
         monkeypatch.setattr(module, "partitions_of", guarded)
     assert cli.main(["expect", "--d", "22", "--stat", "Q", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["coeffs"] == [

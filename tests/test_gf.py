@@ -96,10 +96,24 @@ def test_f9_modulus_is_lex_first():
 
 def test_reducible_modulus_is_rejected():
     # no element of F_2[x]/(x^2) or F_3[x]/((x + 1)(x + 2)) generates the
-    # units, so the table build stops instead of stepping powers forever
+    # units, so the first walk's table build stops instead of stepping
+    # powers forever
     for p, modulus in ((2, (0, 0, 1)), (3, (2, 0, 1))):
         with pytest.raises(ValueError, match=rf"modulus {re.escape(str(modulus))} is not irreducible"):
-            FqField(p, 2, modulus)
+            type_counts(FqField(p, 2, modulus), 2)
+
+
+def test_field_construction_builds_no_tables():
+    # F_256 finds its modulus by sieving F_2 to degree 4 and builds nothing
+    # of size q**2: its walks build their lookup tables
+    tracemalloc.start()
+    try:
+        F = make_field(2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.modulus == (1, 0, 0, 0, 1, 1, 0, 1, 1)
+    assert peak < 100_000
 
 
 def test_large_extension_moduli_are_found_fast():
@@ -130,20 +144,20 @@ def test_field_axioms_spot_checks():
 
 
 def test_built_tables_equal_decode_arithmetic():
-    # every extension field with q <= 64: the discrete-logarithm tables
-    # against the coefficient-vector arithmetic the methods fall back on
+    # every extension field with q <= 64: the discrete-logarithm tables a
+    # walk builds against the coefficient-vector arithmetic of the methods
     for p, n in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)):
         F = make_field(p, n)
-        add, mul = F._add, F._mul
-        F._add = F._mul = None
+        type_counts(F, 2)
+        add, mul = F._tables
         for a in range(F.q):
             assert add[a] == [F.add(a, b) for b in range(F.q)], (F, a)
             assert mul[a] == [F.mul(a, b) for b in range(F.q)], (F, a)
 
 
 def test_field_axioms_above_the_table_limit():
-    # F_{2^9} builds its tables on its first walk: the methods decode
-    # before it and read the tables after it, with the same answers
+    # F_{2^9}: the methods give the same answers before and after a walk
+    # builds its lookup tables, and a later walk reuses those tables
     F = make_field(2, 9)
     sample = range(0, F.q, 37)
 
@@ -159,11 +173,13 @@ def test_field_axioms_above_the_table_limit():
             assert F.add(a, F.neg(a)) == 0
         return [(F.add(a, b), F.mul(a, b)) for a in sample for b in sample]
 
-    assert F._mul is None
     before = arithmetic()
     type_counts(F, 2)
-    assert F._mul is not None
+    tables = F._tables
     assert arithmetic() == before
+    type_counts(F, 2, squarefree_only=True)
+    irreducibles(F, 2)
+    assert F._tables is tables
 
 
 @pytest.mark.parametrize("p, n", [(17, 2), (2, 9)], ids=["F_289", "F_512"])
@@ -300,8 +316,13 @@ def test_census_of_a_character_polynomial_reads_its_class_function():
 
 
 def test_census_rejects_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
-        census(make_field(2), 3, one(2))
+    # before the walk, with the message of the class function's at_degree
+    F = make_field(2)
+    with pytest.raises(DegreeMismatch, match=r"^statistic is for degree 2, not 3$"):
+        census(F, 3, one(2))
+    with pytest.raises(DegreeMismatch, match=r"^statistic is for degree 4, not 3$"):
+        census(F, 3, roots(4), squarefree_only=True)
+    assert F._hist == {}
 
 
 def test_census_deterministic_across_thread_counts():

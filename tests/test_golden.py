@@ -35,7 +35,7 @@ SESSION_STATS = (
 
 # Census fields, each with the highest degree its groups run to: packed
 # and unpacked prime-field kernels (F_11 switches at degree 4) and
-# extension fields, at the table limit (F_256) and above it (F_289).
+# extension fields, whose walks build q^2 lookup tables (F_4 to F_289).
 CENSUS_FIELDS = {
     "2": 8, "3": 6, "5": 4, "7": 4, "11": 4, "2^2": 4, "3^2": 3, "2^8": 2, "17^2": 2,
 }

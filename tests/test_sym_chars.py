@@ -170,6 +170,20 @@ def test_inner_product_examples():
         inner(one(3), one(4))
 
 
+def test_class_function_reads_out_at_its_own_degree_only():
+    # the interface character and signed polynomials have: at_degree, then
+    # values_at any partitions of that degree, in the order given
+    P = quadratic_excess(5)
+    assert P.at_degree(5) is P
+    for d in (4, 6):
+        with pytest.raises(DegreeMismatch, match=rf"^statistic is for degree 5, not {d}$"):
+            P.at_degree(d)
+    lams = (Partition([3, 1, 1]), Partition([1] * 5), Partition([2, 1, 1, 1]), Partition([5]))
+    nums, den = (P * Fraction(1, 3)).values_at(lams)
+    assert den == 3 and [Fraction(n, den) for n in nums] == [P(lam) / 3 for lam in lams]
+    assert P.values_at(()) == ([], 1)
+
+
 def test_builtin_values_on_worked_examples():
     g = Partition([2, 1, 1, 1])
     h = Partition([3, 1, 1])
