@@ -33,7 +33,7 @@ from operator import mul
 
 from .errors import BudgetExceeded, ConsistencyError
 from .exact import U_VAR, Immutable, UPoly, add_rows, cut_short
-from .measures import _measure_numerators, measure_rows
+from .measures import _measure_products, measure_rows
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial, class_weights
 
@@ -230,7 +230,10 @@ def _series_cost(
     # The work of _series_terms and the sums over its output, to u**order
     # and truncated at d when given.  Per term of weight w: the integer
     # measure product, each factor of degree j multiplying the product so
-    # far by at most j + 1 coefficients; the series, once per part; the
+    # far by at most j + 1 coefficients, counted as if no two terms shared
+    # a prefix of parts (`_measure_products` steps once per shared prefix,
+    # so this over-counts; it is kept as it is so that the same inputs are
+    # refused); the series, once per part; the
     # convolution with the measure to u**order, twice over when
     # squarefree.  Once per part size j, the necklace polynomial M_j; and
     # each of the order + 1 coefficients of the answer is reduced and
@@ -352,7 +355,7 @@ def _series_terms(
     # prod_j (1 + u**j)**(-m_j).  Per term c * lam, c over terms_den: w;
     # the integers c * nu_w(lam) (to u**order) over den = terms_den *
     # lcm(z), z running over the terms' z_lam, as nu_w(lam) is an integer
-    # row over z_lam; and b, the series to u**order or to u**(d - w) when
+    # row over z_lam, all read from one `_measure_products` call; and b, the series to u**order or to u**(d - w) when
     # d is given, where terms of weight over d vanish; then den.  Signed,
     # the terms are those of B in B*sgn: a factor of degree j counts
     # (-1)**(j-1), so the term takes sgn(lam) and each part j of the
@@ -361,9 +364,8 @@ def _series_terms(
     lcm_z = lcm(*(lam.centralizer_order() for lam, _ in kept))
     sign = -1 if squarefree else 1
     out = []
-    for lam, c in kept:
+    for (lam, c), nu in zip(kept, _measure_products([lam for lam, _ in kept], squarefree)):
         scale = c * (lcm_z // lam.centralizer_order())
-        nu = _measure_numerators(lam, squarefree)[: order + 1]
         top = order if d is None else min(order, d - lam.d)
         b = [1] + [0] * top
         for j in lam.parts:
@@ -372,7 +374,7 @@ def _series_terms(
                 b[s] += step * b[s - j]
         if signed:
             scale *= lam.sign()
-        out.append((lam.d, [scale * a for a in nu], b))
+        out.append((lam.d, [scale * a for a in nu[: order + 1]], b))
     return out, terms_den * lcm_z
 
 

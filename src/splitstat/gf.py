@@ -45,23 +45,36 @@ from collections.abc import Sequence
 from fractions import Fraction
 import struct
 from itertools import chain, compress, product, repeat
+from math import isqrt
 from operator import itemgetter
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidCharacteristic
-from .exact import Immutable, power
+from .exact import Immutable, cut_short, power
 from .partitions import Partition
 from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial
 
 DEFAULT_BUDGET = 10**7
 
+# The last divisor `_least_prime_factor` tries, about 0.05 s of trial
+# division on a 2-core host: it settles every m below (FACTOR_BOUND + 1)**2,
+# so every prime base up to 10**12.
+FACTOR_BOUND = 10**6
+
 
 def _least_prime_factor(m: int) -> int:
-    """The least prime factor of m >= 2, by trial division."""
-    i = 2
-    while i * i <= m:
+    """The least prime factor of m >= 2, by trial division up to FACTOR_BOUND.
+
+    Raises BudgetExceeded when m has no factor that far and is too large
+    for that to prove it prime.
+    """
+    for i in range(2, min(isqrt(m), FACTOR_BOUND) + 1):
         if m % i == 0:
             return i
-        i += 1
+    if isqrt(m) > FACTOR_BOUND:
+        raise BudgetExceeded(
+            f"{cut_short(str(m))} has no prime factor up to {FACTOR_BOUND}, "
+            "where trial division stops"
+        )
     return m
 
 

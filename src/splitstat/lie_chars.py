@@ -18,8 +18,8 @@ from operator import neg
 
 from .exact import Immutable
 from .measures import measure_rows
-from .partitions import Partition, partitions_of
-from .sym_chars import ClassFunction, _positions
+from .partitions import Partition, partitions_of, positions
+from .sym_chars import ClassFunction
 
 KIND_PSI = "psi"
 KIND_PHI = "phi"
@@ -63,7 +63,7 @@ class CharTable(Immutable):
         return ClassFunction.from_integers(self.d, self._values(k), name=name)
 
     def value(self, k: int, lam: Partition) -> int:
-        return self._sign(k) * self._rows[k][_positions(self.d)[lam]]
+        return self._sign(k) * self._rows[k][positions(self.d)[lam.parts]]
 
     def to_json(self) -> dict[str, dict[str, int]]:
         labels = [lam.label() for lam in partitions_of(self.d)]

@@ -9,21 +9,22 @@ Choosing factors with repetition allowed gives the measure over all
 polynomials; without repetition, the squarefree variant.
 
 The measure is built by one integer step, `_factor_step`, times one
-factor j*M_j(q) +- j*i.  `_measure_numerators` folds it over one
-partition's parts: z_lam * nu(lam), reversed into u.  The one stored
+factor j*M_j(q) +- j*i, and one driver, `_measure_products`, runs it for
+any list of partitions: z_lam * nu(lam), reversed into u, with one step
+per distinct prefix of parts taken in ascending order.  The one stored
 object per (degree, flavor) is `measure_rows`, d integer rows
-z_lam * [u**k] nu(lam) over the partitions of d, built by the same step
-along a walk of part prefixes.
+z_lam * [u**k] nu(lam) over the partitions of d, which reads it over
+`partitions_of(d)`.
 The measure is nu(lam) = column / z_lam, the `lie_chars` tables wrap the
 same rows, and `expect` pairs a class function with each row; no
 inversion pass converts one form into another.  For a character
-polynomial, `expect` reads the product of single partitions, of every
-weight up to d.
+polynomial, `expect` reads the products of its binomial terms'
+partitions, of every weight up to d, in one call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -81,23 +82,32 @@ def _in_u(lam: Partition, prod: list[int]) -> list[int]:
     return prod[:0:-1] if lam.d else prod
 
 
-def _measure_numerators(lam: Partition, squarefree: bool) -> list[int]:
-    # z_lam * nu(lam) as integer u-coefficients.  nu(lam) * q**w is the
-    # product over part sizes j of the polynomial binomial coefficient:
-    # choose m_j irreducibles of degree j, with repetition (rising
-    # product) or without when squarefree (falling product): times z_lam,
-    # the product over j and i < m_j of j*M_j(q) + j*i (- j*i squarefree).
-    prod = [1]
-    for j, m in lam.multiplicities():
-        for i in range(m):
-            prod = _factor_step(prod, j, -j * i if squarefree else j * i)
-    return _in_u(lam, prod)
+def _measure_products(lams: Sequence[Partition], squarefree: bool) -> list[list[int]]:
+    # z_lam * nu(lam) as integer u-coefficients, per lam in the order given.
+    # nu(lam) * q**w is the product over part sizes j of the polynomial
+    # binomial coefficient: choose m_j irreducibles of degree j, with
+    # repetition (rising product) or without when squarefree (falling
+    # product): times z_lam, the product over j and i < m_j of
+    # j*M_j(q) + j*i (- j*i squarefree).  The distinct partitions are
+    # walked with parts ascending, in sorted order, and `stack` holds the
+    # product of each prefix of the last one: a prefix shared by several
+    # partitions is one factor step, its last part t after i parts t.
+    sign, stack, products = -1 if squarefree else 1, [((), [1])], {}
+    for parts in sorted({lam.parts[::-1] for lam in lams}):
+        while parts[: len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        for n in range(len(stack) - 1, len(parts)):
+            t = parts[n]
+            shift = sign * t * parts[:n].count(t)
+            stack.append((parts[: n + 1], _factor_step(stack[-1][1], t, shift)))
+        products[parts] = stack[-1][1]
+    return [_in_u(lam, products[lam.parts[::-1]]) for lam in lams]
 
 
 # Cap on the partition route (measures, character tables, expected
 # values of class functions): p(d) factorization types, one integer
-# measure product each.  d = 23 (1255 types) builds its rows in about
-# 0.015 s per flavour on a 2-core host; the cap was sized to a slower
+# measure product each.  d = 23 (1255 types) builds its rows in under
+# 0.01 s per flavour on a 2-core host; the cap was sized to a slower
 # product and is kept until it is refitted.
 PARTITION_BUDGET = 1255
 
@@ -117,8 +127,8 @@ def measure_rows(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], ...]:
 
     nu is the measure over all monic polynomials, or with `squarefree` the
     q**d-normalized squarefree one; row k is psi_d^k, and (-1)**k phi_d^k
-    when squarefree.  Column lam is `_measure_numerators(lam)`, built
-    along a walk of part prefixes; a u-degree beyond d-1 raises ConsistencyError,
+    when squarefree.  The columns are `_measure_products` over
+    `partitions_of(d)`; a u-degree beyond d-1 raises ConsistencyError,
     and a d past PARTITION_BUDGET raises BudgetExceeded before any
     partition is enumerated.  The flag is keyword-only so that every
     caller shares one cache entry.
@@ -126,20 +136,7 @@ def measure_rows(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], ...]:
     if d < 1:
         raise ValueError("splitting measures start at degree 1")
     check_partition_budget(d)
-    sign, products = -1 if squarefree else 1, []
-
-    def walk(prod: list[int], rest: int, largest: int, run: int) -> None:
-        # Depth first over nonincreasing part prefixes, so the products come
-        # in partition order: a node is its parent times the factor of its
-        # last part t, after i parts t.
-        if not rest:
-            products.append(prod)
-        for t in range(min(rest, largest), 0, -1):
-            i = run if t == largest else 0
-            walk(_factor_step(prod, t, sign * t * i), rest - t, t, i + 1)
-
-    walk([1], d, d, 0)
-    return tuple(zip(*map(_in_u, partitions_of(d), products)))
+    return tuple(zip(*_measure_products(partitions_of(d), squarefree)))
 
 
 def _as_measure(d: int, squarefree: bool) -> Mapping[Partition, UPoly]:

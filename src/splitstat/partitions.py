@@ -121,6 +121,12 @@ def partitions_of(d: int) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
+def positions(d: int) -> dict[tuple[int, ...], int]:
+    """The index of each partition of d in partition order, keyed by its parts."""
+    return {lam.parts: i for i, lam in enumerate(partitions_of(d))}
+
+
+@lru_cache(maxsize=None)
 def _partition_count(n: int) -> int:
     # p(n) by Euler's pentagonal number recurrence, with no partition
     # enumerated.  Callers step n upward, so every p(m), m < n, is cached

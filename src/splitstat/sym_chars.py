@@ -44,7 +44,7 @@ from .exact import (
     over_one_denominator, parse_rational, power, quote_short,
 )
 from .measures import check_partition_budget
-from .partitions import Partition, partition_count_exceeds, partitions_of
+from .partitions import Partition, partition_count_exceeds, partitions_of, positions
 
 Scalar = Fraction | int
 
@@ -84,7 +84,7 @@ class ClassFunction(Immutable):
     def value(self, lam: Partition) -> Fraction:
         if lam.d != self.d:
             raise DegreeMismatch(f"partition {lam} does not have size {self.d}")
-        return Fraction(self.numerators[_positions(self.d)[lam]], self.denominator)
+        return Fraction(self.numerators[positions(self.d)[lam.parts]], self.denominator)
 
     __call__ = value
 
@@ -100,8 +100,8 @@ class ClassFunction(Immutable):
 
     def values_at(self, lams: Sequence[Partition]) -> tuple[list[int], int]:
         """The values at lams, partitions of d, as integers over one denominator."""
-        at = _positions(self.d)
-        return [self.numerators[at[lam]] for lam in lams], self.denominator
+        at = positions(self.d)
+        return [self.numerators[at[lam.parts]] for lam in lams], self.denominator
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         if self.d != other.d:
@@ -129,11 +129,6 @@ class ClassFunction(Immutable):
     def __repr__(self) -> str:
         tag = self.name or "ClassFunction"
         return f"<{tag} on partitions of {self.d}>"
-
-
-@lru_cache(maxsize=None)
-def _positions(d: int) -> dict[Partition, int]:
-    return {lam: i for i, lam in enumerate(partitions_of(d))}
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +187,6 @@ def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
         for shape in shapes
     ]
     ids = {beta: i for i, beta in enumerate(betas)}
-    position = {lam.parts: j for j, lam in enumerate(shapes)}
     strips: dict[int, list[tuple[int, int]]] = {}  # at b_id * (d + 1) + t
 
     def intern(beta: tuple[int, ...]) -> int:
@@ -227,7 +221,7 @@ def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
             add_times_p(expansion, t, product := defaultdict(int))
             walk({b_id: c for b_id, c in product.items() if c}, rest - t, t, parts + (t,))
         add_times_p(expansion, rest, column := [0] * len(shapes))
-        columns[position[(rest,) + parts[::-1]]] = column
+        columns[positions(d)[(rest,) + parts[::-1]]] = column
 
     walk({intern(tuple(range(d - 1, -1, -1))): 1}, d, 1, ())
     return tuple(zip(*columns))
@@ -258,7 +252,7 @@ def irreducible_character(shape: Partition) -> ClassFunction:
     A row of the character table of S_d, so it raises BudgetExceeded past
     DECOMPOSE_BUDGET before building anything.
     """
-    row = _character_table(shape.d)[_positions(shape.d)[shape]]
+    row = _character_table(shape.d)[positions(shape.d)[shape.parts]]
     return ClassFunction.from_integers(shape.d, row, name=f"chi{shape.label()}")
 
 
@@ -801,12 +795,16 @@ def _indicator_spec(label: str, d: int) -> ClassFunction:
 
 def _table_spec(path: str, d: int) -> ClassFunction:
     check_partition_budget(d)  # before the file is read
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:  # named by its first 40 characters, as below
+        raise type(exc)(exc.errno, exc.strerror, cut_short(path)) from None
+    with fh:
         # numbers are kept as their source text, read exactly below
         raw = json.load(fh, parse_float=str, parse_int=str, parse_constant=str)
     if not isinstance(raw, dict):
         raise UnknownStatistic(
-            f"{path} must hold a JSON object mapping type labels to rationals"
+            f"{cut_short(path)} must hold a JSON object mapping type labels to rationals"
         )
     values = {_type_label(key, d): parse_rational(str(v)) for key, v in raw.items()}
     return ClassFunction(d, values, name=f"@{path}")

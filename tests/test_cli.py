@@ -392,6 +392,8 @@ def primes_between(lo, hi):
     return [lo + i for i, prime in enumerate(sieve) if prime]
 
 
+HUGE_PRIME = "1000000000000000000000000000057"
+
 BAD_INPUTS = {
     "expect-division-by-zero": (("expect", "--d", "3", "--stat", "x1/0"), "division by zero"),
     "limit-division-by-zero": (("limit", "--stat", "x1/0", "--order", "1"), "division by zero"),
@@ -573,6 +575,20 @@ BAD_INPUTS = {
     "limit-long-indicator": (
         ("limit", "--stat", "ind:[" + "1," * 1500 + "1]", "--order", "1"),
         "'ind:[" + "1," * 17 + "1'... is not a character polynomial",
+    ),
+    "expect-long-table-path": (
+        ("expect", "--d", "2", "--stat", "@" + "a" * 3000),
+        "File name too long: '" + "a" * 40 + "...'",
+    ),
+    # a base with no prime factor up to 10^6 and past 10^12 is refused
+    # after the budget check, where trial division would run on for hours
+    "verify-huge-prime-base": (
+        ("verify", "--d", "1", "--q", HUGE_PRIME, "--stat", "R", "--budget", "1" + "0" * 32),
+        f"{HUGE_PRIME} has no prime factor up to 1000000, where trial division stops",
+    ),
+    "irreducibles-huge-prime-base": (
+        ("irreducibles", "--q", HUGE_PRIME, "--max-degree", "1", "--budget", "1" + "0" * 32),
+        f"{HUGE_PRIME} has no prime factor up to 1000000, where trial division stops",
     ),
 }
 

@@ -53,6 +53,17 @@ def test_non_prime_characteristic_rejected():
         make_field(1)
 
 
+def test_trial_division_stops_at_its_bound():
+    # FACTOR_BOUND = 10^6 settles every base below (10^6 + 1)^2; past
+    # that, one with no prime factor up to 10^6 is refused, prime or not
+    assert make_field(999_999_999_989).q == 999_999_999_989
+    with pytest.raises(InvalidCharacteristic, match="is not prime"):
+        make_field(2 * 10**30)
+    for p in (10**30 + 57, 1_000_003 * 1_000_033):
+        with pytest.raises(BudgetExceeded, match=f"^{p} has no prime factor up to 1000000, "):
+            make_field(p)
+
+
 def test_f4_modulus_is_the_unique_irreducible_quadratic():
     # oracle: a quadratic over F_2 is irreducible iff it has no roots
     f2 = make_field(2)

@@ -5,12 +5,14 @@ from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitstat import measures
+from splitstat import expect, measures
 from splitstat.errors import BudgetExceeded, ConsistencyError
 from oracles import poly_add, poly_mul, poly_sum, upoly
 from splitstat.exact import Q_VAR, U_VAR, UPoly
-from splitstat.expect import expected, expected_sf
+from splitstat.expect import expected, expected_sf, stable_limit
 from splitstat.gf import irreducibles, make_field, type_counts
 from splitstat.lie_chars import phi_table, psi_table
 from splitstat.measures import (
@@ -22,7 +24,7 @@ from splitstat.measures import (
     splitting_measure,
 )
 from splitstat.partitions import Partition, partitions_of
-from splitstat.sym_chars import builtin_polynomial
+from splitstat.sym_chars import builtin_polynomial, parse_character_polynomial
 
 
 def total(measure):
@@ -187,28 +189,49 @@ def fraction_measure(lam, squarefree):
     return prod[::-1]
 
 
+def oracle_products(lams, squarefree):
+    # z_lam * nu(lam) from the Fraction product, to u**(w-1), the
+    # cohomological range (u**0 for the empty partition)
+    return [
+        [c * lam.centralizer_order() for c in fraction_measure(lam, squarefree)[: max(lam.d, 1)]]
+        for lam in lams
+    ]
+
+
 def test_integer_measure_product_is_the_fraction_product_times_z():
     for squarefree in (False, True):
-        assert measures._measure_numerators(Partition(()), squarefree) == [1]
-        for d in range(1, 13):
+        for d in (*range(1, 13), 16):
             rows = measure_rows.__wrapped__(d, squarefree=squarefree)
             assert all(type(c) is int for row in rows for c in row)
-            want = [
-                [c * lam.centralizer_order() for c in fraction_measure(lam, squarefree)]
-                for lam in partitions_of(d)
-            ]
+            want = oracle_products(partitions_of(d), squarefree)
             assert rows == tuple(tuple(nu[k] for nu in want) for k in range(d)), d
-        # the rows' prefix walk meets the partitions in partition order, up
-        # to the partition cap
-        for d in range(1, 24):
-            columns = list(zip(*measure_rows(d, squarefree=squarefree)))
-            want = [measures._measure_numerators(lam, squarefree) for lam in partitions_of(d)]
-            assert columns == list(map(tuple, want)), (d, squarefree)
 
 
-def test_measure_rows_take_one_factor_step_per_prefix_node(monkeypatch):
-    # d = 12 has 271 nonempty nonincreasing part prefixes, against
-    # 399 parts over its 77 partitions
+def test_measure_products_of_any_list_in_the_order_given():
+    # mixed weights, repeats, a partition that is a prefix of another
+    # ([1] of [1,1], [2] of [2,2,1]) and the empty partition
+    lams = [
+        Partition(parts)
+        for parts in ([3, 1], [1], [], [1, 1], [5, 2, 2], [2, 2, 1], [1], [2], [4, 4, 1, 1], [])
+    ]
+    for squarefree in (False, True):
+        got = measures._measure_products(lams, squarefree)
+        assert got == oracle_products(lams, squarefree)
+        assert got[2] == [1] and got[1] == got[6]
+        assert measures._measure_products([], squarefree) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 10).flatmap(lambda w: st.sampled_from(partitions_of(w))), max_size=12),
+    st.booleans(),
+)
+def test_measure_products_match_the_fraction_product(lams, squarefree):
+    assert measures._measure_products(lams, squarefree) == oracle_products(lams, squarefree)
+
+
+def count_factor_steps(monkeypatch):
+    # the parts t of every factor step taken from here on
     steps = []
 
     def counting(prod, j, shift):
@@ -217,12 +240,30 @@ def test_measure_rows_take_one_factor_step_per_prefix_node(monkeypatch):
 
     real = measures._factor_step
     monkeypatch.setattr(measures, "_factor_step", counting)
-    prefixes = {lam.parts[:i] for lam in partitions_of(12) for i in range(1, len(lam) + 1)}
-    assert len(prefixes) == 271 and sum(map(len, partitions_of(12))) == 399
+    return steps
+
+
+def test_measure_rows_take_one_factor_step_per_prefix_node(monkeypatch):
+    # d = 12 has 153 nonempty nondecreasing part prefixes, against 271
+    # nonincreasing ones and 399 parts over its 77 partitions
+    steps = count_factor_steps(monkeypatch)
+    prefixes = {lam.parts[::-1][:i] for lam in partitions_of(12) for i in range(1, len(lam) + 1)}
+    assert len(prefixes) == 153 and sum(map(len, partitions_of(12))) == 399
     for squarefree in (False, True):
         steps.clear()
         measure_rows.__wrapped__(12, squarefree=squarefree)
-        assert len(steps) == 271
+        assert len(steps) == 153
+
+
+def test_series_terms_share_their_prefix_steps(monkeypatch):
+    # x1^20*x2^20 has 400 binomial terms with 8400 parts in all, and 420
+    # distinct nondecreasing prefixes: the limit takes one step for each
+    steps = count_factor_steps(monkeypatch)
+    P = parse_character_polynomial("x1^20*x2^20")
+    stable_limit(P, 12)
+    assert len(steps) == 420
+    terms, _ = expect._binomial_terms(P)
+    assert len(terms) == 400 and sum(map(len, terms)) == 8400
 
 
 def test_measure_product_checks_the_u_degree(monkeypatch):
