@@ -36,7 +36,6 @@ from .gf import (
     FqField,
     FqPoly,
     _irreducibles_raw,
-    _least_prime_factor,
     census,
     check_census_budget,
     check_sieve_budget,
@@ -58,10 +57,8 @@ from .sym_chars import resolve as resolve_stat  # a --stat argument at degree d
 
 
 def _field(text: str, check: Callable[..., None], *limits: int) -> FqField:
-    # The field --q names, "p" or "p^n".  check(p, n, *limits), the
-    # command's budget check, sees the size as written, before any field
-    # work; then a base p**k for a prime p names the field of size
-    # p**(k*n), so "--q 4" is "--q 2^2".  make_field rejects every other shape.
+    # The field --q names, "p" or "p^n": check(p, n, *limits), the command's
+    # budget check, sees it as written; make_field reads a prime-power p.
     body = text.strip().replace("**", "^")
     p_str, caret, n_str = body.partition("^")
     try:
@@ -70,12 +67,6 @@ def _field(text: str, check: Callable[..., None], *limits: int) -> FqField:
         raise UnknownStatistic(f"--q expects p or p^n, got {quote_short(text)}") from None
     if n > 0:
         check(p, n, *limits)
-        if p >= 2:
-            r, m, k = _least_prime_factor(p), p, 0
-            while m % r == 0:
-                m, k = m // r, k + 1
-            if m == 1:
-                p, n = r, k * n
     return make_field(p, n)
 
 

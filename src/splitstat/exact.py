@@ -170,9 +170,9 @@ def format_rational(x: Scalar) -> str:
     return format_ratio(x.numerator, x.denominator)
 
 
-def cut_short(text: str) -> str:
-    """text, cut after 40 characters: an input as an error message names it bare."""
-    return text if len(text) <= 40 else f"{text[:40]}..."
+def cut_short(text: object) -> str:
+    """str(text), cut after 40 characters: an input as an error message names it bare."""
+    return text if len(text := str(text)) <= 40 else f"{text[:40]}..."
 
 
 def quote_short(text: str) -> str:

@@ -1,6 +1,7 @@
 """Brute-force ground truth over finite fields.
 
-Constructs F_q for prime powers q and builds every monic polynomial of
+Constructs F_q for prime powers q (make_field reads q = p^n for any
+prime power p, factoring p once) and builds every monic polynomial of
 degree n as a product of lower-degree irreducibles, multiplying actual
 polynomials over F_q.  Each product is marked in a seen-map of all q**n
 monic candidates; a second mark would mean two factorizations of one
@@ -23,7 +24,7 @@ in the walk can pass 255 before reduction, i.e.
 F_11 to degree 3.  Larger primes multiply coefficient tuples in Python;
 extension fields multiply them through add/mul lookup tables, built from
 discrete logarithms in O(q**2) list entries by a field's first walk and
-kept for its later ones; the field's own methods never read them.
+kept for its later ones; the field's own methods reduce mod p directly.
 
 This module is an oracle, not a performance artifact: everything is
 deterministic and exact, enumeration is single-threaded, and it is capped
@@ -72,7 +73,7 @@ def _least_prime_factor(m: int) -> int:
             return i
     if isqrt(m) > FACTOR_BOUND:
         raise BudgetExceeded(
-            f"{cut_short(str(m))} has no prime factor up to {FACTOR_BOUND}, "
+            f"{cut_short(m)} has no prime factor up to {FACTOR_BOUND}, "
             "where trial division stops"
         )
     return m
@@ -86,15 +87,13 @@ class FqField:
     the modulus is a valid monic irreducible.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_base", "_tables", "_irr", "_hist")
+    __slots__ = ("p", "n", "q", "modulus", "_tables", "_irr", "_hist")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]) -> None:
         self.p = p
         self.n = n
         self.q = p**n
         self.modulus = modulus
-        # the prime subfield, whose arithmetic reduces products modulo `modulus`
-        self._base = None if n == 1 else FqField(p, 1, (0, 1))
         self._tables = None  # the tuple kernel's, built on the first walk
         self._irr: dict[int, Sequence[int]] = {}  # sieve indices by degree
         self._hist: dict[int, tuple[dict, dict]] = {}
@@ -136,8 +135,8 @@ class FqField:
     def mul(self, a: int, b: int) -> int:
         if self.n == 1:
             return (a * b) % self.p
-        prod = _multiplier(self._base)(self._decode(a), self._decode(b))
-        return self._encode(_divrem(self._base, prod, self.modulus)[1])
+        prod = _multiplier(self.p)(self._decode(a), self._decode(b))
+        return self._encode(_divrem(self.p, prod, self.modulus)[1])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -167,30 +166,33 @@ def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
     # (constant coefficient most significant): the first candidate with no
     # factor among the irreducibles of degree at most n // 2.  Candidates
     # with c_0 = 0 are divisible by x, so the scan starts at c_0 = 1.
-    base = FqField(p, 1, (0, 1))
-    lower = [g for polys in _irreducibles_raw(base, n // 2, DEFAULT_BUDGET).values() for g in polys]
+    lower = _irreducibles_raw(FqField(p, 1, (0, 1)), n // 2, DEFAULT_BUDGET)
+    lower = [g for polys in lower.values() for g in polys]
     for tail in product(range(1, p), *[range(p)] * (n - 1)):
         cand = tail + (1,)
-        if all(_divrem(base, cand, g)[1] for g in lower):
+        if all(_divrem(p, cand, g)[1] for g in lower):
             return cand
     raise AssertionError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
 def make_field(p: int, n: int = 1) -> FqField:
-    """Construct F_{p^n}.
+    """F_{p^n} for any prime power p, as F_{r^m} with r prime: make_field(4) is F_4.
 
-    For n = 1 the defining modulus is x (prime-field fast path); for
-    n > 1 it is the lexicographically smallest monic irreducible of
-    degree n over F_p, coefficients compared low-to-high.  Finding it
-    sieves F_p to degree n // 2, which raises BudgetExceeded before any
-    work when that sieve would pass DEFAULT_BUDGET.
+    p is factored once, and one that is no prime power "is not prime".  The
+    modulus is x for m = 1, else the lexicographically smallest monic
+    irreducible of degree m over F_r, coefficients compared low-to-high;
+    finding it sieves F_r to degree m // 2, which raises BudgetExceeded
+    before any work when that sieve would pass DEFAULT_BUDGET.
     """
-    if p < 2 or _least_prime_factor(p) != p:
-        raise InvalidCharacteristic(f"{p} is not prime")
+    r, rest, k = _least_prime_factor(p) if p >= 2 else 0, p, 0
+    while r and rest % r == 0:
+        rest, k = rest // r, k + 1
+    if not k or rest != 1:
+        raise InvalidCharacteristic(f"{cut_short(p)} is not prime")
     if n < 1:
         raise ValueError("extension degree must be at least 1")
-    modulus = (0, 1) if n == 1 else _first_irreducible(p, n)
-    return FqField(p, n, modulus)
+    m = k * n
+    return FqField(r, m, (0, 1) if m == 1 else _first_irreducible(r, m))
 
 
 class FqPoly(Immutable):
@@ -229,18 +231,17 @@ class FqPoly(Immutable):
         return " + ".join(terms) if terms else "0"
 
 
-def _divrem(F: FqField, num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # den is monic.  Returns (quotient, remainder) with trailing zeros stripped.
+def _divrem(p: int, num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Over F_p, den monic: (quotient, remainder), the remainder's trailing zeros stripped.
     rem = list(num)
     dd = len(den) - 1
-    qlen = max(len(rem) - dd, 0)
-    quo = [0] * qlen
+    quo = [0] * max(len(rem) - dd, 0)
     for shift in range(len(rem) - len(den), -1, -1):
         c = rem[shift + dd]
         if c:
             quo[shift] = c
-            for i, dc in enumerate(den):
-                rem[shift + i] = F.sub(rem[shift + i], F.mul(c, dc))
+            for i, dc in enumerate(den, shift):
+                rem[i] = (rem[i] - c * dc) % p
     del rem[dd:]
     while rem and rem[-1] == 0:
         rem.pop()
@@ -261,13 +262,15 @@ def check_sieve_budget(p: int, n: int, max_degree: int, budget: int) -> None:
     if p < 2:
         return
     if _power_within(p, n * max_degree, budget) is None:
-        needs = f"at least q^{max_degree} = {p}^{n * max_degree}"
-    elif (needs := sum(p ** (n * j) for j in range(1, max_degree + 1))) <= budget:
+        needs = f"at least q^{cut_short(max_degree)} = {cut_short(p)}^{cut_short(n * max_degree)}"
+    elif (total := sum(p ** (n * j) for j in range(1, max_degree + 1))) <= budget:
         return
+    else:
+        needs = cut_short(total)
     raise BudgetExceeded(
-        f"sieving irreducibles to degree {max_degree} needs {needs} polynomial "
-        f"enumerations over F_{p}{f'^{n}' if n > 1 else ''}, above the budget of "
-        f"{budget}; raise the budget to proceed"
+        f"sieving irreducibles to degree {cut_short(max_degree)} needs {needs} polynomial "
+        f"enumerations over F_{cut_short(p)}{f'^{cut_short(n)}' if n > 1 else ''}, "
+        f"above the budget of {cut_short(budget)}; raise the budget to proceed"
     )
 
 
@@ -282,8 +285,8 @@ def check_census_budget(p: int, n: int, d: int, budget: int) -> None:
     size = _power_within(p, n * d, budget)
     if size is None or size > budget:
         raise BudgetExceeded(
-            f"census of q^d = {p}^{n * d} polynomials is above the budget of "
-            f"{budget}; raise the budget to proceed"
+            f"census of q^d = {cut_short(p)}^{cut_short(n * d)} polynomials is above the "
+            f"budget of {cut_short(budget)}; raise the budget to proceed"
         )
 
 
@@ -351,12 +354,10 @@ def _build_tables(field: FqField) -> tuple[list[list[int]], list[list[int]]]:
     return add, mul
 
 
-def _multiplier(field: FqField):
-    # Product of two coefficient tuples over the field: residues mod p, or
-    # an extension field's lookup tables.  Packed walks never call it.
-    if field.n == 1:
-        p = field.p
-
+def _multiplier(p: int, tables: tuple[list[list[int]], list[list[int]]] | None = None):
+    # Product of two coefficient tuples over F_p, or through an extension
+    # field's add/mul lookup tables.  Packed walks never call it.
+    if tables is None:
         def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             out = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
@@ -366,9 +367,7 @@ def _multiplier(field: FqField):
             return tuple([c % p for c in out])
 
         return mul
-    if field._tables is None:  # q**2 entries each; the walk's seen-map has q**n
-        field._tables = _build_tables(field)
-    add_t, mul_t = field._tables
+    add_t, mul_t = tables
 
     def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * (len(a) + len(b) - 1)
@@ -429,7 +428,9 @@ def _kernel(field: FqField, n: int):
             return map(int, chain.from_iterable(unpack(buf.translate(digits))), repeat(p))
 
         return pools, mul, indices
-    mul = _multiplier(field)
+    if field.n > 1 and field._tables is None:  # q**2 entries each; the seen-map has q**n
+        field._tables = _build_tables(field)
+    mul = _multiplier(p, field._tables)
     pools = {k: list(_Polys(q, k, field._irr[k])) for k in range(1, n)}
 
     def indices(prod: tuple[int, ...], k: int, first: int) -> list[int]:

@@ -43,7 +43,7 @@ from .exact import (
     Immutable, add_rows, cut_short, format_ratio, join_signed, lowest_terms,
     over_one_denominator, parse_rational, power, quote_short,
 )
-from .measures import check_partition_budget
+from .measures import PARTITION_BUDGET, check_partition_budget
 from .partitions import Partition, partition_count_exceeds, partitions_of, positions
 
 Scalar = Fraction | int
@@ -795,13 +795,20 @@ def _indicator_spec(label: str, d: int) -> ClassFunction:
 
 def _table_spec(path: str, d: int) -> ClassFunction:
     check_partition_budget(d)  # before the file is read
+    # The longest table within the caps: PARTITION_BUDGET values of at most
+    # `limit` digits, and as much again (a set limit is >= 640) for labels.
+    cap = 2 * PARTITION_BUDGET * (limit := sys.get_int_max_str_digits())
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read(cap + 1 if limit else -1)
+        if limit and len(text) > cap:
+            raise UnknownStatistic(f"{cut_short(path)} is longer than the cap of {cap} characters")
+        # numbers are kept as their source text, read exactly below
+        raw = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
     except OSError as exc:  # named by its first 40 characters, as below
         raise type(exc)(exc.errno, exc.strerror, cut_short(path)) from None
-    with fh:
-        # numbers are kept as their source text, read exactly below
-        raw = json.load(fh, parse_float=str, parse_int=str, parse_constant=str)
+    except RecursionError:
+        raise UnknownStatistic(f"{cut_short(path)} nests JSON too deeply to read") from None
     if not isinstance(raw, dict):
         raise UnknownStatistic(
             f"{cut_short(path)} must hold a JSON object mapping type labels to rationals"

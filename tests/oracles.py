@@ -3,12 +3,16 @@
 Nothing here is part of splitstat: no command reaches it.  Polynomials
 are plain lists of exact rationals, index = exponent; the tests wrap a
 result in `UPoly`, through `upoly`, to compare it with a package value.
+Over a finite field they are coefficient tuples, low-to-high, divided
+here by schoolbook long division on the field's own methods, `F.sub` and
+`F.mul`: none of gf's polynomial arithmetic is used.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from splitstat.exact import U_VAR, UPoly, over_one_denominator
-from splitstat.gf import _divrem, _irreducibles_raw
 from splitstat.partitions import Partition
 
 
@@ -59,16 +63,50 @@ def series_expand(numer, denom, order):
     return out
 
 
+def divrem(F, num, den):
+    """(quotient, remainder) of coefficient tuples over F by a monic den,
+    the remainder's trailing zeros stripped."""
+    rem = list(num)
+    dd = len(den) - 1
+    quo = [0] * max(len(rem) - dd, 0)
+    for shift in range(len(rem) - len(den), -1, -1):
+        c = rem[shift + dd]
+        if c:
+            quo[shift] = c
+            for i, dc in enumerate(den):
+                rem[shift + i] = F.sub(rem[shift + i], F.mul(c, dc))
+    del rem[dd:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quo), tuple(rem)
+
+
+@lru_cache(maxsize=16)
+def irreducibles_by_division(F, max_degree):
+    """{k: monic irreducibles of degree k over F} for k = 1..max_degree.
+
+    A monic polynomial of degree k is irreducible iff no irreducible of
+    degree at most k // 2 divides it.
+    """
+    out = {}
+    for k in range(1, max_degree + 1):
+        lower = [g for j in range(1, k // 2 + 1) for g in out[j]]
+        candidates = (tail + (1,) for tail in product(range(F.q), repeat=k))
+        out[k] = tuple(f for f in candidates if all(divrem(F, f, g)[1] for g in lower))
+    return out
+
+
 def factorization_type(F, coeffs, irr_by_deg=None):
     """(factorization type, squarefree) of a monic polynomial over F.
 
-    Trial division in (degree, lex) order by the sieved irreducibles.
-    Once all factors of degree < s are removed, a remainder of degree
-    < 2s must itself be irreducible, which bounds the sieve at half the
-    degree.  Repeated factors count repeatedly: x**2 has type [1,1].
+    Trial division in (degree, lex) order by the irreducibles, by default
+    `irreducibles_by_division`'s.  Once all factors of degree < s are
+    removed, a remainder of degree < 2s must itself be irreducible, which
+    bounds the irreducibles at half the degree.  Repeated factors count
+    repeatedly: x**2 has type [1,1].
     """
     if irr_by_deg is None:
-        irr_by_deg = _irreducibles_raw(F, (len(coeffs) - 1) // 2, 10**7)
+        irr_by_deg = irreducibles_by_division(F, (len(coeffs) - 1) // 2)
     rest = tuple(coeffs)
     degs = []
     squarefree = True
@@ -78,7 +116,7 @@ def factorization_type(F, coeffs, irr_by_deg=None):
         for irr in irr_by_deg.get(step, ()):
             mult = 0
             while len(rest) >= len(irr):
-                quo, rem = _divrem(F, rest, irr)
+                quo, rem = divrem(F, rest, irr)
                 if rem:
                     break
                 rest = quo

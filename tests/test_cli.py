@@ -1,5 +1,7 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitstat import cli
 from splitstat.cli import main
@@ -479,6 +483,10 @@ BAD_INPUTS = {
         ("verify", "--d", "3", "--q", "12^2", "--stat", "Q"),
         "12 is not prime",
     ),
+    "verify-prime-power-to-the-0": (
+        ("verify", "--d", "3", "--q", "4^0", "--stat", "Q"),
+        "extension degree must be at least 1",
+    ),
     "decompose-over-cap": (
         ("decompose", "--d", "22", "--stat", "Q"),
         "decompose at d=22 needs p(d)^2 (shape, class) pairs of character values, "
@@ -524,6 +532,16 @@ BAD_INPUTS = {
         ("expect", "--d", "2", "--stat", "@too_many_digits.json"),
         "'7777777777777777777777777777777777777777'... has more digits than the print limit of 4300",
     ),
+    # a table nested past the JSON reader's recursion, or a file longer
+    # than any table within the caps, is refused naming its path
+    "expect-table-deep-nesting": (
+        ("expect", "--d", "2", "--stat", "@deep_nesting.json"),
+        "deep_nesting.json nests JSON too deeply to read",
+    ),
+    "expect-table-endless-file": (
+        ("expect", "--d", "2", "--stat", "@/dev/zero"),
+        "/dev/zero is longer than the cap of 10793000 characters",
+    ),
     # 2^10000 polynomials are within this budget: the census never starts
     "verify-over-series-cap": (
         ("verify", "--d", "10000", "--q", "2", "--stat", "x1^100", "--budget", "1" + "0" * 4000),
@@ -559,6 +577,26 @@ BAD_INPUTS = {
     "limit-long-unknown-character": (
         ("limit", "--stat", "Q" + " " * 3000 + "x", "--order", "1"),
         "unexpected character 'Q' in statistic 'Q" + " " * 39 + "'...",
+    ),
+    "verify-long-base": (
+        ("verify", "--d", "1", "--q", "1" + "0" * 2000, "--stat", "R"),
+        "census of q^d = 1" + "0" * 39 + "...^1 polynomials is above the budget",
+    ),
+    "irreducibles-long-exponent": (
+        ("irreducibles", "--q", "2^1" + "0" * 2000, "--max-degree", "1"),
+        "needs at least q^1 = 2^1" + "0" * 39 + "... polynomial enumerations over F_2^1",
+    ),
+    "irreducibles-long-max-degree": (
+        ("irreducibles", "--q", "2", "--max-degree", "1" + "0" * 3000),
+        "sieving irreducibles to degree 1" + "0" * 39 + "... needs at least q^1" + "0" * 39 + "... = 2^",
+    ),
+    "verify-long-budget": (
+        ("verify", "--d", "1", "--q", "2^20000", "--stat", "R", "--budget", "1" + "0" * 3000),
+        "polynomials is above the budget of 1" + "0" * 39 + "...; raise the budget",
+    ),
+    "irreducibles-long-composite-base": (
+        ("irreducibles", "--q", "1" + "0" * 2000 + "^0", "--max-degree", "1"),
+        "1" + "0" * 39 + "... is not prime",
     ),
     "verify-long-q": (
         ("verify", "--d", "2", "--q", "2" * 2999 + "x", "--stat", "R"),
@@ -600,6 +638,7 @@ BAD_TABLES = {
     "huge_negative_exponent.json": '{"[2]": 1e-100000000}',
     "too_many_digits.json": '{"[2]": ' + "7" * 5000 + "}",
     "long_label.json": '{"[' + ",".join(["1"] * 200_000) + ']": 1}',
+    "deep_nesting.json": "[" * 200_000,
 }
 
 
@@ -615,6 +654,41 @@ def test_bad_input_exits_2_fast(capsys, tmp_path, monkeypatch, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert len(err) < 1024
+
+
+# --q texts: short text of any characters or of those a size is written
+# in, "p^n" over integers of either sign, and bases or exponents with
+# thousands of digits.
+Q_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="0123456789^*+- _", max_size=40),
+    st.builds("{}^{}".format, st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40)),
+    st.builds(
+        lambda base, k, tail: base + "0" * k + tail,
+        st.sampled_from(["1", "2", "-1", "2^1"]),
+        st.integers(0, 3000),
+        st.sampled_from(["", "^0", "^1", "^-1", "^2"]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([
+        ("verify", "--d", "2", "--stat", "R", "--budget", "1000"),
+        ("irreducibles", "--max-degree", "2", "--budget", "1000"),
+    ]),
+    Q_TEXTS,
+)
+def test_any_q_text_answers_or_is_refused_fast(argv, text):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, f"--q={text}"])
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().encode()) < 1024
 
 
 def test_values_just_within_the_print_limit(capsys):

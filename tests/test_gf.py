@@ -1,6 +1,8 @@
 """Finite field construction, factoring, and the census oracle."""
 
+import cProfile
 import gc
+import pstats
 import random
 import re
 import sys
@@ -10,12 +12,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import factorization_type
+from oracles import divrem, factorization_type, irreducibles_by_division
+from splitstat import gf
+from splitstat.cli import main
 from splitstat.errors import BudgetExceeded, ConsistencyError, DegreeMismatch, InvalidCharacteristic
 from splitstat.gf import (
     FqField,
     FqPoly,
+    _divrem,
     _irreducibles_raw,
     _packs,
     census,
@@ -62,6 +69,46 @@ def test_trial_division_stops_at_its_bound():
     for p in (10**30 + 57, 1_000_003 * 1_000_033):
         with pytest.raises(BudgetExceeded, match=f"^{p} has no prime factor up to 1000000, "):
             make_field(p)
+
+
+def test_make_field_reads_a_prime_power_base():
+    assert make_field(4) == make_field(2, 2)
+    F = make_field(4, 3)
+    assert (F.p, F.n, F.q) == (2, 6, 64) and F == make_field(2, 6)
+    for base in (12, 2 * 10**30):
+        with pytest.raises(InvalidCharacteristic, match=f"^{base} is not prime$"):
+            make_field(base)
+    with pytest.raises(ValueError, match="^extension degree must be at least 1$"):
+        make_field(4, 0)
+
+
+def test_a_prime_q_base_is_trial_divided_once(capsys):
+    # the CLI leaves the base to make_field, which factors it once; the
+    # profiler counts calls under any name they are made through
+    argv = ["irreducibles", "--q", "999999999989", "--max-degree", "1", "--budget", "10000000000000"]
+    profile = cProfile.Profile()
+    assert profile.runcall(main, argv) == 0
+    assert "degree 1: 999999999989" in capsys.readouterr().out
+    calls = [
+        stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+        if name == "_least_prime_factor" and path == gf.__file__
+    ]
+    assert calls == [1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_divrem_undoes_a_product_and_matches_the_oracle(data):
+    # over F_2..F_13: a * b divided by a monic b leaves a and no
+    # remainder, and any division agrees with the oracle's long division
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    residues = st.lists(st.integers(0, p - 1), max_size=8).map(tuple)
+    a = data.draw(residues.filter(len))
+    b = data.draw(residues) + (1,)
+    num = data.draw(residues)
+    F = make_field(p)
+    assert _divrem(p, field_mul(F, a, b), b) == (a, ())
+    assert _divrem(p, num, b) == divrem(F, num, b)
 
 
 def test_f4_modulus_is_the_unique_irreducible_quadratic():
@@ -367,20 +414,19 @@ def test_packed_kernel_applies_below_the_slot_bound():
 
 
 def test_type_counts_match_trial_division_reference():
-    # reference: classify every monic polynomial by trial division; the
-    # prime fields run the packed kernel, F_11 at d = 4 and the extension
-    # fields the tuple kernels
+    # reference: classify every monic polynomial by trial division by the
+    # oracle's own irreducibles; the prime fields run the packed kernel,
+    # F_11 at d = 4 and the extension fields the tuple kernels
     cases = (
         ((2, 1), 8), ((3, 1), 5), ((5, 1), 4), ((7, 1), 4), ((11, 1), 4), ((2, 2), 4), ((3, 2), 3),
     )
     for (p, n), max_d in cases:
         F = make_field(p, n)
-        ref_field = make_field(p, n)  # separate caches
+        irr = irreducibles_by_division(F, max_d // 2)
         for d in range(1, max_d + 1):
-            irr = _irreducibles_raw(ref_field, d // 2, 10**7)
             ref_all, ref_sf = {}, {}
             for tail in product(range(F.q), repeat=d):
-                lam, squarefree = factorization_type(ref_field, tail + (1,), irr)
+                lam, squarefree = factorization_type(F, tail + (1,), irr)
                 ref_all[lam] = ref_all.get(lam, 0) + 1
                 if squarefree:
                     ref_sf[lam] = ref_sf.get(lam, 0) + 1
