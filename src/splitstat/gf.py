@@ -24,7 +24,7 @@ in the walk can pass 255 before reduction, i.e.
 F_11 to degree 3.  Larger primes multiply coefficient tuples in Python;
 extension fields multiply them through add/mul lookup tables, built from
 discrete logarithms in O(q**2) list entries by a field's first walk and
-kept for its later ones; the field's own methods reduce mod p directly.
+kept for its later ones; the field's own methods never read them.
 
 This module is an oracle, not a performance artifact: everything is
 deterministic and exact, enumeration is single-threaded, and it is capped
@@ -166,8 +166,8 @@ def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
     # (constant coefficient most significant): the first candidate with no
     # factor among the irreducibles of degree at most n // 2.  Candidates
     # with c_0 = 0 are divisible by x, so the scan starts at c_0 = 1.
-    lower = _irreducibles_raw(FqField(p, 1, (0, 1)), n // 2, DEFAULT_BUDGET)
-    lower = [g for polys in lower.values() for g in polys]
+    base = FqField(p, 1, (0, 1))
+    lower = [g for polys in _irreducibles_raw(base, n // 2, DEFAULT_BUDGET).values() for g in polys]
     for tail in product(range(1, p), *[range(p)] * (n - 1)):
         cand = tail + (1,)
         if all(_divrem(p, cand, g)[1] for g in lower):
