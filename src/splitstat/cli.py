@@ -44,15 +44,7 @@ from .gf import (
 from .lie_chars import phi_table, psi_table
 from .measures import necklace, sf_splitting_measure, splitting_measure
 from .partitions import partitions_of
-from .sym_chars import (
-    CharacterPolynomial,
-    ClassFunction,
-    SignedPolynomial,
-    check_decompose_budget,
-    decompose,
-    polynomial_statistic,
-    statistic,
-)
+from .sym_chars import check_decompose_budget, decompose, polynomial_statistic, statistic
 from .sym_chars import resolve as resolve_stat  # a --stat argument at degree d
 
 
@@ -135,18 +127,8 @@ def cmd_char_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stat_for(spec: str, d: int) -> CharacterPolynomial | SignedPolynomial | ClassFunction:
-    # A character or signed polynomial goes to expect and the census as it
-    # is, so that no partition of d is enumerated; any other statistic is
-    # resolved on the partitions of d.
-    stat = statistic(spec)
-    if isinstance(stat, (CharacterPolynomial, SignedPolynomial)):
-        return stat
-    return resolve_stat(spec, d)
-
-
 def cmd_expect(args: argparse.Namespace) -> int:
-    P = _stat_for(args.stat, args.d)
+    P = statistic(args.stat).at_degree(args.d)  # an @table is read here, once
     if args.command == "expect":
         result = expected(args.d, P, name=args.stat)
     else:
@@ -209,7 +191,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     field = _field(args.q, check_census_budget, args.d, args.budget)
-    P = _stat_for(args.stat, args.d)
+    P = statistic(args.stat).at_degree(args.d)
     # both formulas before any census, so a cost cap refuses at once
     formulas = {
         True: expected_sf(args.d, P, name=args.stat).at_q(field.q),
@@ -379,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_stat_values(sys.argv[1:] if argv is None else argv))
+        # argparse drops "--" from a value written "--q=--", which leaves []
+        if empty := [name for name, value in vars(args).items() if value == []]:
+            parser.error(f"argument --{empty[0].replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

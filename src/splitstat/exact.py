@@ -172,6 +172,11 @@ def format_rational(x: Scalar) -> str:
 
 def cut_short(text: object) -> str:
     """str(text), cut after 40 characters: an input as an error message names it bare."""
+    if isinstance(text, int) and (bits := abs(text).bit_length()) > 2000:
+        # str() of an integer past the print limit (640 digits or more)
+        # fails, so 41 digits or more are kept first, as 0.30102 < log10(2)
+        cut = abs(text) // 10 ** ((bits - 1) * 30102 // 100000 - 40)
+        text = -cut if text < 0 else cut
     return text if len(text := str(text)) <= 40 else f"{text[:40]}..."
 
 

@@ -2,8 +2,8 @@
 
 The expected value of a statistic P over monic degree-d polynomials is
 sum over lam of P(lam) nu(lam), summed against the splitting measure nu,
-and its u**k coefficient is <P, psi_d^k>.  Two routes compute it, chosen
-by the type of P:
+and its u**k coefficient is <P, psi_d^k>.  P is read at d through
+`at_degree(d)`, and two routes compute it, chosen by what P is there:
 
 * the measure route, for a ClassFunction on the partitions of d: the
   stored integer rows z_lam [u**k] nu(lam) of `measures.measure_rows`
@@ -35,7 +35,9 @@ from .errors import BudgetExceeded, ConsistencyError
 from .exact import U_VAR, Immutable, UPoly, add_rows, cut_short
 from .measures import _measure_products, measure_rows
 from .partitions import Partition
-from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial, class_weights
+from .sym_chars import (
+    CharacterPolynomial, ClassFunction, SignedPolynomial, Statistic, class_weights,
+)
 
 Series = CharacterPolynomial | SignedPolynomial
 
@@ -117,45 +119,40 @@ def _rest(r: int, squarefree: bool, signed: bool) -> tuple[tuple[int, int], ...]
     return ((0, 1), (1, -1)) if squarefree and r >= 2 else ((0, 1),)
 
 
-def _at_degree(d: int, P: ClassFunction | Series) -> ClassFunction | Series:
+def _at_degree(d: int, P: Statistic) -> Statistic:
     # P at degree d (`at_degree`), once d < 1 is refused
     if d < 1:
         raise ValueError("expected values start at degree 1")
     return P.at_degree(d)
 
 
-def _sum(d: int, P: ClassFunction | Series, squarefree: bool) -> tuple[list[int], int, str]:
-    # The integer u**k totals, their one denominator, and the route.
-    if not isinstance(P, ClassFunction):
-        return *_series_sum(d, P, squarefree), VIA_SERIES
-    return *_measure_sum(_at_degree(d, P), squarefree), VIA_MEASURE
-
-
-def _stat_name(P: ClassFunction | Series, name: str | None) -> str:
-    if name is not None:
-        return name
+def _sum(d: int, P: Statistic, sf: bool, name: str | None) -> tuple[list[int], int, str, str]:
+    # The integer u**k totals, their one denominator, the route, and the
+    # name, `name` or else that of P at d.  P is read at d (`at_degree`),
+    # and what it is there decides the route.
+    P = _at_degree(d, P)
+    name = P.name or "stat" if name is None else name
     if isinstance(P, ClassFunction):
-        return P.name or "stat"
-    return P.name or str(P)  # the name its class functions carry
+        return *_measure_sum(P, sf), VIA_MEASURE, name
+    return *_series_sum(d, P, sf), VIA_SERIES, name
 
 
-def expected(d: int, P: ClassFunction | Series, name: str | None = None) -> ExpectationResult:
+def expected(d: int, P: Statistic, name: str | None = None) -> ExpectationResult:
     """E_d(P): the mean of P over all monic degree-d polynomials.
 
     Its u**k coefficient equals <P, psi_d^k> by the definition of psi.
-    A ClassFunction on the partitions of d takes the measure route; a
-    CharacterPolynomial or SignedPolynomial takes the series route at
+    P is any statistic (`sym_chars.statistic`) or ClassFunction, read at d
+    through `at_degree(d)`.  A ClassFunction there takes the measure route;
+    a CharacterPolynomial or SignedPolynomial takes the series route at
     any d, refused by `check_series_budget` before its sums run.
     """
-    total, den, route = _sum(d, P, squarefree=False)
-    return ExpectationResult(
-        d=d, statistic=_stat_name(P, name), value=UPoly(U_VAR, total, den), route=route
-    )
+    total, den, route, name = _sum(d, P, False, name)
+    return ExpectationResult(d=d, statistic=name, value=UPoly(U_VAR, total, den), route=route)
 
 
 def expected_sf(
     d: int,
-    P: ClassFunction | Series,
+    P: Statistic,
     normalization: str = NORM_Q_POWER,
     name: str | None = None,
 ) -> ExpectationResult:
@@ -172,18 +169,18 @@ def expected_sf(
     """
     if normalization not in (NORM_Q_POWER, NORM_SF_COUNT):
         raise ValueError(f"unknown normalization {normalization!r}")
-    total, den, route = _sum(d, P, squarefree=True)
+    total, den, route, name = _sum(d, P, True, name)
     if normalization == NORM_SF_COUNT and d >= 2:
         # dividing by 1 - u takes prefix sums; the last is the remainder
         *total, rem = accumulate(total)
         if rem:
             raise ConsistencyError(
-                f"squarefree sum for {_stat_name(P, name)} at d={d} is not "
+                f"squarefree sum for {name} at d={d} is not "
                 "divisible by the squarefree density 1 - u"
             )
     return ExpectationResult(
         d=d,
-        statistic=_stat_name(P, name),
+        statistic=name,
         value=UPoly(U_VAR, total, den),
         route=route,
         normalization=normalization,

@@ -52,7 +52,7 @@ from operator import itemgetter
 from .errors import BudgetExceeded, ConsistencyError, InvalidCharacteristic
 from .exact import Immutable, cut_short, power
 from .partitions import Partition
-from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial
+from .sym_chars import Statistic
 
 DEFAULT_BUDGET = 10**7
 
@@ -535,7 +535,7 @@ def irreducibles(
 def census(
     field: FqField,
     d: int,
-    stat: ClassFunction | CharacterPolynomial | SignedPolynomial,
+    stat: Statistic,
     squarefree_only: bool = False,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,

@@ -8,8 +8,9 @@ strips, the Murnaghan-Nakayama rule), hook-length dimensions,
 decomposition into irreducibles, character polynomials (statistics
 defined uniformly in d as polynomials in the part-count functions x_1,
 x_2, ...) and signed polynomials (one of them plus sgn times another),
-the built-in statistics, and `statistic`, which decides what a statistic
-spec such as "Q", "ind:[2,1]" or "x1^2 - x2" means.
+the built-in statistics, and `statistic`, the one reader of statistic
+specs such as "Q", "ind:[2,1]" or "x1^2 - x2": all it returns is read at
+a degree d through `at_degree(d)`.
 
 Class functions and character polynomials are stored in one form,
 integers over one positive denominator in lowest terms: a class function
@@ -21,18 +22,20 @@ character-table rows hand their integer values over as they are
 Every pairing sum over lam of P(lam) X(lam) / z_lam is an integer dot
 product over one denominator: `class_weights` writes P(lam) / z_lam as
 integers W_lam over one D.  `inner`, `decompose`, the expectation sums in
-`expect` and the census in `gf` all read this form; the census reads
-every statistic through `at_degree(d)` and then `values_at`.
+`expect` and the census in `gf` all read this form, and each statistic
+through `at_degree(d)`; the census then reads `values_at` at the types
+it counts, and `class_function(d)` is `values_at(partitions_of(d))`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import defaultdict
 from contextlib import suppress
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 from math import factorial, isqrt, lcm
 from operator import add, mul
@@ -297,22 +300,14 @@ def decompose(X: ClassFunction) -> dict[Partition, Fraction]:
 # Character polynomials
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _part_counts(d: int, j: int) -> tuple[int, ...]:
-    # x_j, the number of parts j, at each partition of d
-    return tuple(lam.mult(j) for lam in partitions_of(d))
-
-
 # A monomial is a sorted tuple of (variable index j, exponent) pairs; the
-# empty tuple is the constant monomial.  Counts(j) gives x_j at each of a
-# sequence of partitions.
+# empty tuple is the constant monomial.
 Monomial = tuple[tuple[int, int], ...]
-Counts = Callable[[int], Iterable[int]]
 
 
 class _PolynomialStatistic(Immutable):
     # What character and signed polynomials share: values and class
-    # functions read from `_values`, integers over one denominator.
+    # functions read from `values_at`, integers over one denominator.
 
     __slots__ = ()
 
@@ -320,11 +315,6 @@ class _PolynomialStatistic(Immutable):
         """Value at one partition (substitute the part counts of lam)."""
         (n,), den = self.values_at((lam,))
         return Fraction(n, den)
-
-    def values_at(self, lams: Sequence[Partition]) -> tuple[Sequence[int], int]:
-        """The values at lams, partitions of one d, as integers over one
-        denominator."""
-        return self._values(lams, lambda j: [lam.mult(j) for lam in lams])
 
     def class_function(self, d: int) -> ClassFunction:
         """The statistic this expression defines on partitions of d.
@@ -338,8 +328,7 @@ class _PolynomialStatistic(Immutable):
             raise ValueError("d must be nonnegative")
         check_partition_budget(d)
         p = self.at_degree(d)
-        nums, den = p._values(partitions_of(d), partial(_part_counts, d))
-        return ClassFunction.from_integers(d, nums, den, name=p.name)
+        return ClassFunction.from_integers(d, *p.values_at(partitions_of(d)), name=p.name)
 
 
 class CharacterPolynomial(_PolynomialStatistic):
@@ -420,18 +409,22 @@ class CharacterPolynomial(_PolynomialStatistic):
     def __pow__(self, e: int) -> "CharacterPolynomial":
         return power(self, e, CharacterPolynomial.__mul__, CharacterPolynomial.constant(1))
 
-    def _values(self, lams: Sequence[Partition], counts: Counts) -> tuple[list[int], int]:
-        return self._numerators(counts, len(lams)), self.denominator
+    def values_at(self, lams: Sequence[Partition]) -> tuple[list[int], int]:
+        """The values at lams, partitions of one d, as integers over one
+        denominator."""
+        return self._numerators(lams), self.denominator
 
-    def _numerators(self, counts: Counts, n: int) -> list[int]:
-        # The values at n partitions times the denominator, counts(j)
-        # giving x_j at each of them; each monomial is evaluated at all n
-        # at once.
-        total = [0] * n
+    def _numerators(self, lams: Sequence[Partition]) -> list[int]:
+        # The values at lams times the denominator; each monomial is
+        # evaluated at all of lams at once, x_j read once per j.
+        counts: dict[int, list[int]] = {}
+        total = [0] * len(lams)
         for mono, c in self.terms:
-            vals: Iterable[int] = repeat(c, n)
+            vals: Iterable[int] = repeat(c, len(lams))
             for j, e in mono:
-                vals = map(mul, vals, map(pow, counts(j), repeat(e)))
+                if j not in counts:
+                    counts[j] = [lam.mult(j) for lam in lams]
+                vals = map(mul, vals, map(pow, counts[j], repeat(e)))
             total = list(map(add, total, vals))
         return total
 
@@ -500,8 +493,10 @@ class SignedPolynomial(_PolynomialStatistic):
     def __init__(self, plain: CharacterPolynomial, signed: CharacterPolynomial, name: str) -> None:
         self._store(plain, signed, name)
 
-    def _values(self, lams: Sequence[Partition], counts: Counts) -> tuple[tuple[int, ...], int]:
-        plain, signed = (part._numerators(counts, len(lams)) for part in (self.plain, self.signed))
+    def values_at(self, lams: Sequence[Partition]) -> tuple[tuple[int, ...], int]:
+        """The values at lams, partitions of one d, as integers over one
+        denominator."""
+        plain, signed = (part._numerators(lams) for part in (self.plain, self.signed))
         twisted = map(mul, map(Partition.sign, lams), signed)
         return add_rows(plain, self.plain.denominator, twisted, self.signed.denominator)
 
@@ -514,32 +509,21 @@ class SignedPolynomial(_PolynomialStatistic):
 # Expression parser:  "x1*(x1-1)/2 - x2"
 # ---------------------------------------------------------------------------
 
+# After any whitespace: a token (an ASCII number, a variable x1, x2, ...,
+# an operator or a parenthesis); else an x with no digit after it, a bad
+# variable; else a stray character, past an x when it is a non-ASCII digit.
+_TOKEN = re.compile(r"\s*(?:(?P<tok>[0-9]+|x[0-9]+|[-+*/^()])|(?P<x>x)(?!\d)|x?(?P<ch>\S))")
+
+
 def _tokenize(text: str) -> list[str]:
     tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise UnknownStatistic(f"bad variable at position {i} in {quote_short(text)}")
-            tokens.append(text[i:j])
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        else:
+    for m in _TOKEN.finditer(text):
+        if m["x"]:
+            at = m.start("x")
+            raise UnknownStatistic(f"bad variable at position {at} in {quote_short(text)}")
+        if ch := m["ch"]:
             raise UnknownStatistic(f"unexpected character {ch!r} in statistic {quote_short(text)}")
+        tokens.append(m["tok"])
     return tokens
 
 
@@ -698,14 +682,14 @@ def parse_character_polynomial(text: str) -> CharacterPolynomial:
 # Built-in statistics and statistic specs
 # ---------------------------------------------------------------------------
 
-# Each built-in statistic's one definition: a character polynomial, or
-# one plus sgn times another.  A str value makes its key an alias of that
-# name.
+# Each built-in statistic's one definition, under its name: a character
+# polynomial, or one plus sgn times another.  "1" is one more key for one.
 _HALF = CharacterPolynomial((((), 1),), 2)
 _Q = CharacterPolynomial.binomial(1, 2) - CharacterPolynomial.variable(2)
-_BUILTINS: dict[str, CharacterPolynomial | SignedPolynomial | str] = {
-    "one": CharacterPolynomial.constant(1, name="one"),
-    "1": "one",
+_ONE = CharacterPolynomial.constant(1, name="one")
+_BUILTINS: dict[str, CharacterPolynomial | SignedPolynomial] = {
+    "one": _ONE,
+    "1": _ONE,
     "sgn": SignedPolynomial(
         CharacterPolynomial.constant(0), CharacterPolynomial.constant(1), name="sgn"
     ),
@@ -717,7 +701,7 @@ _BUILTINS: dict[str, CharacterPolynomial | SignedPolynomial | str] = {
 
 def builtin_names() -> tuple[str, ...]:
     """The built-in statistics' names, without the alias 1 for one."""
-    return tuple(name for name, stat in _BUILTINS.items() if not isinstance(stat, str))
+    return tuple(dict.fromkeys(stat.name for stat in _BUILTINS.values()))
 
 
 def _check_builtin(name: str) -> None:
@@ -785,16 +769,12 @@ def _type_label(label: str, d: int) -> Partition:
 
 
 def _indicator_spec(label: str, d: int) -> ClassFunction:
-    lam = _type_label(label, d)
-    if lam.d != d:
-        raise UnknownStatistic(
-            f"indicator partition {lam.label()} has size {lam.d}, not d={d}"
-        )
+    if (lam := _type_label(label, d)).d != d:
+        raise UnknownStatistic(f"indicator partition {lam.label()} has size {lam.d}, not d={d}")
     return indicator(lam)
 
 
 def _table_spec(path: str, d: int) -> ClassFunction:
-    check_partition_budget(d)  # before the file is read
     # The longest table within the caps: PARTITION_BUDGET values of at most
     # `limit` digits, and as much again (a set limit is >= 640) for labels.
     cap = 2 * PARTITION_BUDGET * (limit := sys.get_int_max_str_digits())
@@ -817,43 +797,55 @@ def _table_spec(path: str, d: int) -> ClassFunction:
     return ClassFunction(d, values, name=f"@{path}")
 
 
+class _TypeStatistic(Immutable):
+    # "ind:[...]" or "@table.json": at_degree(d) is what `read` (_indicator_spec
+    # or _table_spec) makes of the text after the prefix, read on every call.
+
+    __slots__ = ("read", "text")
+
+    def __init__(self, read: Callable[[str, int], ClassFunction], text: str) -> None:
+        self._store(read, text)
+
+    def at_degree(self, d: int) -> ClassFunction:
+        check_partition_budget(d)  # before a label is parsed or a table opened
+        return self.read(self.text, d)
+
+    class_function = at_degree  # the ClassFunction at d, as a polynomial's is
+
+
 # Bounds on the two caches of statistic specs below: parsed specs, and
 # class functions per (spec, d).  Every cached d has at most
 # PARTITION_BUDGET partitions, so an entry holds at most that many values.
 SPEC_CACHE_SIZE = 256
 
+# What answers at_degree(d), and so what expect and the census read.
+Statistic = ClassFunction | CharacterPolynomial | SignedPolynomial | _TypeStatistic
 
-def statistic(
-    spec: str,
-) -> CharacterPolynomial | SignedPolynomial | Callable[[int], ClassFunction]:
+
+def statistic(spec: str) -> CharacterPolynomial | SignedPolynomial | _TypeStatistic:
     """What a statistic spec (the CLI's --stat) means: a character
     polynomial (one, 1, R, Q, expressions in x1, x2, ...), a signed
-    polynomial (sgn, ET), or a function of d for "ind:[3,1,1]" and
-    "@table.json" (labels to rationals).
-
-    A spec is parsed once per process and print limit
+    polynomial (sgn, ET), or for "ind:[3,1,1]" and "@table.json" (labels
+    to rationals) an object whose `at_degree(d)` is the ClassFunction on
+    the partitions of d.  Each answers `at_degree(d)` and
+    `class_function(d)`; `expected`, `expected_sf` and `gf.census` take
+    each as it is.  A spec is parsed once per process and print limit
     (sys.get_int_max_str_digits()), in a cache of SPEC_CACHE_SIZE
-    entries; "@table.json" is read on every call of the function returned.
+    entries; "@table.json" is read on every `at_degree` call.
     """
-    s = spec.strip()
-    if s.startswith("@"):
-        return partial(_table_spec, s[1:])
-    return _statistic(s, sys.get_int_max_str_digits())
+    return _statistic(spec.strip(), sys.get_int_max_str_digits())
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _statistic(
-    s: str, digits: int
-) -> CharacterPolynomial | SignedPolynomial | Callable[[int], ClassFunction]:
+def _statistic(s: str, digits: int) -> CharacterPolynomial | SignedPolynomial | _TypeStatistic:
     # `digits`, the print limit, is part of the key: the parser refuses
     # coefficients past it.
-    stat = _BUILTINS.get(s)
-    if isinstance(stat, str):
-        stat = _BUILTINS[stat]
-    if stat is not None:
-        return stat
+    if s in _BUILTINS:
+        return _BUILTINS[s]
+    if s.startswith("@"):
+        return _TypeStatistic(_table_spec, s[1:])
     if s.startswith("ind:"):
-        return partial(_indicator_spec, s[len("ind:"):])
+        return _TypeStatistic(_indicator_spec, s[len("ind:"):])
     return parse_character_polynomial(s)
 
 
@@ -865,9 +857,8 @@ def resolve(spec: str, d: int) -> ClassFunction:
     result is cached per (spec, d) and print limit, in SPEC_CACHE_SIZE
     entries, except for "@table.json", which is read on every call.
     """
-    s = spec.strip()
-    if s.startswith("@"):
-        return _table_spec(s[1:], d)
+    if (s := spec.strip()).startswith("@"):  # not cached: a table is read on every call
+        return statistic(s).at_degree(d)
     return _resolved(s, d, sys.get_int_max_str_digits())
 
 
@@ -875,10 +866,7 @@ def resolve(spec: str, d: int) -> ClassFunction:
 def _resolved(s: str, d: int, digits: int) -> ClassFunction:
     # `digits` is part of the key: class_function refuses values past it.
     check_partition_budget(d)
-    stat = _statistic(s, digits)
-    if isinstance(stat, (CharacterPolynomial, SignedPolynomial)):
-        return stat.class_function(d)
-    return stat(d)
+    return _statistic(s, digits).class_function(d)
 
 
 def polynomial_statistic(spec: str) -> CharacterPolynomial:
@@ -886,7 +874,7 @@ def polynomial_statistic(spec: str) -> CharacterPolynomial:
     stat = statistic(spec)
     if isinstance(stat, CharacterPolynomial):
         return stat
-    names = ", ".join(n for n, s in _BUILTINS.items() if isinstance(s, CharacterPolynomial))
+    names = ", ".join(n for n in builtin_names() if isinstance(_BUILTINS[n], CharacterPolynomial))
     raise UnknownStatistic(
         f"{quote_short(spec.strip())} is not a character polynomial, which limits need "
         f"(use {names}, or an expression in x1, x2, ...)"

@@ -11,7 +11,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitstat import cli
@@ -397,6 +397,7 @@ def primes_between(lo, hi):
 
 
 HUGE_PRIME = "1000000000000000000000000000057"
+NINES = "9" * 4300  # an exponent n with n * d past the 4300-digit print limit
 
 BAD_INPUTS = {
     "expect-division-by-zero": (("expect", "--d", "3", "--stat", "x1/0"), "division by zero"),
@@ -628,6 +629,56 @@ BAD_INPUTS = {
         ("irreducibles", "--q", HUGE_PRIME, "--max-degree", "1", "--budget", "1" + "0" * 32),
         f"{HUGE_PRIME} has no prime factor up to 1000000, where trial division stops",
     ),
+    # n * d past the print limit is named by its leading digits
+    "irreducibles-unprintable-exponent": (
+        ("irreducibles", "--q", f"2^{NINES}", "--max-degree", "2"),
+        "needs at least q^2 = 2^1" + "9" * 39 + "... polynomial enumerations over F_2^" + "9" * 40,
+    ),
+    "verify-unprintable-exponent": (
+        ("verify", "--d", "3", "--q", f"3^{NINES}", "--stat", "R"),
+        "census of q^d = 3^2" + "9" * 39 + "... polynomials is above the budget",
+    ),
+    # argparse drops "--" from a value written "--opt=--", leaving no value
+    "verify-q-dashes": (
+        ("verify", "--d", "2", "--q=--", "--stat", "R"),
+        "argument --q: expected one argument",
+    ),
+    "expect-stat-dashes": (("expect", "--d", "2", "--stat=--"), "argument --stat: expected one"),
+    "expect-d-dashes": (("expect", "--d=--", "--stat", "R"), "argument --d: expected one argument"),
+    "limit-order-dashes": (
+        ("limit", "--stat", "Q", "--order=--"),
+        "argument --order: expected one argument",
+    ),
+    "verify-budget-dashes": (
+        ("verify", "--d", "2", "--q", "2", "--stat", "R", "--budget=--"),
+        "argument --budget: expected one argument",
+    ),
+    "irreducibles-max-degree-dashes": (
+        ("irreducibles", "--q", "2", "--max-degree=--"),
+        "argument --max-degree: expected one argument",
+    ),
+    # digits in an expression are ASCII
+    "expect-superscript-digit": (
+        ("expect", "--d", "3", "--stat", "x1\u00b2"),
+        "unexpected character '\u00b2' in statistic 'x1\u00b2'",
+    ),
+    "expect-arabic-indic-digit": (
+        ("expect", "--d", "3", "--stat", "x\u0663"),
+        "unexpected character '\u0663' in statistic 'x\u0663'",
+    ),
+    # the degree is checked before a label is read or a table opened
+    "expect-over-cap-bad-label": (
+        ("expect", "--d", "30", "--stat", "ind:[x]"),
+        "the partition route at d=30 needs p(d) factorization types",
+    ),
+    "sf-expect-over-cap-missing-table": (
+        ("sf-expect", "--d", "30", "--stat", "@missing.json"),
+        "the partition route at d=30 needs p(d) factorization types",
+    ),
+    "expect-degree-0-indicator": (
+        ("expect", "--d", "0", "--stat", "ind:[2,1]"),
+        "indicator partition [2,1] has size 3, not d=0",
+    ),
 }
 
 
@@ -653,12 +704,14 @@ def test_bad_input_exits_2_fast(capsys, tmp_path, monkeypatch, argv, message):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+    assert "set_int_max_str_digits" not in err
     assert len(err) < 1024
 
 
 # --q texts: short text of any characters or of those a size is written
-# in, "p^n" over integers of either sign, and bases or exponents with
-# thousands of digits.
+# in, "p^n" over integers of either sign, bases or exponents with
+# thousands of digits, and exponents about as long as the 4300-digit
+# print limit, so that n * d may pass it.
 Q_TEXTS = st.one_of(
     st.text(max_size=40),
     st.text(alphabet="0123456789^*+- _", max_size=40),
@@ -668,6 +721,12 @@ Q_TEXTS = st.one_of(
         st.sampled_from(["1", "2", "-1", "2^1"]),
         st.integers(0, 3000),
         st.sampled_from(["", "^0", "^1", "^-1", "^2"]),
+    ),
+    st.builds(
+        lambda base, digit, k: f"{base}^{digit * k}",
+        st.sampled_from(["2", "3", "4"]),
+        st.sampled_from("159"),
+        st.integers(4290, 4310),
     ),
 )
 
@@ -680,6 +739,8 @@ Q_TEXTS = st.one_of(
     ]),
     Q_TEXTS,
 )
+@example(("verify", "--d", "2", "--stat", "R", "--budget", "1000"), "--")
+@example(("irreducibles", "--max-degree", "2", "--budget", "1000"), f"2^{NINES}")
 def test_any_q_text_answers_or_is_refused_fast(argv, text):
     err = io.StringIO()
     start = time.perf_counter()

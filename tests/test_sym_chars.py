@@ -460,9 +460,42 @@ def test_statistic_resolves_every_spec_form(tmp_path):
     ):
         stat = statistic(spec)
         assert not isinstance(stat, CharacterPolynomial)
-        assert stat(d) == want
+        assert stat.at_degree(d) == want
     with pytest.raises(UnknownStatistic, match="'ind:\\[2\\]' is not a character polynomial"):
         polynomial_statistic("ind:[2]")
+
+
+def test_every_statistic_goes_straight_into_expect_and_the_census(tmp_path):
+    # Each kind statistic() returns is read through at_degree(d) by
+    # expected, expected_sf and gf.census, and agrees with its class
+    # function on the partitions of d, resolve(spec, d).
+    table = tmp_path / "stat.json"
+    table.write_text('{"[2,1]": "1/3", "[1,1,1]": -2}')
+    F = gf.make_field(3)
+    for spec in ("one", "1", "Q", "x1^2 - 3*x2", "sgn", "ET", "ind:[2,1]", f"@{table}"):
+        stat, P = statistic(spec), resolve(spec, 3)
+        nums, den = stat.at_degree(3).values_at(partitions_of(3))
+        assert [Fraction(n, den) for n in nums] == [P(lam) for lam in partitions_of(3)]
+        for flavor in (expect.expected, expect.expected_sf):
+            assert flavor(3, stat).value == flavor(3, P).value
+        for squarefree in (False, True):
+            assert gf.census(F, 3, stat, squarefree) == gf.census(F, 3, P, squarefree)
+    assert statistic("1") is statistic("one")
+    assert expect.expected(3, statistic("ind:[2,1]")).statistic == "ind:[2,1]"
+    with pytest.raises(ValueError, match="start at degree 1"):
+        expect.expected(0, statistic("ind:[2,1]"))
+
+
+def test_expressions_take_ascii_digits_only():
+    # str.isdigit accepts superscripts and other scripts' digits; the
+    # tokenizer does not, so each is an unexpected character
+    for text, ch in (("x1\u00b2", "\u00b2"), ("x\u0663", "\u0663"), ("\u0663*x1", "\u0663")):
+        with pytest.raises(UnknownStatistic, match=f"unexpected character '{ch}' in statistic"):
+            parse_character_polynomial(text)
+    with pytest.raises(UnknownStatistic, match="bad variable at position 3 in 'x1-x'"):
+        parse_character_polynomial("x1-x")
+    want = CharacterPolynomial.variable(12) * (3 - CharacterPolynomial.variable(1))
+    assert parse_character_polynomial(" x12 *\t( 3-x1 ) ").terms == want.terms
 
 
 def test_parse_character_polynomial():
@@ -534,9 +567,9 @@ def test_vanishing_monomials_are_dropped_before_evaluation(monkeypatch):
     evaluated = []
     numerators = CharacterPolynomial._numerators
 
-    def counting(self, counts, n):
-        evaluated.extend((mono, n) for mono, _ in self.terms)
-        return numerators(self, counts, n)
+    def counting(self, lams):
+        evaluated.extend((mono, len(lams)) for mono, _ in self.terms)
+        return numerators(self, lams)
 
     monkeypatch.setattr(CharacterPolynomial, "_numerators", counting)
     for spec in (wide, narrow):
@@ -686,7 +719,7 @@ def test_table_specs_are_read_on_every_call(tmp_path):
     assert resolve(f"@{table}", 2) == ClassFunction(2, {Partition([2]): Fraction(1, 3)})
     table.write_text('{"[1,1]": "5"}')
     assert resolve(f"@{table}", 2) == ClassFunction(2, {Partition([1, 1]): Fraction(5)})
-    assert statistic(f"@{table}")(2) == resolve(f"@{table}", 2)
+    assert statistic(f"@{table}").at_degree(2) == resolve(f"@{table}", 2)
     table.write_text("[1]")
     with pytest.raises(UnknownStatistic, match="must hold a JSON object"):
         resolve(f"@{table}", 2)
