@@ -7,9 +7,12 @@ and its u**k coefficient is <P, psi_d^k>.  P is read at d through
 
 * the measure route, for a ClassFunction on the partitions of d: the
   stored integer rows z_lam [u**k] nu(lam) of `measures.measure_rows`
-  (row k is psi_d^k), each u**k coefficient one integer dot product of
-  `sym_chars.class_weights(P)`, the integers W_lam with
-  P(lam) / z_lam = W_lam / D, with row k, over the one denominator D;
+  (row k is psi_d^k), packed once per (d, flavour) into one integer per
+  partition, its column times lcm(z) / z_lam with [u**k] in bit slot k
+  (`_packed_columns`, Kronecker substitution).  A query is then one
+  integer multiply-add per partition with P's numerators, and d signed
+  slot reads, over P.denominator * lcm(z); the first query at a
+  (d, flavour) pays for the packing, every later one only for the pairing;
 * the series route, for a CharacterPolynomial: P in the basis of
   products of binomials prod_j C(x_j, m_j), each term a splitting
   measure at its own weight times a truncated power series (see
@@ -26,7 +29,9 @@ actual squarefree count, which divides out the squarefree density
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
@@ -36,7 +41,7 @@ from .exact import U_VAR, Immutable, UPoly, add_rows, cut_short
 from .measures import _measure_products, measure_rows
 from .partitions import Partition
 from .sym_chars import (
-    CharacterPolynomial, ClassFunction, SignedPolynomial, Statistic, class_weights,
+    CharacterPolynomial, ClassFunction, SignedPolynomial, Statistic, _class_scales,
 )
 
 Series = CharacterPolynomial | SignedPolynomial
@@ -77,12 +82,61 @@ class ExpectationResult(Immutable):
         return self.value.evaluate(Fraction(1, q))
 
 
+# Numerators are paired in balanced digits of this many bits, so one
+# packing serves numerators of every size.
+_DIGIT_BITS = 64
+_DIGIT_HALF = 1 << (_DIGIT_BITS - 1)
+
+
+@lru_cache(maxsize=None)
+def _packed_columns(d: int, squarefree: bool) -> tuple[tuple[int, ...], int, int, int]:
+    # Per partition lam of d, in partition order, the one integer
+    # (lcm(z) / z_lam) * sum over k of row_k[lam] * 2**(width*k), rows
+    # those of measure_rows; with width, the bias that lifts every slot of
+    # a pairing to nonnegative, and lcm(z).  A pairing of digits of at most
+    # 2**63 in size has slots of size at most 2**63 * top < 2**(width-2), so
+    # no slot spills into the next.  The rows are combined pairwise, each
+    # pass doubling the slots an integer holds.
+    rows = measure_rows(d, squarefree=squarefree)
+    scales, lcm_z = _class_scales(d)
+    top = max(max(map(max, rows)), -min(map(min, rows))) * max(scales) * len(scales)
+    width = top.bit_length() + _DIGIT_BITS + 1
+    packed, shift = list(rows), width
+    while len(packed) > 1:
+        unpaired = packed[len(packed) & ~1 :]
+        pairs = zip(packed[::2], packed[1::2])
+        packed = [[a + (b << shift) for a, b in zip(lo, hi)] for lo, hi in pairs] + unpaired
+        shift *= 2
+    bias = (1 << (width - 1)) * (((1 << (width * d)) - 1) // ((1 << width) - 1))
+    return tuple(map(mul, packed[0], scales)), width, bias, lcm_z
+
+
+def _balanced_digits(nums: Sequence[int]) -> Iterator[tuple[int, Sequence[int]]]:
+    # (place, digits): nums = sum over places of digits * 2**place, each
+    # digit in [-2**63, 2**63); nums themselves when they already are.
+    place = 0
+    while max(nums) >= _DIGIT_HALF or min(nums) < -_DIGIT_HALF:
+        low = [((a + _DIGIT_HALF) & (2 * _DIGIT_HALF - 1)) - _DIGIT_HALF for a in nums]
+        yield place, low
+        nums = [(a - b) >> _DIGIT_BITS for a, b in zip(nums, low)]
+        place += _DIGIT_BITS
+    yield place, nums
+
+
 def _measure_sum(P: ClassFunction, squarefree: bool) -> tuple[list[int], int]:
-    # nu(lam) = column / z_lam, so the u**k total pairs row k (in partition
-    # order) with the weights P(lam) / z_lam = W_lam / D: the integer
-    # totals, and D.
-    weights, den = class_weights(P)
-    return [sum(map(mul, weights, row)) for row in measure_rows(P.d, squarefree=squarefree)], den
+    # nu(lam) = column / z_lam, so the u**k total is the sum over lam of
+    # P(lam) (lcm(z) / z_lam) row_k[lam] over P.denominator * lcm(z): with
+    # the packed columns, one multiply-add per partition gives every k at
+    # once in its slot, read back signed by lifting it with the bias.  The
+    # integer totals, and that denominator.
+    columns, width, bias, lcm_z = _packed_columns(P.d, squarefree)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    totals = [0] * P.d
+    for place, digits in _balanced_digits(P.numerators):
+        packed = sum(map(mul, digits, columns)) + bias
+        for k in range(P.d):
+            totals[k] += ((packed >> (width * k) & mask) - half) << place
+    return totals, P.denominator * lcm_z
 
 
 def _series_sum(d: int, P: Series, squarefree: bool) -> tuple[list[int], int]:

@@ -16,8 +16,9 @@ object per (degree, flavor) is `measure_rows`, d integer rows
 z_lam * [u**k] nu(lam) over the partitions of d, which reads it over
 `partitions_of(d)`.
 The measure is nu(lam) = column / z_lam, the `lie_chars` tables wrap the
-same rows, and `expect` pairs a class function with each row; no
-inversion pass converts one form into another.  For a character
+same rows, and `expect` packs each column into one integer, on its first
+query at a (degree, flavor), to pair a class function with every row at
+once; no inversion pass converts one form into another.  For a character
 polynomial, `expect` reads the products of its binomial terms'
 partitions, of every weight up to d, in one call.
 """

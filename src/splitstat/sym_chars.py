@@ -19,12 +19,15 @@ of its monomials.  Polynomial arithmetic multiplies and adds integers,
 and character polynomials (`values_at`), irreducible characters and
 character-table rows hand their integer values over as they are
 (`ClassFunction.from_integers`), with no Fraction per partition or term.
-Every pairing sum over lam of P(lam) X(lam) / z_lam is an integer dot
-product over one denominator: `class_weights` writes P(lam) / z_lam as
-integers W_lam over one D.  `inner`, `decompose`, the expectation sums in
-`expect` and the census in `gf` all read this form, and each statistic
-through `at_degree(d)`; the census then reads `values_at` at the types
-it counts, and `class_function(d)` is `values_at(partitions_of(d))`.
+A pairing sum over lam of P(lam) X(lam) / z_lam in `inner` and
+`decompose` is an integer dot product over one denominator, row by row,
+as each makes one pairing per build: `class_weights` writes
+P(lam) / z_lam as integers W_lam over one D.  The expectation sums in
+`expect` pair P's numerators with measure columns packed once per
+degree, one multiply-add per partition for every u**k at once.  These
+and the census in `gf` read each statistic through `at_degree(d)`; the
+census then reads `values_at` at the types it counts, and
+`class_function(d)` is `values_at(partitions_of(d))`.
 """
 
 from __future__ import annotations
@@ -571,6 +574,16 @@ class _Parser:
                 f"{sys.get_int_max_str_digits()} digits, the limit for printing integers"
             )
 
+    def number(self, digits: str) -> int:
+        """int(digits), refused when it has more digits than the print limit."""
+        limit = sys.get_int_max_str_digits()
+        if limit and len(digits) > limit:
+            raise BudgetExceeded(
+                f"{quote_short(digits)} in statistic {self.shown} has more digits than "
+                f"the print limit of {limit}"
+            )
+        return int(digits)
+
     def mul(self, a: CharacterPolynomial, b: CharacterPolynomial) -> CharacterPolynomial:
         """a * b, refused before multiplying when over a cap."""
         bits = _coefficient_bits(a) + _coefficient_bits(b)
@@ -632,7 +645,7 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise UnknownStatistic(f"exponent must be a nonnegative integer in {self.shown}")
-            result = power(result, int(tok), self.mul, CharacterPolynomial.constant(1))
+            result = power(result, self.number(tok), self.mul, CharacterPolynomial.constant(1))
         return result if sign == 1 else -result
 
     def atom(self) -> CharacterPolynomial:
@@ -649,9 +662,9 @@ class _Parser:
             self.depth -= 1
             return inside
         if tok.isdigit():
-            return CharacterPolynomial.constant(int(tok))
+            return CharacterPolynomial.constant(self.number(tok))
         if tok.startswith("x"):
-            return CharacterPolynomial.variable(int(tok[1:]))
+            return CharacterPolynomial.variable(self.number(tok[1:]))
         raise UnknownStatistic(f"unexpected token {quote_short(tok)} in statistic {self.shown}")
 
 

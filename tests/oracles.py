@@ -5,15 +5,20 @@ are plain lists of exact rationals, index = exponent; the tests wrap a
 result in `UPoly`, through `upoly`, to compare it with a package value.
 Over a finite field they are coefficient tuples, low-to-high, divided
 here by schoolbook long division on the field's own methods, `F.sub` and
-`F.mul`: none of gf's polynomial arithmetic is used.
+`F.mul`: none of gf's polynomial arithmetic is used.  The measure
+route's packed pairing is compared with `measure_sum_by_rows`, the same
+stored rows paired one row at a time.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from splitstat.exact import U_VAR, UPoly, over_one_denominator
+from splitstat.measures import measure_rows
 from splitstat.partitions import Partition
+from splitstat.sym_chars import class_weights
 
 
 def _coeff(p, k):
@@ -61,6 +66,14 @@ def series_expand(numer, denom, order):
             s -= _coeff(denom, i) * out[k - i]
         out.append(s / denom[0])
     return out
+
+
+def measure_sum_by_rows(P, squarefree):
+    """The integer u**k totals of E_d(P), squarefree or not, and their one
+    denominator: row k of `measure_rows` paired with `class_weights(P)`,
+    one integer dot product per row."""
+    weights, den = class_weights(P)
+    return [sum(map(mul, weights, row)) for row in measure_rows(P.d, squarefree=squarefree)], den
 
 
 def divrem(F, num, den):

@@ -666,6 +666,22 @@ BAD_INPUTS = {
         ("expect", "--d", "3", "--stat", "x\u0663"),
         "unexpected character '\u0663' in statistic 'x\u0663'",
     ),
+    # a number in an expression is read only within the print limit
+    "expect-number-too-many-digits": (
+        ("expect", "--d", "3", "--stat", "1" * 5000),
+        "'1111111111111111111111111111111111111111'... in statistic "
+        "'1111111111111111111111111111111111111111'... has more digits than the print limit of 4300",
+    ),
+    "expect-exponent-too-many-digits": (
+        ("expect", "--d", "3", "--stat", "x1^" + "1" * 5000),
+        "'1111111111111111111111111111111111111111'... in statistic "
+        "'x1^1111111111111111111111111111111111111'... has more digits than the print limit of 4300",
+    ),
+    "expect-variable-too-many-digits": (
+        ("expect", "--d", "3", "--stat", "x" + "1" * 5000),
+        "'1111111111111111111111111111111111111111'... in statistic "
+        "'x111111111111111111111111111111111111111'... has more digits than the print limit of 4300",
+    ),
     # the degree is checked before a label is read or a table opened
     "expect-over-cap-bad-label": (
         ("expect", "--d", "30", "--stat", "ind:[x]"),

@@ -4,13 +4,16 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitstat import cli, expect, gf, measures, sym_chars
 from splitstat.errors import BudgetExceeded, ConsistencyError, DegreeMismatch
-from oracles import poly_mul, poly_sum, upoly
+from oracles import measure_sum_by_rows, poly_mul, poly_sum, upoly
 from splitstat.exact import U_VAR, UPoly
 from splitstat.expect import (
     NORM_Q_POWER,
@@ -34,6 +37,7 @@ from splitstat.sym_chars import (
     SignedPolynomial,
     builtin,
     builtin_polynomial,
+    decompose,
     even_type,
     indicator,
     inner,
@@ -227,7 +231,9 @@ def test_conditional_mean_is_the_squarefree_sum_over_one_minus_u():
 
 
 def test_indivisible_squarefree_sum_is_a_consistency_error(monkeypatch):
-    # rows whose sum over u**k is not 0 leave a remainder after dividing by 1 - u
+    # rows whose sum over u**k is not 0 leave a remainder after dividing by
+    # 1 - u; the columns are packed from them afresh, past the packed cache
+    monkeypatch.setattr(expect, "_packed_columns", expect._packed_columns.__wrapped__)
     monkeypatch.setattr(
         expect,
         "measure_rows",
@@ -238,6 +244,76 @@ def test_indivisible_squarefree_sum_is_a_consistency_error(monkeypatch):
         match=r"^squarefree sum for one at d=2 is not divisible by the squarefree density 1 - u$",
     ):
         expected_sf(2, one(2), NORM_SF_COUNT)
+
+
+# Numerator sizes in bits: zero, either side of the 2**63 bound on one
+# packed digit, and 3000 decimal digits.
+DIGITS_3000 = 9965
+WIDTHS = (0, 62, 63, 64, 65, DIGITS_3000)
+
+
+def sized_class_function(d, widths, signs, den, seed):
+    # numerators each of a width drawn from `widths` (exactly that many
+    # bits), all positive, all negative or of mixed signs
+    rng = random.Random(seed)
+    nums = []
+    for _ in partitions_of(d):
+        bits = rng.choice(widths)
+        n = rng.getrandbits(bits) | 1 << bits - 1 if bits else 0
+        nums.append({"+": n, "-": -n, "+-": rng.choice((n, -n))}[signs])
+    return ClassFunction.from_integers(d, nums, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 12),
+    widths=st.lists(st.sampled_from(WIDTHS) | st.integers(0, DIGITS_3000), min_size=1, max_size=4),
+    signs=st.sampled_from(("+", "-", "+-")),
+    den=st.integers(1, 10**9),
+    seed=st.integers(0, 2**32),
+)
+@example(d=1, widths=[64], signs="-", den=1, seed=0)
+@example(d=5, widths=[0], signs="+", den=1, seed=0)  # the zero function
+@example(d=20, widths=list(WIDTHS), signs="+-", den=7, seed=1)
+@example(d=23, widths=list(WIDTHS), signs="+-", den=1, seed=2)
+@example(d=23, widths=[63], signs="-", den=1, seed=3)
+def test_packed_pairing_equals_the_row_wise_reference(d, widths, signs, den, seed):
+    P = sized_class_function(d, widths, signs, den, seed)
+    result = expected(d, P)
+    assert result.route == VIA_MEASURE
+    assert result.value == UPoly(U_VAR, *measure_sum_by_rows(P, False))
+    total, sf_den = measure_sum_by_rows(P, True)
+    assert expected_sf(d, P).value == UPoly(U_VAR, total, sf_den)
+    if d >= 2:
+        *total, rem = accumulate(total)
+        assert rem == 0
+    assert expected_sf(d, P, NORM_SF_COUNT).value == UPoly(U_VAR, total, sf_den)
+
+
+def test_one_packing_per_degree_and_flavour():
+    # numerators of any size share the one packing of their (d, flavour)
+    expect._packed_columns.cache_clear()
+    for n, (d, sf) in enumerate(((7, False), (7, True), (9, True), (9, False)), 1):
+        for widths in ([0], [1], [63], [64], [65, 2], [DIGITS_3000]):
+            P = sized_class_function(d, widths, "+-", 3, n)
+            if sf:
+                expected_sf(d, P)
+                expected_sf(d, P, NORM_SF_COUNT)
+            else:
+                expected(d, P)
+            assert expect._packed_columns.cache_info().currsize == n
+
+
+def test_tables_and_measures_pack_nothing():
+    # packing waits for the first measure-route query
+    expect._packed_columns.cache_clear()
+    for build in (psi_table, phi_table, splitting_measure, sf_splitting_measure):
+        build(10)
+    decompose(roots(10))
+    expected(10, builtin_polynomial("Q"))  # the series route
+    assert expect._packed_columns.cache_info().currsize == 0
+    expected(10, roots(10))
+    assert expect._packed_columns.cache_info().currsize == 1
 
 
 def test_checks_name_only_what_ran():
