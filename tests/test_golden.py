@@ -3,7 +3,8 @@
 Each case runs one command and hashes (exit code, stdout, stderr); the
 digests in cli_golden.json pin every byte of those runs across d (across
 --max-degree for irreducibles).  Most groups run with --json; the
-decompose and irreducibles groups pin the text output too.
+measure, psi, phi, decompose and irreducibles groups pin the text output
+too.
 To re-record after a deliberate output change, run this file as a
 script: `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -51,6 +52,11 @@ GROUPS = {
 # The stored tables above d = 10, up to the partition cap (d = 23).
 for _group, (_prefix, _) in list(GROUPS.items()):
     GROUPS[f"{_group} d12-23"] = (_prefix, (12, 16, 20, 23))
+# Their text output, at the same degrees.
+for _group in ("measure", "measure --sf", "psi", "phi"):
+    _prefix = GROUPS[_group][0][:-1]  # without --json
+    GROUPS[f"{_group} text"] = (_prefix, range(1, 11))
+    GROUPS[f"{_group} text d12-23"] = (_prefix, (12, 16, 20, 23))
 for _stat in STATS:
     GROUPS[f"expect {_stat}"] = (("expect", "--stat", _stat, "--json"), range(1, 9))
     for _norm in ("qpower", "sfcount"):
