@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Iterable
+from itertools import starmap
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -23,7 +24,7 @@ from .errors import (
     InvalidCharacteristic,
     UnknownStatistic,
 )
-from .exact import UPoly, format_ratio, format_rational, join_signed, quote_short
+from .exact import UPoly, format_ratio, format_rational, join_signed, quote_short, strip_zeros
 from .expect import (
     NORM_Q_POWER,
     NORM_SF_COUNT,
@@ -42,7 +43,7 @@ from .gf import (
     make_field,
 )
 from .lie_chars import phi_table, psi_table
-from .measures import necklace, sf_splitting_measure, splitting_measure
+from .measures import measure_rows, necklace
 from .partitions import partitions_of
 from .sym_chars import check_decompose_budget, decompose, polynomial_statistic, statistic
 from .sym_chars import resolve as resolve_stat  # a --stat argument at degree d
@@ -64,12 +65,17 @@ def _field(text: str, check: Callable[..., None], *limits: int) -> FqField:
 
 def format_inverse_powers(p: UPoly) -> str:
     """Render a u-polynomial in the 1/q table style: "2/q + 1/q^2"."""
+    return _inverse_powers(p.numerators, p.denominator)
+
+
+def _inverse_powers(numerators: Iterable[int], denominator: int) -> str:
+    # integers over a denominator, index = power of u = 1/q, in that style
     parts = []
-    for k, n in enumerate(p.numerators):
+    for k, n in enumerate(numerators):
         if n and k == 0:
-            parts.append(format_ratio(n, p.denominator))
+            parts.append(format_ratio(n, denominator))
         elif n:
-            num, _, den = format_ratio(abs(n), p.denominator).partition("/")
+            num, _, den = format_ratio(abs(n), denominator).partition("/")
             qk = "q" if k == 1 else f"q^{k}"
             term = f"{num}/({den}*{qk})" if den else f"{num}/{qk}"
             parts.append(f"-{term}" if n < 0 else term)
@@ -78,52 +84,82 @@ def format_inverse_powers(p: UPoly) -> str:
 
 def _emit(
     args: argparse.Namespace,
-    payload: Callable[[], dict],
+    json_chunks: Callable[[], Iterable[str]],
     text_lines: Callable[[], Iterable[str]],
 ) -> None:
-    # Only the output that is printed is formatted: the JSON payload
-    # under --json, the text lines otherwise.  Either is built whole
-    # before anything is printed.
-    if args.json:
-        print(json.dumps(payload(), indent=2))
-    else:
-        for line in list(text_lines()):
-            print(line)
+    # Only the output that is printed is formatted: the JSON under
+    # --json, the text lines otherwise.  Each chunk is printed as it is
+    # produced, so a p(d)-sized table is held one row at a time; a
+    # command does whatever may fail (budget checks, rows) before it
+    # calls this, so a refusal prints nothing.  A small command yields
+    # its one json.dumps(..., indent=2).
+    for chunk in (json_chunks if args.json else text_lines)():
+        print(chunk)
+
+
+def _json_members(members: Iterable[str]) -> Iterator[str]:
+    # members of a JSON object, each but the last followed by a comma, as
+    # json.dumps(..., indent=2) lays them out
+    pending = None
+    for member in members:
+        if pending is not None:
+            yield pending + ","
+        pending = member
+    if pending is not None:
+        yield pending
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    m = sf_splitting_measure(args.d) if args.sf else splitting_measure(args.d)
+    rows = measure_rows(args.d, squarefree=args.sf)
+    lams = partitions_of(args.d)
+    labels = [lam.label() for lam in lams]
     flavor = "squarefree" if args.sf else "all"
 
-    def payload() -> dict:
-        values = {lam.label(): nu.json_coeffs() for lam, nu in m.items()}
-        return {"d": args.d, "flavor": flavor, "values": values}
+    def measures() -> Iterator[tuple[str, Sequence[int], int]]:
+        # per type lam: its label, and nu(lam) as its column over z_lam
+        for label, lam, column in zip(labels, lams, zip(*rows)):
+            yield label, column, lam.centralizer_order()
 
-    def lines() -> Iterable[str]:
+    def json_member(label: str, column: Sequence[int], z: int) -> str:
+        coeffs = ",".join(f'\n      "{format_ratio(n, z)}"' for n in strip_zeros(column))
+        return f'    "{label}": [{coeffs}\n    ]' if coeffs else f'    "{label}": []'
+
+    def json_chunks() -> Iterator[str]:
+        yield f'{{\n  "d": {args.d},\n  "flavor": "{flavor}",\n  "values": {{'
+        yield from _json_members(starmap(json_member, measures()))
+        yield "  }\n}"
+
+    def lines() -> Iterator[str]:
         yield f"splitting measure, d={args.d}, flavor={flavor}"
-        width = max(len(lam.label()) for lam in m)
-        for lam, nu in m.items():
-            yield f"  {lam.label():<{width}}  {format_inverse_powers(nu)}"
+        width = max(map(len, labels))
+        for label, column, z in measures():
+            yield f"  {label:<{width}}  {_inverse_powers(column, z)}"
 
-    _emit(args, payload, lines)
+    _emit(args, json_chunks, lines)
     return 0
 
 
 def cmd_char_table(args: argparse.Namespace) -> int:
     kind = args.command
     table = psi_table(args.d) if kind == "psi" else phi_table(args.d)
-    payload = table.to_json()
+    labels = [lam.label() for lam in partitions_of(args.d)]
 
-    def lines() -> Iterable[str]:
-        lams = partitions_of(args.d)
-        width = max(len(lam.label()) for lam in lams)
+    # One format template per table holds the labels; a row fills in its values.
+    def json_chunks() -> Iterator[str]:
+        row = '  "{}": {{' + ",".join(f'\n    "{label}": {{}}' for label in labels) + "\n  }}"
+        yield "{"
+        yield from _json_members(row.format(k, *table.values(k)) for k in table.degrees)
+        yield "}"
+
+    def lines() -> Iterator[str]:
+        width = max(map(len, labels))
+        row = "{:>3} | " + " ".join([f"{{:>{width}}}"] * len(labels))
         yield f"{kind} character table, d={args.d}"
-        yield "  k | " + " ".join(f"{lam.label():>{width}}" for lam in lams)
-        for k, values in payload.items():
-            row = " ".join(f"{v:>{width}}" for v in values.values())
-            yield f"{k:>3} | {row}"
+        yield "  k | " + " ".join(f"{label:>{width}}" for label in labels)
+        for k in table.degrees:
+            yield row.format(k, *table.values(k))
 
-    _emit(args, lambda: payload, lines)
+    _emit(args, json_chunks, lines)
     return 0
 
 
@@ -135,57 +171,58 @@ def cmd_expect(args: argparse.Namespace) -> int:
         normalization = NORM_SF_COUNT if args.normalization == "sfcount" else NORM_Q_POWER
         result = expected_sf(args.d, P, normalization=normalization, name=args.stat)
 
-    def payload() -> dict:
+    def json_chunks() -> Iterator[str]:
         out = {"d": result.d, "stat": result.statistic}
         if result.normalization is not None:
             out["normalization"] = result.normalization
         out.update(
             coeffs=result.value.json_coeffs(), route=result.route, checks=list(result.checks)
         )
-        return out
+        yield json.dumps(out, indent=2)
 
-    _emit(args, payload, lambda: [f"{args.d:>3} | {format_inverse_powers(result.value)}"])
+    _emit(args, json_chunks, lambda: [f"{args.d:>3} | {format_inverse_powers(result.value)}"])
     return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     check_decompose_budget(args.d)  # before resolve_stat enumerates the partitions of d
     P = resolve_stat(args.stat, args.d)
-    components = decompose(P)  # in partition order
+    # in partition order, formatted before anything is printed
+    components = {shape.label(): format_rational(c) for shape, c in decompose(P).items()}
 
-    def payload() -> dict:
-        labelled = {shape.label(): format_rational(c) for shape, c in components.items()}
-        return {"d": args.d, "stat": args.stat, "components": labelled}
+    def json_chunks() -> Iterator[str]:
+        yield json.dumps({"d": args.d, "stat": args.stat, "components": components}, indent=2)
 
-    def lines() -> Iterable[str]:
+    def lines() -> Iterator[str]:
         yield f"decomposition of {args.stat} into irreducibles, d={args.d}"
-        for shape, c in components.items():
-            yield f"  {shape.label()}: {format_rational(c)}"
+        for label, c in components.items():
+            yield f"  {label}: {c}"
         if not components:
             yield "  (zero class function)"
 
-    _emit(args, payload, lines)
+    _emit(args, json_chunks, lines)
     return 0
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
     P = polynomial_statistic(args.stat)
     result = stable_limit(P, args.order)
+    coeffs = [format_rational(c) for c in result.coeffs]  # before anything is printed
 
-    def payload() -> dict:
-        return {
+    def json_chunks() -> Iterator[str]:
+        yield json.dumps({
             "stat": result.statistic,
             "order": result.order,
-            "coeffs": [format_rational(c) for c in result.coeffs],
+            "coeffs": coeffs,
             "stabilized_at": {str(k): d for k, d in enumerate(result.stabilized_at)},
-        }
+        }, indent=2)
 
-    def lines() -> Iterable[str]:
+    def lines() -> Iterator[str]:
         yield f"limit of expected {args.stat} as d grows (coefficients of 1/q^k)"
-        for k, (c, d) in enumerate(zip(result.coeffs, result.stabilized_at)):
-            yield f"  k={k}: {format_rational(c)}  (stable from d={d})"
+        for k, (c, d) in enumerate(zip(coeffs, result.stabilized_at)):
+            yield f"  k={k}: {c}  (stable from d={d})"
 
-    _emit(args, payload, lines)
+    _emit(args, json_chunks, lines)
     return 0
 
 
@@ -207,34 +244,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
         formula = formulas[squarefree]
         match = c == formula
         ok = ok and match
-        rows.append((label, c, formula, match))
+        rows.append((label, format_rational(c), format_rational(formula), match))
 
-    def payload() -> dict:
-        return {
+    def json_chunks() -> Iterator[str]:
+        yield json.dumps({
             "d": args.d,
             "q": field.q,
             "stat": args.stat,
             "results": {
-                label: {
-                    "census": format_rational(c),
-                    "formula": format_rational(f),
-                    "match": match,
-                }
+                label: {"census": c, "formula": f, "match": match}
                 for label, c, f, match in rows
             },
             "ok": ok,
-        }
+        }, indent=2)
 
-    def lines() -> Iterable[str]:
+    def lines() -> Iterator[str]:
         yield f"verify d={args.d} q={field.q} stat={args.stat}"
         for label, c, f, match in rows:
             status = "OK" if match else "MISMATCH"
-            yield (
-                f"  {label:<10} census {format_rational(c)}"
-                f" vs formula {format_rational(f)}: {status}"
-            )
+            yield f"  {label:<10} census {c} vs formula {f}: {status}"
 
-    _emit(args, payload, lines)
+    _emit(args, json_chunks, lines)
     if not ok:
         print("verification failed: census and formula disagree", file=sys.stderr)
         return 1
@@ -251,7 +281,7 @@ def cmd_irreducibles(args: argparse.Namespace) -> int:
         counts[deg] == necklace(deg).evaluate(field.q) for deg in counts
     )
 
-    def payload() -> dict:
+    def json_chunks() -> Iterator[str]:
         out: dict = {
             "q": field.q,
             "counts": {str(deg): counts[deg] for deg in counts},
@@ -259,9 +289,9 @@ def cmd_irreducibles(args: argparse.Namespace) -> int:
         }
         if args.list:
             out["polys"] = {str(deg): [list(f) for f in table[deg]] for deg in counts}
-        return out
+        yield json.dumps(out, indent=2)
 
-    def lines() -> Iterable[str]:
+    def lines() -> Iterator[str]:
         yield f"monic irreducibles over F_{field.q}"
         for deg in counts:
             yield f"  degree {deg}: {counts[deg]}"
@@ -271,7 +301,7 @@ def cmd_irreducibles(args: argparse.Namespace) -> int:
                 for f in table[deg]:
                     yield f"    {FqPoly(field, f)}"
 
-    _emit(args, payload, lines)
+    _emit(args, json_chunks, lines)
     if not match:
         print("irreducible counts disagree with the count polynomial", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 Q_VAR = "q"
 U_VAR = "u"
@@ -56,6 +56,14 @@ def add_rows(
     den = lcm(a_den, b_den)
     sa, sb = den // a_den, den // b_den
     return lowest_terms((sa * x + sb * y for x, y in zip(a, b, strict=True)), den)
+
+
+def strip_zeros(nums: Sequence[int]) -> Sequence[int]:
+    """nums up to its last nonzero entry: a polynomial's stored coefficients."""
+    top = len(nums)
+    while top and not nums[top - 1]:
+        top -= 1
+    return nums[:top]
 
 
 def format_ratio(n: int, den: int) -> str:
@@ -113,12 +121,10 @@ class UPoly(Immutable):
     def __init__(self, var: str, numerators: Iterable[int], denominator: int = 1) -> None:
         if var not in (Q_VAR, U_VAR):
             raise ValueError(f"unknown variable tag {var!r}")
-        nums = list(numerators)
+        nums = tuple(numerators)
         if not all(type(n) is int for n in nums) or type(denominator) is not int or denominator < 1:
             raise ValueError("UPoly takes integer numerators over a positive integer denominator")
-        while nums and not nums[-1]:
-            nums.pop()
-        self._store(var, *lowest_terms(nums, denominator))
+        self._store(var, *lowest_terms(strip_zeros(nums), denominator))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

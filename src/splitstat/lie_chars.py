@@ -8,7 +8,9 @@ Lie character).  So psi_d^k(lam) = z_lam * [u**k] nu(lam), and row k of
 without an inversion pass.  The squarefree measure likewise encodes the
 characters phi_d^k of H^k of configurations in the plane, with an
 alternating sign: phi_d^k(lam) = (-1)**k * z_lam * [u**k] nu_sf(lam), the
-sign applied when a row or value is read.
+sign applied when a row or value is read.  `CharTable.values(k)` reads one
+row as integers; the `psi` and `phi` commands print the table from it, a
+row at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import neg
 
 from .exact import Immutable
 from .measures import measure_rows
-from .partitions import Partition, partitions_of, positions
+from .partitions import Partition, positions
 from .sym_chars import ClassFunction
 
 KIND_PSI = "psi"
@@ -29,10 +31,11 @@ class CharTable(Immutable):
     """Character values indexed by cohomological degree k and partition.
 
     Rows run over k = 0..d-1; cohomology vanishes beyond that range, and
-    the measure product behind `measure_rows` checks it.  Row k is the
-    measure's integer row k, read from `measure_rows` at construction,
-    with the sign (-1)**k applied for phi; `row(k)` wraps it as a class
-    function.
+    the measure product behind `measure_rows` checks it.  The table holds
+    the measure's integer rows, read from `measure_rows` at construction
+    and stored as they are; `values(k)` reads row k in partition order,
+    with the sign (-1)**k applied for phi, and `row(k)` wraps those
+    values as a class function.
     """
 
     __slots__ = ("d", "kind", "_rows")
@@ -49,25 +52,22 @@ class CharTable(Immutable):
         return range(self.d)
 
     def _sign(self, k: int) -> int:
-        # phi's rows are stored with the sign (-1)**k
+        # the stored row k is (-1)**k phi_d^k
         if k not in self.degrees:
             raise KeyError(f"degree {k} is outside 0..{self.d - 1}")
         return -1 if self.kind == KIND_PHI and k % 2 else 1
 
-    def _values(self, k: int) -> tuple[int, ...]:
+    def values(self, k: int) -> tuple[int, ...]:
+        """The characters of degree k, in partition order."""
         sign, row = self._sign(k), self._rows[k]
         return row if sign == 1 else tuple(map(neg, row))
 
     def row(self, k: int) -> ClassFunction:
         name = f"{self.kind}[{self.d},{k}]"
-        return ClassFunction.from_integers(self.d, self._values(k), name=name)
+        return ClassFunction.from_integers(self.d, self.values(k), name=name)
 
     def value(self, k: int, lam: Partition) -> int:
         return self._sign(k) * self._rows[k][positions(self.d)[lam.parts]]
-
-    def to_json(self) -> dict[str, dict[str, int]]:
-        labels = [lam.label() for lam in partitions_of(self.d)]
-        return {str(k): dict(zip(labels, self._values(k))) for k in self.degrees}
 
 
 @lru_cache(maxsize=None)

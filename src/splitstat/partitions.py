@@ -20,14 +20,25 @@ class Partition:
     __slots__ = ("parts", "d", "_mults", "_z")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        ps = sorted((int(p) for p in parts), reverse=True)
+        ps = tuple(sorted((int(p) for p in parts), reverse=True))
         if ps and ps[-1] <= 0:
             raise ValueError("partition parts must be positive integers")
+        self._fill(ps, sum(ps))
+
+    @classmethod
+    def _descending(cls, parts: tuple[int, ...], d: int) -> "Partition":
+        # parts known to be weakly decreasing, positive and summing to d:
+        # no sort, conversion or check
+        lam = object.__new__(cls)
+        lam._fill(parts, d)
+        return lam
+
+    def _fill(self, parts: tuple[int, ...], d: int) -> None:
         mults: dict[int, int] = {}
-        for p in ps:
+        for p in parts:
             mults[p] = mults.get(p, 0) + 1
-        object.__setattr__(self, "parts", tuple(ps))
-        object.__setattr__(self, "d", sum(ps))
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "_mults", mults)
         object.__setattr__(self, "_z", 0)
 
@@ -103,13 +114,25 @@ class Partition:
         return self.label()
 
 
-def _descending_parts(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _descending_parts(n - first, first):
-            yield (first,) + rest
+def _descending_parts(d: int) -> Iterator[tuple[int, ...]]:
+    # The partitions of d in reverse-lexicographic order, each the step
+    # after the last: the parts above 1 are kept in `big`, the 1s counted.
+    # The last big part v+1 becomes v, and the 1s freed with it are
+    # regrouped into parts v, then one remainder part.
+    big, ones = ([d] if d > 1 else []), int(d == 1)
+    while True:
+        yield (*big, *(1,) * ones)
+        if not big:
+            return
+        v = big.pop() - 1
+        if v == 1:
+            ones += 2
+            continue
+        q, r = divmod(ones + 1, v)
+        big += [v] * (q + 1)
+        if r > 1:
+            big.append(r)
+        ones = int(r == 1)
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +140,7 @@ def partitions_of(d: int) -> tuple[Partition, ...]:
     """All partitions of d, exactly once, in reverse-lexicographic order."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return tuple(Partition(parts) for parts in _descending_parts(d, d if d else 1))
+    return tuple(Partition._descending(parts, d) for parts in _descending_parts(d))
 
 
 @lru_cache(maxsize=None)

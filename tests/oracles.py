@@ -7,7 +7,10 @@ Over a finite field they are coefficient tuples, low-to-high, divided
 here by schoolbook long division on the field's own methods, `F.sub` and
 `F.mul`: none of gf's polynomial arithmetic is used.  The measure
 route's packed pairing is compared with `measure_sum_by_rows`, the same
-stored rows paired one row at a time.
+stored rows paired one row at a time.  The streamed `psi`, `phi` and
+`measure` output is compared with the payloads and text lines below,
+built whole from the tables' per-value reads and the measure mappings,
+and `partitions_of` with the recursive enumeration `descending_parts`.
 """
 
 from fractions import Fraction
@@ -15,9 +18,10 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
+from splitstat.cli import format_inverse_powers
 from splitstat.exact import U_VAR, UPoly, over_one_denominator
-from splitstat.measures import measure_rows
-from splitstat.partitions import Partition
+from splitstat.measures import measure_rows, sf_splitting_measure, splitting_measure
+from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import class_weights
 
 
@@ -74,6 +78,59 @@ def measure_sum_by_rows(P, squarefree):
     one integer dot product per row."""
     weights, den = class_weights(P)
     return [sum(map(mul, weights, row)) for row in measure_rows(P.d, squarefree=squarefree)], den
+
+
+def descending_parts(n, max_part):
+    """The partitions of n with parts at most max_part, as weakly
+    decreasing tuples in reverse-lexicographic order, by recursion on the
+    first part."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in descending_parts(n - first, first):
+            yield (first,) + rest
+
+
+def char_table_json(table):
+    """The `psi`/`phi --json` payload: {k: {label: value}}, one
+    `table.value(k, lam)` per entry."""
+    lams = partitions_of(table.d)
+    return {str(k): {lam.label(): table.value(k, lam) for lam in lams} for k in table.degrees}
+
+
+def char_table_text(table):
+    """The `psi`/`phi` text lines: a header, the labels, then one row per k."""
+    lams = partitions_of(table.d)
+    width = max(len(lam.label()) for lam in lams)
+    lines = [
+        f"{table.kind} character table, d={table.d}",
+        "  k | " + " ".join(f"{lam.label():>{width}}" for lam in lams),
+    ]
+    for k in table.degrees:
+        row = " ".join(f"{table.value(k, lam):>{width}}" for lam in lams)
+        lines.append(f"{k:>3} | {row}")
+    return lines
+
+
+def _measure(d, squarefree):
+    return sf_splitting_measure(d) if squarefree else splitting_measure(d)
+
+
+def measure_json(d, squarefree):
+    """The `measure --json` payload, from the measure mapping's u-polynomials."""
+    values = {lam.label(): nu.json_coeffs() for lam, nu in _measure(d, squarefree).items()}
+    return {"d": d, "flavor": "squarefree" if squarefree else "all", "values": values}
+
+
+def measure_text(d, squarefree):
+    """The `measure` text lines, from the measure mapping's u-polynomials."""
+    m = _measure(d, squarefree)
+    width = max(len(lam.label()) for lam in m)
+    flavor = "squarefree" if squarefree else "all"
+    return [f"splitting measure, d={d}, flavor={flavor}"] + [
+        f"  {lam.label():<{width}}  {format_inverse_powers(nu)}" for lam, nu in m.items()
+    ]
 
 
 def divrem(F, num, den):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import isqrt
 from pathlib import Path
 
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import char_table_json, char_table_text, measure_json, measure_text
 from splitstat import cli
 from splitstat.cli import main
 from splitstat.exact import UPoly
 from splitstat.gf import FqPoly, make_field, type_counts
+from splitstat.lie_chars import phi_table, psi_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -318,6 +321,64 @@ def test_only_the_printed_output_is_formatted(capsys, monkeypatch):
             code, out, err = run(capsys, *argv)
             assert code == 0, err
             assert "q" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("kind", ["psi", "phi"])
+def test_char_tables_stream_their_reference_output(capsys, kind):
+    for d in range(1, 13):
+        table = psi_table(d) if kind == "psi" else phi_table(d)
+        code, out, err = run(capsys, kind, "--d", str(d), "--json")
+        assert code == 0, err
+        assert out == json.dumps(char_table_json(table), indent=2) + "\n"
+        code, out, err = run(capsys, kind, "--d", str(d))
+        assert code == 0, err
+        assert out.splitlines() == char_table_text(table)
+
+
+@pytest.mark.parametrize("flags", [(), ("--sf",)], ids=["all", "squarefree"])
+def test_measures_stream_their_reference_output(capsys, flags):
+    squarefree = bool(flags)
+    for d in range(1, 13):
+        code, out, err = run(capsys, "measure", *flags, "--d", str(d), "--json")
+        assert code == 0, err
+        assert out == json.dumps(measure_json(d, squarefree), indent=2) + "\n"
+        code, out, err = run(capsys, "measure", *flags, "--d", str(d))
+        assert code == 0, err
+        assert out.splitlines() == measure_text(d, squarefree)
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi", "--d", "23", "--json"),
+    ("psi", "--d", "23"),
+    ("measure", "--d", "23", "--json"),
+], ids=" ".join)
+def test_tables_print_in_memory_of_one_row(argv):
+    # rows and partitions built first; then only the writing is traced
+    with contextlib.redirect_stdout(_Discard()):
+        assert main(list(argv)) == 0
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    (command, *flags, "--d", d, *json_flag)
+    for command, flags in (("psi", ()), ("phi", ()), ("measure", ()), ("measure", ("--sf",)))
+    for d in ("0", "-3", "24", "1000000000")
+    for json_flag in ((), ("--json",))
+], ids=" ".join)
+def test_table_refusals_print_nothing(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from oracles import descending_parts
 from splitstat.partitions import (
     Partition,
     _partition_count,
@@ -48,6 +49,21 @@ def test_partitions_of_zero():
 def test_partitions_of_four_order():
     got = [list(lam.parts) for lam in partitions_of(4)]
     assert got == [[4], [3, 1], [2, 2], [2, 1, 1], [1, 1, 1, 1]]
+
+
+def test_partitions_of_steps_through_the_recursive_enumeration():
+    for d in range(31):
+        assert [lam.parts for lam in partitions_of(d)] == list(descending_parts(d, d))
+
+
+def test_enumerated_partitions_match_constructed_ones():
+    for d in range(31):
+        for lam in partitions_of(d):
+            ref = Partition(lam.parts)
+            assert type(lam.parts) is tuple and (lam.parts, lam.d) == (ref.parts, ref.d)
+            assert [lam.mult(j) for j in range(1, d + 1)] == [ref.mult(j) for j in range(1, d + 1)]
+            assert lam.multiplicities() == ref.multiplicities()
+            assert lam.centralizer_order() == ref.centralizer_order()
 
 
 def test_partition_counts():
