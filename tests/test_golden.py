@@ -6,16 +6,18 @@ digests in cli_golden.json pin every byte of those runs across d (across
 measure, psi, phi, decompose and irreducibles groups pin the text output
 too.
 To re-record after a deliberate output change, run this file as a
-script: `PYTHONPATH=src python tests/test_golden.py`.
+script: `PYTHONPATH=src python tests/test_golden.py`.  With `--check` the
+script compares the digests instead and writes nothing; it needs no
+pytest, so any Python the package supports can run it.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
-
-import pytest
 
 from splitstat.cli import main
 
@@ -100,10 +102,35 @@ def digests(group: str) -> dict[str, str]:
     return {str(d): digest([*prefix, flag, str(d)]) for d in degrees}
 
 
-@pytest.mark.parametrize("group", GROUPS)
+def pytest_generate_tests(metafunc):
+    # one test per group, parametrized without importing pytest
+    if "group" in metafunc.fixturenames:
+        metafunc.parametrize("group", GROUPS)
+
+
 def test_cli_json_matches_golden(group):
     assert digests(group) == json.loads(GOLDEN.read_text())[group]
 
 
+def script(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Record the golden CLI digests.")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare the digests with cli_golden.json and write nothing",
+    )
+    args = parser.parse_args(argv)
+    got = {g: digests(g) for g in GROUPS}
+    if not args.check:
+        GOLDEN.write_text(json.dumps(got, indent=1) + "\n")
+        return 0
+    recorded = json.loads(GOLDEN.read_text())
+    differ = sorted(g for g in got.keys() | recorded.keys() if got.get(g) != recorded.get(g))
+    for group in differ:
+        print(f"differs: {group}")
+    count = sum(map(len, got.values()))
+    print(f"{len(got)} groups, {count} digests: {len(differ)} groups differ")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({g: digests(g) for g in GROUPS}, indent=1) + "\n")
+    sys.exit(script(sys.argv[1:]))
