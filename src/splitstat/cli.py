@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from itertools import starmap
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -36,10 +37,10 @@ from .gf import (
     DEFAULT_BUDGET,
     FqField,
     FqPoly,
-    _irreducibles_raw,
     census,
     check_census_budget,
     check_sieve_budget,
+    irreducibles,
     make_field,
 )
 from .lie_chars import phi_table, psi_table
@@ -75,9 +76,9 @@ def _inverse_powers(numerators: Iterable[int], denominator: int) -> str:
         if n and k == 0:
             parts.append(format_ratio(n, denominator))
         elif n:
-            num, _, den = format_ratio(abs(n), denominator).partition("/")
+            num, den = abs(n) // (g := gcd(n, denominator)), denominator // g
             qk = "q" if k == 1 else f"q^{k}"
-            term = f"{num}/({den}*{qk})" if den else f"{num}/{qk}"
+            term = f"{num}/({den}*{qk})" if den > 1 else f"{num}/{qk}"
             parts.append(f"-{term}" if n < 0 else term)
     return join_signed(parts)
 
@@ -275,7 +276,7 @@ def cmd_irreducibles(args: argparse.Namespace) -> int:
     if args.max_degree < 1:
         raise ValueError("census needs degree at least 1")
     field = _field(args.q, check_sieve_budget, args.max_degree, args.budget)
-    table = _irreducibles_raw(field, args.max_degree, args.budget)  # FqPoly only for --list
+    table = irreducibles(field, args.max_degree, args.budget)  # FqPoly only for --list
     counts = {deg: len(table[deg]) for deg in sorted(table)}
     match = all(
         counts[deg] == necklace(deg).evaluate(field.q) for deg in counts

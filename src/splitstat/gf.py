@@ -36,7 +36,8 @@ coefficient vector over F_p in base p (digit i = coefficient of the i-th
 power of the residue class of x modulo the field's defining polynomial).
 A sieved irreducible of degree k is stored as its sieve index: its
 coefficients c_0..c_{k-1} read as base-q digits, c_0 most significant,
-8 bytes each in an array (degree 1 is range(q)).
+8 bytes each in an array (degree 1 is range(q)); `irreducibles`, the one
+reader of the sieve, spells them as coefficient tuples on access.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ def _first_irreducible(p: int, n: int) -> tuple[int, ...]:
     # (constant coefficient most significant): the first candidate with no
     # factor among the irreducibles of degree at most n // 2.  Candidates
     # with c_0 = 0 are divisible by x, so the scan starts at c_0 = 1.
-    base = FqField(p, 1, (0, 1))
-    lower = [g for polys in _irreducibles_raw(base, n // 2, DEFAULT_BUDGET).values() for g in polys]
+    lower = list(chain.from_iterable(irreducibles(FqField(p, 1, (0, 1)), n // 2).values()))
     for tail in product(range(1, p), *[range(p)] * (n - 1)):
         cand = tail + (1,)
         if all(_divrem(p, cand, g)[1] for g in lower):
@@ -509,27 +509,19 @@ def _sieve(field: FqField, max_degree: int) -> None:
             field._irr[n], field._hist[n] = _walk(field, n)
 
 
-def _irreducibles_raw(
-    field: FqField, max_degree: int, budget: int
+def irreducibles(
+    field: FqField, max_degree: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, Sequence[tuple[int, ...]]]:
-    # The irreducibles as coefficient tuples, spelled from their sieve
-    # indices on access: a count reads only the length.
+    """All monic irreducibles of degree 1..max_degree, grouped by degree.
+
+    Each degree's entry lazily spells coefficient tuples, low-to-high: a
+    count reads only its length, and no FqPoly is built.  Sieve order: the
+    constant coefficient is most significant, and every product of
+    lower-degree irreducibles is discarded.
+    """
     check_sieve_budget(field.p, field.n, max_degree, budget)
     _sieve(field, max_degree)
     return {deg: _Polys(field.q, deg, field._irr[deg]) for deg in range(1, max_degree + 1)}
-
-
-def irreducibles(
-    field: FqField, max_degree: int, budget: int = DEFAULT_BUDGET
-) -> dict[int, tuple[FqPoly, ...]]:
-    """All monic irreducibles of degree 1..max_degree, grouped by degree.
-
-    Sieve order: polynomials are enumerated with the constant coefficient
-    most significant, and every product of lower-degree irreducibles is
-    discarded.
-    """
-    raw = _irreducibles_raw(field, max_degree, budget)
-    return {deg: tuple(FqPoly(field, c) for c in raw[deg]) for deg in raw}
 
 
 def census(

@@ -11,8 +11,9 @@ polynomials; without repetition, the squarefree variant.
 The measure is built by one integer step, `_factor_step`, times one
 factor j*M_j(q) +- j*i, and one driver, `_measure_products`, runs it for
 any list of partitions: z_lam * nu(lam), reversed into u, with one step
-per distinct prefix of parts taken in ascending order.  The one stored
-object per (degree, flavor) is `measure_rows`, d integer rows
+per distinct prefix of parts taken in ascending order, the walk
+`partitions.prefix_walk` that the character table shares.  The one
+stored object per (degree, flavor) is `measure_rows`, d integer rows
 z_lam * [u**k] nu(lam) over the partitions of d, which reads it over
 `partitions_of(d)`.
 The measure is nu(lam) = column / z_lam, the `lie_chars` tables wrap the
@@ -31,7 +32,7 @@ from types import MappingProxyType
 
 from .errors import BudgetExceeded, ConsistencyError
 from .exact import Q_VAR, U_VAR, UPoly
-from .partitions import Partition, partition_count_exceeds, partitions_of
+from .partitions import Partition, partition_count_exceeds, partitions_of, prefix_walk
 
 
 @lru_cache(maxsize=None)
@@ -89,19 +90,14 @@ def _measure_products(lams: Sequence[Partition], squarefree: bool) -> list[list[
     # binomial coefficient: choose m_j irreducibles of degree j, with
     # repetition (rising product) or without when squarefree (falling
     # product): times z_lam, the product over j and i < m_j of
-    # j*M_j(q) + j*i (- j*i squarefree).  The distinct partitions are
-    # walked with parts ascending, in sorted order, and `stack` holds the
-    # product of each prefix of the last one: a prefix shared by several
-    # partitions is one factor step, its last part t after i parts t.
-    sign, stack, products = -1 if squarefree else 1, [((), [1])], {}
-    for parts in sorted({lam.parts[::-1] for lam in lams}):
-        while parts[: len(stack[-1][0])] != stack[-1][0]:
-            stack.pop()
-        for n in range(len(stack) - 1, len(parts)):
-            t = parts[n]
-            shift = sign * t * parts[:n].count(t)
-            stack.append((parts[: n + 1], _factor_step(stack[-1][1], t, shift)))
-        products[parts] = stack[-1][1]
+    # j*M_j(q) + j*i (- j*i squarefree).  `prefix_walk` takes the parts
+    # ascending, so a prefix shared by several partitions is one factor
+    # step, its last part t after i parts t.
+    def step(prod: list[int], parts: tuple[int, ...], n: int) -> list[int]:
+        t = parts[n]
+        return _factor_step(prod, t, (-t if squarefree else t) * parts[:n].count(t))
+
+    products = prefix_walk((lam.parts[::-1] for lam in lams), [1], step)
     return [_in_u(lam, products[lam.parts[::-1]]) for lam in lams]
 
 

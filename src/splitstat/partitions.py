@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+V = TypeVar("V")
 
 
 class Partition:
@@ -147,6 +149,22 @@ def partitions_of(d: int) -> tuple[Partition, ...]:
 def positions(d: int) -> dict[tuple[int, ...], int]:
     """The index of each partition of d in partition order, keyed by its parts."""
     return {lam.parts: i for i, lam in enumerate(partitions_of(d))}
+
+
+def prefix_walk(
+    keys: Iterable[tuple[int, ...]], root: V, step: Callable[[V, tuple[int, ...], int], V]
+) -> dict[tuple[int, ...], V]:
+    """Each distinct key (parts ascending) to root folded by step(value, key, n),
+    n = 0..len(key) - 1.  The keys are walked sorted, a stack holding the value
+    at each prefix of the last one: step runs once per distinct nonempty prefix."""
+    stack, out = [((), root)], {}
+    for key in sorted(set(keys)):
+        while key[: len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        for n in range(len(stack) - 1, len(key)):
+            stack.append((key[: n + 1], step(stack[-1][1], key, n)))
+        out[key] = stack[-1][1]
+    return out
 
 
 @lru_cache(maxsize=None)

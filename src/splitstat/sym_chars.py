@@ -46,13 +46,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from .exact import (
-    Immutable, add_rows, cut_short, format_ratio, join_signed, lowest_terms,
+    Immutable, Scalar, add_rows, cut_short, format_ratio, join_signed, lowest_terms,
     over_one_denominator, parse_rational, power, quote_short,
 )
 from .measures import PARTITION_BUDGET, check_partition_budget
-from .partitions import Partition, partition_count_exceeds, partitions_of, positions
-
-Scalar = Fraction | int
+from .partitions import Partition, partition_count_exceeds, partitions_of, positions, prefix_walk
 
 
 class ClassFunction(Immutable):
@@ -181,19 +179,18 @@ def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
     # On d beta numbers (first-column hook lengths) that adds t to one
     # beta number b with b + t free, with sign (-1)**(number of beta
     # numbers jumped).  Beta tuples are interned to ints, a shape of d's
-    # int being its row.  The classes are walked with parts ascending: a
-    # node adds a part t, smallest <= t <= rest // 2, or ends the class
-    # with all of rest, so classes share their small parts.
+    # int being its row.  `prefix_walk` takes the classes with parts
+    # ascending, so classes share the products of their small parts; a
+    # class's last part writes its dense column.
     check_decompose_budget(d)
     if not d:
-        return ((1,),)  # the walk below starts from one part
+        return ((1,),)  # the walk below needs one part
     shapes = partitions_of(d)
     betas = [
         tuple(p + d - 1 - i for i, p in enumerate(shape.parts + (0,) * (d - len(shape))))
         for shape in shapes
     ]
     ids = {beta: i for i, beta in enumerate(betas)}
-    strips: dict[int, list[tuple[int, int]]] = {}  # at b_id * (d + 1) + t
 
     def intern(beta: tuple[int, ...]) -> int:
         if (b_id := ids.get(beta)) is None:
@@ -201,6 +198,7 @@ def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
             betas.append(beta)
         return b_id
 
+    @lru_cache(maxsize=None)
     def add_strips(b_id: int, t: int) -> list[tuple[int, int]]:
         beta, out = betas[b_id], []
         for i, b in enumerate(beta):
@@ -212,25 +210,19 @@ def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
             out.append((intern(beta[:j] + (b + t,) + beta[j:i] + beta[i + 1:]), (-1) ** (i - j)))
         return out
 
-    def add_times_p(expansion: dict[int, int], t: int, out: list[int] | dict[int, int]) -> None:
-        # out += expansion * p_t, both indexed by beta ints
+    def add_times_p(expansion: dict[int, int], parts: tuple[int, ...], n: int) -> dict | list:
+        # expansion * p_t, t = parts[n], indexed by beta ints: a dense
+        # column at the class's last part, else the nonzero terms
+        t, last = parts[n], n == len(parts) - 1
+        out = [0] * len(shapes) if last else defaultdict(int)
         for b_id, c in expansion.items():
-            if (found := strips.get(key := b_id * (d + 1) + t)) is None:
-                found = strips[key] = add_strips(b_id, t)
-            for new_id, sign in found:
+            for new_id, sign in add_strips(b_id, t):
                 out[new_id] += sign * c
+        return out if last else {b_id: c for b_id, c in out.items() if c}
 
-    columns: list[list[int]] = [[] for _ in shapes]
-
-    def walk(expansion: dict[int, int], rest: int, smallest: int, parts: tuple[int, ...]) -> None:
-        for t in range(smallest, rest // 2 + 1):
-            add_times_p(expansion, t, product := defaultdict(int))
-            walk({b_id: c for b_id, c in product.items() if c}, rest - t, t, parts + (t,))
-        add_times_p(expansion, rest, column := [0] * len(shapes))
-        columns[positions(d)[(rest,) + parts[::-1]]] = column
-
-    walk({intern(tuple(range(d - 1, -1, -1))): 1}, d, 1, ())
-    return tuple(zip(*columns))
+    keys = [shape.parts[::-1] for shape in shapes]
+    columns = prefix_walk(keys, {intern(tuple(range(d - 1, -1, -1))): 1}, add_times_p)
+    return tuple(zip(*(columns[key] for key in keys)))
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:

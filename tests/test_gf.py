@@ -23,7 +23,6 @@ from splitstat.gf import (
     FqField,
     FqPoly,
     _divrem,
-    _irreducibles_raw,
     _packs,
     census,
     irreducibles,
@@ -281,14 +280,26 @@ def test_walks_leave_no_reference_cycles():
 def test_irreducibles_over_f2():
     f2 = make_field(2)
     table = irreducibles(f2, 3)
-    assert [g.coeffs for g in table[2]] == [(1, 1, 1)]
-    assert sorted(g.coeffs for g in table[3]) == [(1, 0, 1, 1), (1, 1, 0, 1)]
+    assert list(table[2]) == [(1, 1, 1)]
+    assert sorted(table[3]) == [(1, 0, 1, 1), (1, 1, 0, 1)]
 
 
 def test_irreducibles_linear_over_f3():
     f3 = make_field(3)
     table = irreducibles(f3, 1)
-    assert [g.coeffs for g in table[1]] == [(0, 1), (1, 1), (2, 1)]
+    assert list(table[1]) == [(0, 1), (1, 1), (2, 1)]
+
+
+def test_irreducibles_are_coefficient_tuples_built_without_polynomials(monkeypatch):
+    # the sieve's one reader spells coefficient tuples in sieve order,
+    # the trial-division oracle's order, and wraps none in an FqPoly
+    def no_poly(self, *args, **kwargs):
+        raise AssertionError("FqPoly built by irreducibles")
+
+    monkeypatch.setattr(FqPoly, "__init__", no_poly)
+    for F, max_degree in ((make_field(2), 10), (make_field(2, 2), 4)):
+        table = {k: tuple(polys) for k, polys in irreducibles(F, max_degree).items()}
+        assert table == irreducibles_by_division(F, max_degree)
 
 
 def test_irreducible_counts_match_root_test_oracle():
@@ -331,7 +342,7 @@ def test_factorization_type_against_explicit_products():
     rng = random.Random(31)
     for p, n in ((2, 1), (3, 1), (2, 2)):
         F = make_field(p, n)
-        pool = [g.coeffs for deg in (1, 2, 3) for g in irreducibles(F, 3)[deg]]
+        pool = [g for deg in (1, 2, 3) for g in irreducibles(F, 3)[deg]]
         for _ in range(25):
             factors = rng.choices(pool, k=rng.randrange(1, 4))
             prod = (1,)
@@ -470,7 +481,7 @@ def test_degree_one_needs_no_walk():
     try:
         counts = type_counts(F, 1)
         sf = type_counts(F, 1, squarefree_only=True)
-        linear = _irreducibles_raw(F, 1, 10**7)[1]
+        linear = irreducibles(F, 1)[1]
         assert len(linear) == 2**20
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -478,7 +489,7 @@ def test_degree_one_needs_no_walk():
     assert counts == sf == {Partition([1]): 2**20}
     assert peak < 100_000
     assert (linear[0], linear[5], linear[-1]) == ((0, 1), (5, 1), (2**20 - 1, 1))
-    assert [g.coeffs for g in irreducibles(make_field(5), 1)[1]] == [(c, 1) for c in range(5)]
+    assert list(irreducibles(make_field(5), 1)[1]) == [(c, 1) for c in range(5)]
 
 
 def test_extension_field_construction_is_bounded():
