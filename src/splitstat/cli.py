@@ -6,13 +6,24 @@ floats.  Exit codes: 0 on success, 2 on usage errors (unknown statistic,
 a statistic over a parse or print-size cap, exceeded budget, limit,
 decompose, series-route or partition-route cost cap, bad flags), 1 on an
 internal consistency failure, i.e. a violated identity that should never
-occur.
+occur.  A reader that closes stdout early (``| head``) ends the command
+quietly with status 2.
+
+``run()`` is the process entry, behind ``splitstat``, ``python -m
+splitstat`` and ``python -m splitstat.cli``.  It calls ``main()``, then
+``gc.freeze()``: the interpreter's collections at exit then skip every
+object that start-up, the imports and the command left alive, which saves
+about 4 ms of a 35-40 ms process.  ``main()`` never freezes, since
+in-process callers (tests, the benchmark, library users) go on running
+and must still collect the cycles among those objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from itertools import starmap
 from math import gcd
@@ -399,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        return 2  # the reader closed stdout; nothing more to say
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
@@ -414,5 +427,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """Run main() as a whole process and return its exit status."""
+    status = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A closed stdout: point fd 1 at /dev/null, so the flush at exit
+        # writes what is left there instead of raising again (the recipe
+        # of the signal module's "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 2
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,6 +1,7 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -836,20 +837,84 @@ def test_values_just_within_the_print_limit(capsys):
     assert got["coeffs"][0] == f"{(3**9000 + 3) // 6}"
 
 
-def test_python_dash_m_splitstat_matches_the_cli_module():
+def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    for argv, code in ((["psi", "--d", "3", "--json"], 0), (["expect", "--d", "3"], 2)):
-        package, module = (
+    return env
+
+
+# what the console script runs: splitstat.cli:run
+RUN_ENTRY = "import sys; from splitstat.cli import run; sys.exit(run())"
+
+
+def test_python_dash_m_splitstat_matches_the_cli_module():
+    env = _src_env()
+    cases = (
+        (["psi", "--d", "3", "--json"], 0),
+        (["expect", "--d", "3"], 2),  # usage refusal
+        (["expect", "--d", "24", "--stat", "ind:[24]"], 2),  # budget refusal
+    )
+    for argv, code in cases:
+        package, module, entry = (
             subprocess.run(
-                [sys.executable, "-m", target, *argv],
+                [sys.executable, *target, *argv],
                 capture_output=True, text=True, env=env, timeout=60,
             )
-            for target in ("splitstat", "splitstat.cli")
+            for target in (["-m", "splitstat"], ["-m", "splitstat.cli"], ["-c", RUN_ENTRY])
         )
         assert (package.returncode, package.stdout) == (module.returncode, module.stdout)
+        assert (package.returncode, package.stdout) == (entry.returncode, entry.stdout)
         assert package.returncode == code
-        assert package.stderr == module.stderr
+        assert package.stderr == module.stderr == entry.stderr
+        assert bool(package.stderr) == bool(code)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["psi", "--d", "23"], 1),
+    (["psi", "--d", "23", "--json"], 1),
+    (["measure", "--d", "23"], 2),
+])
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly(argv, lines):
+    # as `splitstat psi --d 23 | head -1`: the output is far larger than a
+    # pipe holds, so the command writes into a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "splitstat.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(),
+    )
+    try:
+        head = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert all(head)
+    assert err == ""
+    assert code == 2
+
+
+def test_main_never_freezes_the_collector(capsys):
+    before = gc.get_freeze_count()
+    assert main(["psi", "--d", "3"]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+def test_run_freezes_the_collector_after_the_command():
+    code = (
+        "import gc, sys; from splitstat.cli import run; status = run(); "
+        "print(gc.get_freeze_count(), status)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, "psi", "--d", "3"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    table, _, last = done.stdout.rstrip("\n").rpartition("\n")
+    assert table.startswith("psi character table, d=3")
+    frozen, status = map(int, last.split())
+    assert frozen > 0
+    assert status == 0
 
 
 def test_cli_import_loads_no_dataclass_machinery():
