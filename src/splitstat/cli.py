@@ -12,8 +12,9 @@ quietly with status 2.
 ``run()`` is the process entry, behind ``splitstat``, ``python -m
 splitstat`` and ``python -m splitstat.cli``.  It calls ``main()``, then
 ``gc.freeze()``: the interpreter's collections at exit then skip every
-object that start-up, the imports and the command left alive, which saves
-about 4 ms of a 35-40 ms process.  ``main()`` never freezes, since
+object that start-up, the imports and the command left alive (teardown
+took 5-6 ms of a 35-50 ms process on a 2-core host, and takes about
+1.2 ms frozen).  ``main()`` never freezes, since
 in-process callers (tests, the benchmark, library users) go on running
 and must still collect the cycles among those objects.
 """

@@ -843,12 +843,9 @@ def _src_env() -> dict:
     return env
 
 
-# what the console script runs: splitstat.cli:run
-RUN_ENTRY = "import sys; from splitstat.cli import run; sys.exit(run())"
-
-
 def test_python_dash_m_splitstat_matches_the_cli_module():
     env = _src_env()
+    console_script = "import sys; from splitstat.cli import run; sys.exit(run())"
     cases = (
         (["psi", "--d", "3", "--json"], 0),
         (["expect", "--d", "3"], 2),  # usage refusal
@@ -860,7 +857,7 @@ def test_python_dash_m_splitstat_matches_the_cli_module():
                 [sys.executable, *target, *argv],
                 capture_output=True, text=True, env=env, timeout=60,
             )
-            for target in (["-m", "splitstat"], ["-m", "splitstat.cli"], ["-c", RUN_ENTRY])
+            for target in (["-m", "splitstat"], ["-m", "splitstat.cli"], ["-c", console_script])
         )
         assert (package.returncode, package.stdout) == (module.returncode, module.stdout)
         assert (package.returncode, package.stdout) == (entry.returncode, entry.stdout)
@@ -877,17 +874,14 @@ def test_python_dash_m_splitstat_matches_the_cli_module():
 def test_a_reader_that_closes_stdout_early_ends_the_command_quietly(argv, lines):
     # as `splitstat psi --d 23 | head -1`: the output is far larger than a
     # pipe holds, so the command writes into a closed pipe
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "splitstat.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(),
-    )
-    try:
+    ) as proc:
         head = [proc.stdout.readline() for _ in range(lines)]
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
-    finally:
-        proc.kill()
     assert all(head)
     assert err == ""
     assert code == 2
