@@ -16,6 +16,7 @@ Two structural facts fall out immediately:
 from math import factorial
 
 from splitstat import (
+    ClassFunction,
     Partition,
     decompose,
     irr_dim,
@@ -25,40 +26,36 @@ from splitstat import (
 )
 
 D = 5
-table = psi_table(D)
+rows = psi_table(D)  # row k holds the characters of H^(2k), in partition order
 identity = Partition([1] * D)
 
 print(f"character table of H^(2k) for d = {D} (columns are cycle types):")
 labels = [lam.label() for lam in partitions_of(D)]
 width = max(len(s) for s in labels) + 1
 print("  k |" + "".join(f"{s:>{width}}" for s in labels))
-for k in table.degrees:
-    row = "".join(f"{table.value(k, lam):>{width}}" for lam in partitions_of(D))
-    print(f"  {k} |{row}")
+for k, row in enumerate(rows):
+    print(f"  {k} |" + "".join(f"{v:>{width}}" for v in row))
 
-dims = [table.value(k, identity) for k in table.degrees]
+dims = [row[-1] for row in rows]  # the identity column, last in partition order
 print(f"\ndimensions by degree: {dims}, total {sum(dims)} = {D}! = {factorial(D)}")
-sums = [sum(table.value(k, lam) for k in table.degrees) for lam in partitions_of(D)]
+sums = [sum(column) for column in zip(*rows)]
 regular = [factorial(D) if lam == identity else 0 for lam in partitions_of(D)]
 print(f"rows sum to the regular character: {sums == regular}")
 
+decompositions = [decompose(ClassFunction.from_integers(D, row)) for row in rows]
 print("\neach row decomposed into irreducibles (shape: multiplicity):")
-for k in table.degrees:
-    parts = decompose(table.row(k))
+for k, parts in enumerate(decompositions):
     text = ", ".join(
         f"{shape.label()}x{mult}" for shape, mult in sorted(parts.items(), key=lambda t: t[0].parts, reverse=True)
     )
     print(f"  k={k}: {text}")
 
 print("\nsanity: multiplicities weighted by dimensions reproduce each row's dimension")
-for k in table.degrees:
-    total = sum(int(m) * irr_dim(shape) for shape, m in decompose(table.row(k)).items())
-    assert total == table.value(k, identity)
+for parts, dim in zip(decompositions, dims):
+    assert sum(int(m) * irr_dim(shape) for shape, m in parts.items()) == dim
 print("  ok")
 
 print("\nthe squarefree story runs through the plane instead of R^3;")
 print("its table for d = 3 (these are braid-arrangement cohomology characters):")
-planar = phi_table(3)
-for k in planar.degrees:
-    row = {lam.label(): planar.value(k, lam) for lam in partitions_of(3)}
-    print(f"  k={k}: {row}")
+for k, row in enumerate(phi_table(3)):
+    print(f"  k={k}: {dict(zip((lam.label() for lam in partitions_of(3)), row))}")

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from splitstat import (
     NORM_SF_COUNT,
+    ClassFunction,
     even_type,
     expected,
     expected_sf,
@@ -34,8 +35,10 @@ for d in range(2, 11):
 print()
 print("the sign character sits in exactly one row of the character table:")
 for d in (4, 5, 6, 7):
-    table = psi_table(d)
-    rows = [k for k in table.degrees if inner(sgn(d), table.row(k)) != 0]
+    rows = [
+        k for k, row in enumerate(psi_table(d))
+        if inner(sgn(d), ClassFunction.from_integers(d, row)) != 0
+    ]
     print(f"  d={d}: <sgn, row k> is nonzero only at k = {rows} (floor(d/2) = {d // 2})")
 
 print()

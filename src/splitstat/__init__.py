@@ -42,7 +42,7 @@ from .gf import (
     make_field,
     type_counts,
 )
-from .lie_chars import CharTable, phi_table, psi_table
+from .lie_chars import phi_table, psi_table
 from .measures import measure_rows, necklace, sf_splitting_measure, splitting_measure
 from .partitions import Partition, partitions_of
 from .sym_chars import (
@@ -69,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded",
-    "CharTable",
     "CharacterPolynomial",
     "ClassFunction",
     "ConsistencyError",

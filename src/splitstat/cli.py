@@ -154,14 +154,14 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 def cmd_char_table(args: argparse.Namespace) -> int:
     kind = args.command
-    table = psi_table(args.d) if kind == "psi" else phi_table(args.d)
+    rows = psi_table(args.d) if kind == "psi" else phi_table(args.d)
     labels = [lam.label() for lam in partitions_of(args.d)]
 
     # One format template per table holds the labels; a row fills in its values.
     def json_chunks() -> Iterator[str]:
         row = '  "{}": {{' + ",".join(f'\n    "{label}": {{}}' for label in labels) + "\n  }}"
         yield "{"
-        yield from _json_members(row.format(k, *table.values(k)) for k in table.degrees)
+        yield from _json_members(row.format(k, *values) for k, values in enumerate(rows))
         yield "}"
 
     def lines() -> Iterator[str]:
@@ -169,8 +169,8 @@ def cmd_char_table(args: argparse.Namespace) -> int:
         row = "{:>3} | " + " ".join([f"{{:>{width}}}"] * len(labels))
         yield f"{kind} character table, d={args.d}"
         yield "  k | " + " ".join(f"{label:>{width}}" for label in labels)
-        for k in table.degrees:
-            yield row.format(k, *table.values(k))
+        for k, values in enumerate(rows):
+            yield row.format(k, *values)
 
     _emit(args, json_chunks, lines)
     return 0
@@ -250,10 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = True
     rows = []
     for label, squarefree in (("all", False), ("squarefree", True)):
-        c = census(
-            field, args.d, P, squarefree_only=squarefree,
-            budget=args.budget, threads=args.threads,
-        )
+        c = census(field, args.d, P, squarefree_only=squarefree, budget=args.budget)
         formula = formulas[squarefree]
         match = c == formula
         ok = ok and match

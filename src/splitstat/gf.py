@@ -530,7 +530,6 @@ def census(
     stat: Statistic,
     squarefree_only: bool = False,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> Fraction:
     """(1/q**d) * sum of stat(type(f)) over all monic degree-d f.
 
@@ -538,12 +537,10 @@ def census(
     repeated irreducible factor (the q**d normalization is kept).  The
     result is exact: one integer dot product of the type counts with the
     statistic's integer values at the types that occur, over its one
-    denominator, with no partition of d enumerated.  Enumeration is
-    single-threaded: ``threads`` is accepted for compatibility and never
-    changes a result.
+    denominator, with no partition of d enumerated.
     """
     stat = stat.at_degree(d)  # refuses another degree, or unprintable values, before the walk
-    counts = type_counts(field, d, squarefree_only, budget, threads)
+    counts = type_counts(field, d, squarefree_only, budget)
     values, den = stat.values_at(tuple(counts))
     total = sum(n * v for n, v in zip(counts.values(), values))
     return Fraction(total, den * field.q**d)

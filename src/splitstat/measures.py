@@ -16,12 +16,12 @@ per distinct prefix of parts taken in ascending order, the walk
 stored object per (degree, flavor) is `measure_rows`, d integer rows
 z_lam * [u**k] nu(lam) over the partitions of d, which reads it over
 `partitions_of(d)`.
-The measure is nu(lam) = column / z_lam, the `lie_chars` tables wrap the
-same rows, and `expect` packs each column into one integer, on its first
-query at a (degree, flavor), to pair a class function with every row at
-once; no inversion pass converts one form into another.  For a character
-polynomial, `expect` reads the products of its binomial terms'
-partitions, of every weight up to d, in one call.
+The measure is nu(lam) = column / z_lam, the `lie_chars` tables are the
+same rows (phi's signed by (-1)**k), and `expect` packs each column into
+one integer, on its first query at a (degree, flavor), to pair a class
+function with every row at once; no inversion pass converts one form
+into another.  For a character polynomial, `expect` reads the products
+of its binomial terms' partitions, of every weight up to d, in one call.
 """
 
 from __future__ import annotations

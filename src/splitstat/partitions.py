@@ -50,10 +50,6 @@ class Partition:
     def __reduce__(self) -> tuple:
         return Partition, (self.parts,)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def mult(self, j: int) -> int:
         """Number of parts equal to j (the statistic x_j)."""
         if j < 1:
@@ -80,9 +76,6 @@ class Partition:
     def label(self) -> str:
         """Compact bracket form, e.g. "[3,1,1]"; used as JSON keys."""
         return "[" + ",".join(str(p) for p in self.parts) + "]"
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

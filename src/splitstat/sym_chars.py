@@ -15,10 +15,11 @@ a degree d through `at_degree(d)`.
 Class functions and character polynomials are stored in one form,
 integers over one positive denominator in lowest terms: a class function
 its values in partition order, a character polynomial the coefficients
-of its monomials.  Polynomial arithmetic multiplies and adds integers,
-and character polynomials (`values_at`), irreducible characters and
-character-table rows hand their integer values over as they are
-(`ClassFunction.from_integers`), with no Fraction per partition or term.
+of its monomials.  Only the expression parser adds and multiplies
+polynomials, in integers.  Character polynomials (`values_at`),
+irreducible characters and character-table rows hand their integer
+values over as they are (`ClassFunction.from_integers`), with no
+Fraction per partition or term.
 A pairing sum over lam of P(lam) X(lam) / z_lam in `inner` and
 `decompose` is an integer dot product over one denominator, row by row,
 as each makes one pairing per build: `class_weights` writes
@@ -358,51 +359,19 @@ class CharacterPolynomial(_PolynomialStatistic):
             raise ValueError("variable indices start at x1")
         return cls(((((j, 1),), 1),), 1, name)
 
-    @classmethod
-    def binomial(cls, j: int, b: int) -> "CharacterPolynomial":
-        """C(x_j, b) expanded into monomials in x_j."""
-        if b < 0:
-            raise ValueError("binomial order must be nonnegative")
-        out = cls.constant(1)
-        for i in range(b):
-            out = out * (cls.variable(j) - i)
-        return cls(out.terms, out.denominator * factorial(b))
-
-    def __add__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
-        o = other if isinstance(other, CharacterPolynomial) else CharacterPolynomial.constant(other)
-        a, b = dict(self.terms), dict(o.terms)
-        monos = a.keys() | b.keys()
-        row_a, row_b = ([t.get(m, 0) for m in monos] for t in (a, b))
-        nums, den = add_rows(row_a, self.denominator, row_b, o.denominator)
-        return CharacterPolynomial(zip(monos, nums), den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
-        return self + other * -1
-
-    def __rsub__(self, other: Scalar) -> "CharacterPolynomial":
-        return CharacterPolynomial.constant(other) - self
-
     def __neg__(self) -> "CharacterPolynomial":
         return CharacterPolynomial(((m, -n) for m, n in self.terms), self.denominator, self.name)
 
-    def __mul__(self, other: "CharacterPolynomial | Scalar") -> "CharacterPolynomial":
-        o = other if isinstance(other, CharacterPolynomial) else CharacterPolynomial.constant(other)
+    def __mul__(self, other: "CharacterPolynomial") -> "CharacterPolynomial":
         table: dict[Monomial, int] = {}
         for m1, c1 in self.terms:
-            for m2, c2 in o.terms:
+            for m2, c2 in other.terms:
                 exps: dict[int, int] = dict(m1)
                 for j, e in m2:
                     exps[j] = exps.get(j, 0) + e
                 mono = tuple(sorted(exps.items()))
                 table[mono] = table.get(mono, 0) + c1 * c2
-        return CharacterPolynomial(table.items(), self.denominator * o.denominator)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "CharacterPolynomial":
-        return power(self, e, CharacterPolynomial.__mul__, CharacterPolynomial.constant(1))
+        return CharacterPolynomial(table.items(), self.denominator * other.denominator)
 
     def values_at(self, lams: Sequence[Partition]) -> tuple[list[int], int]:
         """The values at lams, partitions of one d, as integers over one
@@ -690,7 +659,6 @@ def parse_character_polynomial(text: str) -> CharacterPolynomial:
 # Each built-in statistic's one definition, under its name: a character
 # polynomial, or one plus sgn times another.  "1" is one more key for one.
 _HALF = CharacterPolynomial((((), 1),), 2)
-_Q = CharacterPolynomial.binomial(1, 2) - CharacterPolynomial.variable(2)
 _ONE = CharacterPolynomial.constant(1, name="one")
 _BUILTINS: dict[str, CharacterPolynomial | SignedPolynomial] = {
     "one": _ONE,
@@ -700,7 +668,8 @@ _BUILTINS: dict[str, CharacterPolynomial | SignedPolynomial] = {
     ),
     "ET": SignedPolynomial(_HALF, _HALF, name="ET"),
     "R": CharacterPolynomial.variable(1, name="R"),
-    "Q": CharacterPolynomial(_Q.terms, _Q.denominator, name="Q"),
+    # C(x1, 2) - x2 = (x1^2 - x1 - 2 x2) / 2
+    "Q": CharacterPolynomial(((((1, 2),), 1), (((1, 1),), -1), (((2, 1),), -2)), 2, name="Q"),
 }
 
 

@@ -9,7 +9,7 @@ here by schoolbook long division on the field's own methods, `F.sub` and
 route's packed pairing is compared with `measure_sum_by_rows`, the same
 stored rows paired one row at a time.  The streamed `psi`, `phi` and
 `measure` output is compared with the payloads and text lines below,
-built whole from the tables' per-value reads and the measure mappings,
+built whole from the tables' rows and the measure mappings,
 and `partitions_of` with the recursive enumeration `descending_parts`.
 """
 
@@ -20,6 +20,7 @@ from operator import mul
 
 from splitstat.cli import format_inverse_powers
 from splitstat.exact import U_VAR, UPoly, over_one_denominator
+from splitstat.lie_chars import phi_table, psi_table
 from splitstat.measures import measure_rows, sf_splitting_measure, splitting_measure
 from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import class_weights
@@ -92,24 +93,28 @@ def descending_parts(n, max_part):
             yield (first,) + rest
 
 
-def char_table_json(table):
-    """The `psi`/`phi --json` payload: {k: {label: value}}, one
-    `table.value(k, lam)` per entry."""
-    lams = partitions_of(table.d)
-    return {str(k): {lam.label(): table.value(k, lam) for lam in lams} for k in table.degrees}
+def _char_table(kind, d):
+    return psi_table(d) if kind == "psi" else phi_table(d)
 
 
-def char_table_text(table):
+def char_table_json(kind, d):
+    """The `psi`/`phi --json` payload: {k: {label: value}}, one row
+    index per entry."""
+    lams = partitions_of(d)
+    rows = _char_table(kind, d)
+    return {str(k): {lam.label(): row[i] for i, lam in enumerate(lams)} for k, row in enumerate(rows)}
+
+
+def char_table_text(kind, d):
     """The `psi`/`phi` text lines: a header, the labels, then one row per k."""
-    lams = partitions_of(table.d)
+    lams = partitions_of(d)
     width = max(len(lam.label()) for lam in lams)
     lines = [
-        f"{table.kind} character table, d={table.d}",
+        f"{kind} character table, d={d}",
         "  k | " + " ".join(f"{lam.label():>{width}}" for lam in lams),
     ]
-    for k in table.degrees:
-        row = " ".join(f"{table.value(k, lam):>{width}}" for lam in lams)
-        lines.append(f"{k:>3} | {row}")
+    for k, row in enumerate(_char_table(kind, d)):
+        lines.append(f"{k:>3} | " + " ".join(f"{v:>{width}}" for v in row))
     return lines
 
 

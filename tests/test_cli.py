@@ -21,7 +21,6 @@ from splitstat import cli
 from splitstat.cli import main
 from splitstat.exact import UPoly
 from splitstat.gf import FqPoly, make_field, type_counts
-from splitstat.lie_chars import phi_table, psi_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -327,13 +326,12 @@ def test_only_the_printed_output_is_formatted(capsys, monkeypatch):
 @pytest.mark.parametrize("kind", ["psi", "phi"])
 def test_char_tables_stream_their_reference_output(capsys, kind):
     for d in range(1, 13):
-        table = psi_table(d) if kind == "psi" else phi_table(d)
         code, out, err = run(capsys, kind, "--d", str(d), "--json")
         assert code == 0, err
-        assert out == json.dumps(char_table_json(table), indent=2) + "\n"
+        assert out == json.dumps(char_table_json(kind, d), indent=2) + "\n"
         code, out, err = run(capsys, kind, "--d", str(d))
         assert code == 0, err
-        assert out.splitlines() == char_table_text(table)
+        assert out.splitlines() == char_table_text(kind, d)
 
 
 @pytest.mark.parametrize("flags", [(), ("--sf",)], ids=["all", "squarefree"])
@@ -571,6 +569,9 @@ BAD_INPUTS = {
         ("expect", "--d", "24", "--stat", "ind:[24]"),
         "the partition route at d=24 needs p(d) factorization types",
     ),
+    "psi-degree-0": (("psi", "--d", "0"), "error: splitting measures start at degree 1\n"),
+    "phi-degree-0": (("phi", "--d", "0"), "error: splitting measures start at degree 1\n"),
+    "phi-negative-degree": (("phi", "--d", "-3"), "error: splitting measures start at degree 1\n"),
     "psi-huge-degree": (("psi", "--d", "1000000000"), "more than the cap of 1255"),
     "phi-just-over-cap": (("phi", "--d", "24"), "more than the cap of 1255"),
     "measure-over-cap": (("measure", "--d", "200"), "more than the cap of 1255"),

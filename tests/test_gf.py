@@ -400,11 +400,6 @@ def test_census_deterministic_across_thread_counts():
         F = make_field(3)  # fresh field: no shared cache between runs
         results.append(type_counts(F, 4, threads=threads))
     assert all(r == results[0] for r in results)
-    values = []
-    for threads in (1, 3):
-        F = make_field(2, 2)
-        values.append(census(F, 3, roots(3), threads=threads))
-    assert values[0] == values[1]
 
 
 def test_type_counts_add_up():

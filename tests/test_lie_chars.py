@@ -5,15 +5,25 @@ from math import factorial
 import pytest
 
 from oracles import char_table_json
-from splitstat.lie_chars import KIND_PHI, CharTable, phi_table, psi_table
-from splitstat.partitions import Partition, partitions_of
-from splitstat.sym_chars import decompose, inner, roots, sgn
+from splitstat.lie_chars import phi_table, psi_table
+from splitstat.measures import measure_rows
+from splitstat.partitions import Partition, partitions_of, positions
+from splitstat.sym_chars import ClassFunction, decompose, inner, roots, sgn
+
+
+def value(table, k, lam):
+    """Row k of a table at the partition lam."""
+    return table[k][positions(lam.d)[lam.parts]]
+
+
+def row(d, table, k):
+    """Row k of a table as a class function, for `inner` and `decompose`."""
+    return ClassFunction.from_integers(d, table[k])
 
 
 def regular_check(d):
     """Whether the psi rows sum to the regular character: d! at [1^d], 0 elsewhere."""
-    t = psi_table(d)
-    sums = [sum(c) for c in zip(*(t.row(k).numerators for k in t.degrees))]
+    sums = [sum(c) for c in zip(*psi_table(d))]
     return sums == [factorial(d) if lam.mult(1) == d else 0 for lam in partitions_of(d)]
 
 
@@ -21,26 +31,23 @@ def test_psi_degree_two():
     t = psi_table(2)
     two = Partition([2])
     onedup = Partition([1, 1])
-    assert (t.value(0, onedup), t.value(0, two)) == (1, 1)
-    assert (t.value(1, onedup), t.value(1, two)) == (1, -1)
+    assert (value(t, 0, onedup), value(t, 0, two)) == (1, 1)
+    assert (value(t, 1, onedup), value(t, 1, two)) == (1, -1)
 
 
 def test_psi_row_zero_is_trivial():
     for d in range(1, 11):
-        t = psi_table(d)
-        assert all(t.value(0, lam) == 1 for lam in partitions_of(d))
+        assert all(v == 1 for v in psi_table(d)[0])
 
 
 def test_psi_row_zero_decomposes_as_one_trivial():
     for d in range(1, 9):
-        assert decompose(psi_table(d).row(0)) == {Partition([d]): 1}
+        assert decompose(row(d, psi_table(d), 0)) == {Partition([d]): 1}
 
 
 def test_row_sums_give_regular_character():
     t = psi_table(3)
-    sums = {
-        lam: sum(t.value(k, lam) for k in t.degrees) for lam in partitions_of(3)
-    }
+    sums = {lam: sum(value(t, k, lam) for k in range(3)) for lam in partitions_of(3)}
     assert sums[Partition([1, 1, 1])] == 6
     assert sums[Partition([2, 1])] == 0
     assert sums[Partition([3])] == 0
@@ -53,9 +60,8 @@ def test_regular_check_range():
 
 def test_identity_column_sums_to_factorial():
     for d in range(1, 11):
-        t = psi_table(d)
         identity = Partition([1] * d)
-        dims = [t.value(k, identity) for k in t.degrees]
+        dims = [value(psi_table(d), k, identity) for k in range(d)]
         assert all(v >= 0 for v in dims)
         assert sum(dims) == factorial(d)
 
@@ -70,28 +76,25 @@ def test_identity_column_is_the_configuration_space_poincare_polynomial():
             poincare = [a + i * b for a, b in zip(poincare + [0], [0] + poincare)]
         identity = Partition([1] * d)
         for table in (psi_table(d), phi_table(d)):
-            assert [table.value(k, identity) for k in table.degrees] == poincare
+            assert [value(table, k, identity) for k in range(len(table))] == poincare
 
 
 def test_phi_degree_two():
     t = phi_table(2)
-    assert all(t.value(k, lam) == 1 for k in (0, 1) for lam in partitions_of(2))
+    assert all(v == 1 for r in t for v in r)
 
 
 def test_phi_degree_three_example():
-    assert phi_table(3).value(1, Partition([1, 1, 1])) == 3
+    assert value(phi_table(3), 1, Partition([1, 1, 1])) == 3
 
 
 def test_phi_degree_one():
-    t = phi_table(1)
-    assert list(t.degrees) == [0]
-    assert t.value(0, Partition([1])) == 1
+    assert phi_table(1) == ((1,),)
 
 
 def test_phi_row_zero_is_trivial():
     for d in range(1, 9):
-        t = phi_table(d)
-        assert all(t.value(0, lam) == 1 for lam in partitions_of(d))
+        assert all(v == 1 for v in phi_table(d)[0])
 
 
 def test_sign_multiplicity_is_localized():
@@ -99,9 +102,9 @@ def test_sign_multiplicity_is_localized():
     for d in range(1, 11):
         t = psi_table(d)
         s = sgn(d)
-        for k in t.degrees:
+        for k in range(d):
             expected = 1 if k == d // 2 else 0
-            assert inner(s, t.row(k)) == expected
+            assert inner(s, row(d, t, k)) == expected
 
 
 def test_standard_multiplicity_in_every_degree():
@@ -109,33 +112,31 @@ def test_standard_multiplicity_in_every_degree():
     for d in range(1, 11):
         t = psi_table(d)
         r = roots(d)
-        for k in t.degrees:
-            assert inner(r, t.row(k)) == 1
+        for k in range(d):
+            assert inner(r, row(d, t, k)) == 1
 
 
 def test_psi_decomposition_example():
-    assert decompose(psi_table(2).row(1)) == {Partition([1, 1]): 1}
+    assert decompose(row(2, psi_table(2), 1)) == {Partition([1, 1]): 1}
 
 
 def test_tables_reject_nonpositive_degree():
-    with pytest.raises(ValueError):
-        psi_table(0)
-    with pytest.raises(ValueError):
-        phi_table(0)
-    with pytest.raises(ValueError, match="unknown character table kind 'chi'"):
-        CharTable(3, "chi")
+    for table in (psi_table, phi_table):
+        for d in (0, -3):
+            with pytest.raises(ValueError, match="splitting measures start at degree 1"):
+                table(d)
 
 
-def test_table_is_an_immutable_value_read_from_the_measure_rows():
-    t = CharTable(4, KIND_PHI)
-    assert repr(t) == "CharTable(d=4, kind='phi')"
-    assert t == phi_table(4) and hash(t) == hash(phi_table(4)) and t != psi_table(4)
-    assert char_table_json(t) == char_table_json(phi_table(4))
-    for attr in ("d", "kind", "_rows", "new"):
-        with pytest.raises(AttributeError):
-            setattr(t, attr, None)
+def test_tables_are_the_measure_rows():
+    # psi is the stored rows themselves; phi signs row k by (-1)**k, once
+    for d in range(1, 24):
+        assert psi_table(d) is measure_rows(d, squarefree=False)
+        sf = measure_rows(d, squarefree=True)
+        assert len(phi_table(d)) == len(sf) == d
+        for k in range(d):
+            assert phi_table(d)[k] == tuple((-1) ** k * v for v in sf[k])
 
 
 def test_json_shape():
-    got = char_table_json(psi_table(2))
+    got = char_table_json("psi", 2)
     assert got == {"0": {"[2]": 1, "[1,1]": 1}, "1": {"[2]": -1, "[1,1]": 1}}

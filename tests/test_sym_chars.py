@@ -13,7 +13,6 @@ from math import comb, factorial, prod
 
 import pytest
 
-from oracles import char_table_json
 from splitstat import exact, expect, gf, measures, sym_chars
 from splitstat.errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
 from splitstat.lie_chars import psi_table
@@ -139,10 +138,6 @@ def test_values_pickle_and_copy_through_their_constructors():
         assert clone == Partition([2, 1]) and clone.d == 3
     for clone in round_trips(builtin("Q", 3)):
         assert clone == builtin("Q", 3) and clone.name == "Q"
-    for clone in round_trips(psi_table(3)):
-        assert (clone.d, clone.kind, char_table_json(clone)) == (
-            3, "psi", char_table_json(psi_table(3))
-        )
 
 
 def test_hook_dimension_examples():
@@ -377,7 +372,7 @@ def test_producers_build_no_fraction_per_partition(monkeypatch):
     stored = P.class_function(12)
     sym_chars._character_table.__wrapped__(12)  # the whole table, built afresh
     chi = irreducible_character.__wrapped__(Partition([6, 4, 2]))
-    row = psi_table(12).row(5)
+    row = ClassFunction.from_integers(12, psi_table(12)[5])
     for squarefree in (False, True):
         measure_rows.__wrapped__(12, squarefree=squarefree)
     m12 = necklace.__wrapped__(12)
@@ -386,7 +381,8 @@ def test_producers_build_no_fraction_per_partition(monkeypatch):
     e = expect.expected(12, stored)
     e_sf = expect.expected_sf(12, stored, expect.NORM_SF_COUNT)
     # character polynomial arithmetic, and the series route
-    arithmetic = (P + P, P * P, P**3)
+    text = "(x1^3/7 - 1/2*x2)"
+    arithmetic = [parse_character_polynomial(text + tail) for tail in (f"+{text}", f"*{text}", "^3")]
     live = P.at_degree(12)
     series = expect.expected(12, P), expect.expected_sf(12, P, expect.NORM_SF_COUNT)
     assert built == []
@@ -424,7 +420,7 @@ def test_class_function_degree_checks():
 
 
 def test_character_polynomial_binomial_expansion():
-    cp = CharacterPolynomial.binomial(1, 2)
+    cp = parse_character_polynomial("x1*(x1-1)/2")
     for x in range(7):
         lam = Partition([1] * x) if x else Partition(())
         assert cp.evaluate(lam) == comb(x, 2)
@@ -497,7 +493,7 @@ def test_expressions_take_ascii_digits_only():
             parse_character_polynomial(text)
     with pytest.raises(UnknownStatistic, match="bad variable at position 3 in 'x1-x'"):
         parse_character_polynomial("x1-x")
-    want = CharacterPolynomial.variable(12) * (3 - CharacterPolynomial.variable(1))
+    want = CharacterPolynomial(((((12, 1),), 3), (((1, 1), (12, 1)), -1)))
     assert parse_character_polynomial(" x12 *\t( 3-x1 ) ").terms == want.terms
 
 
@@ -597,14 +593,17 @@ def test_products_and_values_match_fraction_arithmetic():
 
     for _ in range(20):
         terms_a, terms_b = random_terms(), random_terms()
-        a, b = (
-            parse_character_polynomial(" + ".join(f"{c}/{k}*x{j}^{e}" for c, k, j, e in terms))
+        text_a, text_b = (
+            "(" + " + ".join(f"{c}/{k}*x{j}^{e}" for c, k, j, e in terms) + ")"
             for terms in (terms_a, terms_b)
         )
+        a, b = parse_character_polynomial(text_a), parse_character_polynomial(text_b)
         n = rng.randrange(1, 30)
-        divided = parse_character_polynomial(
-            "(" + " + ".join(f"{c}/{k}*x{j}^{e}" for c, k, j, e in terms_a) + f")/{-n}"
-        )
+        divided = parse_character_polynomial(f"{text_a}/{-n}")
+        parsed = {
+            form: parse_character_polynomial(form.format(a=text_a, b=text_b, n=n))
+            for form in ("{a}*{b}", "{a}+{b}", "{a}-{b}", "{a} + 3/{n}", "{a} * 1/{n}", "{a}^3")
+        }
         binomial_terms, _ = expect._binomial_terms(a)
         for lam in partitions_of(6):
             ref_a, ref_b = (
@@ -612,13 +611,14 @@ def test_products_and_values_match_fraction_arithmetic():
                 for terms in (terms_a, terms_b)
             )
             assert a.evaluate(lam) == ref_a and b.evaluate(lam) == ref_b
-            assert (a * b).evaluate(lam) == ref_a * ref_b
-            assert (a + b).evaluate(lam) == ref_a + ref_b
-            assert (a - b).evaluate(lam) == ref_a - ref_b
+            value = {form: p.evaluate(lam) for form, p in parsed.items()}
+            assert value["{a}*{b}"] == ref_a * ref_b
+            assert value["{a}+{b}"] == ref_a + ref_b
+            assert value["{a}-{b}"] == ref_a - ref_b
             assert (-a).evaluate(lam) == -ref_a
-            assert (a + Fraction(3, n)).evaluate(lam) == ref_a + Fraction(3, n)
-            assert (a * Fraction(1, n)).evaluate(lam) == -divided.evaluate(lam) == ref_a / n
-            assert (a**3).evaluate(lam) == ref_a**3
+            assert value["{a} + 3/{n}"] == ref_a + Fraction(3, n)
+            assert value["{a} * 1/{n}"] == -divided.evaluate(lam) == ref_a / n
+            assert value["{a}^3"] == ref_a**3
             # the series route's basis: a as a sum of c_mu prod_j C(x_j, m_j)
             binomials = (
                 c * prod(comb(lam.mult(j), m) for j, m in mu.multiplicities())
@@ -630,11 +630,11 @@ def test_products_and_values_match_fraction_arithmetic():
 def test_power_squares_repeatedly():
     huge = parse_character_polynomial("x1^100000000")
     assert huge.terms == ((((1, 100000000),), Fraction(1)),)
-    p = parse_character_polynomial("x1 + 2*x2 - 1/3")
-    product = CharacterPolynomial.constant(1)
+    p = "(x1 + 2*x2 - 1/3)"
     for e in range(8):
-        assert (p**e).terms == product.terms
-        product = product * p
+        product = "*".join([p] * e) or "1"
+        powered = parse_character_polynomial(f"{p}^{e}")
+        assert powered.terms == parse_character_polynomial(product).terms
 
 
 def test_character_polynomial_str_roundtrip():
