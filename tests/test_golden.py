@@ -2,9 +2,9 @@
 
 Each case runs one command and hashes (exit code, stdout, stderr); the
 digests in cli_golden.json pin every byte of those runs across d (across
---max-degree for irreducibles).  Most groups run with --json; the
-measure, psi, phi, decompose and irreducibles groups pin the text output
-too.
+--max-degree for irreducibles, --order for limit).  Most groups run with
+--json; the measure, psi, phi, decompose, irreducibles and limit groups
+pin the text output too.
 To re-record after a deliberate output change, run this file as a
 script: `PYTHONPATH=src python tests/test_golden.py`.  With `--check` the
 script compares the digests instead and writes nothing; it needs no
@@ -43,6 +43,10 @@ CENSUS_FIELDS = {
     "2": 8, "3": 6, "5": 4, "7": 4, "11": 4, "2^2": 4, "3^2": 3, "2^8": 2, "17^2": 2,
 }
 CENSUS_STATS = ("R", "Q", "sgn")
+
+# limit runs these: built-ins, a product, a shifted and a non-integer
+# coefficient, and a product over two part sizes.
+LIMIT_STATS = ("Q", "R", "x1*x2", "(x1-1)*x2", "x1^3/7", "x1*x3")
 
 # group name -> (argv before --d or --max-degree, degrees)
 GROUPS = {
@@ -86,6 +90,11 @@ for _q, _top in CENSUS_FIELDS.items():
         GROUPS[f"verify {_q} {_stat}"] = (
             ("verify", "--q", _q, "--stat", _stat, "--json"), range(1, _top + 1),
         )
+for _stat in LIMIT_STATS:
+    GROUPS[f"limit {_stat}"] = (("limit", "--stat", _stat, "--json"), range(13))
+    GROUPS[f"limit text {_stat}"] = (("limit", "--stat", _stat), range(13))
+# A large expansion: 400 binomial terms, numerators of up to 139 bits.
+GROUPS["limit x1^20*x2^20"] = (("limit", "--stat", "x1^20*x2^20", "--json"), (0, 6, 12))
 
 
 def digest(argv: list[str]) -> str:
@@ -98,7 +107,7 @@ def digest(argv: list[str]) -> str:
 
 def digests(group: str) -> dict[str, str]:
     prefix, degrees = GROUPS[group]
-    flag = "--max-degree" if prefix[0] == "irreducibles" else "--d"
+    flag = {"irreducibles": "--max-degree", "limit": "--order"}.get(prefix[0], "--d")
     return {str(d): digest([*prefix, flag, str(d)]) for d in degrees}
 
 
