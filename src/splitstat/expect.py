@@ -140,15 +140,17 @@ def _measure_sum(P: ClassFunction, squarefree: bool) -> tuple[list[int], int]:
 
 
 def _series_sum(d: int, P: Series, squarefree: bool) -> tuple[list[int], int]:
-    # The same totals on the series route.  A term of weight w gives
-    # nu_w(lam) u**s b_s, for each s <= d - w, times what the polynomials
-    # of degree r = d - w - s with none of the term's factors add (_rest):
-    # over all polynomials b truncated after u**(d - w); squarefree, that
-    # and u**(s+1) b_s taken off for r >= 2.  The parts of a
-    # SignedPolynomial are summed apart, the second twisted by sgn.
-    parts = check_series_budget(d, P, squarefree)  # before any list of length d
+    # The same totals on the series route, for P at degree d.  A term of
+    # weight w gives nu_w(lam) u**s b_s, for each s <= d - w, times what the
+    # polynomials of degree r = d - w - s with none of the term's factors
+    # add (_rest): over all polynomials b truncated after u**(d - w);
+    # squarefree, that and u**(s+1) b_s taken off for r >= 2.  The parts of
+    # a SignedPolynomial are summed apart, the second twisted by sgn.
+    parts = (P.plain, P.signed) if isinstance(P, SignedPolynomial) else (P,)
+    what = f"the series route for {cut_short(P.name)} at d={d}"
+    budgeted = _budgeted_terms(parts, d - 1, squarefree, d, what)  # before any list of length d
     total, den = [0] * d, 1
-    for signed, (terms, terms_den) in zip((False, True), parts):
+    for signed, (terms, terms_den) in zip((False, True), budgeted):
         series, part_den = _series_terms(terms, terms_den, d - 1, squarefree, d, signed)
         part = [0] * d
         for w, nums, b in series:
@@ -173,18 +175,13 @@ def _rest(r: int, squarefree: bool, signed: bool) -> tuple[tuple[int, int], ...]
     return ((0, 1), (1, -1)) if squarefree and r >= 2 else ((0, 1),)
 
 
-def _at_degree(d: int, P: Statistic) -> Statistic:
-    # P at degree d (`at_degree`), once d < 1 is refused
-    if d < 1:
-        raise ValueError("expected values start at degree 1")
-    return P.at_degree(d)
-
-
 def _sum(d: int, P: Statistic, sf: bool, name: str | None) -> tuple[list[int], int, str, str]:
     # The integer u**k totals, their one denominator, the route, and the
     # name, `name` or else that of P at d.  P is read at d (`at_degree`),
     # and what it is there decides the route.
-    P = _at_degree(d, P)
+    if d < 1:
+        raise ValueError("expected values start at degree 1")
+    P = P.at_degree(d)
     name = P.name or "stat" if name is None else name
     if isinstance(P, ClassFunction):
         return *_measure_sum(P, sf), VIA_MEASURE, name
@@ -198,7 +195,8 @@ def expected(d: int, P: Statistic, name: str | None = None) -> ExpectationResult
     P is any statistic (`sym_chars.statistic`) or ClassFunction, read at d
     through `at_degree(d)`.  A ClassFunction there takes the measure route;
     a CharacterPolynomial or SignedPolynomial takes the series route at
-    any d, refused by `check_series_budget` before its sums run.
+    any d, priced and refused past LIMIT_BUDGET by `_budgeted_terms`
+    before its sums run.
     """
     total, den, route, name = _sum(d, P, False, name)
     return ExpectationResult(d=d, statistic=name, value=UPoly(U_VAR, total, den), route=route)
@@ -270,17 +268,15 @@ class StableLimit(Immutable):
         self._store(statistic, order, coeffs, stabilized_at)
 
 
-# Cap on the series route's work, for E_d (check_series_budget) and for
-# stable_limit: about 1.5 s of work on a 2-core host.
+# Cap on the series route's work, for E_d and stable_limit alike, which
+# `_budgeted_terms` prices and refuses: about 1.5 s of work on a 2-core host.
 LIMIT_BUDGET = 5_000_000
 
 
-def _series_cost(
-    terms: dict[Partition, int], order: int, squarefree: bool, d: int | None = None
-) -> int:
+def _series_cost(terms: dict[Partition, int], order: int, squarefree: bool, d: int) -> int:
     # The work of _series_terms and the sums over its output, to u**order
-    # and truncated at d when given.  Per term of weight w: the integer
-    # measure product, each factor of degree j multiplying the product so
+    # and truncated at d.  Per term of weight w: the integer measure
+    # product, each factor of degree j multiplying the product so
     # far by at most j + 1 coefficients, counted as if no two terms shared
     # a prefix of parts (`_measure_products` steps once per shared prefix,
     # so this over-counts; it is kept as it is so that the same inputs are
@@ -291,7 +287,7 @@ def _series_cost(
     # printed.
     cost, sizes = 48 * (order + 1), set()
     for lam in terms:
-        n = order + 1 if d is None else min(order, d - lam.d) + 1
+        n = min(order, d - lam.d) + 1
         product, w = 0, 0
         for j, m in lam.multiplicities():
             product += (j + 1) * (m * (w + 1) + j * m * (m - 1) // 2)
@@ -302,15 +298,13 @@ def _series_cost(
 
 
 def _budgeted_terms(
-    parts: tuple[CharacterPolynomial, ...],
-    order: int,
-    squarefree: bool = False,
-    d: int | None = None,
-) -> list[tuple[dict[Partition, int], int]] | None:
-    # The binomial terms of each part (of weight at most d when given),
-    # over the part's denominator, or None when the expansions' counted
-    # work plus _series_cost passes LIMIT_BUDGET; an expansion stops as
-    # soon as the work so far does.
+    parts: tuple[CharacterPolynomial, ...], order: int, squarefree: bool, d: int, what: str
+) -> list[tuple[dict[Partition, int], int]]:
+    # The one front end of the series route: per part, its binomial terms
+    # of weight at most d as integers over the part's denominator, once the
+    # expansions' counted work plus _series_cost (to u**order, truncated at
+    # d) is within LIMIT_BUDGET; past it BudgetExceeded, naming `what`.  An
+    # expansion stops as soon as the work so far passes the cap.
     out, cost = [], 0
     for P in parts:
         terms, work = _binomial_terms(P, d, LIMIT_BUDGET - cost)
@@ -318,38 +312,13 @@ def _budgeted_terms(
         if cost <= LIMIT_BUDGET:
             cost += _series_cost(terms, order, squarefree, d)
         if cost > LIMIT_BUDGET:
-            return None
+            raise BudgetExceeded(f"{what} needs more than the cap of {LIMIT_BUDGET} work units")
         out.append((terms, P.denominator))
     return out
 
 
-def check_series_budget(
-    d: int, P: Series, squarefree: bool = False
-) -> list[tuple[dict[Partition, int], int]]:
-    """Refuse E_d(P) on the series route before its sums run.
-
-    Raises BudgetExceeded when a value of P at d could exceed the print
-    limit (`at_degree`), or when the route's work, squarefree or over all
-    polynomials, passes LIMIT_BUDGET units: the expansion into binomial
-    terms counts its own work and stops there, and the sums are
-    estimated from the terms it gives.  Returns those terms, the ones of
-    weight at most d, which the route sums, as integer numerators over one
-    denominator: one (dict, denominator) pair for a CharacterPolynomial,
-    two (plain, then signed) for a SignedPolynomial.
-    """
-    live = _at_degree(d, P)
-    parts = (live.plain, live.signed) if isinstance(live, SignedPolynomial) else (live,)
-    terms = _budgeted_terms(parts, d - 1, squarefree, d)
-    if terms is None:
-        raise BudgetExceeded(
-            f"the series route for {cut_short(live.name)} at d={d} needs more than the cap "
-            f"of {LIMIT_BUDGET} work units"
-        )
-    return terms
-
-
 def _binomial_terms(
-    P: CharacterPolynomial, weight: int | None = None, cap: int | None = None
+    P: CharacterPolynomial, weight: int, cap: int
 ) -> tuple[dict[Partition, int], int]:
     # P in the basis prod_j C(x_j, m_j), keyed by the partition with m_j
     # parts j, as integers over P.denominator, and the work done.
@@ -367,12 +336,12 @@ def _binomial_terms(
         partial = {(): c}
         for j, e in mono:
             rest -= j
-            top = e if weight is None else min(e, (weight - rest) // j)
+            top = min(e, (weight - rest) // j)
             if top < 1:  # every term is past `weight`
                 partial = {}
                 break
             work += (top + 1) ** 2 * (1 + e * top.bit_length() // 4096) + 4 * len(partial) * top
-            if cap is not None and work > cap:
+            if work > cap:
                 return {}, work
             powers = [i**e for i in range(top + 1)]
             a = [
@@ -383,7 +352,7 @@ def _binomial_terms(
                 k + (j,) * m: v * a[m]
                 for k, v in partial.items()
                 for m in range(1, top + 1)
-                if weight is None or sum(k) + j * m + rest <= weight
+                if sum(k) + j * m + rest <= weight
             }
         for k, v in partial.items():
             out[k] = out.get(k, 0) + v
@@ -395,29 +364,29 @@ def _series_terms(
     terms_den: int,
     order: int,
     squarefree: bool,
-    d: int | None = None,
+    d: int,
     signed: bool = False,
 ) -> tuple[list[tuple[int, list[int], list[int]]], int]:
     # Unique factorization gives E_d(prod_j C(x_j, m_j)) for lam with m_j
-    # parts j and weight w as nu_w(lam) * [prod_j (1 - u**j)**(-m_j)], the
-    # series truncated after u**(d - w), with nu_w the splitting measure
+    # parts j and weight w <= d as nu_w(lam) * [prod_j (1 - u**j)**(-m_j)],
+    # the series truncated after u**(d - w), with nu_w the splitting measure
     # (the point counting of Church-Ellenberg-Farb, arXiv:1309.6038); the
     # squarefree sum has the measure without repetition and
-    # prod_j (1 + u**j)**(-m_j).  Per term c * lam, c over terms_den: w;
+    # prod_j (1 + u**j)**(-m_j).  The terms are those `_budgeted_terms`
+    # gives, of weight at most d.  Per term c * lam, c over terms_den: w;
     # the integers c * nu_w(lam) (to u**order) over den = terms_den *
     # lcm(z), z running over the terms' z_lam, as nu_w(lam) is an integer
-    # row over z_lam, all read from one `_measure_products` call; and b, the series to u**order or to u**(d - w) when
-    # d is given, where terms of weight over d vanish; then den.  Signed,
-    # the terms are those of B in B*sgn: a factor of degree j counts
-    # (-1)**(j-1), so the term takes sgn(lam) and each part j of the
-    # series (1 -+ (-1)**(j-1) u**j)**-1.
-    kept = [(lam, c) for lam, c in terms.items() if d is None or lam.d <= d]
-    lcm_z = lcm(*(lam.centralizer_order() for lam, _ in kept))
+    # row over z_lam, all read from one `_measure_products` call; and b,
+    # the series to u**min(order, d - w); then den.  Signed, the terms are
+    # those of B in B*sgn: a factor of degree j counts (-1)**(j-1), so the
+    # term takes sgn(lam) and each part j of the series
+    # (1 -+ (-1)**(j-1) u**j)**-1.
+    lcm_z = lcm(*(lam.centralizer_order() for lam in terms))
     sign = -1 if squarefree else 1
     out = []
-    for (lam, c), nu in zip(kept, _measure_products([lam for lam, _ in kept], squarefree)):
+    for (lam, c), nu in zip(terms.items(), _measure_products(list(terms), squarefree)):
         scale = c * (lcm_z // lam.centralizer_order())
-        top = order if d is None else min(order, d - lam.d)
+        top = min(order, d - lam.d)
         b = [1] + [0] * top
         for j in lam.parts:
             step = -sign if signed and j % 2 == 0 else sign
@@ -432,23 +401,22 @@ def _series_terms(
 def stable_limit(P: CharacterPolynomial, order: int) -> StableLimit:
     """Limit of the first `order`+1 coefficients of E_d(P) as d grows.
 
-    The series route without its truncation (see _series_terms).  Each
-    degree adds one series coefficient per term, so stabilized_at[k] is
-    the larger of k + 1 and the last d whose summed u**k increment is
-    nonzero.  Raises BudgetExceeded when the work, counted and estimated
-    as in `check_series_budget` with the series to u**order, passes
-    LIMIT_BUDGET.
+    The series route at degree top = order + the largest weight sum of
+    j * e_j of a monomial prod_j x_j**e_j of P: past that degree no
+    binomial term is dropped and no series is cut before u**order (see
+    _series_terms).  Each degree adds one series coefficient per term, so
+    stabilized_at[k] is the larger of k + 1 and the last d whose summed
+    u**k increment is nonzero.  Raises BudgetExceeded when the work,
+    counted and estimated by `_budgeted_terms` with the series to
+    u**order, passes LIMIT_BUDGET.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     name = P.name or str(P)
-    terms = _budgeted_terms((P,), order)
-    if terms is None:
-        raise BudgetExceeded(
-            f"limit of {cut_short(name)} to order {order} needs more than the cap of "
-            f"{LIMIT_BUDGET} work units"
-        )
-    series, den = _series_terms(*terms[0], order, squarefree=False)
+    top = order + max((sum(j * e for j, e in mono) for mono, _ in P.terms), default=0)
+    what = f"limit of {cut_short(name)} to order {order}"
+    ((terms, terms_den),) = _budgeted_terms((P,), order, False, top, what)
+    series, den = _series_terms(terms, terms_den, order, False, top)
     # incr[k][d]: den times the change in [u**k] E_d(P) from d - 1 to d
     incr: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for w, nums, b in series:

@@ -75,7 +75,9 @@ class ClassFunction(Immutable):
         cls, d: int, numerators: Iterable[int], denominator: int = 1, name: str = ""
     ) -> "ClassFunction":
         """The class function numerators[i] / denominator at the i-th
-        partition of d in partition order."""
+        partition of d in partition order; a d past PARTITION_BUDGET
+        raises BudgetExceeded, as `ClassFunction(d, ...)` does."""
+        check_partition_budget(d)  # before the partitions of d are counted
         nums = list(numerators)
         if len(nums) != len(partitions_of(d)) or denominator < 1:
             raise ValueError(f"need p({d}) numerators over a positive denominator")

@@ -1,7 +1,8 @@
 """No floating point anywhere in the package or in the tests' references.
 
-Every module under src/splitstat, and tests/oracles.py (a reference is
-only useful if it is exact), is parsed with ast and may hold no float or
+Every module under src/splitstat, tests/oracles.py (a reference is
+only useful if it is exact) and the scripts under demos (they print the
+library's exact values) is parsed with ast and may hold no float or
 complex literal, no float(...) or complex(...) call, and no import from
 math other than its integer functions.
 """
@@ -13,6 +14,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "splitstat"
+DEMOS = TESTS.parent / "demos"
 INTEGER_MATH = {"factorial", "lcm", "gcd", "comb", "isqrt"}
 
 
@@ -41,7 +43,9 @@ def float_uses(source: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(PACKAGE.glob("*.py")) + [TESTS / "oracles.py"], ids=lambda p: p.name
+    "path",
+    sorted(PACKAGE.glob("*.py")) + [TESTS / "oracles.py"] + sorted(DEMOS.glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_module_uses_no_floating_point(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []

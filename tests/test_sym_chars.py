@@ -129,6 +129,16 @@ def test_characters_past_the_decompose_cap_are_refused_at_once():
     assert time.perf_counter() - start < 0.1
 
 
+def test_from_integers_past_the_partition_cap_is_refused_at_once():
+    # as ClassFunction(d, ...) is: before p(d) is counted, and whether or
+    # not as many numerators as partitions are given (p(24) = 1575)
+    start = time.perf_counter()
+    for d, nums in ((60, [1]), (24, [1] * 1575)):
+        with pytest.raises(BudgetExceeded, match=f"d={d} .*cap of {measures.PARTITION_BUDGET}"):
+            ClassFunction.from_integers(d, nums)
+    assert time.perf_counter() - start < 0.1
+
+
 def round_trips(value):
     return pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)
 
@@ -604,7 +614,8 @@ def test_products_and_values_match_fraction_arithmetic():
             form: parse_character_polynomial(form.format(a=text_a, b=text_b, n=n))
             for form in ("{a}*{b}", "{a}+{b}", "{a}-{b}", "{a} + 3/{n}", "{a} * 1/{n}", "{a}^3")
         }
-        binomial_terms, _ = expect._binomial_terms(a)
+        weight = max((sum(j * e for j, e in mono) for mono, _ in a.terms), default=0)
+        binomial_terms, _ = expect._binomial_terms(a, weight, expect.LIMIT_BUDGET)
         for lam in partitions_of(6):
             ref_a, ref_b = (
                 sum((Fraction(c, k) * lam.mult(j) ** e for c, k, j, e in terms), Fraction(0))
