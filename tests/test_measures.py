@@ -262,7 +262,7 @@ def test_series_terms_share_their_prefix_steps(monkeypatch):
     P = parse_character_polynomial("x1^20*x2^20")
     stable_limit(P, 12)
     assert len(steps) == 420
-    terms, _ = expect._binomial_terms(P, 60, expect.LIMIT_BUDGET)
+    terms, _ = expect._binomial_terms(P, 20 + 2 * 20, expect.LIMIT_BUDGET)
     assert len(terms) == 400 and sum(map(len, terms)) == 8400
 
 
