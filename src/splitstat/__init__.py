@@ -58,10 +58,8 @@ from .sym_chars import (
     inner,
     irr_dim,
     irreducible_character,
-    one,
     parse_character_polynomial,
     quadratic_excess,
-    roots,
     sgn,
 )
 
@@ -108,14 +106,12 @@ __all__ = [
     "make_field",
     "measure_rows",
     "necklace",
-    "one",
     "parse_character_polynomial",
     "parse_rational",
     "partitions_of",
     "phi_table",
     "psi_table",
     "quadratic_excess",
-    "roots",
     "sf_splitting_measure",
     "sgn",
     "splitting_measure",

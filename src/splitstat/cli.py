@@ -30,13 +30,7 @@ from itertools import starmap
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    ConsistencyError,
-    DegreeMismatch,
-    InvalidCharacteristic,
-    UnknownStatistic,
-)
+from .errors import ConsistencyError, SplitstatError, UnknownStatistic
 from .exact import UPoly, format_ratio, format_rational, join_signed, quote_short, strip_zeros
 from .expect import (
     NORM_Q_POWER,
@@ -413,14 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
-    except (
-        UnknownStatistic,
-        BudgetExceeded,
-        DegreeMismatch,
-        InvalidCharacteristic,
-        ValueError,  # json.JSONDecodeError among them
-        OSError,
-    ) as exc:
+    except (SplitstatError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

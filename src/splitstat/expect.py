@@ -73,10 +73,6 @@ class ExpectationResult(Immutable):
     ) -> None:
         self._store(d, statistic, value, route, normalization, checks)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self.value.coeffs
-
     def at_q(self, q: int | Fraction) -> Fraction:
         """Evaluate at a concrete field size."""
         return self.value.evaluate(Fraction(1, q))

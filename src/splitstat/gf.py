@@ -51,7 +51,7 @@ from math import isqrt
 from operator import itemgetter
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidCharacteristic
-from .exact import Immutable, cut_short, power
+from .exact import Immutable, cut_short
 from .partitions import Partition
 from .sym_chars import Statistic
 
@@ -138,14 +138,6 @@ class FqField:
             return (a * b) % self.p
         prod = _multiplier(self.p)(self._decode(a), self._decode(b))
         return self._encode(_divrem(self.p, prod, self.modulus)[1])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        return power(a, e, self.mul, 1)
 
     # -- identity ------------------------------------------------------------
 

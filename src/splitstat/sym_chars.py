@@ -59,7 +59,8 @@ class ClassFunction(Immutable):
 
     Stored in one form: `numerators`, the values at the partitions of d in
     partition order as integers over one positive `denominator`, in
-    lowest terms, so equal functions store equal integers.
+    lowest terms, so equal functions store equal integers.  It is read
+    out, never added or scaled: statistics are combined in spec text.
     """
 
     __slots__ = ("d", "name", "numerators", "denominator")
@@ -95,10 +96,6 @@ class ClassFunction(Immutable):
 
     __call__ = value
 
-    def items(self) -> Iterable[tuple[Partition, Fraction]]:
-        """(partition, value) pairs in canonical partition order."""
-        return ((lam, self.value(lam)) for lam in partitions_of(self.d))
-
     def at_degree(self, d: int) -> "ClassFunction":
         """This statistic on partitions of d; any other d raises DegreeMismatch."""
         if d != self.d:
@@ -109,21 +106,6 @@ class ClassFunction(Immutable):
         """The values at lams, partitions of d, as integers over one denominator."""
         at = positions(self.d)
         return [self.numerators[at[lam.parts]] for lam in lams], self.denominator
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.d != other.d:
-            raise DegreeMismatch(f"degree mismatch: {self.d} vs {other.d}")
-        nums, den = add_rows(self.numerators, self.denominator, other.numerators, other.denominator)
-        return ClassFunction.from_integers(self.d, nums, den)
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return self + other * -1
-
-    def __mul__(self, scalar: Scalar) -> "ClassFunction":
-        nums = [n * scalar.numerator for n in self.numerators]
-        return ClassFunction.from_integers(self.d, nums, self.denominator * scalar.denominator)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ClassFunction) and (
@@ -285,7 +267,6 @@ def decompose(X: ClassFunction) -> dict[Partition, Fraction]:
     Raises BudgetExceeded, before building any character, past
     DECOMPOSE_BUDGET.
     """
-    check_decompose_budget(X.d)
     weights, den = class_weights(X)
     out: dict[Partition, Fraction] = {}
     for shape, row in zip(partitions_of(X.d), _character_table(X.d)):
@@ -700,19 +681,9 @@ def builtin_polynomial(name: str) -> CharacterPolynomial:
     return polynomial_statistic(name)
 
 
-def one(d: int) -> ClassFunction:
-    """The trivial character."""
-    return builtin("one", d)
-
-
 def sgn(d: int) -> ClassFunction:
     """The sign character."""
     return builtin("sgn", d)
-
-
-def roots(d: int) -> ClassFunction:
-    """R: number of roots in the base field, with multiplicity (= x_1)."""
-    return builtin("R", d)
 
 
 def quadratic_excess(d: int) -> ClassFunction:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from oracles import char_table_json, char_table_text, measure_json, measure_text
 from splitstat import cli
 from splitstat.cli import main
-from splitstat.exact import UPoly
+from splitstat.exact import Q_VAR, UPoly
 from splitstat.gf import FqPoly, make_field, type_counts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -424,6 +425,34 @@ def test_verify_reports_broken_unique_factorization_on_tuple_kernels(capsys, mon
     code, _, err = run(capsys, "verify", "--d", str(d), "--q", q, "--stat", "R")
     assert code == 1
     assert "internal consistency failure" in err
+
+
+def test_verify_exits_1_when_census_and_formula_disagree(capsys, monkeypatch):
+    real = cli.census
+    monkeypatch.setattr(cli, "census", lambda *args, **kw: real(*args, **kw) + Fraction(1, 9))
+    argv = ("verify", "--d", "2", "--q", "3", "--stat", "R")
+    code, out, err = run(capsys, *argv, "--json")
+    got = json.loads(out)
+    assert code == 1 and got["ok"] is False
+    assert [got["results"][label]["match"] for label in ("all", "squarefree")] == [False, False]
+    assert err == "verification failed: census and formula disagree\n"
+    code, out, err = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert all(line.endswith(": MISMATCH") for line in lines[1:])
+    assert err == "verification failed: census and formula disagree\n"
+
+
+def test_irreducibles_exits_1_when_counts_disagree_with_the_polynomial(capsys, monkeypatch):
+    # q**deg counts every monic polynomial: right at degree 1, wrong at 2
+    monkeypatch.setattr(cli, "necklace", lambda deg: UPoly(Q_VAR, [0] * deg + [1]))
+    argv = ("irreducibles", "--q", "3", "--max-degree", "2")
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 1 and json.loads(out)["count_polynomial_match"] is False
+    assert err == "irreducible counts disagree with the count polynomial\n"
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out.endswith("  counts match the count polynomial: NO\n")
+    assert err == "irreducible counts disagree with the count polynomial\n"
 
 
 def test_limit_rejects_non_polynomial_statistics(capsys):

@@ -40,10 +40,8 @@ from splitstat.sym_chars import (
     even_type,
     indicator,
     inner,
-    one,
     parse_character_polynomial,
     quadratic_excess,
-    roots,
     sgn,
 )
 
@@ -83,7 +81,7 @@ def test_sign_expectation_is_a_single_power():
 
 def test_roots_expectation_is_geometric():
     for d in range(1, 11):
-        assert expected(d, roots(d)).value == UPoly(U_VAR, [1] * d)
+        assert expected(d, builtin("R", d)).value == UPoly(U_VAR, [1] * d)
 
 
 def test_even_type_bias():
@@ -100,15 +98,15 @@ def test_degree_bound():
 
 def test_expected_validates_arguments():
     with pytest.raises(DegreeMismatch):
-        expected(3, one(4))
+        expected(3, builtin("one", 4))
     with pytest.raises(ValueError):
-        expected(0, one(0))
+        expected(0, builtin("one", 0))
 
 
 def test_q1_specializations():
     for d in range(1, 11):
         assert eval_q1(d, quadratic_excess(d)) == comb(d, 2)
-        assert eval_q1(d, roots(d)) == d
+        assert eval_q1(d, builtin("R", d)) == d
         assert eval_q1(d, sgn(d)) == 1
 
 
@@ -120,9 +118,9 @@ def test_large_q_specializations():
 
     for d in range(1, 11):
         assert constant(d, quadratic_excess(d)) == 0
-        assert constant(d, roots(d)) == 1
-        for P in (quadratic_excess(d), roots(d), even_type(d), sgn(d)):
-            assert constant(d, P) == inner(P, one(d))
+        assert constant(d, builtin("R", d)) == 1
+        for P in (quadratic_excess(d), builtin("R", d), even_type(d), sgn(d)):
+            assert constant(d, P) == inner(P, builtin("one", d))
     # the even-type statistic only splits off a half trivial once the sign
     # character is distinct from the trivial one, i.e. for d >= 2
     for d in range(2, 11):
@@ -138,15 +136,15 @@ def test_squarefree_even_type_probability_is_exactly_half():
 
 
 def test_squarefree_roots_q_power():
-    assert expected_sf(2, roots(2)).value == UPoly(U_VAR, [1, -1])
-    assert expected_sf(3, roots(3)).value == UPoly(U_VAR, [1, -2, 1])
+    assert expected_sf(2, builtin("R", 2)).value == UPoly(U_VAR, [1, -1])
+    assert expected_sf(3, builtin("R", 3)).value == UPoly(U_VAR, [1, -2, 1])
 
 
 def test_squarefree_roots_conditional_mean_is_alternating_geometric():
     # verified against the census below; the conditional mean over
     # squarefree polynomials alternates: 1 - u + u^2 - ... (d-1 terms)
     for d in range(2, 9):
-        got = expected_sf(d, roots(d), NORM_SF_COUNT).value
+        got = expected_sf(d, builtin("R", d), NORM_SF_COUNT).value
         want = UPoly(U_VAR, [(-1) ** k for k in range(d - 1)])
         assert got == want
 
@@ -164,15 +162,15 @@ def test_squarefree_values_match_census():
 
 
 def test_squarefree_degree_one():
-    r = expected_sf(1, one(1))
+    r = expected_sf(1, builtin("one", 1))
     assert r.value == UPoly(U_VAR, [1])
     # every monic linear polynomial is squarefree: the density is 1, so the
     # conditional mean of the constant 1 is 1
-    conditional = expected_sf(1, one(1), NORM_SF_COUNT)
+    conditional = expected_sf(1, builtin("one", 1), NORM_SF_COUNT)
     assert conditional.value == UPoly(U_VAR, [1])
     assert conditional.checks == ("exact_division",)
     with pytest.raises(TypeError):
-        expected_sf(1, one(1), NORM_SF_COUNT, series_order=4)
+        expected_sf(1, builtin("one", 1), NORM_SF_COUNT, series_order=4)
 
 
 def test_expected_values_are_character_inner_products():
@@ -245,7 +243,7 @@ def test_indivisible_squarefree_sum_is_a_consistency_error(monkeypatch):
         ConsistencyError,
         match=r"^squarefree sum for one at d=2 is not divisible by the squarefree density 1 - u$",
     ):
-        expected_sf(2, one(2), NORM_SF_COUNT)
+        expected_sf(2, builtin("one", 2), NORM_SF_COUNT)
 
 
 # Numerator sizes in bits: zero, either side of the 2**63 bound on one
@@ -311,17 +309,17 @@ def test_tables_and_measures_pack_nothing():
     expect._packed_columns.cache_clear()
     for build in (psi_table, phi_table, splitting_measure, sf_splitting_measure):
         build(10)
-    decompose(roots(10))
+    decompose(builtin("R", 10))
     expected(10, builtin_polynomial("Q"))  # the series route
     assert expect._packed_columns.cache_info().currsize == 0
-    expected(10, roots(10))
+    expected(10, builtin("R", 10))
     assert expect._packed_columns.cache_info().currsize == 1
 
 
 def test_checks_name_only_what_ran():
-    assert expected(4, roots(4)).checks == ()
-    assert expected_sf(4, roots(4)).checks == ()
-    assert expected_sf(4, roots(4), NORM_SF_COUNT).checks == ("exact_division",)
+    assert expected(4, builtin("R", 4)).checks == ()
+    assert expected_sf(4, builtin("R", 4)).checks == ()
+    assert expected_sf(4, builtin("R", 4), NORM_SF_COUNT).checks == ("exact_division",)
 
 
 def test_main_theorem_census_sweep_subset():
@@ -478,9 +476,10 @@ def test_signed_series_route_equals_the_partition_route(plain, signed):
     P = SignedPolynomial(sym_chars.statistic(plain), sym_chars.statistic(signed), name="P")
     for d in range(1, 15):
         C = P.class_function(d)
-        assert C == P.plain.class_function(d) + ClassFunction(
-            d, {lam: lam.sign() * P.signed.evaluate(lam) for lam in partitions_of(d)}
-        )
+        assert C == ClassFunction(d, {
+            lam: P.plain.evaluate(lam) + lam.sign() * P.signed.evaluate(lam)
+            for lam in partitions_of(d)
+        })
         pairs = [(expected(d, P), expected(d, C))]
         pairs += [
             (expected_sf(d, P, norm), expected_sf(d, C, norm))

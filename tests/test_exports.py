@@ -25,9 +25,9 @@ EXPORTS = [
     "builtin", "builtin_names", "builtin_polynomial", "census", "decompose",
     "eval_q1", "even_type", "expected", "expected_sf", "format_rational",
     "indicator", "inner", "irr_dim", "irreducible_character", "irreducibles",
-    "make_field", "measure_rows", "necklace", "one", "parse_character_polynomial",
+    "make_field", "measure_rows", "necklace", "parse_character_polynomial",
     "parse_rational", "partitions_of", "phi_table", "psi_table", "quadratic_excess",
-    "roots", "sf_splitting_measure", "sgn", "splitting_measure", "stable_limit",
+    "sf_splitting_measure", "sgn", "splitting_measure", "stable_limit",
     "type_counts",
 ]
 

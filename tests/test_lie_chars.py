@@ -8,7 +8,7 @@ from oracles import char_table_json
 from splitstat.lie_chars import phi_table, psi_table
 from splitstat.measures import measure_rows
 from splitstat.partitions import Partition, partitions_of, positions
-from splitstat.sym_chars import ClassFunction, decompose, inner, roots, sgn
+from splitstat.sym_chars import ClassFunction, builtin, decompose, inner, sgn
 
 
 def value(table, k, lam):
@@ -111,7 +111,7 @@ def test_standard_multiplicity_in_every_degree():
     # <R, psi_d^k> = 1 for every k in the cohomological range
     for d in range(1, 11):
         t = psi_table(d)
-        r = roots(d)
+        r = builtin("R", d)
         for k in range(d):
             assert inner(r, row(d, t, k)) == 1
 
