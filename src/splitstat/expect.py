@@ -6,13 +6,12 @@ and its u**k coefficient is <P, psi_d^k>.  P is read at d through
 `at_degree(d)`, and two routes compute it, chosen by what P is there:
 
 * the measure route, for a ClassFunction on the partitions of d: the
-  stored integer rows z_lam [u**k] nu(lam) of `measures.measure_rows`
-  (row k is psi_d^k), packed once per (d, flavour) into one integer per
-  partition, its column times lcm(z) / z_lam with [u**k] in bit slot k
-  (`_packed_columns`, Kronecker substitution).  A query is then one
-  integer multiply-add per partition with P's numerators, and d signed
-  slot reads, over P.denominator * lcm(z); the first query at a
-  (d, flavour) pays for the packing, every later one only for the pairing;
+  measure columns z_lam nu(lam) as `measures.packed_measure` builds them,
+  one integer per partition with [u**k] in bit slot k (Kronecker
+  substitution; row k is psi_d^k), scaled by lcm(z) / z_lam once per
+  (d, flavour) (`_packed_columns`).  A query is then one integer
+  multiply-add per partition with P's numerators, and d signed slot
+  reads, over P.denominator * lcm(z); nothing is packed at query time;
 * the series route, for a CharacterPolynomial: P in the basis of
   products of binomials prod_j C(x_j, m_j), each term a splitting
   measure at its own weight times a truncated power series (see
@@ -38,7 +37,7 @@ from operator import mul
 
 from .errors import BudgetExceeded, ConsistencyError
 from .exact import U_VAR, Immutable, UPoly, add_rows, cut_short
-from .measures import _measure_products, measure_rows
+from .measures import _measure_products, packed_measure
 from .partitions import Partition
 from .sym_chars import (
     CharacterPolynomial, ClassFunction, SignedPolynomial, Statistic, _class_scales,
@@ -86,25 +85,15 @@ _DIGIT_HALF = 1 << (_DIGIT_BITS - 1)
 
 @lru_cache(maxsize=None)
 def _packed_columns(d: int, squarefree: bool) -> tuple[tuple[int, ...], int, int, int]:
-    # Per partition lam of d, in partition order, the one integer
-    # (lcm(z) / z_lam) * sum over k of row_k[lam] * 2**(width*k), rows
-    # those of measure_rows; with width, the bias that lifts every slot of
-    # a pairing to nonnegative, and lcm(z).  A pairing of digits of at most
-    # 2**63 in size has slots of size at most 2**63 * top < 2**(width-2), so
-    # no slot spills into the next.  The rows are combined pairwise, each
-    # pass doubling the slots an integer holds.
-    rows = measure_rows(d, squarefree=squarefree)
+    # Per partition lam of d, in partition order, its packed measure column
+    # (`packed_measure`, [u**k] z_lam nu(lam) in slot k) times lcm(z) / z_lam;
+    # with the slot width, the bias that lifts every slot of a pairing to
+    # nonnegative, and lcm(z).  The width holds a pairing of digits of at
+    # most 2**63 in size with every column (see `packed_measure`).
+    columns, width = packed_measure(d, squarefree=squarefree)
     scales, lcm_z = _class_scales(d)
-    top = max(max(map(max, rows)), -min(map(min, rows))) * max(scales) * len(scales)
-    width = top.bit_length() + _DIGIT_BITS + 1
-    packed, shift = list(rows), width
-    while len(packed) > 1:
-        unpaired = packed[len(packed) & ~1 :]
-        pairs = zip(packed[::2], packed[1::2])
-        packed = [[a + (b << shift) for a, b in zip(lo, hi)] for lo, hi in pairs] + unpaired
-        shift *= 2
     bias = (1 << (width - 1)) * (((1 << (width * d)) - 1) // ((1 << width) - 1))
-    return tuple(map(mul, packed[0], scales)), width, bias, lcm_z
+    return tuple(map(mul, columns, scales)), width, bias, lcm_z
 
 
 def _balanced_digits(nums: Sequence[int]) -> Iterator[tuple[int, Sequence[int]]]:
@@ -272,10 +261,11 @@ LIMIT_BUDGET = 5_000_000
 def _series_cost(terms: dict[Partition, int], order: int, squarefree: bool, d: int) -> int:
     # The work of _series_terms and the sums over its output, to u**order
     # and truncated at d.  Per term of weight w: the integer measure
-    # product, each factor of degree j multiplying the product so
-    # far by at most j + 1 coefficients, counted as if no two terms shared
-    # a prefix of parts (`_measure_products` steps once per shared prefix,
-    # so this over-counts; it is kept as it is so that the same inputs are
+    # product, counted as a convolution, each factor of degree j
+    # multiplying the product so far by at most j + 1 coefficients, and
+    # as if no two terms shared a prefix of parts (`_measure_products`
+    # multiplies packed integers once per shared prefix, so this
+    # over-counts; it is kept as it is so that the same inputs are
     # refused); the series, once per part; the
     # convolution with the measure to u**order, twice over when
     # squarefree.  Once per part size j, the necklace polynomial M_j; and
@@ -380,7 +370,7 @@ def _series_terms(
     lcm_z = lcm(*(lam.centralizer_order() for lam in terms))
     sign = -1 if squarefree else 1
     out = []
-    for (lam, c), nu in zip(terms.items(), _measure_products(list(terms), squarefree)):
+    for (lam, c), nu in zip(terms.items(), _measure_products(list(terms), squarefree, order)):
         scale = c * (lcm_z // lam.centralizer_order())
         top = min(order, d - lam.d)
         b = [1] + [0] * top
@@ -390,7 +380,7 @@ def _series_terms(
                 b[s] += step * b[s - j]
         if signed:
             scale *= lam.sign()
-        out.append((lam.d, [scale * a for a in nu[: order + 1]], b))
+        out.append((lam.d, [scale * a for a in nu], b))
     return out, terms_den * lcm_z
 
 

@@ -8,26 +8,30 @@ binomial coefficients divided by q**d, i.e. a polynomial in u = 1/q.
 Choosing factors with repetition allowed gives the measure over all
 polynomials; without repetition, the squarefree variant.
 
-The measure is built by one integer step, `_factor_step`, times one
-factor j*M_j(q) +- j*i, and one driver, `_measure_products`, runs it for
-any list of partitions: z_lam * nu(lam), reversed into u, with one step
-per distinct prefix of parts taken in ascending order, the walk
-`partitions.prefix_walk` that the character table shares.  The one
-stored object per (degree, flavor) is `measure_rows`, d integer rows
-z_lam * [u**k] nu(lam) over the partitions of d, which reads it over
-`partitions_of(d)`.
-The measure is nu(lam) = column / z_lam, the `lie_chars` tables are the
-same rows (phi's signed by (-1)**k), and `expect` packs each column into
-one integer, on its first query at a (degree, flavor), to pair a class
-function with every row at once; no inversion pass converts one form
+The measure is built by one packed walk, `_packed_products`: z_lam *
+nu(lam) reversed into u, one integer per partition with [u**k] in bit
+slot k (Kronecker substitution), each step one multiply by a factor
+j*M_j(q) +- j*i packed the same way, one step per distinct prefix of
+parts taken in ascending order, the walk `partitions.prefix_walk` that
+the character table shares.  The one stored object per (degree, flavor)
+is `packed_measure`, those integers over the partitions of d at a slot
+width fixed by d alone; `measure_rows` reads its d integer rows z_lam *
+[u**k] nu(lam) out in C.  The measure is nu(lam) = column / z_lam, the
+`lie_chars` tables are the rows (phi's signed by (-1)**k), and `expect`
+pairs a class function with the packed columns, scaled by lcm(z) / z_lam,
+for every row at once; no inversion or repacking pass converts one form
 into another.  For a character polynomial, `expect` reads the products
-of its binomial terms' partitions, of every weight up to d, in one call.
+of its binomial terms' partitions, of every weight up to d, from one
+walk of its own (`_measure_products`), read to the slots it needs.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
+from math import factorial
 from types import MappingProxyType
 
 from .errors import BudgetExceeded, ConsistencyError
@@ -54,51 +58,93 @@ def necklace(d: int) -> UPoly:
 
 
 @lru_cache(maxsize=None)
-def _factor_terms(j: int, shift: int) -> tuple[tuple[int, int], ...]:
-    # The nonzero terms (k, c), k < j, of the factor j*M_j(q) + shift,
-    # M_j = necklace(j): j*M_j is monic of degree j over the integers.
+def _packed_factor(j: int, shift: int, width: int) -> int:
+    # The factor j*M_j(q) + shift, M_j = necklace(j), reversed into u and
+    # packed at 2**width: j*M_j is monic of degree j over the integers, so
+    # its q**j term, 1, goes in slot 0 and its q**k term in slot j - k.
     m_j = necklace(j)
     low = [j // m_j.denominator * n for n in m_j.numerators[:j]]
     low[0] += shift
-    return tuple((k, c) for k, c in enumerate(low) if c)
+    return sum(c << width * (j - k) for k, c in enumerate(low) if c) + 1
 
 
-def _factor_step(prod: list[int], j: int, shift: int) -> list[int]:
-    # prod * (j*M_j(q) + shift) in q: the one step that builds the measure
-    out = [0] * j + prod
-    for k, c in _factor_terms(j, shift):
-        for t, a in enumerate(prod, k):
-            out[t] += a * c
-    return out
+def _slot_width(bound: int) -> int:
+    # The bits of one packed slot that holds, signed, any value of size at
+    # most `bound` times a 64-bit digit: a multiple of 64, at least 128, so
+    # that the bias 2**(width-1) `_unpacked` adds sits above the low word.
+    return -(-(bound.bit_length() + 65) // 64) * 64
 
 
-def _in_u(lam: Partition, prod: list[int]) -> list[int]:
-    # lam's finished q-product reversed into u.  For weight w >= 1 its
-    # q**0 term must be 0 (each part size's first factor has none), so it
-    # runs from u**0 to u**(w-1), the cohomological range.
-    if lam.d and prod[0]:
-        raise ConsistencyError(
-            f"measure product for {lam} has u-degree {lam.d}, "
-            f"beyond the cohomological range {lam.d - 1}"
-        )
-    return prod[:0:-1] if lam.d else prod
-
-
-def _measure_products(lams: Sequence[Partition], squarefree: bool) -> list[list[int]]:
-    # z_lam * nu(lam) as integer u-coefficients, per lam in the order given.
-    # nu(lam) * q**w is the product over part sizes j of the polynomial
-    # binomial coefficient: choose m_j irreducibles of degree j, with
-    # repetition (rising product) or without when squarefree (falling
-    # product): times z_lam, the product over j and i < m_j of
-    # j*M_j(q) + j*i (- j*i squarefree).  `prefix_walk` takes the parts
-    # ascending, so a prefix shared by several partitions is one factor
-    # step, its last part t after i parts t.
-    def step(prod: list[int], parts: tuple[int, ...], n: int) -> list[int]:
+def _packed_products(lams: Sequence[Partition], squarefree: bool, width: int) -> list[int]:
+    # z_lam * nu(lam) per lam in the order given, each one integer: its
+    # u**k coefficient in slot k of 2**width.  nu(lam) * q**w is the product
+    # over part sizes j of the polynomial binomial coefficient: choose m_j
+    # irreducibles of degree j, with repetition (rising product) or without
+    # when squarefree (falling product): times z_lam, the product over j
+    # and i < m_j of j*M_j(q) + j*i (- j*i squarefree), reversed into u one
+    # factor at a time.  `prefix_walk` takes the parts ascending, so a
+    # prefix shared by several partitions is one multiply, its last part t
+    # after i parts t.  Each factor has l1 norm at most j*(1 + i), so every
+    # coefficient of a product of prefix parts mu is at most z_mu, which
+    # divides z_lam: `width` must hold the largest z_lam signed.
+    def step(prod: int, parts: tuple[int, ...], n: int) -> int:
         t = parts[n]
-        return _factor_step(prod, t, (-t if squarefree else t) * parts[:n].count(t))
+        return prod * _packed_factor(t, (-t if squarefree else t) * parts[:n].count(t), width)
 
-    products = prefix_walk((lam.parts[::-1] for lam in lams), [1], step)
-    return [_in_u(lam, products[lam.parts[::-1]]) for lam in lams]
+    products = prefix_walk((lam.parts[::-1] for lam in lams), 1, step)
+    leaves = [products[lam.parts[::-1]] for lam in lams]
+    for lam, leaf in zip(lams, leaves):
+        # For weight w >= 1 the q**0 term, u**w, must be 0 (each part
+        # size's first factor has none), so the product runs from u**0 to
+        # u**(w-1), the cohomological range.  Its lower slots sum to less
+        # than half of 2**(width*w) in size, so u**w is 0 exactly when
+        # this shift leaves -1 or 0.
+        if lam.d and (leaf >> (width * lam.d - 1)) not in (-1, 0):
+            raise ConsistencyError(
+                f"measure product for {lam} has u-degree {lam.d}, "
+                f"beyond the cohomological range {lam.d - 1}"
+            )
+    return leaves
+
+
+def _unpacked(leaves: Sequence[int], lams: Sequence[Partition], slots: int, width: int) -> list[int]:
+    # Slots 0..slots-1 of each packed leaf, the product of lam, leaf after
+    # leaf.  Adding the bias 2**(width-1) to every slot lifts it to
+    # nonnegative and leaves its low 64-bit word the two's complement of
+    # its value (width >= 128); the lifted leaves, cut to `slots` slots,
+    # are written out as bytes and those words read back in C.  A value is
+    # at most z_lam in size, so that word is the value unless z_lam passes
+    # 2**63 (d >= 21 has one or two such lam); those few leaves are read
+    # slot by slot.
+    mask, top = (1 << width * slots) - 1, (1 << width) - 1
+    bias = (mask // top) << (width - 1)
+    lifted = [(leaf + bias) & mask for leaf in leaves]
+    words = array("q", b"".join(leaf.to_bytes(width * slots // 8, "little") for leaf in lifted))
+    if sys.byteorder == "big":
+        words.byteswap()
+    values = words[:: width // 64].tolist()
+    for i, lam in enumerate(lams):
+        if lam.centralizer_order() >> 63:
+            values[i * slots : (i + 1) * slots] = [
+                (lifted[i] >> width * k & top) - (1 << (width - 1)) for k in range(slots)
+            ]
+    return values
+
+
+def _measure_products(
+    lams: Sequence[Partition], squarefree: bool, order: int | None = None
+) -> list[list[int]]:
+    # z_lam * nu(lam) as integer u-coefficients, per lam in the order
+    # given: u**0 to u**(w-1) for weight w >= 1 (u**0 alone for w = 0), cut
+    # after u**order if given.  One packed walk, at the width of the
+    # largest z_lam, read out to the slots kept.
+    if not lams:
+        return []
+    width = _slot_width(max(lam.centralizer_order() for lam in lams))
+    keep = [max(lam.d, 1) if order is None else min(max(lam.d, 1), order + 1) for lam in lams]
+    slots = max(keep)
+    values = _unpacked(_packed_products(lams, squarefree, width), lams, slots, width)
+    return [values[i * slots : i * slots + n] for i, n in enumerate(keep)]
 
 
 # Cap on the partition route (measures, character tables, expected
@@ -119,21 +165,39 @@ def check_partition_budget(d: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def packed_measure(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], int]:
+    """The measure columns z_lam * nu(lam) over the partitions of d, each
+    packed into one integer, and the slot width: [u**k] in bit slot k.
+
+    The width is fixed by d alone: |z_lam * [u**k] nu(lam)| <= z_lam,
+    which divides d!, so a slot of `_slot_width(d! * p(d))` bits holds
+    every value, and also a pairing of p(d) columns times lcm(z) / z_lam
+    (at most d!) with 64-bit digits.  A u-degree beyond d-1 raises
+    ConsistencyError, and a d past PARTITION_BUDGET raises BudgetExceeded
+    before any partition is enumerated.  The flag is keyword-only so that
+    every caller shares one cache entry.
+    """
+    if d < 1:
+        raise ValueError("splitting measures start at degree 1")
+    check_partition_budget(d)
+    lams = partitions_of(d)
+    width = _slot_width(factorial(d) * len(lams))
+    return tuple(_packed_products(lams, squarefree, width)), width
+
+
+@lru_cache(maxsize=None)
 def measure_rows(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], ...]:
     """The integers z_lam * [u**k] nu(lam): row k, k = 0..d-1, over lam in partition order.
 
     nu is the measure over all monic polynomials, or with `squarefree` the
     q**d-normalized squarefree one; row k is psi_d^k, and (-1)**k phi_d^k
-    when squarefree.  The columns are `_measure_products` over
-    `partitions_of(d)`; a u-degree beyond d-1 raises ConsistencyError,
-    and a d past PARTITION_BUDGET raises BudgetExceeded before any
-    partition is enumerated.  The flag is keyword-only so that every
-    caller shares one cache entry.
+    when squarefree.  The rows are read out of `packed_measure(d)`, whose
+    errors they raise; the flag is keyword-only so that every caller
+    shares one cache entry.
     """
-    if d < 1:
-        raise ValueError("splitting measures start at degree 1")
-    check_partition_budget(d)
-    return tuple(zip(*_measure_products(partitions_of(d), squarefree)))
+    columns, width = packed_measure(d, squarefree=squarefree)
+    values = _unpacked(columns, partitions_of(d), d, width)
+    return tuple(tuple(values[k::d]) for k in range(d))
 
 
 def _as_measure(d: int, squarefree: bool) -> Mapping[Partition, UPoly]:

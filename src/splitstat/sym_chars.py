@@ -24,11 +24,11 @@ A pairing sum over lam of P(lam) X(lam) / z_lam in `inner` and
 `decompose` is an integer dot product over one denominator, row by row,
 as each makes one pairing per build: `class_weights` writes
 P(lam) / z_lam as integers W_lam over one D.  The expectation sums in
-`expect` pair P's numerators with measure columns packed once per
-degree, one multiply-add per partition for every u**k at once.  These
-and the census in `gf` read each statistic through `at_degree(d)`; the
-census then reads `values_at` at the types it counts, and
-`class_function(d)` is `values_at(partitions_of(d))`.
+`expect` pair P's numerators with the packed measure columns, one
+multiply-add per partition for every u**k at once.  These and the census
+in `gf` read each statistic through `at_degree(d)`; the census then reads
+`values_at` at the types it counts, and `class_function(d)` evaluates at
+every partition of d from x_j and sign columns shared by all statistics.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import sys
 from collections import defaultdict
 from contextlib import suppress
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from math import factorial, isqrt, lcm
 from operator import add, mul
@@ -295,6 +295,18 @@ class _PolynomialStatistic(Immutable):
         (n,), den = self.values_at((lam,))
         return Fraction(n, den)
 
+    def values_at(self, lams: Sequence[Partition]) -> tuple[list[int], int]:
+        """The values at lams, partitions of one d, as integers over one
+        denominator."""
+        counts: dict[int, list[int]] = {}
+
+        def column(j: int) -> list[int]:
+            if j not in counts:
+                counts[j] = [lam.mult(j) for lam in lams]
+            return counts[j]
+
+        return self._values(column, map(Partition.sign, lams), len(lams))
+
     def class_function(self, d: int) -> ClassFunction:
         """The statistic this expression defines on partitions of d.
 
@@ -302,12 +314,31 @@ class _PolynomialStatistic(Immutable):
         first.  Raises BudgetExceeded, before evaluating anything, when d
         has more than PARTITION_BUDGET partitions or a value at d could
         have more digits than Python prints (sys.get_int_max_str_digits()).
+        The x_j and sign columns over the partitions of d are shared by
+        every statistic (`_part_counts`, `_signs`).
         """
         if d < 0:
             raise ValueError("d must be nonnegative")
         check_partition_budget(d)
         p = self.at_degree(d)
-        return ClassFunction.from_integers(d, *p.values_at(partitions_of(d)), name=p.name)
+        values = p._values(partial(_part_counts, d), _signs(d), len(partitions_of(d)))
+        return ClassFunction.from_integers(d, *values, name=p.name)
+
+
+# The columns that class functions of polynomials read: x_j and sgn over
+# the partitions of d, in partition order.  Every spec at d reads the same
+# ones, so they are cached for the process; the caches are bounded, as
+# class_function checks the partition cap first and drops the monomials in
+# x_j, j > d: a key has d <= 23 and j <= d, at most 276 x_j columns and 24
+# sign columns in all.
+@lru_cache(maxsize=None)
+def _part_counts(d: int, j: int) -> tuple[int, ...]:
+    return tuple(lam.mult(j) for lam in partitions_of(d))
+
+
+@lru_cache(maxsize=None)
+def _signs(d: int) -> tuple[int, ...]:
+    return tuple(map(Partition.sign, partitions_of(d)))
 
 
 class CharacterPolynomial(_PolynomialStatistic):
@@ -356,22 +387,21 @@ class CharacterPolynomial(_PolynomialStatistic):
                 table[mono] = table.get(mono, 0) + c1 * c2
         return CharacterPolynomial(table.items(), self.denominator * other.denominator)
 
-    def values_at(self, lams: Sequence[Partition]) -> tuple[list[int], int]:
-        """The values at lams, partitions of one d, as integers over one
-        denominator."""
-        return self._numerators(lams), self.denominator
+    def _values(
+        self, column: Callable[[int], Sequence[int]], signs: Iterable[int], n: int
+    ) -> tuple[list[int], int]:
+        # The values at n partitions, whose x_j are column(j), as integers
+        # over the denominator; the signs are not read.
+        return self._numerators(column, n), self.denominator
 
-    def _numerators(self, lams: Sequence[Partition]) -> list[int]:
-        # The values at lams times the denominator; each monomial is
-        # evaluated at all of lams at once, x_j read once per j.
-        counts: dict[int, list[int]] = {}
-        total = [0] * len(lams)
+    def _numerators(self, column: Callable[[int], Sequence[int]], n: int) -> list[int]:
+        # The values at n partitions times the denominator, x_j at them
+        # being column(j); each monomial is evaluated at all of them at once.
+        total = [0] * n
         for mono, c in self.terms:
-            vals: Iterable[int] = repeat(c, len(lams))
+            vals: Iterable[int] = repeat(c, n)
             for j, e in mono:
-                if j not in counts:
-                    counts[j] = [lam.mult(j) for lam in lams]
-                vals = map(mul, vals, map(pow, counts[j], repeat(e)))
+                vals = map(mul, vals, map(pow, column(j), repeat(e)))
             total = list(map(add, total, vals))
         return total
 
@@ -440,11 +470,13 @@ class SignedPolynomial(_PolynomialStatistic):
     def __init__(self, plain: CharacterPolynomial, signed: CharacterPolynomial, name: str) -> None:
         self._store(plain, signed, name)
 
-    def values_at(self, lams: Sequence[Partition]) -> tuple[tuple[int, ...], int]:
-        """The values at lams, partitions of one d, as integers over one
-        denominator."""
-        plain, signed = (part._numerators(lams) for part in (self.plain, self.signed))
-        twisted = map(mul, map(Partition.sign, lams), signed)
+    def _values(
+        self, column: Callable[[int], Sequence[int]], signs: Iterable[int], n: int
+    ) -> tuple[tuple[int, ...], int]:
+        # The values at n partitions, whose x_j are column(j) and signs
+        # `signs`, as integers over one denominator.
+        plain, signed = (part._numerators(column, n) for part in (self.plain, self.signed))
+        twisted = map(mul, signs, signed)
         return add_rows(plain, self.plain.denominator, twisted, self.signed.denominator)
 
     def at_degree(self, d: int) -> "SignedPolynomial":
@@ -698,7 +730,10 @@ def even_type(d: int) -> ClassFunction:
 
 def indicator(lam0: Partition) -> ClassFunction:
     """The statistic that is 1 on one factorization type and 0 elsewhere."""
-    return ClassFunction(lam0.d, {lam0: 1}, name=f"ind:{lam0.label()}")
+    check_partition_budget(lam0.d)  # before the partitions of d are counted
+    ones = [0] * len(partitions_of(lam0.d))
+    ones[positions(lam0.d)[lam0.parts]] = 1
+    return ClassFunction.from_integers(lam0.d, ones, name=f"ind:{lam0.label()}")
 
 
 def _type_label(label: str, d: int) -> Partition:

@@ -232,12 +232,11 @@ def test_conditional_mean_is_the_squarefree_sum_over_one_minus_u():
 
 def test_indivisible_squarefree_sum_is_a_consistency_error(monkeypatch):
     # rows whose sum over u**k is not 0 leave a remainder after dividing by
-    # 1 - u; the columns are packed from them afresh, past the packed cache
+    # 1 - u: here row 0 is all 1 and row 1 all 0, so every packed column is
+    # 1, scaled afresh, past the cache of scaled columns
     monkeypatch.setattr(expect, "_packed_columns", expect._packed_columns.__wrapped__)
     monkeypatch.setattr(
-        expect,
-        "measure_rows",
-        lambda d, squarefree: ((1,) * len(partitions_of(d)), (0,) * len(partitions_of(d))),
+        expect, "packed_measure", lambda d, squarefree: ((1,) * len(partitions_of(d)), 128)
     )
     with pytest.raises(
         ConsistencyError,
@@ -288,6 +287,17 @@ def test_packed_pairing_equals_the_row_wise_reference(d, widths, signs, den, see
         *total, rem = accumulate(total)
         assert rem == 0
     assert expected_sf(d, P, NORM_SF_COUNT).value == UPoly(U_VAR, total, sf_den)
+
+
+def test_packed_pairing_equals_the_class_weights_pairing():
+    # every degree up to 12, both flavours, numerators of each WIDTHS size
+    # and all of them mixed, of each sign pattern
+    for d in range(1, 13):
+        for n, widths in enumerate([[w] for w in WIDTHS] + [list(WIDTHS)]):
+            for signs in ("+", "-", "+-"):
+                P = sized_class_function(d, widths, signs, 7, n)
+                for squarefree in (False, True):
+                    assert expect._measure_sum(P, squarefree) == measure_sum_by_rows(P, squarefree)
 
 
 def test_one_packing_per_degree_and_flavour():
@@ -412,10 +422,11 @@ def test_stable_limit_builds_no_measure_table(monkeypatch):
         raise AssertionError("stable_limit must not sample E_d")
 
     monkeypatch.setattr(expect, "expected", forbidden)
-    monkeypatch.setattr(expect, "measure_rows", forbidden)
-    sizes = (measure_rows.cache_info().currsize, partitions_of.cache_info().currsize)
+    monkeypatch.setattr(expect, "packed_measure", forbidden)
+    caches = (measure_rows, measures.packed_measure, partitions_of)
+    sizes = [cache.cache_info().currsize for cache in caches]
     limit = stable_limit(builtin_polynomial("Q"), 40)
-    assert (measure_rows.cache_info().currsize, partitions_of.cache_info().currsize) == sizes
+    assert [cache.cache_info().currsize for cache in caches] == sizes
     assert limit.coeffs == tuple(q_limit_closed_form(40))
     assert limit.stabilized_at[40] == 42
 
@@ -513,7 +524,7 @@ def test_series_route_enumerates_no_partition_of_d(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("the series route must not build measure rows")
 
-    monkeypatch.setattr(expect, "measure_rows", forbidden)
+    monkeypatch.setattr(expect, "packed_measure", forbidden)
     assert not hasattr(gf, "partitions_of")  # the census reads no partition list
     for module in (cli, measures, sym_chars):
         monkeypatch.setattr(module, "partitions_of", guarded)

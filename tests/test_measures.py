@@ -207,6 +207,21 @@ def test_integer_measure_product_is_the_fraction_product_times_z():
             assert rows == tuple(tuple(nu[k] for nu in want) for k in range(d)), d
 
 
+def test_every_row_value_fits_the_slot_width_fixed_by_d():
+    # |row_k[lam]| <= z_lam (each factor j*M_j +- j*i has l1 norm at most
+    # j*(1 + i)) and z_lam divides d!, so a value times lcm(z) / z_lam is
+    # at most lcm(z) <= d!: the width packed_measure fixes from d alone
+    # holds the rows and their pairings
+    for d in range(1, 24):
+        lams = partitions_of(d)
+        assert all(factorial(d) % lam.centralizer_order() == 0 for lam in lams)
+        for squarefree in (False, True):
+            for row in measure_rows(d, squarefree=squarefree):
+                assert all(abs(v) <= lam.centralizer_order() for v, lam in zip(row, lams))
+    widths = {d: measures.packed_measure(d, squarefree=False)[1] for d in (1, 16, 20, 21, 23)}
+    assert widths == {1: 128, 16: 128, 20: 192, 21: 192, 23: 192}
+
+
 def test_measure_products_of_any_list_in_the_order_given():
     # mixed weights, repeats, a partition that is a prefix of another
     # ([1] of [1,1], [2] of [2,2,1]) and the empty partition
@@ -231,15 +246,16 @@ def test_measure_products_match_the_fraction_product(lams, squarefree):
 
 
 def count_factor_steps(monkeypatch):
-    # the parts t of every factor step taken from here on
+    # the parts t of every factor step taken from here on: each step reads
+    # its packed factor once, then multiplies by it
     steps = []
 
-    def counting(prod, j, shift):
+    def counting(j, shift, width):
         steps.append(j)
-        return real(prod, j, shift)
+        return real(j, shift, width)
 
-    real = measures._factor_step
-    monkeypatch.setattr(measures, "_factor_step", counting)
+    real = measures._packed_factor
+    monkeypatch.setattr(measures, "_packed_factor", counting)
     return steps
 
 
@@ -251,7 +267,7 @@ def test_measure_rows_take_one_factor_step_per_prefix_node(monkeypatch):
     assert len(prefixes) == 153 and sum(map(len, partitions_of(12))) == 399
     for squarefree in (False, True):
         steps.clear()
-        measure_rows.__wrapped__(12, squarefree=squarefree)
+        measures.packed_measure.__wrapped__(12, squarefree=squarefree)  # what the rows read
         assert len(steps) == 153
 
 
@@ -269,18 +285,19 @@ def test_series_terms_share_their_prefix_steps(monkeypatch):
 def test_measure_product_checks_the_u_degree(monkeypatch):
     # a necklace polynomial with a constant term puts a q**0 term in the
     # product, u**d once reversed: the rows and the series route refuse it.
-    # The factors j*M_j are cached per j, so the patched necklace is read
+    # The packed factors j*M_j are cached, so the patched necklace is read
     # through a fresh cache, and the filled one is back after the test.
+    # The rows are read out of `packed_measure`.
     def shifted(j):
         m_j = real(j)
         return UPoly(Q_VAR, poly_add(m_j.numerators, [m_j.denominator]), m_j.denominator)
 
     real = measures.necklace
     monkeypatch.setattr(measures, "necklace", shifted)
-    monkeypatch.setattr(measures, "_factor_terms", lru_cache(measures._factor_terms.__wrapped__))
+    monkeypatch.setattr(measures, "_packed_factor", lru_cache(measures._packed_factor.__wrapped__))
     for squarefree in (False, True):
         with pytest.raises(ConsistencyError, match="u-degree 3, beyond the cohomological range 2"):
-            measures.measure_rows.__wrapped__(3, squarefree=squarefree)
+            measures.packed_measure.__wrapped__(3, squarefree=squarefree)
     Q = builtin_polynomial("Q")
     for route in (lambda: expected(3, Q), lambda: expected_sf(3, Q)):
         with pytest.raises(ConsistencyError, match="u-degree 2, beyond the cohomological range 1"):

@@ -581,9 +581,9 @@ def test_vanishing_monomials_are_dropped_before_evaluation(monkeypatch):
     evaluated = []
     numerators = CharacterPolynomial._numerators
 
-    def counting(self, lams):
-        evaluated.extend((mono, len(lams)) for mono, _ in self.terms)
-        return numerators(self, lams)
+    def counting(self, column, n):
+        evaluated.extend((mono, n) for mono, _ in self.terms)
+        return numerators(self, column, n)
 
     monkeypatch.setattr(CharacterPolynomial, "_numerators", counting)
     for spec in (wide, narrow):
