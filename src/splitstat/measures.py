@@ -138,11 +138,9 @@ def _measure_products(
     # given: u**0 to u**(w-1) for weight w >= 1 (u**0 alone for w = 0), cut
     # after u**order if given.  One packed walk, at the width of the
     # largest z_lam, read out to the slots kept.
-    if not lams:
-        return []
-    width = _slot_width(max(lam.centralizer_order() for lam in lams))
+    width = _slot_width(max((lam.centralizer_order() for lam in lams), default=1))
     keep = [max(lam.d, 1) if order is None else min(max(lam.d, 1), order + 1) for lam in lams]
-    slots = max(keep)
+    slots = max(keep, default=1)
     values = _unpacked(_packed_products(lams, squarefree, width), lams, slots, width)
     return [values[i * slots : i * slots + n] for i, n in enumerate(keep)]
 

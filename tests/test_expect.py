@@ -315,7 +315,8 @@ def test_one_packing_per_degree_and_flavour():
 
 
 def test_tables_and_measures_pack_nothing():
-    # packing waits for the first measure-route query
+    # the tables read the packed measure columns; scaling them for the
+    # pairing waits for the first measure-route query
     expect._packed_columns.cache_clear()
     for build in (psi_table, phi_table, splitting_measure, sf_splitting_measure):
         build(10)
