@@ -57,15 +57,23 @@ def necklace(d: int) -> UPoly:
     return UPoly(Q_VAR, coeffs, d)
 
 
-@lru_cache(maxsize=None)
 def _packed_factor(j: int, shift: int, width: int) -> int:
     # The factor j*M_j(q) + shift, M_j = necklace(j), reversed into u and
     # packed at 2**width: j*M_j is monic of degree j over the integers, so
     # its q**j term, 1, goes in slot 0 and its q**k term in slot j - k.
+    # Built from the top slot down, the nonzero terms only, one shift or
+    # add at a time: at a large j the factor is j + 1 slots wide, and at
+    # most two such integers are alive at once.
     m_j = necklace(j)
-    low = [j // m_j.denominator * n for n in m_j.numerators[:j]]
-    low[0] += shift
-    return sum(c << width * (j - k) for k, c in enumerate(low) if c) + 1
+    nums, scale = m_j.numerators, j // m_j.denominator
+    packed, slot = scale * nums[0] + shift, j
+    for k in range(1, j):
+        if nums[k]:
+            packed <<= width * (slot - (j - k))
+            packed += scale * nums[k]
+            slot = j - k
+    packed <<= width * slot
+    return packed + 1
 
 
 def _slot_width(bound: int) -> int:
@@ -86,10 +94,18 @@ def _packed_products(lams: Sequence[Partition], squarefree: bool, width: int) ->
     # prefix shared by several partitions is one multiply, its last part t
     # after i parts t.  Each factor has l1 norm at most j*(1 + i), so every
     # coefficient of a product of prefix parts mu is at most z_mu, which
-    # divides z_lam: `width` must hold the largest z_lam signed.
+    # divides z_lam: `width` must hold the largest z_lam signed.  A factor
+    # is packed once per walk and dropped with it: at a large part j it is
+    # j + 1 slots wide.
+    factors: dict[tuple[int, int], int] = {}
+
     def step(prod: int, parts: tuple[int, ...], n: int) -> int:
         t = parts[n]
-        return prod * _packed_factor(t, (-t if squarefree else t) * parts[:n].count(t), width)
+        key = (t, (-t if squarefree else t) * parts[:n].count(t))
+        factor = factors.get(key)
+        if factor is None:
+            factor = factors[key] = _packed_factor(*key, width)
+        return prod * factor
 
     products = prefix_walk((lam.parts[::-1] for lam in lams), 1, step)
     leaves = [products[lam.parts[::-1]] for lam in lams]
@@ -118,7 +134,7 @@ def _unpacked(leaves: Sequence[int], lams: Sequence[Partition], slots: int, widt
     # slot by slot.
     mask, top = (1 << width * slots) - 1, (1 << width) - 1
     bias = (mask // top) << (width - 1)
-    lifted = [(leaf + bias) & mask for leaf in leaves]
+    lifted = [((leaf & mask) + bias) & mask for leaf in leaves]
     words = array("q", b"".join(leaf.to_bytes(width * slots // 8, "little") for leaf in lifted))
     if sys.byteorder == "big":
         words.byteswap()
@@ -131,15 +147,13 @@ def _unpacked(leaves: Sequence[int], lams: Sequence[Partition], slots: int, widt
     return values
 
 
-def _measure_products(
-    lams: Sequence[Partition], squarefree: bool, order: int | None = None
-) -> list[list[int]]:
+def _measure_products(lams: Sequence[Partition], squarefree: bool, order: int) -> list[list[int]]:
     # z_lam * nu(lam) as integer u-coefficients, per lam in the order
     # given: u**0 to u**(w-1) for weight w >= 1 (u**0 alone for w = 0), cut
-    # after u**order if given.  One packed walk, at the width of the
-    # largest z_lam, read out to the slots kept.
+    # after u**order.  One packed walk, at the width of the largest z_lam,
+    # read out to the slots kept.
     width = _slot_width(max((lam.centralizer_order() for lam in lams), default=1))
-    keep = [max(lam.d, 1) if order is None else min(max(lam.d, 1), order + 1) for lam in lams]
+    keep = [min(max(lam.d, 1), order + 1) for lam in lams]
     slots = max(keep, default=1)
     values = _unpacked(_packed_products(lams, squarefree, width), lams, slots, width)
     return [values[i * slots : i * slots + n] for i, n in enumerate(keep)]

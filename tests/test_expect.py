@@ -263,6 +263,15 @@ def sized_class_function(d, widths, signs, den, seed):
     return ClassFunction.from_integers(d, nums, den)
 
 
+def widths_grid(test):
+    # at d = 12, numerators of each WIDTHS size and all of them mixed, of
+    # each sign pattern
+    for n, widths in enumerate([[w] for w in WIDTHS] + [list(WIDTHS)]):
+        for signs in ("+", "-", "+-"):
+            test = example(d=12, widths=widths, signs=signs, den=7, seed=n)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 12),
@@ -276,6 +285,7 @@ def sized_class_function(d, widths, signs, den, seed):
 @example(d=20, widths=list(WIDTHS), signs="+-", den=7, seed=1)
 @example(d=23, widths=list(WIDTHS), signs="+-", den=1, seed=2)
 @example(d=23, widths=[63], signs="-", den=1, seed=3)
+@widths_grid
 def test_packed_pairing_equals_the_row_wise_reference(d, widths, signs, den, seed):
     P = sized_class_function(d, widths, signs, den, seed)
     result = expected(d, P)
@@ -287,17 +297,6 @@ def test_packed_pairing_equals_the_row_wise_reference(d, widths, signs, den, see
         *total, rem = accumulate(total)
         assert rem == 0
     assert expected_sf(d, P, NORM_SF_COUNT).value == UPoly(U_VAR, total, sf_den)
-
-
-def test_packed_pairing_equals_the_class_weights_pairing():
-    # every degree up to 12, both flavours, numerators of each WIDTHS size
-    # and all of them mixed, of each sign pattern
-    for d in range(1, 13):
-        for n, widths in enumerate([[w] for w in WIDTHS] + [list(WIDTHS)]):
-            for signs in ("+", "-", "+-"):
-                P = sized_class_function(d, widths, signs, 7, n)
-                for squarefree in (False, True):
-                    assert expect._measure_sum(P, squarefree) == measure_sum_by_rows(P, squarefree)
 
 
 def test_one_packing_per_degree_and_flavour():

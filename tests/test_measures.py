@@ -1,7 +1,6 @@
 """Necklace polynomials and splitting measures."""
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -230,10 +229,10 @@ def test_measure_products_of_any_list_in_the_order_given():
         for parts in ([3, 1], [1], [], [1, 1], [5, 2, 2], [2, 2, 1], [1], [2], [4, 4, 1, 1], [])
     ]
     for squarefree in (False, True):
-        got = measures._measure_products(lams, squarefree)
+        got = measures._measure_products(lams, squarefree, 9)  # every slot of weight <= 10
         assert got == oracle_products(lams, squarefree)
         assert got[2] == [1] and got[1] == got[6]
-        assert measures._measure_products([], squarefree) == []
+        assert measures._measure_products([], squarefree, 0) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,20 +241,24 @@ def test_measure_products_of_any_list_in_the_order_given():
     st.booleans(),
 )
 def test_measure_products_match_the_fraction_product(lams, squarefree):
-    assert measures._measure_products(lams, squarefree) == oracle_products(lams, squarefree)
+    # order 9 reads every slot of weight <= 10
+    assert measures._measure_products(lams, squarefree, 9) == oracle_products(lams, squarefree)
 
 
 def count_factor_steps(monkeypatch):
-    # the parts t of every factor step taken from here on: each step reads
-    # its packed factor once, then multiplies by it
+    # the parts t of every factor step the measure walk takes from here on,
+    # each one multiply by a packed factor
     steps = []
 
-    def counting(j, shift, width):
-        steps.append(j)
-        return real(j, shift, width)
+    def counting_walk(keys, root, step):
+        def counting(prod, parts, n):
+            steps.append(parts[n])
+            return step(prod, parts, n)
 
-    real = measures._packed_factor
-    monkeypatch.setattr(measures, "_packed_factor", counting)
+        return real(keys, root, counting)
+
+    real = measures.prefix_walk
+    monkeypatch.setattr(measures, "prefix_walk", counting_walk)
     return steps
 
 
@@ -285,8 +288,6 @@ def test_series_terms_share_their_prefix_steps(monkeypatch):
 def test_measure_product_checks_the_u_degree(monkeypatch):
     # a necklace polynomial with a constant term puts a q**0 term in the
     # product, u**d once reversed: the rows and the series route refuse it.
-    # The packed factors j*M_j are cached, so the patched necklace is read
-    # through a fresh cache, and the filled one is back after the test.
     # The rows are read out of `packed_measure`.
     def shifted(j):
         m_j = real(j)
@@ -294,7 +295,6 @@ def test_measure_product_checks_the_u_degree(monkeypatch):
 
     real = measures.necklace
     monkeypatch.setattr(measures, "necklace", shifted)
-    monkeypatch.setattr(measures, "_packed_factor", lru_cache(measures._packed_factor.__wrapped__))
     for squarefree in (False, True):
         with pytest.raises(ConsistencyError, match="u-degree 3, beyond the cohomological range 2"):
             measures.packed_measure.__wrapped__(3, squarefree=squarefree)
