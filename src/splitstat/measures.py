@@ -12,17 +12,17 @@ The measure is built by one packed walk, `_packed_products`: z_lam *
 nu(lam) reversed into u, one integer per partition with [u**k] in bit
 slot k (Kronecker substitution), each step one multiply by a factor
 j*M_j(q) +- j*i packed the same way, one step per distinct prefix of
-parts taken in ascending order, the walk `partitions.prefix_walk` that
-the character table shares.  The one stored object per (degree, flavor)
-is `packed_measure`, those integers over the partitions of d at a slot
-width fixed by d alone; `measure_rows` reads its d integer rows z_lam *
-[u**k] nu(lam) out in C.  The measure is nu(lam) = column / z_lam, the
-`lie_chars` tables are the rows (phi's signed by (-1)**k), and `expect`
-pairs a class function with the packed columns, scaled by lcm(z) / z_lam,
-for every row at once; no inversion or repacking pass converts one form
-into another.  For a character polynomial, `expect` reads the products
-of its binomial terms' partitions, of every weight up to d, from one
-walk of its own (`_measure_products`), read to the slots it needs.
+parts taken in ascending order: `partitions.prefix_walk`, the walk the
+character table shares, which returns the products in the order given.
+The one stored object per (degree, flavor) is `packed_measure`, those
+integers over the partitions of d at a slot width fixed by d alone;
+`measure_rows` reads its d integer rows z_lam * [u**k] nu(lam) out in C.
+The measure is nu(lam) = column / z_lam, the `lie_chars` tables are the
+rows (phi's signed by (-1)**k), and `expect` pairs a class function with
+the packed columns, scaled by lcm(z) / z_lam, for every row at once; no
+inversion or repacking pass converts one form into another.  `expect`
+reads a character polynomial's binomial terms' products, of every weight
+up to d, from its own walk (`_measure_products`), to the slots it needs.
 """
 
 from __future__ import annotations
@@ -90,25 +90,24 @@ def _packed_products(lams: Sequence[Partition], squarefree: bool, width: int) ->
     # irreducibles of degree j, with repetition (rising product) or without
     # when squarefree (falling product): times z_lam, the product over j
     # and i < m_j of j*M_j(q) + j*i (- j*i squarefree), reversed into u one
-    # factor at a time.  `prefix_walk` takes the parts ascending, so a
-    # prefix shared by several partitions is one multiply, its last part t
-    # after i parts t.  Each factor has l1 norm at most j*(1 + i), so every
-    # coefficient of a product of prefix parts mu is at most z_mu, which
-    # divides z_lam: `width` must hold the largest z_lam signed.  A factor
-    # is packed once per walk and dropped with it: at a large part j it is
-    # j + 1 slots wide.
+    # factor at a time.  `prefix_walk` takes the parts ascending, so a prefix
+    # shared by several partitions is one multiply; its step n finds part t
+    # after i = n - parts.index(t) parts t.  Each factor has l1 norm at most
+    # j*(1 + i), so every coefficient of a product of prefix parts mu is at
+    # most z_mu, which divides z_lam: `width` must hold the largest z_lam
+    # signed.  A factor is packed once per walk and dropped with it: at a
+    # large part j it is j + 1 slots wide.
     factors: dict[tuple[int, int], int] = {}
 
     def step(prod: int, parts: tuple[int, ...], n: int) -> int:
         t = parts[n]
-        key = (t, (-t if squarefree else t) * parts[:n].count(t))
+        key = (t, (-t if squarefree else t) * (n - parts.index(t)))
         factor = factors.get(key)
         if factor is None:
             factor = factors[key] = _packed_factor(*key, width)
         return prod * factor
 
-    products = prefix_walk((lam.parts[::-1] for lam in lams), 1, step)
-    leaves = [products[lam.parts[::-1]] for lam in lams]
+    leaves = prefix_walk([lam.parts[::-1] for lam in lams], 1, step)
     for lam, leaf in zip(lams, leaves):
         # For weight w >= 1 the q**0 term, u**w, must be 0 (each part
         # size's first factor has none), so the product runs from u**0 to
@@ -125,25 +124,27 @@ def _packed_products(lams: Sequence[Partition], squarefree: bool, width: int) ->
 
 def _unpacked(leaves: Sequence[int], lams: Sequence[Partition], slots: int, width: int) -> list[int]:
     # Slots 0..slots-1 of each packed leaf, the product of lam, leaf after
-    # leaf.  Adding the bias 2**(width-1) to every slot lifts it to
-    # nonnegative and leaves its low 64-bit word the two's complement of
-    # its value (width >= 128); the lifted leaves, cut to `slots` slots,
-    # are written out as bytes and those words read back in C.  A value is
-    # at most z_lam in size, so that word is the value unless z_lam passes
-    # 2**63 (d >= 21 has one or two such lam); those few leaves are read
-    # slot by slot.
+    # leaf, 256 leaves at a time, so that the copies made on the way hold one
+    # block.  Adding the bias 2**(width-1) to every slot lifts it to
+    # nonnegative and leaves its low 64-bit word the two's complement of its
+    # value (width >= 128); the lifted leaves, cut to `slots` slots, are
+    # written out as bytes and those words read back in C.  A value is at most
+    # z_lam in size, so that word is the value unless z_lam passes 2**63 (a
+    # few lam from d = 21 on); those leaves are read slot by slot.
     mask, top = (1 << width * slots) - 1, (1 << width) - 1
-    bias = (mask // top) << (width - 1)
-    lifted = [((leaf & mask) + bias) & mask for leaf in leaves]
-    words = array("q", b"".join(leaf.to_bytes(width * slots // 8, "little") for leaf in lifted))
-    if sys.byteorder == "big":
-        words.byteswap()
-    values = words[:: width // 64].tolist()
-    for i, lam in enumerate(lams):
-        if lam.centralizer_order() >> 63:
-            values[i * slots : (i + 1) * slots] = [
-                (lifted[i] >> width * k & top) - (1 << (width - 1)) for k in range(slots)
-            ]
+    bias, values = (mask // top) << (width - 1), []
+    for start in range(0, len(leaves), 256):
+        lifted = [((leaf & mask) + bias) & mask for leaf in leaves[start : start + 256]]
+        words = array("q", b"".join(leaf.to_bytes(width * slots // 8, "little") for leaf in lifted))
+        if sys.byteorder == "big":
+            words.byteswap()
+        block = words[:: width // 64].tolist()
+        for i, lam in enumerate(lams[start : start + 256]):
+            if lam.centralizer_order() >> 63:
+                block[i * slots : (i + 1) * slots] = [
+                    (lifted[i] >> width * k & top) - (1 << (width - 1)) for k in range(slots)
+                ]
+        values += block
     return values
 
 

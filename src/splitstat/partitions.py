@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 V = TypeVar("V")
 
@@ -145,18 +145,19 @@ def positions(d: int) -> dict[tuple[int, ...], int]:
 
 
 def prefix_walk(
-    keys: Iterable[tuple[int, ...]], root: V, step: Callable[[V, tuple[int, ...], int], V]
-) -> dict[tuple[int, ...], V]:
-    """Each distinct key (parts ascending) to root folded by step(value, key, n),
-    n = 0..len(key) - 1.  The keys are walked sorted, a stack holding the value
-    at each prefix of the last one: step runs once per distinct nonempty prefix."""
-    stack, out = [((), root)], {}
-    for key in sorted(set(keys)):
+    keys: Sequence[tuple[int, ...]], root: V, step: Callable[[V, tuple[int, ...], int], V]
+) -> list[V]:
+    """Per key (parts ascending), in the order given, root folded by step(value,
+    key, n), n = 0..len(key) - 1.  The keys are walked sorted, a stack holding the
+    value at each prefix of the last one: step runs once per distinct nonempty prefix."""
+    stack, out = [((), root)], [root] * len(keys)
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[i]
         while key[: len(stack[-1][0])] != stack[-1][0]:
             stack.pop()
         for n in range(len(stack) - 1, len(key)):
             stack.append((key[: n + 1], step(stack[-1][1], key, n)))
-        out[key] = stack[-1][1]
+        out[i] = stack[-1][1]
     return out
 
 

@@ -206,8 +206,7 @@ def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
         return out if last else {b_id: c for b_id, c in out.items() if c}
 
     keys = [shape.parts[::-1] for shape in shapes]
-    columns = prefix_walk(keys, {intern(tuple(range(d - 1, -1, -1))): 1}, add_times_p)
-    return tuple(zip(*(columns[key] for key in keys)))
+    return tuple(zip(*prefix_walk(keys, {intern(tuple(range(d - 1, -1, -1))): 1}, add_times_p)))
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -198,8 +198,10 @@ def oracle_products(lams, squarefree):
 
 
 def test_integer_measure_product_is_the_fraction_product_times_z():
+    # d = 21 reads its 792 leaves in four blocks of 256; [1^21], the last
+    # leaf, has z = 21! >= 2**63 and is read slot by slot
     for squarefree in (False, True):
-        for d in (*range(1, 13), 16):
+        for d in (*range(1, 13), 16, 21):
             rows = measure_rows.__wrapped__(d, squarefree=squarefree)
             assert all(type(c) is int for row in rows for c in row)
             want = oracle_products(partitions_of(d), squarefree)

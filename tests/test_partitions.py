@@ -1,5 +1,6 @@
 """Partition enumeration and the scalars attached to cycle types."""
 
+import random
 from functools import reduce
 from itertools import permutations
 from math import factorial
@@ -97,13 +98,19 @@ def fold(value, key, n):
 
 
 @pytest.mark.parametrize(
-    "weights", [[d] for d in range(13)] + [range(9)], ids=[*map(str, range(13)), "mixed"]
+    "weights, shuffled",
+    [([d], False) for d in range(13)] + [(range(9), False), (range(9), True)],
+    ids=[*map(str, range(13)), "mixed", "mixed-shuffled"],
 )
-def test_prefix_walk_steps_once_per_distinct_prefix(weights):
+def test_prefix_walk_steps_once_per_distinct_prefix(weights, shuffled):
     # keys with parts ascending, as both kernels walk them; the mixed list
     # has keys of every weight up to 8, so a key is often a prefix of
-    # another ([1] of [1, 1]), like the series route's binomial terms
+    # another ([1] of [1, 1]), like the series route's binomial terms.
+    # Shuffled with repeats, the same keys give the same values, each in
+    # its own place, for the same steps.
     keys = [lam.parts[::-1] for w in weights for lam in partitions_of(w)]
+    if shuffled:
+        keys = random.Random(5).sample(keys + keys[::3], len(keys) + len(keys[::3]))
     calls = []
 
     def step(value, key, n):
@@ -111,11 +118,13 @@ def test_prefix_walk_steps_once_per_distinct_prefix(weights):
         return fold(value, key, n)
 
     got = prefix_walk(keys, 1, step)
-    assert got == {key: reduce(lambda v, n: fold(v, key, n), range(len(key)), 1) for key in keys}
+    assert got == [reduce(lambda v, n: fold(v, key, n), range(len(key)), 1) for key in keys]
     prefixes = {key[:i] for key in keys for i in range(1, len(key) + 1)}
     assert len(calls) == len(set(calls)) == len(prefixes) and set(calls) == prefixes
     if weights == [12]:
         assert len(calls) == 153  # against 399 parts over the 77 partitions
+    if weights == range(9):
+        assert len(calls) == 66  # shuffled with repeats or not
 
 
 def test_no_duplicates_and_correct_sums():
