@@ -7,16 +7,14 @@ Lie character).  So psi_d^k(lam) = z_lam * [u**k] nu(lam): row k of
 `measures.measure_rows` is exactly psi_d^k, and `psi_table(d)` is those
 rows.  The squarefree measure likewise encodes the characters phi_d^k of
 H^k of configurations in the plane, with an alternating sign:
-phi_d^k(lam) = (-1)**k * z_lam * [u**k] nu_sf(lam), and `phi_table(d)`
-is the squarefree rows with that sign applied once, when it is built.
-A table is d rows of integers, k = 0..d-1, each in partition order; the
-`psi` and `phi` commands print it a row at a time.
+phi_d^k(lam) = (-1)**k * z_lam * [u**k] nu_sf(lam); `phi_table(d)` holds
+the one copy of the squarefree rows, signed in place.  A table is d rows
+of integers, k = 0..d-1, in partition order, printed a row at a time.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import neg
 
 from .measures import measure_rows
 
@@ -30,5 +28,9 @@ def psi_table(d: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def phi_table(d: int) -> tuple[tuple[int, ...], ...]:
     """Characters of H^k of d ordered points in the plane: row k, k = 0..d-1."""
-    rows = measure_rows(d, squarefree=True)
-    return tuple(tuple(map(neg, row)) if k % 2 else row for k, row in enumerate(rows))
+    # Past measure_rows' cache, each int popped as it is negated: one copy is held, never 1.5.
+    rows = list(measure_rows.__wrapped__(d, squarefree=True))
+    for k in range(1, d, 2):
+        row, rows[k] = list(reversed(rows[k])), ()
+        rows[k] = tuple([-row.pop() for _ in range(len(row))])
+    return tuple(rows)

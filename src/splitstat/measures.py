@@ -204,9 +204,9 @@ def measure_rows(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], ...]:
 
     nu is the measure over all monic polynomials, or with `squarefree` the
     q**d-normalized squarefree one; row k is psi_d^k, and (-1)**k phi_d^k
-    when squarefree.  The rows are read out of `packed_measure(d)`, whose
-    errors they raise; the flag is keyword-only so that every caller
-    shares one cache entry.
+    when squarefree.  Read out of `packed_measure(d)`, whose errors they
+    raise; the flag is keyword-only so that callers share one cache entry,
+    but `phi_table` reads past it, to sign in place the one copy it holds.
     """
     columns, width = packed_measure(d, squarefree=squarefree)
     values = _unpacked(columns, partitions_of(d), d, width)

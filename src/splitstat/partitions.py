@@ -17,9 +17,9 @@ V = TypeVar("V")
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers, with multiplicity access."""
+    """A weakly decreasing tuple of positive integers; multiplicities are counted from the parts."""
 
-    __slots__ = ("parts", "d", "_mults", "_z")
+    __slots__ = ("parts", "d", "_z")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         ps = tuple(sorted((int(p) for p in parts), reverse=True))
@@ -36,12 +36,8 @@ class Partition:
         return lam
 
     def _fill(self, parts: tuple[int, ...], d: int) -> None:
-        mults: dict[int, int] = {}
-        for p in parts:
-            mults[p] = mults.get(p, 0) + 1
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_mults", mults)
         object.__setattr__(self, "_z", 0)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -54,17 +50,18 @@ class Partition:
         """Number of parts equal to j (the statistic x_j)."""
         if j < 1:
             raise ValueError("part sizes start at 1")
-        return self._mults.get(j, 0)
+        return self.parts.count(j)
 
     def multiplicities(self) -> tuple[tuple[int, int], ...]:
         """(part size, multiplicity) pairs, ascending in part size."""
-        return tuple(sorted(self._mults.items()))
+        return tuple((j, self.parts.count(j)) for j in sorted(set(self.parts)))
 
     def centralizer_order(self) -> int:
         """prod_j j**m_j * m_j!; the conjugacy class has size d!/this."""
         if not self._z:  # computed once per partition
             z = 1
-            for j, m in self._mults.items():
+            for j in set(self.parts):
+                m = self.parts.count(j)
                 z *= j**m * factorial(m)
             object.__setattr__(self, "_z", z)
         return self._z

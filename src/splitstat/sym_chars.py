@@ -332,7 +332,7 @@ class _PolynomialStatistic(Immutable):
 # sign columns in all.
 @lru_cache(maxsize=None)
 def _part_counts(d: int, j: int) -> tuple[int, ...]:
-    return tuple(lam.mult(j) for lam in partitions_of(d))
+    return tuple(lam.parts.count(j) for lam in partitions_of(d))
 
 
 @lru_cache(maxsize=None)

@@ -370,6 +370,31 @@ def test_tables_print_in_memory_of_one_row(argv):
     assert peak < 1 << 20
 
 
+def _cold_traced_peak(*argv: str) -> int:
+    # tracemalloc's peak over one command in a fresh process, stdout discarded
+    code = (
+        "import sys, tracemalloc; from splitstat.cli import main; "
+        "tracemalloc.start(); status = main(sys.argv[1:]); "
+        "print(tracemalloc.get_traced_memory()[1], status, file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=60,
+    )
+    peak, status = map(int, done.stderr.split())
+    assert done.returncode == status == 0
+    return peak
+
+
+def test_phi_holds_one_copy_of_its_rows():
+    # phi is the squarefree rows signed in place, not a signed copy beside
+    # them: built cold, it peaks where psi does (a copy of the odd rows
+    # costs about 6% at d = 23)
+    phi = _cold_traced_peak("phi", "--d", "23", "--json")
+    psi = _cold_traced_peak("psi", "--d", "23", "--json")
+    assert phi <= psi * 1.03
+
+
 @pytest.mark.parametrize("argv", [
     (command, *flags, "--d", d, *json_flag)
     for command, flags in (("psi", ()), ("phi", ()), ("measure", ()), ("measure", ("--sf",)))

@@ -128,13 +128,18 @@ def test_tables_reject_nonpositive_degree():
 
 
 def test_tables_are_the_measure_rows():
-    # psi is the stored rows themselves; phi signs row k by (-1)**k, once
+    # psi is the stored rows themselves; phi signs row k by (-1)**k, once,
+    # on rows read past measure_rows' cache, which it leaves untouched
     for d in range(1, 24):
         assert psi_table(d) is measure_rows(d, squarefree=False)
+        before = measure_rows.cache_info()
+        phi = phi_table.__wrapped__(d)
+        assert measure_rows.cache_info() == before
+        assert phi_table(d) == phi
         sf = measure_rows(d, squarefree=True)
-        assert len(phi_table(d)) == len(sf) == d
+        assert len(phi) == len(sf) == d
         for k in range(d):
-            assert phi_table(d)[k] == tuple((-1) ** k * v for v in sf[k])
+            assert phi[k] == tuple((-1) ** k * v for v in sf[k])
 
 
 def test_json_shape():

@@ -1,9 +1,10 @@
 """Partition enumeration and the scalars attached to cycle types."""
 
 import random
+from collections import Counter
 from functools import reduce
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -67,6 +68,32 @@ def test_enumerated_partitions_match_constructed_ones():
             assert [lam.mult(j) for j in range(1, d + 1)] == [ref.mult(j) for j in range(1, d + 1)]
             assert lam.multiplicities() == ref.multiplicities()
             assert lam.centralizer_order() == ref.centralizer_order()
+
+
+def test_multiplicities_match_a_count_of_the_parts():
+    # reference: a Counter over the parts as given, and prod_j j**m * m!,
+    # for partitions enumerated, built from shuffled parts and parsed
+    rng = random.Random(20)
+    for d in range(21):
+        sizes = range(1, d + 2)
+        for lam in partitions_of(d):
+            given = list(lam.parts)
+            rng.shuffle(given)
+            counts = Counter(given)
+            z = prod(j**m * factorial(m) for j, m in counts.items())
+            text = ",".join(map(str, given))
+            others = (Partition(given), Partition.parse(text), Partition.parse(f"[{text}]"))
+            for built in (lam, *others):
+                assert built.parts == lam.parts
+                assert [built.mult(j) for j in sizes] == [counts[j] for j in sizes]
+                assert built.multiplicities() == tuple(sorted(counts.items()))
+                assert built.centralizer_order() == z
+
+
+def test_a_partition_stores_its_parts_alone():
+    assert Partition.__slots__ == ("parts", "d", "_z")
+    lam = Partition([3, 1, 1])
+    assert [type(getattr(lam, name)) for name in Partition.__slots__] == [tuple, int, int]
 
 
 def test_partition_counts():
