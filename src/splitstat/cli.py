@@ -50,7 +50,7 @@ from .gf import (
     make_field,
 )
 from .lie_chars import phi_table, psi_table
-from .measures import measure_rows, necklace
+from .measures import measure_columns, necklace
 from .partitions import partitions_of
 from .sym_chars import check_decompose_budget, decompose, polynomial_statistic, statistic
 from .sym_chars import resolve as resolve_stat  # a --stat argument at degree d
@@ -117,14 +117,14 @@ def _json_members(members: Iterable[str]) -> Iterator[str]:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    rows = measure_rows(args.d, squarefree=args.sf)
+    columns = measure_columns(args.d, squarefree=args.sf)
     lams = partitions_of(args.d)
     labels = [lam.label() for lam in lams]
     flavor = "squarefree" if args.sf else "all"
 
     def measures() -> Iterator[tuple[str, Sequence[int], int]]:
         # per type lam: its label, and nu(lam) as its column over z_lam
-        for label, lam, column in zip(labels, lams, zip(*rows)):
+        for label, lam, column in zip(labels, lams, columns):
             yield label, column, lam.centralizer_order()
 
     def json_member(label: str, column: Sequence[int], z: int) -> str:

@@ -5,13 +5,11 @@ sum over lam of P(lam) nu(lam), summed against the splitting measure nu,
 and its u**k coefficient is <P, psi_d^k>.  P is read at d through
 `at_degree(d)`, and two routes compute it, chosen by what P is there:
 
-* the measure route, for a ClassFunction on the partitions of d: the
-  measure columns z_lam nu(lam) as `measures.packed_measure` builds them,
-  one integer per partition with [u**k] in bit slot k (Kronecker
-  substitution; row k is psi_d^k), scaled by lcm(z) / z_lam once per
-  (d, flavour) (`_packed_columns`).  A query is then one integer
-  multiply-add per partition with P's numerators, and d signed slot
-  reads, over P.denominator * lcm(z); nothing is packed at query time;
+* the measure route, for a ClassFunction on the partitions of d: P's
+  numerators paired with the measure by `measures.measure_pairing`, which
+  owns the packed measure and its slot format, one integer multiply-add
+  per partition for every u**k at once, over P.denominator * lcm(z);
+  nothing is packed at query time;
 * the series route, for a CharacterPolynomial: P in the basis of
   products of binomials prod_j C(x_j, m_j), each term a splitting
   measure at its own weight times a truncated power series (see
@@ -28,20 +26,15 @@ actual squarefree count, which divides out the squarefree density
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
-from operator import mul
 
 from .errors import BudgetExceeded, ConsistencyError
 from .exact import U_VAR, Immutable, UPoly, add_rows, cut_short
-from .measures import _measure_products, packed_measure
+from .measures import _measure_products, measure_pairing
 from .partitions import Partition
-from .sym_chars import (
-    CharacterPolynomial, ClassFunction, SignedPolynomial, Statistic, _class_scales,
-)
+from .sym_chars import CharacterPolynomial, ClassFunction, SignedPolynomial, Statistic
 
 Series = CharacterPolynomial | SignedPolynomial
 
@@ -75,53 +68,6 @@ class ExpectationResult(Immutable):
     def at_q(self, q: int | Fraction) -> Fraction:
         """Evaluate at a concrete field size."""
         return self.value.evaluate(Fraction(1, q))
-
-
-# Numerators are paired in balanced digits of this many bits, so one
-# packing serves numerators of every size.
-_DIGIT_BITS = 64
-_DIGIT_HALF = 1 << (_DIGIT_BITS - 1)
-
-
-@lru_cache(maxsize=None)
-def _packed_columns(d: int, squarefree: bool) -> tuple[tuple[int, ...], int, int, int]:
-    # Per partition lam of d, in partition order, its packed measure column
-    # (`packed_measure`, [u**k] z_lam nu(lam) in slot k) times lcm(z) / z_lam;
-    # with the slot width, the bias that lifts every slot of a pairing to
-    # nonnegative, and lcm(z).  The width holds a pairing of digits of at
-    # most 2**63 in size with every column (see `packed_measure`).
-    columns, width = packed_measure(d, squarefree=squarefree)
-    scales, lcm_z = _class_scales(d)
-    bias = (1 << (width - 1)) * (((1 << (width * d)) - 1) // ((1 << width) - 1))
-    return tuple(map(mul, columns, scales)), width, bias, lcm_z
-
-
-def _balanced_digits(nums: Sequence[int]) -> Iterator[tuple[int, Sequence[int]]]:
-    # (place, digits): nums = sum over places of digits * 2**place, each
-    # digit in [-2**63, 2**63); nums themselves when they already are.
-    place = 0
-    while max(nums) >= _DIGIT_HALF or min(nums) < -_DIGIT_HALF:
-        low = [((a + _DIGIT_HALF) & (2 * _DIGIT_HALF - 1)) - _DIGIT_HALF for a in nums]
-        yield place, low
-        nums = [(a - b) >> _DIGIT_BITS for a, b in zip(nums, low)]
-        place += _DIGIT_BITS
-    yield place, nums
-
-
-def _measure_sum(P: ClassFunction, squarefree: bool) -> tuple[list[int], int]:
-    # nu(lam) = column / z_lam, so the u**k total is the sum over lam of
-    # P(lam) (lcm(z) / z_lam) row_k[lam] over P.denominator * lcm(z): with
-    # the packed columns, one multiply-add per partition gives every k at
-    # once in its slot, read back signed by lifting it with the bias.  The
-    # integer totals, and that denominator.
-    columns, width, bias, lcm_z = _packed_columns(P.d, squarefree)
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    totals = [0] * P.d
-    for place, digits in _balanced_digits(P.numerators):
-        packed = sum(map(mul, digits, columns)) + bias
-        for k in range(P.d):
-            totals[k] += ((packed >> (width * k) & mask) - half) << place
-    return totals, P.denominator * lcm_z
 
 
 def _series_sum(d: int, P: Series, squarefree: bool) -> tuple[list[int], int]:
@@ -169,7 +115,8 @@ def _sum(d: int, P: Statistic, sf: bool, name: str | None) -> tuple[list[int], i
     P = P.at_degree(d)
     name = P.name or "stat" if name is None else name
     if isinstance(P, ClassFunction):
-        return *_measure_sum(P, sf), VIA_MEASURE, name
+        totals, lcm_z = measure_pairing(d, P.numerators, squarefree=sf)
+        return totals, P.denominator * lcm_z, VIA_MEASURE, name
     return *_series_sum(d, P, sf), VIA_SERIES, name
 
 

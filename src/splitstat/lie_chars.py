@@ -4,12 +4,12 @@ The splitting measure of type lam is (1/z_lam) * sum over k of
 psi_d^k(lam) u**k, where psi_d^k is the character of the S_d-action on
 H^{2k} of the configuration space of d ordered points in R^3 (the higher
 Lie character).  So psi_d^k(lam) = z_lam * [u**k] nu(lam): row k of
-`measures.measure_rows` is exactly psi_d^k, and `psi_table(d)` is those
-rows.  The squarefree measure likewise encodes the characters phi_d^k of
-H^k of configurations in the plane, with an alternating sign:
-phi_d^k(lam) = (-1)**k * z_lam * [u**k] nu_sf(lam); `phi_table(d)` holds
-the one copy of the squarefree rows, signed in place.  A table is d rows
-of integers, k = 0..d-1, in partition order, printed a row at a time.
+`measures.measure_rows`, read out of the packed measure `measures` owns,
+is psi_d^k.  The squarefree measure likewise encodes the characters
+phi_d^k of H^k of configurations in the plane, with an alternating sign:
+phi_d^k(lam) = (-1)**k * z_lam * [u**k] nu_sf(lam).  The two caches here
+hold the only copies of the rows, phi's signed in place: d rows of
+integers, k = 0..d-1, in partition order, printed a row at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ def psi_table(d: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def phi_table(d: int) -> tuple[tuple[int, ...], ...]:
     """Characters of H^k of d ordered points in the plane: row k, k = 0..d-1."""
-    # Past measure_rows' cache, each int popped as it is negated: one copy is held, never 1.5.
-    rows = list(measure_rows.__wrapped__(d, squarefree=True))
+    # Each int popped as it is negated: one copy is held, never 1.5.
+    rows = list(measure_rows(d, squarefree=True))
     for k in range(1, d, 2):
         row, rows[k] = list(reversed(rows[k])), ()
         rows[k] = tuple([-row.pop() for _ in range(len(row))])

@@ -12,31 +12,34 @@ The measure is built by one packed walk, `_packed_products`: z_lam *
 nu(lam) reversed into u, one integer per partition with [u**k] in bit
 slot k (Kronecker substitution), each step one multiply by a factor
 j*M_j(q) +- j*i packed the same way, one step per distinct prefix of
-parts taken in ascending order: `partitions.prefix_walk`, the walk the
-character table shares, which returns the products in the order given.
-The one stored object per (degree, flavor) is `packed_measure`, those
-integers over the partitions of d at a slot width fixed by d alone;
-`measure_rows` reads its d integer rows z_lam * [u**k] nu(lam) out in C.
-The measure is nu(lam) = column / z_lam, the `lie_chars` tables are the
-rows (phi's signed by (-1)**k), and `expect` pairs a class function with
-the packed columns, scaled by lcm(z) / z_lam, for every row at once; no
-inversion or repacking pass converts one form into another.  `expect`
-reads a character polynomial's binomial terms' products, of every weight
-up to d, from its own walk (`_measure_products`), to the slots it needs.
+parts taken in ascending order (`partitions.prefix_walk`, the walk the
+character table shares).  The one stored form per (degree, flavor) is
+`packed_measure`, those integers over the partitions of d at a slot width
+fixed by d alone.  This module owns it: it alone knows the slot format
+and reads every slot, in C where a value fits 64 bits.  `measure_rows`
+reads the d rows z_lam * [u**k] nu(lam), which the `lie_chars` tables
+cache; `measure_columns` the columns, a block at a time, for `measure`
+and the splitting-measure views (nu(lam) = column / z_lam); and
+`measure_pairing` pairs a class function's numerators with every row at
+once, for `expect`'s measure route.  `_measure_products` packs the
+binomial terms of the series route in a walk of their own, and reads
+the slots it needs.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from functools import lru_cache
+from itertools import chain
 from math import factorial
+from operator import mul
 from types import MappingProxyType
 
 from .errors import BudgetExceeded, ConsistencyError
 from .exact import Q_VAR, U_VAR, UPoly
-from .partitions import Partition, partition_count_exceeds, partitions_of, prefix_walk
+from .partitions import Partition, class_scales, partition_count_exceeds, partitions_of, prefix_walk
 
 
 @lru_cache(maxsize=None)
@@ -122,17 +125,29 @@ def _packed_products(lams: Sequence[Partition], squarefree: bool, width: int) ->
     return leaves
 
 
-def _unpacked(leaves: Sequence[int], lams: Sequence[Partition], slots: int, width: int) -> list[int]:
+def _signed_slots(lifted: int, slots: int, width: int) -> list[int]:
+    # Slots 0..slots-1 of a packed integer lifted by `_bias`, each read back signed.
+    top, half = (1 << width) - 1, 1 << (width - 1)
+    return [(lifted >> width * k & top) - half for k in range(slots)]
+
+
+def _bias(slots: int, width: int) -> int:
+    # 2**(width-1) in each of `slots` slots: it lifts a signed slot to nonnegative.
+    return ((1 << width * slots) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+def _unpacked(
+    leaves: Sequence[int], width: int, lams: Sequence[Partition], slots: int
+) -> Iterator[list[int]]:
     # Slots 0..slots-1 of each packed leaf, the product of lam, leaf after
-    # leaf, 256 leaves at a time, so that the copies made on the way hold one
-    # block.  Adding the bias 2**(width-1) to every slot lifts it to
-    # nonnegative and leaves its low 64-bit word the two's complement of its
-    # value (width >= 128); the lifted leaves, cut to `slots` slots, are
-    # written out as bytes and those words read back in C.  A value is at most
-    # z_lam in size, so that word is the value unless z_lam passes 2**63 (a
-    # few lam from d = 21 on); those leaves are read slot by slot.
-    mask, top = (1 << width * slots) - 1, (1 << width) - 1
-    bias, values = (mask // top) << (width - 1), []
+    # leaf, yielded in blocks of 256 leaves, so that the copies made on the
+    # way hold one block.  The bias lifts every slot to nonnegative and leaves
+    # its low 64-bit word the two's complement of its value (width >= 128);
+    # the lifted leaves, cut to `slots` slots, are written out as bytes and
+    # those words read back in C.  A value is at most z_lam in size, so that
+    # word is the value unless z_lam passes 2**63 (a few lam from d = 21 on);
+    # those leaves are read slot by slot.
+    mask, bias = (1 << width * slots) - 1, _bias(slots, width)
     for start in range(0, len(leaves), 256):
         lifted = [((leaf & mask) + bias) & mask for leaf in leaves[start : start + 256]]
         words = array("q", b"".join(leaf.to_bytes(width * slots // 8, "little") for leaf in lifted))
@@ -141,11 +156,8 @@ def _unpacked(leaves: Sequence[int], lams: Sequence[Partition], slots: int, widt
         block = words[:: width // 64].tolist()
         for i, lam in enumerate(lams[start : start + 256]):
             if lam.centralizer_order() >> 63:
-                block[i * slots : (i + 1) * slots] = [
-                    (lifted[i] >> width * k & top) - (1 << (width - 1)) for k in range(slots)
-                ]
-        values += block
-    return values
+                block[i * slots : (i + 1) * slots] = _signed_slots(lifted[i], slots, width)
+        yield block
 
 
 def _measure_products(lams: Sequence[Partition], squarefree: bool, order: int) -> list[list[int]]:
@@ -156,7 +168,8 @@ def _measure_products(lams: Sequence[Partition], squarefree: bool, order: int) -
     width = _slot_width(max((lam.centralizer_order() for lam in lams), default=1))
     keep = [min(max(lam.d, 1), order + 1) for lam in lams]
     slots = max(keep, default=1)
-    values = _unpacked(_packed_products(lams, squarefree, width), lams, slots, width)
+    blocks = _unpacked(_packed_products(lams, squarefree, width), width, lams, slots)
+    values = list(chain.from_iterable(blocks))
     return [values[i * slots : i * slots + n] for i, n in enumerate(keep)]
 
 
@@ -198,27 +211,65 @@ def packed_measure(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], int
     return tuple(_packed_products(lams, squarefree, width)), width
 
 
-@lru_cache(maxsize=None)
 def measure_rows(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], ...]:
     """The integers z_lam * [u**k] nu(lam): row k, k = 0..d-1, over lam in partition order.
 
     nu is the measure over all monic polynomials, or with `squarefree` the
     q**d-normalized squarefree one; row k is psi_d^k, and (-1)**k phi_d^k
-    when squarefree.  Read out of `packed_measure(d)`, whose errors they
-    raise; the flag is keyword-only so that callers share one cache entry,
-    but `phi_table` reads past it, to sign in place the one copy it holds.
+    when squarefree.  Read out of `packed_measure(d)` on every call, and
+    raising its errors; the `lie_chars` tables cache what they read.
     """
-    columns, width = packed_measure(d, squarefree=squarefree)
-    values = _unpacked(columns, partitions_of(d), d, width)
+    blocks = _unpacked(*packed_measure(d, squarefree=squarefree), partitions_of(d), d)
+    values = list(chain.from_iterable(blocks))
     return tuple(tuple(values[k::d]) for k in range(d))
 
 
+def measure_columns(d: int, /, *, squarefree: bool) -> Iterator[list[int]]:
+    """The columns z_lam * nu(lam), lam in partition order, [u**k] at index k:
+    `packed_measure(d)` is read, and its errors raised, by this call, and its
+    columns read out 256 at a time as they are iterated."""
+    blocks = _unpacked(*packed_measure(d, squarefree=squarefree), partitions_of(d), d)
+    return (block[i : i + d] for block in blocks for i in range(0, len(block), d))
+
+
+@lru_cache(maxsize=None)
+def _scaled_columns(d: int, squarefree: bool) -> tuple[tuple[int, ...], int, int, int]:
+    # The packed columns of d times lcm(z) / z_lam, in partition order; the
+    # slot width, the bias of d slots, and lcm(z).
+    columns, width = packed_measure(d, squarefree=squarefree)
+    scales, lcm_z = class_scales(d)
+    return tuple(map(mul, columns, scales)), width, _bias(d, width), lcm_z
+
+
+def _balanced_digits(nums: Sequence[int]) -> Iterator[tuple[int, Sequence[int]]]:
+    # (place, digits): nums = sum over places of digits * 2**place, each digit
+    # in [-2**63, 2**63), so one packing serves every size; nums if they are.
+    place, half = 0, 1 << 63
+    while max(nums) >= half or min(nums) < -half:
+        low = [((a + half) & (2 * half - 1)) - half for a in nums]
+        yield place, low
+        nums = [(a - b) >> 64 for a, b in zip(nums, low)]
+        place += 64
+    yield place, nums
+
+
+def measure_pairing(d: int, nums: Sequence[int], /, *, squarefree: bool) -> tuple[list[int], int]:
+    """Integers T_k and lcm(z), k = 0..d-1: sum over lam of nums[i] * [u**k] nu(lam)
+    is T_k / lcm(z), lam the i-th partition of d.  With the columns scaled by
+    lcm(z) / z_lam, one multiply-add per partition and 64-bit digit of nums
+    gives every T_k at once in its slot."""
+    columns, width, bias, lcm_z = _scaled_columns(d, squarefree)
+    for place, digits in _balanced_digits(nums):
+        slots = _signed_slots(sum(map(mul, digits, columns)) + bias, d, width)
+        totals = [t + (v << place) for t, v in zip(totals, slots)] if place else slots
+    return totals, lcm_z
+
+
 def _as_measure(d: int, squarefree: bool) -> Mapping[Partition, UPoly]:
-    # nu(lam) = column / z_lam, read back as u-polynomials.
-    columns = zip(*measure_rows(d, squarefree=squarefree))
+    # nu(lam) = column / z_lam; the columns first, so a refused d enumerates nothing.
     return MappingProxyType({
         lam: UPoly(U_VAR, column, lam.centralizer_order())
-        for lam, column in zip(partitions_of(d), columns)
+        for column, lam in zip(measure_columns(d, squarefree=squarefree), partitions_of(d))
     })
 
 

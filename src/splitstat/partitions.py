@@ -10,7 +10,7 @@ all table layouts and JSON output.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 V = TypeVar("V")
@@ -133,6 +133,15 @@ def partitions_of(d: int) -> tuple[Partition, ...]:
     if d < 0:
         raise ValueError("d must be nonnegative")
     return tuple(Partition._descending(parts, d) for parts in _descending_parts(d))
+
+
+@lru_cache(maxsize=None)
+def class_scales(d: int) -> tuple[tuple[int, ...], int]:
+    """lcm(z) // z_lam per partition lam of d in partition order, and lcm(z),
+    the lcm of the centralizer orders z_lam."""
+    zs = [lam.centralizer_order() for lam in partitions_of(d)]
+    lcm_z = lcm(*zs)
+    return tuple(lcm_z // z for z in zs), lcm_z
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,8 @@ Fraction per partition or term.
 A pairing sum over lam of P(lam) X(lam) / z_lam in `inner` and
 `decompose` is an integer dot product over one denominator, row by row,
 as each makes one pairing per build: `class_weights` writes
-P(lam) / z_lam as integers W_lam over one D.  The expectation sums in
-`expect` pair P's numerators with the packed measure columns, one
+P(lam) / z_lam as integers W_lam over one D.  `measures.measure_pairing`
+pairs P's numerators with the packed measure for `expect`, one
 multiply-add per partition for every u**k at once.  These and the census
 in `gf` read each statistic through `at_degree(d)`; the census then reads
 `values_at` at the types it counts, and `class_function(d)` evaluates at
@@ -51,7 +51,8 @@ from .exact import (
     over_one_denominator, parse_rational, power, quote_short,
 )
 from .measures import PARTITION_BUDGET, check_partition_budget
-from .partitions import Partition, partition_count_exceeds, partitions_of, positions, prefix_walk
+from .partitions import Partition, class_scales, partition_count_exceeds, partitions_of
+from .partitions import positions, prefix_walk
 
 
 class ClassFunction(Immutable):
@@ -120,15 +121,6 @@ class ClassFunction(Immutable):
         return f"<{tag} on partitions of {self.d}>"
 
 
-@lru_cache(maxsize=None)
-def _class_scales(d: int) -> tuple[tuple[int, ...], int]:
-    # lcm(z) // z_lam per partition of d in partition order, and lcm(z),
-    # the lcm of the centralizer orders z_lam.
-    zs = [lam.centralizer_order() for lam in partitions_of(d)]
-    lcm_z = lcm(*zs)
-    return tuple(lcm_z // z for z in zs), lcm_z
-
-
 def class_weights(P: ClassFunction) -> tuple[tuple[int, ...], int]:
     """Integers W and one denominator D with P(lam) / z_lam = W[i] / D,
     lam the i-th partition of P.d in partition order.
@@ -136,7 +128,7 @@ def class_weights(P: ClassFunction) -> tuple[tuple[int, ...], int]:
     Pairing P with integer values X(lam) is then the integer dot product
     of W and X over D.
     """
-    scales, lcm_z = _class_scales(P.d)
+    scales, lcm_z = class_scales(P.d)
     return tuple(map(mul, P.numerators, scales)), P.denominator * lcm_z
 
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import char_table_json, char_table_text, measure_json, measure_text
-from splitstat import cli
+from splitstat import cli, measures
 from splitstat.cli import main
 from splitstat.exact import Q_VAR, UPoly
 from splitstat.gf import FqPoly, make_field, type_counts
@@ -356,6 +356,7 @@ class _Discard(io.TextIOBase):
     ("phi", "--d", "23", "--json"),
     ("psi", "--d", "23"),
     ("measure", "--d", "23", "--json"),
+    ("measure", "--sf", "--d", "23", "--json"),
 ], ids=" ".join)
 def test_tables_print_in_memory_of_one_row(argv):
     # rows and partitions built first; then only the writing is traced
@@ -368,6 +369,25 @@ def test_tables_print_in_memory_of_one_row(argv):
         finally:
             tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_the_measure_is_read_by_columns_with_no_rows_built(monkeypatch, capsys):
+    # `measure` and the splitting-measure views read the packed columns
+    # straight out; no d rows are built and transposed back
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the measure is read by columns, not through measure_rows")
+
+    want = {sf: (measure_json(12, sf), measure_text(12, sf)) for sf in (False, True)}
+    views = {False: measures.splitting_measure, True: measures.sf_splitting_measure}
+    monkeypatch.setattr(measures, "measure_rows", forbidden)
+    monkeypatch.setattr(cli, "measure_rows", forbidden, raising=False)
+    for sf, (payload, lines) in want.items():
+        flags = ("--sf",) * sf
+        assert run_json(capsys, "measure", *flags, "--d", "12", "--json") == payload
+        code, out, err = run(capsys, "measure", *flags, "--d", "12")
+        assert code == 0, err
+        assert out.splitlines() == lines
+        assert views[sf].__wrapped__(12) == views[sf](12)
 
 
 def _cold_traced_peak(*argv: str) -> int:

@@ -29,7 +29,7 @@ from splitstat.expect import (
 )
 from splitstat.gf import census, make_field
 from splitstat.lie_chars import phi_table, psi_table
-from splitstat.measures import measure_rows, sf_splitting_measure, splitting_measure
+from splitstat.measures import sf_splitting_measure, splitting_measure
 from splitstat.partitions import Partition, partitions_of
 from splitstat.sym_chars import (
     ClassFunction,
@@ -234,9 +234,9 @@ def test_indivisible_squarefree_sum_is_a_consistency_error(monkeypatch):
     # rows whose sum over u**k is not 0 leave a remainder after dividing by
     # 1 - u: here row 0 is all 1 and row 1 all 0, so every packed column is
     # 1, scaled afresh, past the cache of scaled columns
-    monkeypatch.setattr(expect, "_packed_columns", expect._packed_columns.__wrapped__)
+    monkeypatch.setattr(measures, "_scaled_columns", measures._scaled_columns.__wrapped__)
     monkeypatch.setattr(
-        expect, "packed_measure", lambda d, squarefree: ((1,) * len(partitions_of(d)), 128)
+        measures, "packed_measure", lambda d, squarefree: ((1,) * len(partitions_of(d)), 128)
     )
     with pytest.raises(
         ConsistencyError,
@@ -301,7 +301,7 @@ def test_packed_pairing_equals_the_row_wise_reference(d, widths, signs, den, see
 
 def test_one_packing_per_degree_and_flavour():
     # numerators of any size share the one packing of their (d, flavour)
-    expect._packed_columns.cache_clear()
+    measures._scaled_columns.cache_clear()
     for n, (d, sf) in enumerate(((7, False), (7, True), (9, True), (9, False)), 1):
         for widths in ([0], [1], [63], [64], [65, 2], [DIGITS_3000]):
             P = sized_class_function(d, widths, "+-", 3, n)
@@ -310,20 +310,20 @@ def test_one_packing_per_degree_and_flavour():
                 expected_sf(d, P, NORM_SF_COUNT)
             else:
                 expected(d, P)
-            assert expect._packed_columns.cache_info().currsize == n
+            assert measures._scaled_columns.cache_info().currsize == n
 
 
 def test_tables_and_measures_pack_nothing():
     # the tables read the packed measure columns; scaling them for the
     # pairing waits for the first measure-route query
-    expect._packed_columns.cache_clear()
+    measures._scaled_columns.cache_clear()
     for build in (psi_table, phi_table, splitting_measure, sf_splitting_measure):
         build(10)
     decompose(builtin("R", 10))
     expected(10, builtin_polynomial("Q"))  # the series route
-    assert expect._packed_columns.cache_info().currsize == 0
+    assert measures._scaled_columns.cache_info().currsize == 0
     expected(10, builtin("R", 10))
-    assert expect._packed_columns.cache_info().currsize == 1
+    assert measures._scaled_columns.cache_info().currsize == 1
 
 
 def test_checks_name_only_what_ran():
@@ -421,9 +421,9 @@ def test_stable_limit_builds_no_measure_table(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("stable_limit must not sample E_d")
 
+    caches = (measures.packed_measure, measures._scaled_columns, partitions_of)
     monkeypatch.setattr(expect, "expected", forbidden)
-    monkeypatch.setattr(expect, "packed_measure", forbidden)
-    caches = (measure_rows, measures.packed_measure, partitions_of)
+    monkeypatch.setattr(measures, "packed_measure", forbidden)
     sizes = [cache.cache_info().currsize for cache in caches]
     limit = stable_limit(builtin_polynomial("Q"), 40)
     assert [cache.cache_info().currsize for cache in caches] == sizes
@@ -434,7 +434,7 @@ def test_stable_limit_builds_no_measure_table(monkeypatch):
 def test_expectations_sum_the_integer_columns(monkeypatch):
     # values pinned from the Fraction-measure sum; no measure is built
     def forbidden(*args, **kwargs):
-        raise AssertionError("expectations must read measure_rows")
+        raise AssertionError("expectations must read the packed measure")
 
     monkeypatch.setattr(measures, "splitting_measure", forbidden)
     monkeypatch.setattr(measures, "sf_splitting_measure", forbidden)
@@ -524,7 +524,7 @@ def test_series_route_enumerates_no_partition_of_d(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("the series route must not build measure rows")
 
-    monkeypatch.setattr(expect, "packed_measure", forbidden)
+    monkeypatch.setattr(measures, "packed_measure", forbidden)
     assert not hasattr(gf, "partitions_of")  # the census reads no partition list
     for module in (cli, measures, sym_chars):
         monkeypatch.setattr(module, "partitions_of", guarded)

@@ -1,7 +1,9 @@
 """Necklace polynomials and splitting measures."""
 
+import ast
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -199,10 +201,11 @@ def oracle_products(lams, squarefree):
 
 def test_integer_measure_product_is_the_fraction_product_times_z():
     # d = 21 reads its 792 leaves in four blocks of 256; [1^21], the last
-    # leaf, has z = 21! >= 2**63 and is read slot by slot
+    # leaf, has z = 21! >= 2**63 and is read slot by slot; each walk is built afresh
+    measures.packed_measure.cache_clear()
     for squarefree in (False, True):
         for d in (*range(1, 13), 16, 21):
-            rows = measure_rows.__wrapped__(d, squarefree=squarefree)
+            rows = measure_rows(d, squarefree=squarefree)
             assert all(type(c) is int for row in rows for c in row)
             want = oracle_products(partitions_of(d), squarefree)
             assert rows == tuple(tuple(nu[k] for nu in want) for k in range(d)), d
@@ -304,3 +307,44 @@ def test_measure_product_checks_the_u_degree(monkeypatch):
     for route in (lambda: expected(3, Q), lambda: expected_sf(3, Q)):
         with pytest.raises(ConsistencyError, match="u-degree 2, beyond the cohomological range 1"):
             route()
+
+
+# The packed measure's stored form and slot format: `measures` alone names them.
+SLOT_FORMAT = {"packed_measure", "_unpacked", "_slot_width"}
+PACKAGE = Path(measures.__file__).resolve().parent
+
+
+def slot_format_uses(source):
+    """Each name, attribute or import in source of a SLOT_FORMAT name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in SLOT_FORMAT:
+            found.append(f"line {getattr(node, 'lineno', '?')}: {name}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "measures.py"], ids=lambda p: p.name
+)
+def test_only_measures_knows_the_slot_format(path):
+    assert slot_format_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_slot_format_scan_finds_each_kind_of_use():
+    assert slot_format_uses("from .measures import measure_pairing\nx = packed_width\n") == []
+    for bad in (
+        "from .measures import packed_measure",
+        "from .measures import _unpacked as read",
+        "import splitstat.measures as m\nm._slot_width(3)",
+        "columns, width = packed_measure(3, squarefree=False)",
+    ):
+        assert len(slot_format_uses(bad)) == 1, bad
+    assert slot_format_uses((PACKAGE / "measures.py").read_text(encoding="utf-8"))

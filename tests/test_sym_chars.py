@@ -389,7 +389,8 @@ def test_producers_build_no_fraction_per_partition(monkeypatch):
     chi = irreducible_character.__wrapped__(Partition([6, 4, 2]))
     row = ClassFunction.from_integers(12, psi_table(12)[5])
     for squarefree in (False, True):
-        measure_rows.__wrapped__(12, squarefree=squarefree)
+        measures.packed_measure.__wrapped__(12, squarefree=squarefree)
+        measure_rows(12, squarefree=squarefree)
     m12 = necklace.__wrapped__(12)
     nu = measures.splitting_measure.__wrapped__(12)
     sf_nu = measures.sf_splitting_measure.__wrapped__(12)
