@@ -34,9 +34,10 @@ T = TypeVar("T")
 
 
 def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
-    """The integers nums over den >= 1 in lowest terms, by one gcd."""
+    """The integers nums over den >= 1 in lowest terms, by one gcd, which
+    raises TypeError on a value that is no integer."""
     nums = tuple(nums)
-    if den != 1 and (g := gcd(den, *nums)) != 1:
+    if (g := gcd(den, *nums)) != 1:
         nums, den = tuple(n // g for n in nums), den // g
     return nums, den
 
@@ -44,6 +45,8 @@ def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
 def over_one_denominator(values: Iterable[Scalar]) -> tuple[tuple[int, ...], int]:
     """Rationals as integers over the lcm of their denominators, in lowest terms."""
     values = tuple(values)
+    if bad := [v for v in values if not isinstance(v, (int, Fraction))]:
+        raise ValueError(f"values must be ints or Fractions, not {cut_short(repr(bad[0]))}")
     den = lcm(*(v.denominator for v in values))
     return lowest_terms((v.numerator * (den // v.denominator) for v in values), den)
 

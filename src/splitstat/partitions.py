@@ -9,8 +9,10 @@ all table layouts and JSON output.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import lru_cache
 from math import factorial, lcm
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 V = TypeVar("V")
@@ -22,10 +24,11 @@ class Partition:
     __slots__ = ("parts", "d", "_z")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        ps = tuple(sorted((int(p) for p in parts), reverse=True))
-        if ps and ps[-1] <= 0:
-            raise ValueError("partition parts must be positive integers")
-        self._fill(ps, sum(ps))
+        with suppress(TypeError):  # operator.index refuses a part that is not an integer
+            ps = tuple(sorted(map(index, parts), reverse=True))
+            if not ps or ps[-1] > 0:
+                return self._fill(ps, sum(ps))
+        raise ValueError("partition parts must be positive integers")
 
     @classmethod
     def _descending(cls, parts: tuple[int, ...], d: int) -> "Partition":

@@ -81,11 +81,12 @@ class ClassFunction(Immutable):
         raises BudgetExceeded, as `ClassFunction(d, ...)` does."""
         check_partition_budget(d)  # before the partitions of d are counted
         nums = list(numerators)
-        if len(nums) != len(partitions_of(d)) or denominator < 1:
-            raise ValueError(f"need p({d}) numerators over a positive denominator")
-        out = cls.__new__(cls)
-        out._store(d, name, *lowest_terms(nums, denominator))
-        return out
+        with suppress(TypeError):  # lowest_terms' gcd refuses a value that is no integer
+            if len(nums) == len(partitions_of(d)) and denominator >= 1:
+                out = cls.__new__(cls)
+                out._store(d, name, *lowest_terms(nums, denominator))
+                return out
+        raise ValueError(f"need p({d}) integer numerators over a positive integer denominator")
 
     def __reduce__(self) -> tuple:
         return ClassFunction.from_integers, (self.d, self.numerators, self.denominator, self.name)

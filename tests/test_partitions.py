@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import factorial, prod
@@ -226,6 +227,13 @@ def test_partition_validation():
         Partition([-2])
     # input order does not matter
     assert Partition([1, 3, 1]).parts == (3, 1, 1)
+
+
+@pytest.mark.parametrize("parts", [[1.5], [2.0, 1], ["3"], [2, "1"], [None], [Fraction(3)]])
+def test_parts_that_are_not_integers_are_refused(parts):
+    # read as integers by operator.index, not truncated or parsed by int()
+    with pytest.raises(ValueError, match="^partition parts must be positive integers$"):
+        Partition(parts)
 
 
 def test_immutability():

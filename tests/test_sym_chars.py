@@ -137,6 +137,22 @@ def test_from_integers_past_the_partition_cap_is_refused_at_once():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("numerators, denominator", [
+    ([Fraction(1, 2), 1, 1], 1), ([0.5, 1, 1], 1), ([2.0, 1, 1], 1), ([1, "1", 1], 1),
+    ([1, 1, 1], 2.0), ([1, 1, 1], "2"), ([1, 1, 1], Fraction(2)), ([0.5, 1, 1], 3),
+])
+def test_from_integers_refuses_values_that_are_not_integers(numerators, denominator):
+    # stored as they are, they would reach the measure route's pairing
+    with pytest.raises(ValueError, match=r"^need p\(3\) integer numerators over a positive"):
+        ClassFunction.from_integers(3, numerators, denominator)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, "1/2", None, b"1"])
+def test_class_function_values_must_be_ints_or_fractions(value):
+    with pytest.raises(ValueError, match="^values must be ints or Fractions, not "):
+        ClassFunction(2, {Partition([2]): value})
+
+
 def round_trips(value):
     return pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)
 
