@@ -10,10 +10,10 @@ polynomials; without repetition, the squarefree variant.
 
 The measure is built by one packed walk, `_packed_products`: z_lam *
 nu(lam) reversed into u, one integer per partition with [u**k] in bit
-slot k (Kronecker substitution), each step one multiply by a factor
-j*M_j(q) +- j*i packed the same way, one step per distinct prefix of
-parts taken in ascending order (`partitions.prefix_walk`, the walk the
-character table shares).  The one stored form per (degree, flavor) is
+slot k (Kronecker substitution), the product of parts[1:] times a factor
+j*M_j(q) +- j*i packed the same way, j = parts[0], with a memo of the
+products of suffixes that lives for one walk: one multiply per distinct
+suffix of parts.  The one stored form per (degree, flavor) is
 `packed_measure`, those integers over the partitions of d at a slot width
 fixed by d alone.  This module owns it: it alone knows the slot format
 and reads every slot, in C where a value fits 64 bits.  `measure_rows`
@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 from .errors import BudgetExceeded, ConsistencyError
 from .exact import Q_VAR, U_VAR, UPoly
-from .partitions import Partition, class_scales, partition_count_exceeds, partitions_of, prefix_walk
+from .partitions import Partition, class_scales, partition_count_exceeds, partitions_of
 
 
 @lru_cache(maxsize=None)
@@ -93,35 +93,40 @@ def _packed_products(lams: Sequence[Partition], squarefree: bool, width: int) ->
     # irreducibles of degree j, with repetition (rising product) or without
     # when squarefree (falling product): times z_lam, the product over j
     # and i < m_j of j*M_j(q) + j*i (- j*i squarefree), reversed into u one
-    # factor at a time.  `prefix_walk` takes the parts ascending, so a prefix
-    # shared by several partitions is one multiply; its step n finds part t
-    # after i = n - parts.index(t) parts t.  Each factor has l1 norm at most
-    # j*(1 + i), so every coefficient of a product of prefix parts mu is at
-    # most z_mu, which divides z_lam: `width` must hold the largest z_lam
-    # signed.  A factor is packed once per walk and dropped with it: at a
-    # large part j it is j + 1 slots wide.
+    # factor at a time.  The product of parts is the product of parts[1:]
+    # times the factor of t = parts[0] at i = m_t - 1, so a memo of the
+    # products of suffixes, which lives for this walk only, makes each
+    # distinct nonempty suffix one multiply: a leaf scans for its longest
+    # suffix already made and multiplies up from there, with no recursion.
+    # Each factor has l1 norm at most j*(1 + i), so every coefficient of a
+    # product of parts mu is at most z_mu, which divides z_lam: `width`
+    # must hold the largest z_lam signed.  A factor is packed once per walk
+    # and dropped with it: at a large part j it is j + 1 slots wide.
     factors: dict[tuple[int, int], int] = {}
-
-    def step(prod: int, parts: tuple[int, ...], n: int) -> int:
-        t = parts[n]
-        key = (t, (-t if squarefree else t) * (n - parts.index(t)))
-        factor = factors.get(key)
-        if factor is None:
-            factor = factors[key] = _packed_factor(*key, width)
-        return prod * factor
-
-    leaves = prefix_walk([lam.parts[::-1] for lam in lams], 1, step)
-    for lam, leaf in zip(lams, leaves):
+    products: dict[tuple[int, ...], int] = {(): 1}
+    leaves = []
+    for lam in lams:
+        parts, k = lam.parts, 0
+        while (prod := products.get(parts[k:])) is None:
+            k += 1
+        for i in range(k - 1, -1, -1):
+            t = parts[i]
+            key = (t, (-t if squarefree else t) * (parts.index(t) + parts.count(t) - 1 - i))
+            factor = factors.get(key)
+            if factor is None:
+                factor = factors[key] = _packed_factor(*key, width)
+            prod = products[parts[i:]] = prod * factor
         # For weight w >= 1 the q**0 term, u**w, must be 0 (each part
         # size's first factor has none), so the product runs from u**0 to
         # u**(w-1), the cohomological range.  Its lower slots sum to less
         # than half of 2**(width*w) in size, so u**w is 0 exactly when
         # this shift leaves -1 or 0.
-        if lam.d and (leaf >> (width * lam.d - 1)) not in (-1, 0):
+        if lam.d and (prod >> (width * lam.d - 1)) not in (-1, 0):
             raise ConsistencyError(
                 f"measure product for {lam} has u-degree {lam.d}, "
                 f"beyond the cohomological range {lam.d - 1}"
             )
+        leaves.append(prod)
     return leaves
 
 

@@ -4,18 +4,18 @@ A partition indexes three things at once here: a conjugacy class of the
 symmetric group, a factorization type of a monic polynomial, and an
 irreducible representation.  The canonical enumeration order is
 reverse-lexicographic ([4] before [3,1] before [2,2] ...), which fixes
-all table layouts and JSON output.
+all table layouts and JSON output.  The two p(d) kernels recurse on a
+partition's parts in their own modules: the measure on parts[1:]
+(`measures`), the character table on shapes with a rim hook removed
+(`sym_chars`).
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from functools import lru_cache
 from math import factorial, lcm
 from operator import index
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
-
-V = TypeVar("V")
+from typing import Iterable, Iterator
 
 
 class Partition:
@@ -24,8 +24,11 @@ class Partition:
     __slots__ = ("parts", "d", "_z")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        with suppress(TypeError):  # operator.index refuses a part that is not an integer
+        try:  # operator.index refuses a part that is not an integer
             ps = tuple(sorted(map(index, parts), reverse=True))
+        except TypeError:
+            pass
+        else:
             if not ps or ps[-1] > 0:
                 return self._fill(ps, sum(ps))
         raise ValueError("partition parts must be positive integers")
@@ -151,23 +154,6 @@ def class_scales(d: int) -> tuple[tuple[int, ...], int]:
 def positions(d: int) -> dict[tuple[int, ...], int]:
     """The index of each partition of d in partition order, keyed by its parts."""
     return {lam.parts: i for i, lam in enumerate(partitions_of(d))}
-
-
-def prefix_walk(
-    keys: Sequence[tuple[int, ...]], root: V, step: Callable[[V, tuple[int, ...], int], V]
-) -> list[V]:
-    """Per key (parts ascending), in the order given, root folded by step(value,
-    key, n), n = 0..len(key) - 1.  The keys are walked sorted, a stack holding the
-    value at each prefix of the last one: step runs once per distinct nonempty prefix."""
-    stack, out = [((), root)], [root] * len(keys)
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        key = keys[i]
-        while key[: len(stack[-1][0])] != stack[-1][0]:
-            stack.pop()
-        for n in range(len(stack) - 1, len(key)):
-            stack.append((key[: n + 1], step(stack[-1][1], key, n)))
-        out[i] = stack[-1][1]
-    return out
 
 
 @lru_cache(maxsize=None)

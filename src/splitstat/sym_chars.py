@@ -3,8 +3,10 @@
 A factorization statistic is exactly a rational-valued class function:
 its value on a polynomial depends only on the factorization type, i.e.
 on a partition of d.  This module provides the inner product, the
-character table of S_d (built a degree at a time by adding border
-strips, the Murnaghan-Nakayama rule), hook-length dimensions,
+character table of S_d (each row chi_lam one integer of 32-bit slots,
+built by the Murnaghan-Nakayama rule from the rows of lam with a rim
+hook removed, which lower degrees built once and every later degree
+reuses), hook-length dimensions,
 decomposition into irreducibles, character polynomials (statistics
 defined uniformly in d as polynomials in the part-count functions x_1,
 x_2, ...) and signed polynomials (one of them plus sgn times another),
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import defaultdict
+from array import array
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -52,7 +54,7 @@ from .exact import (
 )
 from .measures import PARTITION_BUDGET, check_partition_budget
 from .partitions import Partition, class_scales, partition_count_exceeds, partitions_of
-from .partitions import positions, prefix_walk
+from .partitions import positions
 
 
 class ClassFunction(Immutable):
@@ -81,11 +83,13 @@ class ClassFunction(Immutable):
         raises BudgetExceeded, as `ClassFunction(d, ...)` does."""
         check_partition_budget(d)  # before the partitions of d are counted
         nums = list(numerators)
-        with suppress(TypeError):  # lowest_terms' gcd refuses a value that is no integer
+        try:  # lowest_terms' gcd refuses a value that is no integer
             if len(nums) == len(partitions_of(d)) and denominator >= 1:
                 out = cls.__new__(cls)
                 out._store(d, name, *lowest_terms(nums, denominator))
                 return out
+        except TypeError:
+            pass
         raise ValueError(f"need p({d}) integer numerators over a positive integer denominator")
 
     def __reduce__(self) -> tuple:
@@ -150,62 +154,77 @@ def inner(P: ClassFunction, X: ClassFunction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _packed_rows(n: int) -> tuple[dict[tuple[int, ...], int], tuple[int, ...]]:
+    # Per shape lam of n, by its parts, the row chi_lam over the classes of
+    # n as one integer of signed 32-bit slots, the classes in reverse
+    # partition order (the last class in slot 0); and c(n, t), t = 0..n,
+    # the number of partitions of n with every part at most t.  The classes
+    # whose largest part is t then fill slots c(n, t-1) to c(n, t), class
+    # (t, sigma) in the slot of sigma in a row of n - t, so that the
+    # Murnaghan-Nakayama rule, chi_lam(t, sigma) = sum over rim hooks h of
+    # size t of (-1)**leg(h) chi_{lam - h}(sigma), is one signed sum of
+    # rows of n - t per t, each cut to its low c(n - t, t) slots (`cut`),
+    # shifted into place.  The rim hook ending at cell (i, j) has the hook
+    # length as size and leg r - i, r = lam'_j - 1 the last row of column
+    # j; removing it sets rows i..r-1 to lam_{row+1} - 1 and row r to j.
+    # |chi_lam| <= f^lam <= sqrt(n!) < 2**31 for n <= 20, so every value
+    # fits its slot (the tests check this at the largest d DECOMPOSE_BUDGET
+    # admits).  The lower degrees are built in ascending order, so the
+    # cache recursion is one level deep.
+    if not n:
+        return {(): 1}, (1,)
+    lower, fits, cut = [_packed_rows(m) for m in range(n)], [0], [{}]
+    for t in range(1, n + 1):
+        rows, lower_fits = lower[n - t]
+        k = lower_fits[min(t, n - t)]
+        fits.append(fits[-1] + k)
+        half = 1 << (32 * k - 1)
+        cut.append(rows if k == len(rows) else {
+            parts: ((row + half) & (2 * half - 1)) - half for parts, row in rows.items()
+        })
+    packed = {}
+    for lam in partitions_of(n):
+        parts = lam.parts
+        conj, dec, sums = _conjugate(parts), tuple(p - 1 for p in parts), [0] * (n + 1)
+        for j in range(parts[0]):
+            r = conj[j] - 1
+            # rows r+1.. stay; column 0's hooks take every row, and its 1s
+            top, tail = (r + 1, (j,) + parts[r + 1 :]) if j else (len(parts) - parts.count(1), ())
+            for i in range(r + 1):
+                t = parts[i] - j + r - i
+                value = cut[t][parts[:i] + dec[i + 1 : top] + tail]
+                sums[t] += -value if (r - i) & 1 else value
+        packed[parts] = sum(s << 32 * fits[t - 1] for t, s in enumerate(sums) if s)
+    return packed, tuple(fits)
+
+
+@lru_cache(maxsize=None)
 def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
     # Row i holds chi_shape at every class, shape the i-th partition of d,
-    # both in partition order.  p_rho = sum over shapes of chi_shape(rho)
-    # s_shape, and multiplying by p_t adds every border strip of size t.
-    # On d beta numbers (first-column hook lengths) that adds t to one
-    # beta number b with b + t free, with sign (-1)**(number of beta
-    # numbers jumped).  Beta tuples are interned to ints, a shape of d's
-    # int being its row.  `prefix_walk` takes the classes with parts
-    # ascending, so classes share the products of their small parts; a
-    # class's last part writes its dense column.
+    # both in partition order: the packed rows of d, lifted slot by slot to
+    # nonnegative and flipped back to two's complement words, read out in
+    # C as 32-bit ints and reversed.
     check_decompose_budget(d)
-    if not d:
-        return ((1,),)  # the walk below needs one part
-    shapes = partitions_of(d)
-    betas = [
-        tuple(p + d - 1 - i for i, p in enumerate(shape.parts + (0,) * (d - len(shape))))
-        for shape in shapes
-    ]
-    ids = {beta: i for i, beta in enumerate(betas)}
-
-    def intern(beta: tuple[int, ...]) -> int:
-        if (b_id := ids.get(beta)) is None:
-            b_id = ids[beta] = len(betas)
-            betas.append(beta)
-        return b_id
-
-    @lru_cache(maxsize=None)
-    def add_strips(b_id: int, t: int) -> list[tuple[int, int]]:
-        beta, out = betas[b_id], []
-        for i, b in enumerate(beta):
-            if b + t in beta:
-                continue
-            j = i  # b + t goes in at j, past beta[j..i-1]
-            while j and beta[j - 1] < b + t:
-                j -= 1
-            out.append((intern(beta[:j] + (b + t,) + beta[j:i] + beta[i + 1:]), (-1) ** (i - j)))
-        return out
-
-    def add_times_p(expansion: dict[int, int], parts: tuple[int, ...], n: int) -> dict | list:
-        # expansion * p_t, t = parts[n], indexed by beta ints: a dense
-        # column at the class's last part, else the nonzero terms
-        t, last = parts[n], n == len(parts) - 1
-        out = [0] * len(shapes) if last else defaultdict(int)
-        for b_id, c in expansion.items():
-            for new_id, sign in add_strips(b_id, t):
-                out[new_id] += sign * c
-        return out if last else {b_id: c for b_id, c in out.items() if c}
-
-    keys = [shape.parts[::-1] for shape in shapes]
-    return tuple(zip(*prefix_walk(keys, {intern(tuple(range(d - 1, -1, -1))): 1}, add_times_p)))
+    rows, count = _packed_rows(d)[0], len(partitions_of(d))
+    bias = ((1 << 32 * count) - 1) // 0xFFFFFFFF << 31  # 2**31 in every slot
+    words = array("i", b"".join(
+        ((rows[shape.parts] + bias) ^ bias).to_bytes(4 * count, "little")
+        for shape in reversed(partitions_of(d))
+    ))
+    if sys.byteorder == "big":
+        words.byteswap()
+    words.reverse()
+    return tuple(tuple(words[i : i + count]) for i in range(0, len(words), count))
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
+    # lam'_j counts the rows longer than j: the k-th row, taken from the
+    # shortest up, sets it to k for the columns it passes the row below by
+    conj, k = [], len(parts)
+    for p in reversed(parts):
+        conj += [k] * (p - len(conj))
+        k -= 1
+    return tuple(conj)
 
 
 def irr_dim(shape: Partition) -> int:

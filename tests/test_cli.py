@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -421,6 +422,7 @@ def test_phi_holds_one_copy_of_its_rows():
     for d in ("0", "-3", "24", "1000000000")
     for json_flag in ((), ("--json",))
 ], ids=" ".join)
+@pytest.mark.usefixtures("partitions_of_refused_past_the_cap")
 def test_table_refusals_print_nothing(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
@@ -440,6 +442,18 @@ def test_stat_value_may_start_with_a_minus(capsys, argv):
     assert run(capsys, *argv, "--stat", "-x1+3") == attached
     assert run(capsys, *argv, "--stat", "-x1+3", "--json") == run(
         capsys, *argv, "--stat=-x1+3", "--json"
+    )
+
+
+def test_the_longest_series_terms_the_budget_admits(capsys):
+    # x1^142 at d = 286 has binomial terms of up to 142 parts, the longest
+    # LIMIT_BUDGET admits there (x1^143 is refused); the answer is pinned
+    # by its digest.  test_measures checks that the walk takes no frame
+    # per part.
+    code, out, err = run(capsys, "expect", "--d", "286", "--stat", "x1^142", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cfe610a696667e95eb20754db733ba6a224e101709ef3db9a22cae38bdceb7bc"
     )
 
 

@@ -1,6 +1,9 @@
 """Necklace polynomials and splitting measures."""
 
 import ast
+import inspect
+import random
+import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -140,7 +143,9 @@ def test_measures_reject_nonpositive_degree():
         necklace(0)
 
 
+@pytest.mark.usefixtures("partitions_of_refused_past_the_cap")
 def test_partition_route_cap_admits_d_23_and_refuses_d_24():
+    # the guard patches the package's modules: this module's partitions_of is the real one
     assert len(partitions_of(23)) <= PARTITION_BUDGET < len(partitions_of(24))
     check_partition_budget(23)
     for d in (24, 60, 10**9):
@@ -252,24 +257,81 @@ def test_measure_products_match_the_fraction_product(lams, squarefree):
 
 def count_factor_steps(monkeypatch):
     # the parts t of every factor step the measure walk takes from here on,
-    # each one multiply by a packed factor
+    # each one multiply by a packed factor: the factors are ints that note
+    # each product they are taken into, and hand back a plain int
     steps = []
 
-    def counting_walk(keys, root, step):
-        def counting(prod, parts, n):
-            steps.append(parts[n])
-            return step(prod, parts, n)
+    class Factor(int):
+        def __rmul__(self, other):
+            steps.append(self.part)
+            return int(other) * int(self)
 
-        return real(keys, root, counting)
+        __mul__ = __rmul__
 
-    real = measures.prefix_walk
-    monkeypatch.setattr(measures, "prefix_walk", counting_walk)
+    def counted(j, shift, width):
+        factor = Factor(real(j, shift, width))
+        factor.part = j
+        return factor
+
+    real = measures._packed_factor
+    monkeypatch.setattr(measures, "_packed_factor", counted)
     return steps
 
 
+def direct_product(lam, squarefree, width):
+    # z_lam * nu(lam) packed, every factor of lam multiplied in
+    prod = 1
+    for j, m in lam.multiplicities():
+        for i in range(m):
+            prod *= measures._packed_factor(j, (-j if squarefree else j) * i, width)
+    return prod
+
+
+@pytest.mark.parametrize(
+    "weights, shuffled",
+    [([d], False) for d in range(13)] + [(range(9), False), (range(9), True)],
+    ids=[*map(str, range(13)), "mixed", "mixed-shuffled"],
+)
+def test_measure_walk_multiplies_once_per_distinct_suffix(monkeypatch, weights, shuffled):
+    # The mixed list has partitions of every weight up to 8, so one's parts
+    # are often a suffix of another's ([1] of [2, 1]), as in the series
+    # route's binomial terms.  Shuffled with repeats, the same partitions
+    # give the same leaves, each in its own place, for the same multiplies.
+    lams = [lam for w in weights for lam in partitions_of(w)]
+    if shuffled:
+        lams = random.Random(5).sample(lams + lams[::3], len(lams) + len(lams[::3]))
+    width = measures._slot_width(factorial(max(weights)) * len(lams))
+    suffixes = {lam.parts[i:] for lam in lams for i in range(len(lam))}
+    for squarefree in (False, True):
+        want = [direct_product(lam, squarefree, width) for lam in lams]
+        steps = count_factor_steps(monkeypatch)
+        assert measures._packed_products(lams, squarefree, width) == want
+        assert sorted(steps) == sorted(suffix[0] for suffix in suffixes)
+        monkeypatch.undo()
+    if weights == [12]:
+        assert len(suffixes) == 153  # against 399 parts over the 77 partitions
+    if weights == range(9):
+        assert len(suffixes) == 66  # shuffled with repeats or not
+
+
+def test_measure_walk_takes_no_frame_per_part():
+    # a leaf of 301 parts walked cold, with fewer frames to spare than it
+    # has parts: the walk multiplies the parts up in a loop
+    lam = Partition([2] + [1] * 300)
+    width = measures._slot_width(lam.centralizer_order())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        leaves = measures._packed_products([lam], False, width)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert leaves == [direct_product(lam, False, width)]
+
+
 def test_measure_rows_take_one_factor_step_per_prefix_node(monkeypatch):
-    # d = 12 has 153 nonempty nondecreasing part prefixes, against 271
-    # nonincreasing ones and 399 parts over its 77 partitions
+    # d = 12 has 153 nonempty nondecreasing part prefixes (the nonempty
+    # suffixes of its parts), against 271 nonincreasing ones and 399 parts
+    # over its 77 partitions
     steps = count_factor_steps(monkeypatch)
     prefixes = {lam.parts[::-1][:i] for lam in partitions_of(12) for i in range(1, len(lam) + 1)}
     assert len(prefixes) == 153 and sum(map(len, partitions_of(12))) == 399

@@ -3,7 +3,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
 from itertools import permutations
 from math import factorial, prod
 
@@ -15,7 +14,6 @@ from splitstat.partitions import (
     _partition_count,
     partition_count_exceeds,
     partitions_of,
-    prefix_walk,
 )
 
 
@@ -118,41 +116,6 @@ def test_partition_counts_are_counted_once():
     for d, cap in ((40, 10**6), (23, 1255), (10**9, 1255), (10**9, 387)):
         partition_count_exceeds(d, cap)
     assert _partition_count.cache_info().misses == counted
-
-
-def fold(value, key, n):
-    # a step whose value depends on every part and its place
-    return value * 7 + key[n] * (n + 1)
-
-
-@pytest.mark.parametrize(
-    "weights, shuffled",
-    [([d], False) for d in range(13)] + [(range(9), False), (range(9), True)],
-    ids=[*map(str, range(13)), "mixed", "mixed-shuffled"],
-)
-def test_prefix_walk_steps_once_per_distinct_prefix(weights, shuffled):
-    # keys with parts ascending, as both kernels walk them; the mixed list
-    # has keys of every weight up to 8, so a key is often a prefix of
-    # another ([1] of [1, 1]), like the series route's binomial terms.
-    # Shuffled with repeats, the same keys give the same values, each in
-    # its own place, for the same steps.
-    keys = [lam.parts[::-1] for w in weights for lam in partitions_of(w)]
-    if shuffled:
-        keys = random.Random(5).sample(keys + keys[::3], len(keys) + len(keys[::3]))
-    calls = []
-
-    def step(value, key, n):
-        calls.append(key[: n + 1])
-        return fold(value, key, n)
-
-    got = prefix_walk(keys, 1, step)
-    assert got == [reduce(lambda v, n: fold(v, key, n), range(len(key)), 1) for key in keys]
-    prefixes = {key[:i] for key in keys for i in range(1, len(key) + 1)}
-    assert len(calls) == len(set(calls)) == len(prefixes) and set(calls) == prefixes
-    if weights == [12]:
-        assert len(calls) == 153  # against 399 parts over the 77 partitions
-    if weights == range(9):
-        assert len(calls) == 66  # shuffled with repeats or not
 
 
 def test_no_duplicates_and_correct_sums():

@@ -120,6 +120,31 @@ def test_character_table_matches_strip_removal():
             assert list(irreducible_character(shape).numerators) == want, shape
 
 
+def test_character_tables_do_not_depend_on_the_order_degrees_are_built():
+    # each degree's rows are built from the lower degrees' rows, which a
+    # table of a higher degree built first has already made
+    tables = []
+    for degrees in ((14, 12, 10, 8), (8, 10, 12, 14)):
+        sym_chars._packed_rows.cache_clear()
+        sym_chars._character_table.cache_clear()
+        tables.append({d: sym_chars._character_table(d) for d in degrees})
+    assert tables[0] == tables[1]
+
+
+def test_character_values_fit_their_32_bit_slots_up_to_the_decompose_cap():
+    # |chi_lam| <= f^lam <= sqrt(d!), since the squares of the f^lam sum to
+    # d!: below 2**31 up to d = 20, so a cap refitted past that must widen
+    # the packed rows' slots
+    d = 1
+    with pytest.raises(BudgetExceeded):
+        while True:
+            sym_chars.check_decompose_budget(d)
+            d += 1
+    d -= 1  # the largest d the cap admits
+    assert factorial(d) < 2**62
+    assert max(max(map(abs, row)) for row in sym_chars._character_table(d)) < 2**31
+
+
 def test_characters_past_the_decompose_cap_are_refused_at_once():
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match=f"d=19 .*cap of {DECOMPOSE_BUDGET}"):
@@ -401,6 +426,7 @@ def test_producers_build_no_fraction_per_partition(monkeypatch):
     for module in (exact, measures, expect, sym_chars, gf):
         monkeypatch.setattr(module, "Fraction", Counting, raising=False)
     stored = P.class_function(12)
+    sym_chars._packed_rows.cache_clear()
     sym_chars._character_table.__wrapped__(12)  # the whole table, built afresh
     chi = irreducible_character.__wrapped__(Partition([6, 4, 2]))
     row = ClassFunction.from_integers(12, psi_table(12)[5])
