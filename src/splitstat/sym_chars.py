@@ -164,9 +164,10 @@ def _packed_rows(n: int) -> tuple[dict[tuple[int, ...], int], tuple[int, ...]]:
     # Murnaghan-Nakayama rule, chi_lam(t, sigma) = sum over rim hooks h of
     # size t of (-1)**leg(h) chi_{lam - h}(sigma), is one signed sum of
     # rows of n - t per t, each cut to its low c(n - t, t) slots (`cut`),
-    # shifted into place.  The rim hook ending at cell (i, j) has the hook
-    # length as size and leg r - i, r = lam'_j - 1 the last row of column
-    # j; removing it sets rows i..r-1 to lam_{row+1} - 1 and row r to j.
+    # shifted into place.  Rim hooks match cells: the one of cell (i, j)
+    # runs from the end of row i to column j of row r = lam'_j - 1, the
+    # last row of column j, so its size is the hook length and its leg
+    # r - i; removing it sets rows i..r-1 to lam_{row+1} - 1 and row r to j.
     # |chi_lam| <= f^lam <= sqrt(n!) < 2**31 for n <= 20, so every value
     # fits its slot (the tests check this at the largest d DECOMPOSE_BUDGET
     # admits).  The lower degrees are built in ascending order, so the
@@ -188,7 +189,8 @@ def _packed_rows(n: int) -> tuple[dict[tuple[int, ...], int], tuple[int, ...]]:
         conj, dec, sums = _conjugate(parts), tuple(p - 1 for p in parts), [0] * (n + 1)
         for j in range(parts[0]):
             r = conj[j] - 1
-            # rows r+1.. stay; column 0's hooks take every row, and its 1s
+            # lam - h: rows before i, rows i+1..r one shorter, j, rows past r;
+            # in column 0, r is the last row and the rows of length 1 drop out
             top, tail = (r + 1, (j,) + parts[r + 1 :]) if j else (len(parts) - parts.count(1), ())
             for i in range(r + 1):
                 t = parts[i] - j + r - i
@@ -205,11 +207,12 @@ def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
     # nonnegative and flipped back to two's complement words, read out in
     # C as 32-bit ints and reversed.
     check_decompose_budget(d)
-    rows, count = _packed_rows(d)[0], len(partitions_of(d))
+    rows, shapes = _packed_rows(d)[0], partitions_of(d)
+    count = len(shapes)
     bias = ((1 << 32 * count) - 1) // 0xFFFFFFFF << 31  # 2**31 in every slot
     words = array("i", b"".join(
         ((rows[shape.parts] + bias) ^ bias).to_bytes(4 * count, "little")
-        for shape in reversed(partitions_of(d))
+        for shape in reversed(shapes)
     ))
     if sys.byteorder == "big":
         words.byteswap()
