@@ -210,8 +210,8 @@ def _series_cost(terms: dict[Partition, int], order: int, squarefree: bool, d: i
     # and truncated at d.  Per term of weight w: the integer measure
     # product, counted as a convolution, each factor of degree j
     # multiplying the product so far by at most j + 1 coefficients, and
-    # as if no two terms shared a prefix of parts (`_measure_products`
-    # multiplies packed integers once per shared prefix, so this
+    # as if no two terms shared a suffix of parts (`_measure_products`
+    # multiplies packed integers once per distinct suffix, so this
     # over-counts; it is kept as it is so that the same inputs are
     # refused); the series, once per part; the
     # convolution with the measure to u**order, twice over when

@@ -15,11 +15,12 @@ j*M_j(q) +- j*i packed the same way, j = parts[0], with a memo of the
 products of suffixes that lives for one walk: one multiply per distinct
 suffix of parts.  The one stored form per (degree, flavor) is
 `packed_measure`, those integers over the partitions of d at a slot width
-fixed by d alone.  This module owns it: it alone knows the slot format
-and reads every slot, in C where a value fits 64 bits.  `measure_rows`
-reads the d rows z_lam * [u**k] nu(lam), which the `lie_chars` tables
-cache; `measure_columns` the columns, a block at a time, for `measure`
-and the splitting-measure views (nu(lam) = column / z_lam); and
+fixed by d alone.  This module owns it and reads every slot, in C by
+`signed_words`, the one reader of packed signed slots (it also reads the
+32-bit rows of the `sym_chars` character table).  `measure_columns` reads
+the columns, for `measure` and the splitting-measure views (nu(lam) =
+column / z_lam), and `measure_rows` the d rows z_lam * [u**k] nu(lam)
+from them, which the `lie_chars` tables cache; and
 `measure_pairing` pairs a class function's numerators with every row at
 once, for `expect`'s measure route.  `_measure_products` packs the
 binomial terms of the series route in a walk of their own, and reads
@@ -28,11 +29,10 @@ the slots it needs.
 
 from __future__ import annotations
 
-import sys
-from array import array
-from collections.abc import Iterator, Mapping, Sequence
+import struct
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from math import factorial
 from operator import mul
 from types import MappingProxyType
@@ -141,28 +141,33 @@ def _bias(slots: int, width: int) -> int:
     return ((1 << width * slots) - 1) // ((1 << width) - 1) << (width - 1)
 
 
+def signed_words(ints: Iterable[int], slots: int, width: int) -> Iterator[tuple[int, ...]]:
+    """Slots 0..slots-1 of each packed integer, signed, slot k in bits
+    [k*width, (k+1)*width): one tuple per integer, read in C 256 at a time
+    through a little-endian struct.  The width is 32, or a multiple of 64
+    whose slots hold values that fit their low 64-bit word.  The bias lifts
+    each slot apart from the one below; its top bit flipped back, the slot
+    is its own two's complement."""
+    mask, bias = (1 << width * slots) - 1, _bias(slots, width)
+    fmt = f"<{slots}i" if width == 32 else "<" + f"q{width // 8 - 8}x" * slots
+    unpack, size, ints = struct.Struct(fmt).iter_unpack, width * slots // 8, iter(ints)
+    while block := list(islice(ints, 256)):
+        yield from unpack(b"".join(
+            ((n + bias & mask) ^ bias).to_bytes(size, "little") for n in block
+        ))
+
+
 def _unpacked(
     leaves: Sequence[int], width: int, lams: Sequence[Partition], slots: int
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[int, ...]]:
     # Slots 0..slots-1 of each packed leaf, the product of lam, leaf after
-    # leaf, yielded in blocks of 256 leaves, so that the copies made on the
-    # way hold one block.  The bias lifts every slot to nonnegative and leaves
-    # its low 64-bit word the two's complement of its value (width >= 128);
-    # the lifted leaves, cut to `slots` slots, are written out as bytes and
-    # those words read back in C.  A value is at most z_lam in size, so that
-    # word is the value unless z_lam passes 2**63 (a few lam from d = 21 on);
-    # those leaves are read slot by slot.
-    mask, bias = (1 << width * slots) - 1, _bias(slots, width)
-    for start in range(0, len(leaves), 256):
-        lifted = [((leaf & mask) + bias) & mask for leaf in leaves[start : start + 256]]
-        words = array("q", b"".join(leaf.to_bytes(width * slots // 8, "little") for leaf in lifted))
-        if sys.byteorder == "big":
-            words.byteswap()
-        block = words[:: width // 64].tolist()
-        for i, lam in enumerate(lams[start : start + 256]):
-            if lam.centralizer_order() >> 63:
-                block[i * slots : (i + 1) * slots] = _signed_slots(lifted[i], slots, width)
-        yield block
+    # leaf.  A value is at most z_lam in size, so `signed_words` reads it
+    # from the low word of its slot (width >= 128) unless z_lam passes
+    # 2**63 (a few lam from d = 21 on); those leaves are read slot by slot.
+    for leaf, lam, column in zip(leaves, lams, signed_words(leaves, slots, width)):
+        if lam.centralizer_order() >> 63:
+            column = tuple(_signed_slots(leaf + _bias(slots, width), slots, width))
+        yield column
 
 
 def _measure_products(lams: Sequence[Partition], squarefree: bool, order: int) -> list[list[int]]:
@@ -172,17 +177,16 @@ def _measure_products(lams: Sequence[Partition], squarefree: bool, order: int) -
     # read out to the slots kept.
     width = _slot_width(max((lam.centralizer_order() for lam in lams), default=1))
     keep = [min(max(lam.d, 1), order + 1) for lam in lams]
-    slots = max(keep, default=1)
-    blocks = _unpacked(_packed_products(lams, squarefree, width), width, lams, slots)
-    values = list(chain.from_iterable(blocks))
-    return [values[i * slots : i * slots + n] for i, n in enumerate(keep)]
+    leaves = _packed_products(lams, squarefree, width)
+    columns = _unpacked(leaves, width, lams, max(keep, default=1))
+    return [list(column[:n]) for column, n in zip(columns, keep)]
 
 
 # Cap on the partition route (measures, character tables, expected
 # values of class functions): p(d) factorization types, one integer
-# measure product each.  d = 23 (1255 types) builds its rows in under
-# 0.01 s per flavour on a 2-core host; the cap was sized to a slower
-# product and is kept until it is refitted.
+# measure product each.  d = 23 (1255 types) builds its rows in 11-28 ms
+# per flavour on a 2-core host; the cap was sized to a slower product and
+# is kept until it is refitted.
 PARTITION_BUDGET = 1255
 
 
@@ -224,17 +228,15 @@ def measure_rows(d: int, /, *, squarefree: bool) -> tuple[tuple[int, ...], ...]:
     when squarefree.  Read out of `packed_measure(d)` on every call, and
     raising its errors; the `lie_chars` tables cache what they read.
     """
-    blocks = _unpacked(*packed_measure(d, squarefree=squarefree), partitions_of(d), d)
-    values = list(chain.from_iterable(blocks))
+    values = list(chain.from_iterable(measure_columns(d, squarefree=squarefree)))
     return tuple(tuple(values[k::d]) for k in range(d))
 
 
-def measure_columns(d: int, /, *, squarefree: bool) -> Iterator[list[int]]:
+def measure_columns(d: int, /, *, squarefree: bool) -> Iterator[tuple[int, ...]]:
     """The columns z_lam * nu(lam), lam in partition order, [u**k] at index k:
     `packed_measure(d)` is read, and its errors raised, by this call, and its
     columns read out 256 at a time as they are iterated."""
-    blocks = _unpacked(*packed_measure(d, squarefree=squarefree), partitions_of(d), d)
-    return (block[i : i + d] for block in blocks for i in range(0, len(block), d))
+    return _unpacked(*packed_measure(d, squarefree=squarefree), partitions_of(d), d)
 
 
 @lru_cache(maxsize=None)

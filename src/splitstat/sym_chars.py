@@ -6,7 +6,7 @@ on a partition of d.  This module provides the inner product, the
 character table of S_d (each row chi_lam one integer of 32-bit slots,
 built by the Murnaghan-Nakayama rule from the rows of lam with a rim
 hook removed, which lower degrees built once and every later degree
-reuses), hook-length dimensions,
+reuses, and read out by `measures.signed_words`), hook-length dimensions,
 decomposition into irreducibles, character polynomials (statistics
 defined uniformly in d as polynomials in the part-count functions x_1,
 x_2, ...) and signed polynomials (one of them plus sgn times another),
@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from array import array
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -52,7 +51,7 @@ from .exact import (
     Immutable, Scalar, add_rows, cut_short, format_ratio, join_signed, lowest_terms,
     over_one_denominator, parse_rational, power, quote_short,
 )
-from .measures import PARTITION_BUDGET, check_partition_budget
+from .measures import PARTITION_BUDGET, check_partition_budget, signed_words
 from .partitions import Partition, class_scales, partition_count_exceeds, partitions_of
 from .partitions import positions
 
@@ -203,21 +202,12 @@ def _packed_rows(n: int) -> tuple[dict[tuple[int, ...], int], tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _character_table(d: int) -> tuple[tuple[int, ...], ...]:
     # Row i holds chi_shape at every class, shape the i-th partition of d,
-    # both in partition order: the packed rows of d, lifted slot by slot to
-    # nonnegative and flipped back to two's complement words, read out in
-    # C as 32-bit ints and reversed.
+    # both in partition order: the packed rows of d, read out in C as
+    # 32-bit slots and reversed.
     check_decompose_budget(d)
     rows, shapes = _packed_rows(d)[0], partitions_of(d)
-    count = len(shapes)
-    bias = ((1 << 32 * count) - 1) // 0xFFFFFFFF << 31  # 2**31 in every slot
-    words = array("i", b"".join(
-        ((rows[shape.parts] + bias) ^ bias).to_bytes(4 * count, "little")
-        for shape in reversed(shapes)
-    ))
-    if sys.byteorder == "big":
-        words.byteswap()
-    words.reverse()
-    return tuple(tuple(words[i : i + count]) for i in range(0, len(words), count))
+    words = signed_words((rows[shape.parts] for shape in shapes), len(shapes), 32)
+    return tuple(row[::-1] for row in words)
 
 
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -255,8 +245,8 @@ def irreducible_character(shape: Partition) -> ClassFunction:
 
 # Cap on the character table of S_d, which decompose and
 # irreducible_character read: p(d)**2 (shape, class) values.  d = 18 (148225
-# values) builds its table in about 0.1 s on a 2-core host; the cap was
-# sized to a slower build and is kept until it is refitted.
+# values) builds its table in 40-70 ms on a 2-core host; the cap was sized
+# to a slower build and is kept until it is refitted.
 DECOMPOSE_BUDGET = 150_000
 
 
@@ -779,17 +769,24 @@ def _table_spec(path: str, d: int) -> ClassFunction:
             text = fh.read(cap + 1 if limit else -1)
         if limit and len(text) > cap:
             raise UnknownStatistic(f"{cut_short(path)} is longer than the cap of {cap} characters")
-        # numbers are kept as their source text, read exactly below
-        raw = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
+        # numbers are kept as their source text, read exactly below; an
+        # object as its (key, value) pairs, so that no key drops another
+        raw = json.loads(
+            text, parse_float=str, parse_int=str, parse_constant=str, object_pairs_hook=tuple
+        )
     except OSError as exc:  # named by its first 40 characters, as below
         raise type(exc)(exc.errno, exc.strerror, cut_short(path)) from None
     except RecursionError:
         raise UnknownStatistic(f"{cut_short(path)} nests JSON too deeply to read") from None
-    if not isinstance(raw, dict):
+    if not isinstance(raw, tuple):
         raise UnknownStatistic(
             f"{cut_short(path)} must hold a JSON object mapping type labels to rationals"
         )
-    values = {_type_label(key, d): parse_rational(str(v)) for key, v in raw.items()}
+    values: dict[Partition, Fraction] = {}
+    for key, v in raw:
+        if (lam := _type_label(key, d)) in values:
+            raise UnknownStatistic(f"{cut_short(path)} names the type {lam.label()} twice")
+        values[lam] = parse_rational(str(v))
     return ClassFunction(d, values, name=f"@{path}")
 
 

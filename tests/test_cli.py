@@ -263,6 +263,20 @@ def test_stat_file_zero_denominator_is_usage_error(capsys, tmp_path):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "text", ['{"[2]": "1", "[ 2 ]": "5", "[1,1]": "0"}', '{"[2]": "1", "[1,1]": "0", "[2]": "5"}'],
+    ids=["two-spellings", "one-key-twice"],
+)
+def test_stat_file_naming_a_type_twice_is_usage_error(capsys, tmp_path, text):
+    # neither value may silently win
+    table = tmp_path / "stat.json"
+    table.write_text(text)
+    code, out, err = run(capsys, "expect", "--d", "2", "--stat", f"@{table}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "names the type [2] twice" in err
+
+
 def test_unknown_statistic_is_usage_error(capsys):
     code, _, err = run(capsys, "expect", "--d", "3", "--stat", "bogus stat !")
     assert code == 2

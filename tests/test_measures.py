@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitstat import expect, measures
+from splitstat import expect, measures, sym_chars
 from splitstat.errors import BudgetExceeded, ConsistencyError
 from oracles import poly_add, poly_mul, poly_sum, upoly
 from splitstat.exact import Q_VAR, U_VAR, UPoly
@@ -410,3 +410,105 @@ def test_the_slot_format_scan_finds_each_kind_of_use():
     ):
         assert len(slot_format_uses(bad)) == 1, bad
     assert slot_format_uses((PACKAGE / "measures.py").read_text(encoding="utf-8"))
+
+
+# Packed signed slots are read in C by `measures.signed_words` alone; gf's
+# census packs unsigned mod-p bytes, a format of its own.
+BYTE_READERS = {"measures.py", "gf.py"}
+
+
+def byte_handling(source):
+    """Each import of array or struct, and each use of byteorder, in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names = {node.module} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr} & {"byteorder"}
+        else:
+            continue
+        names &= {"array", "struct", "byteorder"}
+        found += [f"line {node.lineno}: {name}" for name in sorted(names)]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_reader_of_packed_slots(path):
+    found = byte_handling(path.read_text(encoding="utf-8"))
+    if path.name in BYTE_READERS:
+        found = [use for use in found if use.endswith("byteorder")]
+    assert found == []
+
+
+def test_the_byte_handling_scan_finds_each_kind_of_use():
+    assert byte_handling("from .measures import signed_words\nx = arrays\nstructure = 1\n") == []
+    for bad in (
+        "import array",
+        "from array import array",
+        "import struct",
+        "from struct import Struct",
+        "import sys\nif sys.byteorder == 'big': pass",
+        "from sys import byteorder",
+    ):
+        assert len(byte_handling(bad)) == 1, bad
+
+
+def pack(values, width):
+    return sum(v << width * k for k, v in enumerate(values))
+
+
+@pytest.mark.parametrize("width", [32, 128, 192])
+@pytest.mark.parametrize("count", [0, 1, 256, 257, 513])
+def test_signed_words_read_every_slot_as_signed_slots_does(width, count):
+    # the extremes of the 32-bit slot or of the 64-bit word read from a
+    # wide one; each integer packs one slot more than is read, which the
+    # reader must drop
+    top = 31 if width == 32 else 63
+    edges = [-(1 << top), (1 << top) - 1, -1, 0, 1, 1 - (1 << top)]
+    rng = random.Random(width * 1000 + count)
+    slots = 5
+    ints = [pack(rng.choices(edges, k=slots + 1), width) for _ in range(count)]
+    if count:
+        ints[0] = pack(edges[:slots], width)  # a negative top slot read
+    got = list(measures.signed_words(ints, slots, width))
+    bias = measures._bias(slots, width)
+    assert got == [tuple(measures._signed_slots(n + bias, slots, width)) for n in ints]
+    assert list(measures.signed_words(iter(ints), slots, width)) == got
+
+
+def test_signed_words_read_one_slot_and_many():
+    for width in (32, 128):
+        got = list(measures.signed_words([-1, 5, -(1 << 31)], 1, width))
+        assert got == [(-1,), (5,), (-(1 << 31),)]
+    values = list(range(-40, 40))
+    assert list(measures.signed_words([pack(values, 128)], 80, 128)) == [tuple(values)]
+
+
+def read_outs():
+    # every read-out of packed slots, from cleared caches
+    for cache in (
+        psi_table, phi_table, measures.packed_measure,
+        sym_chars._packed_rows, sym_chars._character_table,
+    ):
+        cache.cache_clear()
+    lams = [lam for w in range(11) for lam in partitions_of(w)]
+    return (
+        psi_table(12),
+        phi_table(12),
+        sym_chars._character_table(12),
+        list(measures.measure_columns(12, squarefree=True)),
+        measures._measure_products(lams, False, 6),
+        measures._measure_products(lams, True, 9),
+    )
+
+
+def test_read_outs_do_not_depend_on_the_host_byte_order(monkeypatch):
+    native = read_outs()
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    try:
+        assert read_outs() == native
+    finally:
+        monkeypatch.undo()
+        read_outs()
