@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, floordiv, mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
 Q_VAR = "q"
@@ -38,7 +40,7 @@ def lowest_terms(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     raises TypeError on a value that is no integer."""
     nums = tuple(nums)
     if (g := gcd(den, *nums)) != 1:
-        nums, den = tuple(n // g for n in nums), den // g
+        nums, den = tuple(map(floordiv, nums, repeat(g))), den // g
     return nums, den
 
 
@@ -56,9 +58,15 @@ def add_rows(
 ) -> tuple[tuple[int, ...], int]:
     """a / a_den + b / b_den, entry by entry, for integer rows of one length,
     over the lcm of the two denominators, in lowest terms."""
+    a, b = tuple(a), tuple(b)
+    if len(a) != len(b):
+        raise ValueError(f"rows of lengths {len(a)} and {len(b)} cannot be added")
     den = lcm(a_den, b_den)
-    sa, sb = den // a_den, den // b_den
-    return lowest_terms((sa * x + sb * y for x, y in zip(a, b, strict=True)), den)
+    if (sa := den // a_den) != 1:
+        a = map(mul, a, repeat(sa))
+    if (sb := den // b_den) != 1:
+        b = map(mul, b, repeat(sb))
+    return lowest_terms(map(add, a, b), den)
 
 
 def strip_zeros(nums: Sequence[int]) -> Sequence[int]:
@@ -125,7 +133,7 @@ class UPoly(Immutable):
         if var not in (Q_VAR, U_VAR):
             raise ValueError(f"unknown variable tag {var!r}")
         nums = tuple(numerators)
-        if not all(type(n) is int for n in nums) or type(denominator) is not int or denominator < 1:
+        if not set(map(type, nums)) <= {int} or type(denominator) is not int or denominator < 1:
             raise ValueError("UPoly takes integer numerators over a positive integer denominator")
         self._store(var, *lowest_terms(strip_zeros(nums), denominator))
 

@@ -30,9 +30,9 @@ the slots it needs.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import factorial
 from operator import mul
 from types import MappingProxyType
@@ -141,6 +141,12 @@ def _bias(slots: int, width: int) -> int:
     return ((1 << width * slots) - 1) // ((1 << width) - 1) << (width - 1)
 
 
+def _words(slots: int, width: int) -> struct.Struct:
+    # Slots 0..slots-1 of `width` bits, little-endian, each read as a signed
+    # 32-bit word at width 32, else as the low 64-bit word of the slot.
+    return struct.Struct(f"<{slots}i" if width == 32 else "<" + f"q{width // 8 - 8}x" * slots)
+
+
 def signed_words(ints: Iterable[int], slots: int, width: int) -> Iterator[tuple[int, ...]]:
     """Slots 0..slots-1 of each packed integer, signed, slot k in bits
     [k*width, (k+1)*width): one tuple per integer, read in C 256 at a time
@@ -149,8 +155,7 @@ def signed_words(ints: Iterable[int], slots: int, width: int) -> Iterator[tuple[
     each slot apart from the one below; its top bit flipped back, the slot
     is its own two's complement."""
     mask, bias = (1 << width * slots) - 1, _bias(slots, width)
-    fmt = f"<{slots}i" if width == 32 else "<" + f"q{width // 8 - 8}x" * slots
-    unpack, size, ints = struct.Struct(fmt).iter_unpack, width * slots // 8, iter(ints)
+    unpack, size, ints = _words(slots, width).iter_unpack, width * slots // 8, iter(ints)
     while block := list(islice(ints, 256)):
         yield from unpack(b"".join(
             ((n + bias & mask) ^ bias).to_bytes(size, "little") for n in block
@@ -240,12 +245,13 @@ def measure_columns(d: int, /, *, squarefree: bool) -> Iterator[tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
-def _scaled_columns(d: int, squarefree: bool) -> tuple[tuple[int, ...], int, int, int]:
+def _scaled_columns(d: int, squarefree: bool) -> tuple[tuple[int, ...], int, int, int, Callable]:
     # The packed columns of d times lcm(z) / z_lam, in partition order; the
-    # slot width, the bias of d slots, and lcm(z).
+    # slot width, the bias of d slots, lcm(z), and the C reader of the low
+    # 64-bit word of each of d slots.
     columns, width = packed_measure(d, squarefree=squarefree)
     scales, lcm_z = class_scales(d)
-    return tuple(map(mul, columns, scales)), width, _bias(d, width), lcm_z
+    return tuple(map(mul, columns, scales)), width, _bias(d, width), lcm_z, _words(d, width).unpack
 
 
 def _balanced_digits(nums: Sequence[int]) -> Iterator[tuple[int, Sequence[int]]]:
@@ -263,9 +269,17 @@ def _balanced_digits(nums: Sequence[int]) -> Iterator[tuple[int, Sequence[int]]]
 def measure_pairing(d: int, nums: Sequence[int], /, *, squarefree: bool) -> tuple[list[int], int]:
     """Integers T_k and lcm(z), k = 0..d-1: sum over lam of nums[i] * [u**k] nu(lam)
     is T_k / lcm(z), lam the i-th partition of d.  With the columns scaled by
-    lcm(z) / z_lam, one multiply-add per partition and 64-bit digit of nums
-    gives every T_k at once in its slot."""
-    columns, width, bias, lcm_z = _scaled_columns(d, squarefree)
+    lcm(z) / z_lam, one multiply-add per partition with a nonzero numerator
+    and per 64-bit digit of nums gives every T_k at once in its slot."""
+    columns, width, bias, lcm_z, read_words = _scaled_columns(d, squarefree)
+    if not sum(map(abs, nums)) * lcm_z >> 63:
+        # A slot of a scaled column is at most lcm(z) in size, so every
+        # |T_k| is under 2**63: one digit, the partitions with a nonzero
+        # numerator only (an indicator pairs one column), and each slot
+        # read in C from its low word, lifted by the bias and its top bit
+        # flipped back, as `signed_words` reads.
+        packed = (sum(map(mul, compress(nums, nums), compress(columns, nums))) + bias) ^ bias
+        return list(read_words(packed.to_bytes(width * d // 8, "little"))), lcm_z
     for place, digits in _balanced_digits(nums):
         slots = _signed_slots(sum(map(mul, digits, columns)) + bias, d, width)
         totals = [t + (v << place) for t, v in zip(totals, slots)] if place else slots

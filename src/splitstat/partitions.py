@@ -89,7 +89,7 @@ class Partition:
         if not body.strip():
             return cls(())
         try:
-            return cls(int(piece) for piece in body.split(","))
+            return cls(map(int, body.split(",")))
         except ValueError as exc:
             raise ValueError(f"not a partition: {text!r}") from exc
 
@@ -170,14 +170,33 @@ def _partition_count(n: int) -> int:
     return p
 
 
-def partition_count_exceeds(d: int, cap: int) -> bool:
-    """Whether p(d), the number of partitions of d, is above cap.
+# Per cap, how far the walk of partition_count_exceeds has gone: the
+# largest n it has read with p(n) <= cap (-1 before any), and whether it
+# has read p(n + 1) > cap, which makes that n the largest there is.  A
+# few caps are kept (the two budgets, and any other a caller sets): past
+# _WALKS_KEPT the oldest is dropped.
+_WALKS: dict[int, tuple[int, bool]] = {}
+_WALKS_KEPT = 8
 
-    Reads p(0), p(1), ..., each counted once per process.  p(n) grows
-    with n, so the walk stops at the first n over the cap: a huge d costs
-    no more than a small one.
+
+def partition_count_exceeds(d: int, cap: int) -> bool:
+    """Whether p(max(d, 0)), the number of partitions of d, is above cap.
+
+    One comparison of max(d, 0) with the largest n such that p(n) <= cap.
+    That n is found once per cap by reading p(0), p(1), ... in ascending
+    order (each counted once per process, `_partition_count`) up to the
+    first count over the cap, and kept; a call that reaches past the walk
+    so far extends it no further than d.  So no call reads more counts
+    than the per-call walk of p(0..d) would, and a huge d costs no more
+    than a small one.
     """
-    n = 0
-    while n < d and _partition_count(n) <= cap:
-        n += 1
-    return _partition_count(n) > cap
+    largest, final = _WALKS.get(cap, (-1, False))
+    if (d := max(d, 0)) <= largest:
+        return False
+    if not final:
+        while largest < d and not (final := _partition_count(largest + 1) > cap):
+            largest += 1
+        if cap not in _WALKS and len(_WALKS) >= _WALKS_KEPT:
+            _WALKS.pop(next(iter(_WALKS)), None)
+        _WALKS[cap] = largest, final
+    return d > largest

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import repeat
 from math import factorial, isqrt, lcm
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, DegreeMismatch, UnknownStatistic
@@ -337,12 +337,14 @@ class _PolynomialStatistic(Immutable):
 # sign columns in all.
 @lru_cache(maxsize=None)
 def _part_counts(d: int, j: int) -> tuple[int, ...]:
-    return tuple(lam.parts.count(j) for lam in partitions_of(d))
+    return tuple(map(tuple.count, map(attrgetter("parts"), partitions_of(d)), repeat(j)))
 
 
 @lru_cache(maxsize=None)
 def _signs(d: int) -> tuple[int, ...]:
-    return tuple(map(Partition.sign, partitions_of(d)))
+    # sgn(lam) = (-1)**(d - len(lam)), looked up by the number of parts
+    by_length = [(-1) ** (d - k) for k in range(d + 1)]
+    return tuple(map(by_length.__getitem__, map(len, map(attrgetter("parts"), partitions_of(d)))))
 
 
 class CharacterPolynomial(_PolynomialStatistic):
@@ -405,7 +407,7 @@ class CharacterPolynomial(_PolynomialStatistic):
         for mono, c in self.terms:
             vals: Iterable[int] = repeat(c, n)
             for j, e in mono:
-                vals = map(mul, vals, map(pow, column(j), repeat(e)))
+                vals = map(mul, vals, column(j) if e == 1 else map(pow, column(j), repeat(e)))
             total = list(map(add, total, vals))
         return total
 
@@ -677,13 +679,16 @@ def parse_character_polynomial(text: str) -> CharacterPolynomial:
 
 # Each built-in statistic's one definition, under its name: a character
 # polynomial, or one plus sgn times another.  "1" is one more key for one.
-_HALF = CharacterPolynomial((((), 1),), 2)
+# The parts of sgn and ET are named by their expressions, as `at_degree`
+# would name them.
+_HALF = CharacterPolynomial((((), 1),), 2, name="1/2")
 _ONE = CharacterPolynomial.constant(1, name="one")
 _BUILTINS: dict[str, CharacterPolynomial | SignedPolynomial] = {
     "one": _ONE,
     "1": _ONE,
     "sgn": SignedPolynomial(
-        CharacterPolynomial.constant(0), CharacterPolynomial.constant(1), name="sgn"
+        CharacterPolynomial.constant(0, name="0"), CharacterPolynomial.constant(1, name="1"),
+        name="sgn",
     ),
     "ET": SignedPolynomial(_HALF, _HALF, name="ET"),
     "R": CharacterPolynomial.variable(1, name="R"),
@@ -786,7 +791,13 @@ def _table_spec(path: str, d: int) -> ClassFunction:
     for key, v in raw:
         if (lam := _type_label(key, d)) in values:
             raise UnknownStatistic(f"{cut_short(path)} names the type {lam.label()} twice")
-        values[lam] = parse_rational(str(v))
+        if not isinstance(v, str):  # numbers and strings are read as their text
+            kind = {tuple: "a JSON object", list: "a JSON array"}.get(type(v))
+            kind = kind or f"JSON {json.dumps(v)}"  # true, false or null
+            raise UnknownStatistic(
+                f"{cut_short(path)} maps the type {lam.label()} to {kind}, not a rational"
+            )
+        values[lam] = parse_rational(v)
     return ClassFunction(d, values, name=f"@{path}")
 
 

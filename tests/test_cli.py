@@ -277,6 +277,28 @@ def test_stat_file_naming_a_type_twice_is_usage_error(capsys, tmp_path, text):
     assert "names the type [2] twice" in err
 
 
+@pytest.mark.parametrize(
+    "value, kind",
+    [
+        ('{"a": 1}', "a JSON object"),
+        ('["1", 2]', "a JSON array"),
+        ("true", "JSON true"),
+        ("false", "JSON false"),
+        ("null", "JSON null"),
+    ],
+    ids=["object", "array", "true", "false", "null"],
+)
+def test_stat_file_value_that_is_no_number_or_string_is_usage_error(
+    capsys, tmp_path, value, kind
+):
+    # refused by its JSON kind, not by a Python repr of the decoded value
+    table = tmp_path / ("t" * 50 + ".json")
+    table.write_text(f'{{"[1,1]": "1/2", "[ 2 ]": {value}}}')
+    code, out, err = run(capsys, "expect", "--d", "2", "--stat", f"@{table}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {str(table)[:40]}... maps the type [2] to {kind}, not a rational\n"
+
+
 def test_unknown_statistic_is_usage_error(capsys):
     code, _, err = run(capsys, "expect", "--d", "3", "--stat", "bogus stat !")
     assert code == 2

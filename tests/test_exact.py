@@ -9,8 +9,11 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import poly_add, poly_mul, series_expand, upoly
 from splitstat.exact import (
@@ -94,6 +97,44 @@ def test_upoly_stores_integers_over_one_denominator():
     ):
         with pytest.raises(ValueError, match="integer numerators over a positive"):
             UPoly(U_VAR, numerators, denominator)
+
+
+def test_upoly_refuses_numerators_that_are_no_int():
+    class Int(int):
+        pass
+
+    for bad in (True, False, 1.0, Int(1)):
+        for numerators in ([bad], [1, bad], [bad, 0, 2]):
+            with pytest.raises(ValueError, match="integer numerators over a positive"):
+                UPoly(U_VAR, numerators)
+            with pytest.raises(ValueError, match="integer numerators over a positive"):
+                UPoly(Q_VAR, iter(numerators), 3)
+
+
+INTEGERS = st.integers(-(10**30), 10**30) | st.sampled_from([0, 1, -1, 2**63, -(2**63)])
+DENOMINATORS = st.integers(1, 10**12) | st.sampled_from([1, 2, 2**64])
+
+
+def reduced(nums, den):
+    return den >= 1 and gcd(den, *nums) == 1 and all(type(n) is int for n in nums)
+
+
+@given(st.lists(INTEGERS, max_size=9), DENOMINATORS)
+def test_lowest_terms_is_the_fraction_reference(nums, den):
+    out, out_den = lowest_terms(iter(nums), den)
+    assert [Fraction(n, out_den) for n in out] == [Fraction(n, den) for n in nums]
+    assert reduced(out, out_den)
+
+
+@given(st.data(), DENOMINATORS, DENOMINATORS)
+def test_add_rows_is_the_fraction_reference(data, a_den, b_den):
+    n = data.draw(st.integers(0, 9))
+    a, b = (data.draw(st.lists(INTEGERS, min_size=n, max_size=n)) for _ in range(2))
+    nums, den = add_rows(iter(a), a_den, b, b_den)
+    assert [Fraction(x, den) for x in nums] == [
+        Fraction(x, a_den) + Fraction(y, b_den) for x, y in zip(a, b)
+    ]
+    assert reduced(nums, den)
 
 
 def test_lowest_terms_takes_one_gcd():

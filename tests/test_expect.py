@@ -30,7 +30,7 @@ from splitstat.expect import (
 from splitstat.gf import census, make_field
 from splitstat.lie_chars import phi_table, psi_table
 from splitstat.measures import sf_splitting_measure, splitting_measure
-from splitstat.partitions import Partition, partitions_of
+from splitstat.partitions import Partition, class_scales, partitions_of
 from splitstat.sym_chars import (
     ClassFunction,
     SignedPolynomial,
@@ -297,6 +297,26 @@ def test_packed_pairing_equals_the_row_wise_reference(d, widths, signs, den, see
         *total, rem = accumulate(total)
         assert rem == 0
     assert expected_sf(d, P, NORM_SF_COUNT).value == UPoly(U_VAR, total, sf_den)
+
+
+@pytest.mark.parametrize("d", [1, 4, 12, 16, 20])
+def test_one_digit_pairing_meets_the_digit_route_at_its_bound(d):
+    # numerators whose sizes sum to at most (2**63 - 1) // lcm(z) are paired
+    # in one digit and read from each slot's low word; one more unit takes
+    # the 64-bit digits: both equal the row-wise reference, in either sign
+    lcm_z = class_scales(d)[1]
+    n = len(partitions_of(d))
+    rng = random.Random(d)
+    for size in ((2**63 - 1) // lcm_z, (2**63 - 1) // lcm_z + 1):
+        cuts = sorted(rng.randrange(size + 1) for _ in range(n - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, size])]
+        for signs in ("+", "-", "+-"):
+            nums = [p if signs == "+" or signs == "+-" and rng.random() < 0.5 else -p for p in parts]
+            P = ClassFunction.from_integers(d, nums)
+            for sf in (False, True):
+                assert measures.measure_pairing(d, nums, squarefree=sf) == (
+                    measure_sum_by_rows(P, sf)[0], lcm_z
+                )
 
 
 def test_one_packing_per_degree_and_flavour():

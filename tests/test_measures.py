@@ -162,6 +162,19 @@ def test_partition_route_cap_admits_d_23_and_refuses_d_24():
             build()
 
 
+def test_the_partition_cap_follows_the_budget_in_force(monkeypatch):
+    # the cap check reads PARTITION_BUDGET on every call: lifted to p(30),
+    # d = 30 passes and d = 31 is refused; put back, d = 24 is refused again
+    monkeypatch.setattr(measures, "PARTITION_BUDGET", 5604)  # p(30)
+    check_partition_budget(30)
+    with pytest.raises(BudgetExceeded, match="d=31 needs .* the cap of 5604$"):
+        check_partition_budget(31)
+    monkeypatch.setattr(measures, "PARTITION_BUDGET", 1255)
+    check_partition_budget(23)
+    with pytest.raises(BudgetExceeded, match="d=24 needs .* the cap of 1255$"):
+        check_partition_budget(24)
+
+
 def test_measure_is_a_read_only_mapping_in_partition_order():
     for measure in (splitting_measure(5), sf_splitting_measure(5)):
         assert tuple(measure) == partitions_of(5)

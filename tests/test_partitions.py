@@ -9,6 +9,7 @@ from math import factorial, prod
 import pytest
 
 from oracles import descending_parts
+from splitstat import partitions
 from splitstat.partitions import (
     Partition,
     _partition_count,
@@ -116,6 +117,67 @@ def test_partition_counts_are_counted_once():
     for d, cap in ((40, 10**6), (23, 1255), (10**9, 1255), (10**9, 387)):
         partition_count_exceeds(d, cap)
     assert _partition_count.cache_info().misses == counted
+
+
+COUNTS = [partition_count_oracle(n) for n in range(41)]
+
+
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-walks", "walks-so-far"])
+@pytest.mark.parametrize("cap", [0, 1, 2, 387, 1255, 10**6])
+def test_partition_count_exceeds_is_p_of_d_over_the_cap(monkeypatch, cap, fresh):
+    # whatever order the degrees come in, and whatever walks other calls
+    # left behind, the answer is p(max(d, 0)) > cap
+    if fresh:
+        monkeypatch.setattr(partitions, "_WALKS", {})
+    degrees = list(range(-2, 41))
+    for order in (degrees, degrees[::-1], random.Random(cap).sample(degrees, len(degrees))):
+        for d in order:
+            assert partition_count_exceeds(d, cap) == (COUNTS[max(d, 0)] > cap), (d, cap)
+
+
+def test_partition_count_exceeds_at_the_counts_themselves(monkeypatch):
+    monkeypatch.setattr(partitions, "_WALKS", {})
+    for n in range(41):
+        for cap in (COUNTS[n], COUNTS[n] - 1):
+            for d in range(-2, 41):
+                assert partition_count_exceeds(d, cap) == (COUNTS[max(d, 0)] > cap), (d, cap)
+
+
+def test_partition_count_exceeds_below_one():
+    # p(0) = 1: a degree d <= 0 is over a cap below 1 only, and nothing fits one
+    assert not partition_count_exceeds(-3, 1) and not partition_count_exceeds(0, 1)
+    assert partition_count_exceeds(-3, 0) and partition_count_exceeds(0, 0)
+    assert partition_count_exceeds(-1, -5) and partition_count_exceeds(10**9, -1)
+
+
+def test_a_call_reads_no_count_past_its_degree(monkeypatch):
+    read = []
+
+    def counted(n):
+        read.append(n)
+        return _partition_count(n)
+
+    monkeypatch.setattr(partitions, "_WALKS", {})
+    monkeypatch.setattr(partitions, "_partition_count", counted)
+    assert not partition_count_exceeds(5, 10**100)  # p(8500) would be over it
+    assert read == [0, 1, 2, 3, 4, 5]
+    read.clear()
+    assert not partition_count_exceeds(5, 10**100) and not partition_count_exceeds(-1, 10**100)
+    assert read == []
+    assert not partition_count_exceeds(8, 10**100) and read == [6, 7, 8]
+    read.clear()
+    assert partition_count_exceeds(10**9, 5) and read == [0, 1, 2, 3, 4, 5]  # p(4) = 5, p(5) = 7
+    read.clear()
+    assert partition_count_exceeds(10**12, 5) and not partition_count_exceeds(3, 5)
+    assert read == []
+
+
+def test_walks_are_kept_for_a_few_caps(monkeypatch):
+    monkeypatch.setattr(partitions, "_WALKS", {})
+    for cap in range(100, 100 + 3 * partitions._WALKS_KEPT):
+        assert partition_count_exceeds(10**9, cap)
+        assert len(partitions._WALKS) <= partitions._WALKS_KEPT
+    assert list(partitions._WALKS) == list(range(100 + 2 * partitions._WALKS_KEPT, cap + 1))
 
 
 def test_no_duplicates_and_correct_sums():
