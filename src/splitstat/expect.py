@@ -8,8 +8,8 @@ and its u**k coefficient is <P, psi_d^k>.  P is read at d through
 * the measure route, for a ClassFunction on the partitions of d: P's
   numerators paired with the measure by `measures.measure_pairing`, which
   owns the packed measure and its slot format, one integer multiply-add
-  per partition for every u**k at once, over P.denominator * lcm(z);
-  nothing is packed at query time;
+  per partition with a nonzero numerator for every u**k at once, over
+  P.denominator * lcm(z); nothing is packed at query time;
 * the series route, for a CharacterPolynomial: P in the basis of
   products of binomials prod_j C(x_j, m_j), each term a splitting
   measure at its own weight times a truncated power series (see

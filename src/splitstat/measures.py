@@ -17,12 +17,13 @@ suffix of parts.  The one stored form per (degree, flavor) is
 `packed_measure`, those integers over the partitions of d at a slot width
 fixed by d alone.  This module owns it and reads every slot, in C by
 `signed_words`, the one reader of packed signed slots (it also reads the
-32-bit rows of the `sym_chars` character table).  `measure_columns` reads
+32-bit rows of the `sym_chars` character table), whose struct format
+(`_words`) `measure_pairing` also reads its one packed total with.  `measure_columns` reads
 the columns, for `measure` and the splitting-measure views (nu(lam) =
 column / z_lam), and `measure_rows` the d rows z_lam * [u**k] nu(lam)
 from them, which the `lie_chars` tables cache; and
-`measure_pairing` pairs a class function's numerators with every row at
-once, for `expect`'s measure route.  `_measure_products` packs the
+`measure_pairing` pairs a class function's nonzero numerators with every
+row at once, for `expect`'s measure route.  `_measure_products` packs the
 binomial terms of the series route in a walk of their own, and reads
 the slots it needs.
 """

@@ -191,7 +191,7 @@ def partition_count_exceeds(d: int, cap: int) -> bool:
     than a small one.
     """
     largest, final = _WALKS.get(cap, (-1, False))
-    if (d := max(d, 0)) <= largest:
+    if (d := d if d > 0 else 0) <= largest:  # max(d, 0), without a call
         return False
     if not final:
         while largest < d and not (final := _partition_count(largest + 1) > cap):

@@ -27,7 +27,7 @@ A pairing sum over lam of P(lam) X(lam) / z_lam in `inner` and
 as each makes one pairing per build: `class_weights` writes
 P(lam) / z_lam as integers W_lam over one D.  `measures.measure_pairing`
 pairs P's numerators with the packed measure for `expect`, one
-multiply-add per partition for every u**k at once.  These and the census
+multiply-add per nonzero value for every u**k at once.  These and the census
 in `gf` read each statistic through `at_degree(d)`; the census then reads
 `values_at` at the types it counts, and `class_function(d)` evaluates at
 every partition of d from x_j and sign columns shared by all statistics.
