@@ -173,8 +173,9 @@ def _partition_count(n: int) -> int:
 # Per cap, how far the walk of partition_count_exceeds has gone: the
 # largest n it has read with p(n) <= cap (-1 before any), and whether it
 # has read p(n + 1) > cap, which makes that n the largest there is.  A
-# few caps are kept (the two budgets, and any other a caller sets): past
-# _WALKS_KEPT the oldest is dropped.
+# few caps are kept (the two budgets, and any other a caller sets): a cap
+# beyond _WALKS_KEPT clears them all, in one `clear`, which is atomic
+# under another thread's store.
 _WALKS: dict[int, tuple[int, bool]] = {}
 _WALKS_KEPT = 8
 
@@ -197,6 +198,6 @@ def partition_count_exceeds(d: int, cap: int) -> bool:
         while largest < d and not (final := _partition_count(largest + 1) > cap):
             largest += 1
         if cap not in _WALKS and len(_WALKS) >= _WALKS_KEPT:
-            _WALKS.pop(next(iter(_WALKS)), None)
+            _WALKS.clear()
         _WALKS[cap] = largest, final
     return d > largest

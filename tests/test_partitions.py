@@ -173,11 +173,15 @@ def test_a_call_reads_no_count_past_its_degree(monkeypatch):
 
 
 def test_walks_are_kept_for_a_few_caps(monkeypatch):
+    # past _WALKS_KEPT caps the walks are forgotten, and the answers stay
     monkeypatch.setattr(partitions, "_WALKS", {})
-    for cap in range(100, 100 + 3 * partitions._WALKS_KEPT):
-        assert partition_count_exceeds(10**9, cap)
-        assert len(partitions._WALKS) <= partitions._WALKS_KEPT
-    assert list(partitions._WALKS) == list(range(100 + 2 * partitions._WALKS_KEPT, cap + 1))
+    kept = partitions._WALKS_KEPT
+    for cap in range(100, 100 + 3 * kept):
+        assert partition_count_exceeds(10**9, cap) and not partition_count_exceeds(5, cap)
+        assert cap in partitions._WALKS and len(partitions._WALKS) <= kept
+    assert list(partitions._WALKS) == list(range(100 + 2 * kept, cap + 1))
+    assert partition_count_exceeds(13, 100) and not partition_count_exceeds(12, 100)  # p(12) = 77
+    assert list(partitions._WALKS) == [100]
 
 
 def test_no_duplicates_and_correct_sums():
