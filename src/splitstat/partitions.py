@@ -156,48 +156,40 @@ def positions(d: int) -> dict[tuple[int, ...], int]:
     return {lam.parts: i for i, lam in enumerate(partitions_of(d))}
 
 
-@lru_cache(maxsize=None)
+# p(0), p(1), ... keyed by n, read by every cap.  A count is stored only
+# under the next key, n = len(_COUNTS), from the counts below it: two
+# threads that both count p(n) store the same value under the same key,
+# where appending to a list could store it twice and shift every later count.
+_COUNTS: dict[int, int] = {0: 1}
+
+
 def _partition_count(n: int) -> int:
-    # p(n) by Euler's pentagonal number recurrence, with no partition
-    # enumerated.  Callers step n upward, so every p(m), m < n, is cached
-    # and the recursion is one level deep.
-    if n == 0:
-        return 1
+    # p(n) by Euler's pentagonal number recurrence from the stored
+    # p(m), m < n, with no partition enumerated.
     p, k = 0, 1
     while (g := k * (3 * k - 1) // 2) <= n:
-        pair = _partition_count(n - g) + (_partition_count(n - g - k) if g + k <= n else 0)
+        pair = _COUNTS[n - g] + (_COUNTS[n - g - k] if g + k <= n else 0)
         p, k = p + (pair if k % 2 else -pair), k + 1
     return p
-
-
-# Per cap, how far the walk of partition_count_exceeds has gone: the
-# largest n it has read with p(n) <= cap (-1 before any), and whether it
-# has read p(n + 1) > cap, which makes that n the largest there is.  A
-# few caps are kept (the two budgets, and any other a caller sets): a cap
-# beyond _WALKS_KEPT clears them all, in one `clear`, which is atomic
-# under another thread's store.
-_WALKS: dict[int, tuple[int, bool]] = {}
-_WALKS_KEPT = 8
 
 
 def partition_count_exceeds(d: int, cap: int) -> bool:
     """Whether p(max(d, 0)), the number of partitions of d, is above cap.
 
-    One comparison of max(d, 0) with the largest n such that p(n) <= cap.
-    That n is found once per cap by reading p(0), p(1), ... in ascending
-    order (each counted once per process, `_partition_count`) up to the
-    first count over the cap, and kept; a call that reaches past the walk
-    so far extends it no further than d.  So no call reads more counts
-    than the per-call walk of p(0..d) would, and a huge d costs no more
-    than a small one.
+    One look-up in the table of counts once p(d) is in it.  Until then
+    the table is extended upward, each p(n) counted once per process, no
+    further than d and no further than the first count over the cap (p is
+    nondecreasing, so that count decides it).  So no call counts past the
+    d asked about, a huge d costs no more than a small one, and a cap
+    lifted at run time is followed at once.
     """
-    largest, final = _WALKS.get(cap, (-1, False))
-    if (d := d if d > 0 else 0) <= largest:  # max(d, 0), without a call
-        return False
-    if not final:
-        while largest < d and not (final := _partition_count(largest + 1) > cap):
-            largest += 1
-        if cap not in _WALKS and len(_WALKS) >= _WALKS_KEPT:
-            _WALKS.clear()
-        _WALKS[cap] = largest, final
-    return d > largest
+    d = d if d > 0 else 0  # max(d, 0), without a call
+    try:
+        return _COUNTS[d] > cap
+    except KeyError:
+        pass
+    while (n := len(_COUNTS)) <= d:
+        if _COUNTS[n - 1] > cap:
+            return True
+        _COUNTS[n] = _partition_count(n)
+    return _COUNTS[d] > cap

@@ -6,9 +6,10 @@ digests in cli_golden.json pin every byte of those runs across d (across
 --json; the measure, psi, phi, decompose, irreducibles and limit groups
 pin the text output too.
 To re-record after a deliberate output change, run this file as a
-script: `PYTHONPATH=src python tests/test_golden.py`.  With `--check` the
-script compares the digests instead and writes nothing; it needs no
-pytest, so any Python the package supports can run it.
+script: `python tests/test_golden.py`, which puts the checkout's src/
+first on `sys.path`.  With `--check` the script compares the digests
+instead and writes nothing; it needs no pytest, so any Python the
+package supports can run it.
 """
 
 import argparse
@@ -18,6 +19,9 @@ import io
 import json
 import sys
 from pathlib import Path
+
+if __name__ == "__main__":  # a script run from a checkout reads the package under src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from splitstat.cli import main
 

@@ -1,6 +1,8 @@
 """Partition enumeration and the scalars attached to cycle types."""
 
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -18,15 +20,20 @@ from splitstat.partitions import (
 )
 
 
-def partition_count_oracle(n):
-    # Independent count via the classical DP over largest part.
+def partition_counts_oracle(n):
+    # Independent counts p(0..n) via the classical DP over largest part:
+    # table[k][m] counts the partitions of m with parts <= k.
     table = [[0] * (n + 1) for _ in range(n + 1)]
     for k in range(n + 1):
         table[k][0] = 1
     for k in range(1, n + 1):
         for m in range(1, n + 1):
             table[k][m] = table[k - 1][m] + (table[k][m - k] if m >= k else 0)
-    return table[n][n]
+    return table[n]
+
+
+def partition_count_oracle(n):
+    return partition_counts_oracle(n)[n]
 
 
 def cycle_type_of(perm):
@@ -113,22 +120,22 @@ def test_partition_count_exceeds_stops_at_the_first_degree_over_the_cap():
 
 def test_partition_counts_are_counted_once():
     partition_count_exceeds(40, 10**6)
-    counted = _partition_count.cache_info().misses
+    counted = len(partitions._COUNTS)
     for d, cap in ((40, 10**6), (23, 1255), (10**9, 1255), (10**9, 387)):
         partition_count_exceeds(d, cap)
-    assert _partition_count.cache_info().misses == counted
+    assert len(partitions._COUNTS) == counted
 
 
-COUNTS = [partition_count_oracle(n) for n in range(41)]
+COUNTS = partition_counts_oracle(120)
 
 
 @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-walks", "walks-so-far"])
 @pytest.mark.parametrize("cap", [0, 1, 2, 387, 1255, 10**6])
 def test_partition_count_exceeds_is_p_of_d_over_the_cap(monkeypatch, cap, fresh):
-    # whatever order the degrees come in, and whatever walks other calls
+    # whatever order the degrees come in, and whatever counts other calls
     # left behind, the answer is p(max(d, 0)) > cap
     if fresh:
-        monkeypatch.setattr(partitions, "_WALKS", {})
+        monkeypatch.setattr(partitions, "_COUNTS", {0: 1})
     degrees = list(range(-2, 41))
     for order in (degrees, degrees[::-1], random.Random(cap).sample(degrees, len(degrees))):
         for d in order:
@@ -136,7 +143,7 @@ def test_partition_count_exceeds_is_p_of_d_over_the_cap(monkeypatch, cap, fresh)
 
 
 def test_partition_count_exceeds_at_the_counts_themselves(monkeypatch):
-    monkeypatch.setattr(partitions, "_WALKS", {})
+    monkeypatch.setattr(partitions, "_COUNTS", {0: 1})
     for n in range(41):
         for cap in (COUNTS[n], COUNTS[n] - 1):
             for d in range(-2, 41):
@@ -157,31 +164,53 @@ def test_a_call_reads_no_count_past_its_degree(monkeypatch):
         read.append(n)
         return _partition_count(n)
 
-    monkeypatch.setattr(partitions, "_WALKS", {})
+    monkeypatch.setattr(partitions, "_COUNTS", {0: 1})
     monkeypatch.setattr(partitions, "_partition_count", counted)
     assert not partition_count_exceeds(5, 10**100)  # p(8500) would be over it
-    assert read == [0, 1, 2, 3, 4, 5]
+    assert read == [1, 2, 3, 4, 5]  # p(0) = 1 is stored from the start
     read.clear()
     assert not partition_count_exceeds(5, 10**100) and not partition_count_exceeds(-1, 10**100)
     assert read == []
     assert not partition_count_exceeds(8, 10**100) and read == [6, 7, 8]
     read.clear()
-    assert partition_count_exceeds(10**9, 5) and read == [0, 1, 2, 3, 4, 5]  # p(4) = 5, p(5) = 7
-    read.clear()
-    assert partition_count_exceeds(10**12, 5) and not partition_count_exceeds(3, 5)
+    # a second cap counts nothing already stored: p(5) = 7 > 5 decides it
+    assert partition_count_exceeds(10**9, 5) and read == []
+    assert partition_count_exceeds(10**12, 5) and not partition_count_exceeds(4, 5)  # p(4) = 5
     assert read == []
+    # and a third counts on from the table only to d, or to p(13) = 101 > 100
+    assert not partition_count_exceeds(10, 100) and read == [9, 10]  # p(10) = 42
+    assert partition_count_exceeds(10**9, 100) and read == [9, 10, 11, 12, 13]
 
 
-def test_walks_are_kept_for_a_few_caps(monkeypatch):
-    # past _WALKS_KEPT caps the walks are forgotten, and the answers stay
-    monkeypatch.setattr(partitions, "_WALKS", {})
-    kept = partitions._WALKS_KEPT
-    for cap in range(100, 100 + 3 * kept):
-        assert partition_count_exceeds(10**9, cap) and not partition_count_exceeds(5, cap)
-        assert cap in partitions._WALKS and len(partitions._WALKS) <= kept
-    assert list(partitions._WALKS) == list(range(100 + 2 * kept, cap + 1))
-    assert partition_count_exceeds(13, 100) and not partition_count_exceeds(12, 100)  # p(12) = 77
-    assert list(partitions._WALKS) == [100]
+def test_threads_counting_at_once_give_every_answer_and_count(monkeypatch):
+    # 4 threads extend one fresh table at once, switching as often as the
+    # interpreter allows: the thread count never changes an answer, and
+    # the table ends as p(0..120), each count under its own n
+    grid = [(d, cap) for d in range(-2, 121) for cap in (0, 5, 387, 1255, 10**6, 10**30)]
+    expected = {(d, cap): COUNTS[max(d, 0)] > cap for d, cap in grid}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(30):
+            monkeypatch.setattr(partitions, "_COUNTS", {0: 1})
+            orders = [random.Random(4 * round_ + i).sample(grid, len(grid)) for i in range(4)]
+            wrong, done = [], []
+
+            def check(order):
+                wrong.extend(q for q in order if partition_count_exceeds(*q) != expected[q])
+                done.append(order)  # not reached if a check raised
+
+            threads = [threading.Thread(target=check, args=(order,)) for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads), round_
+            table = partitions._COUNTS
+            assert len(done) == 4 and wrong == [], round_
+            assert len(table) == 121 and [table[n] for n in range(121)] == COUNTS, round_
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_no_duplicates_and_correct_sums():
